@@ -11,7 +11,7 @@ use eventor::core::{
     config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline, ParallelConfig,
 };
 use eventor::emvs::{EmvsMapper, EmvsOutput, VotingMode};
-use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
+use eventor::events::{DatasetConfig, Fnv64, SequenceKind, SyntheticSequence};
 use eventor::hwsim::AcceleratorConfig;
 
 fn three_planes() -> SyntheticSequence {
@@ -220,6 +220,105 @@ fn parallel_mapper_nearest_voting_matches_sequential() {
             .reconstruct(&seq.events, &seq.trajectory)
             .expect("parallel run");
         assert_bit_identical(&sequential, &parallel, &format!("mapper nearest x{shards}"));
+    }
+}
+
+/// FNV-1a-64 over key-frame count, depth-map dimensions, `votes_cast` and
+/// depth bits: the fold of `eventor_scenarios::digest_output`, on a batch
+/// output.
+fn digest(output: &EmvsOutput) -> u64 {
+    let mut h = Fnv64::new();
+    h.update_u64(output.keyframes.len() as u64);
+    for k in &output.keyframes {
+        h.update_u64(k.depth_map.width() as u64);
+        h.update_u64(k.depth_map.height() as u64);
+        h.update_u64(k.votes_cast);
+        for &d in k.depth_map.depth_data() {
+            h.update_u64(d.to_bits());
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn every_datapath_is_pinned_at_one_and_four_shards() {
+    // The committed goldens pin only the quantized-nearest datapath; these
+    // digests pin the other three (and that one again) on both the inline
+    // one-shard path and the sharded engine.
+    let seq = three_planes();
+    let config = config_for_sequence(&seq, 50);
+    let pins: [(EventorOptions, [u64; 2]); 4] = [
+        (
+            EventorOptions::accelerator(),
+            [0xf2f7eee95b07d73d, 0xf2f7eee95b07d73d],
+        ),
+        (
+            EventorOptions::nearest_only(),
+            [0xb632fa3aa376ddb3, 0xb632fa3aa376ddb3],
+        ),
+        (
+            EventorOptions::quantized_only(),
+            [0x534bf36eafa8622a, 0x7dc0464c6d84faab],
+        ),
+        (
+            EventorOptions::exact(),
+            [0xcc9638b1499b5f9c, 0x7122977307b0be32],
+        ),
+    ];
+    let got: Vec<(EventorOptions, [u64; 2])> = pins
+        .iter()
+        .map(|&(options, _)| {
+            let run = |parallel: ParallelConfig| {
+                let output = EventorPipeline::new(seq.camera, config.clone(), options)
+                    .expect("valid config")
+                    .with_parallelism(parallel)
+                    .reconstruct(&seq.events, &seq.trajectory)
+                    .expect("run succeeds");
+                digest(&output)
+            };
+            (
+                options,
+                [
+                    run(ParallelConfig::sequential()),
+                    run(ParallelConfig::with_shards(4)),
+                ],
+            )
+        })
+        .collect();
+    let table: Vec<String> = got
+        .iter()
+        .map(|(o, [one, four])| format!("{o:?}: [{one:#018x}, {four:#018x}]"))
+        .collect();
+    assert_eq!(got, pins, "digests x1/x4:\n{}", table.join("\n"));
+}
+
+#[test]
+fn mapper_equals_the_unquantized_pipeline_bit_for_bit() {
+    // The baseline mapper is the reformulated engine with quantization off:
+    // same votes in the same order, at one shard and sharded.
+    let seq = three_planes();
+    let config = config_for_sequence(&seq, 50);
+    for (voting, options) in [
+        (VotingMode::Bilinear, EventorOptions::exact()),
+        (VotingMode::Nearest, EventorOptions::nearest_only()),
+    ] {
+        for parallel in [ParallelConfig::sequential(), ParallelConfig::with_shards(3)] {
+            let mapper = EmvsMapper::new(seq.camera, config.clone().with_voting(voting))
+                .expect("valid config")
+                .with_parallelism(parallel)
+                .reconstruct(&seq.events, &seq.trajectory)
+                .expect("mapper run");
+            let pipeline = EventorPipeline::new(seq.camera, config.clone(), options)
+                .expect("valid config")
+                .with_parallelism(parallel)
+                .reconstruct(&seq.events, &seq.trajectory)
+                .expect("pipeline run");
+            assert_bit_identical(
+                &mapper,
+                &pipeline,
+                &format!("mapper {voting:?} x{}", parallel.shards()),
+            );
+        }
     }
 }
 
