@@ -4,15 +4,12 @@
 //!
 //! Rows:
 //!
-//! * `sequential_baseline` — the unmodified single-threaded golden path
-//!   (`ParallelConfig::sequential`),
-//! * `engine_1_shard` — the batched engine on one shard, no worker threads:
-//!   isolates the fused-kernel/hoisting speedup (per-frame parameter decode
-//!   hoisted out of the hot loop, no per-frame `Vec<Option<_>>`, direct
-//!   integer voting, no per-vote enum dispatch),
-//! * `engine_{2,4,8}_shards` — worker-thread scaling on top of that. On a
-//!   multi-core host these rows add near-linear scaling of the vote phase;
-//!   on a single-core host they measure the engine's scheduling overhead.
+//! * `sequential_baseline` — the single-threaded golden path
+//!   (`ParallelConfig::sequential`): every frame voted inline,
+//! * `engine_{2,4,8}_shards` — the sharded schedule: buffered key frames,
+//!   vote packets round-robin over private tiles, tree reduction. On a
+//!   multi-core host these rows measure the thread scaling of the vote
+//!   phase; on a single-core host, the schedule's overhead.
 //!
 //! Throughput is reported in events per second across the whole
 //! reconstruction (undistortion, aggregation, planning, voting, detection).
@@ -49,7 +46,6 @@ fn bench_parallel_voting(c: &mut Criterion) {
     };
 
     group.bench_function("sequential_baseline", run(ParallelConfig::sequential()));
-    group.bench_function("engine_1_shard", run(ParallelConfig::batched()));
     for shards in [2usize, 4, 8] {
         // The partition always has `shards` tiles; only the OS thread count
         // is capped at the host's hardware threads. Label each row with the

@@ -15,11 +15,11 @@
 //!   time (the pre-vectorization scalar path, kept as a tier baseline);
 //! * `batched_kernel` — the arithmetic the engine actually runs:
 //!   `kernel::batch` batched projection + per-plane nearest transfer through
-//!   the runtime-dispatched SIMD/SWAR tiers, with reused output buffers
+//!   the runtime-dispatched SIMD or scalar tier, with reused output buffers
 //!   (the shape of `DsiVolume::vote_batch`, minus the slab writes).
 //!
 //! Every JSON document carries a `"context"` object recording which
-//! dispatch tier (`avx2` / `neon` / `swar` / `scalar`) actually executed,
+//! dispatch tier (`avx2` / `neon` / `scalar`) actually executed,
 //! so recorded figures are attributable to a code path, not just a host.
 //!
 //! Throughput is reported in plane transfers per iteration
@@ -122,9 +122,9 @@ mod f64_reference {
     }
 }
 
-/// One frame of the integer-kernel hot loop (the shape of
-/// `vote_packet_quantized_nearest`, minus the DSI writes both variants
-/// skip).
+/// One frame of the integer-kernel hot loop (the engine's accelerator
+/// datapath, event-major and one event at a time, minus the DSI writes
+/// both variants skip).
 fn kernel_frame_votes(h: &[i32; 9], phi: &[PhiWords], events: &[PackedCoord]) -> u64 {
     let mut votes = 0u64;
     for &coord in events {

@@ -2,9 +2,9 @@
 //! variants on a synthetic sequence and reports the AbsRel depth error for
 //! each — the machinery behind Fig. 4a, Fig. 4b and Fig. 7a.
 
-use crate::pipeline::{EventorOptions, EventorPipeline};
+use crate::pipeline::EventorPipeline;
 use eventor_dsi::DepthMetrics;
-use eventor_emvs::{EmvsConfig, EmvsError, EmvsMapper, EmvsOutput, VotingMode};
+use eventor_emvs::{EmvsConfig, EmvsError, EmvsMapper, EmvsOutput, EventorOptions, VotingMode};
 use eventor_events::SyntheticSequence;
 
 /// The pipeline variants compared in the paper's accuracy figures.

@@ -186,9 +186,10 @@ impl CosimBackend {
             Duration::from_secs_f64(fabric.cycles_to_seconds(execution.canonical_cycles));
         let proportional =
             Duration::from_secs_f64(fabric.cycles_to_seconds(execution.proportional_cycles));
+        // The PE_Zi array transfers and votes in one pipelined interval:
+        // `V` is fused into `P{Z0;Zi} + G`, as on the software engines.
         profile.add(Stage::CanonicalProjection, canonical);
-        profile.add(Stage::ProportionalProjection, proportional / 2);
-        profile.add(Stage::VoteDsi, proportional - proportional / 2);
+        profile.add(Stage::ProportionalProjection, proportional);
     }
 
     fn charge_report(&mut self, execution: &FrameExecution, fabric: eventor_hwsim::ClockDomain) {

@@ -23,10 +23,11 @@
 //!   behind Fig. 4a, Fig. 4b and Fig. 7a,
 //! * [`EventorSession`] — the unified **streaming** API: push-based
 //!   incremental ingestion (`push_pose` / `push_events` / `poll`) over a
-//!   pluggable [`ExecutionBackend`] ([`SoftwareBackend`],
-//!   [`ShardedBackend`], [`CosimBackend`]), with optional incremental
-//!   `eventor-map` fusion. The batch `reconstruct()` entry points are thin
-//!   wrappers over it.
+//!   pluggable [`ExecutionBackend`] — the one [`VotingEngine`] of
+//!   `eventor-emvs` (spelled [`SoftwareBackend`] at one shard,
+//!   [`ShardedBackend`] above) or the [`CosimBackend`] — with optional
+//!   incremental `eventor-map` fusion. The batch `reconstruct()` entry
+//!   points are thin wrappers over it.
 //!
 //! ## Quick start
 //!
@@ -64,7 +65,7 @@ pub use compare::{
 };
 pub use cosim::{CosimBackend, CosimPipeline, CosimReport};
 pub use parallel::{parallel_map, ParallelConfig, QuantizedFrameParams};
-pub use pipeline::{EventorOptions, EventorPipeline};
+pub use pipeline::EventorPipeline;
 pub use quantized::{
     quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, COORD_QUANTIZATION_ERROR,
 };
@@ -72,8 +73,8 @@ pub use session::{EventorSession, SessionBuilder, SessionOutput, ShardedBackend,
 // The session contract itself lives in `eventor-emvs`; re-export it so
 // downstream users of the session API need only this crate.
 pub use eventor_emvs::{
-    ExecutionBackend, FrameWork, SessionDriver, SessionEvent, DEFAULT_MAX_PENDING_EVENTS,
-    ENGINE_SPILL_EVENTS,
+    EventorOptions, ExecutionBackend, FrameWork, SessionDriver, SessionEvent, VotingEngine,
+    DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
 };
 
 #[cfg(test)]

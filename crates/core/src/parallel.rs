@@ -1,77 +1,16 @@
-//! The **parallel sharded voting engine** for the reformulated (quantized)
-//! Eventor datapath.
+//! Parallel helpers of `eventor-core`, and the shard configuration of the
+//! one voting engine.
 //!
-//! This module is the `eventor-core` half of the engine whose shard-running
-//! primitives live in [`eventor_emvs`] (see [`run_sharded`],
-//! [`ParallelConfig`]); key-frame segmentation is performed live by the
-//! session driver's key-frame selector:
-//!
-//! * [`parallel_map`] — chunked, order-preserving parallel map used for the
-//!   streaming distortion-correction and Q9.7 transport-encoding stages
-//!   (per-event pure functions, so the parallel result is bit-identical),
-//! * [`QuantizedFrameParams`] — the per-frame `H_{Z0}` / `φ` parameter block
-//!   with the fixed-point decode hoisted out of the per-event hot loop,
-//! * the fused per-packet vote kernels that project, transfer and vote in a
-//!   single allocation-free pass over a [`VotePacket`](eventor_events::VotePacket),
-//!   writing into a per-shard [`DsiVolume`] tile.
-//!
-//! ## Determinism and bit-identity
-//!
-//! Work is assigned round-robin: packet `p` goes to shard `p mod shards`,
-//! independent of thread timing. Each shard votes into a private tile;
-//! tiles are merged with [`DsiVolume::tree_reduce`], whose shape depends only
-//! on the shard count. For the accelerator datapath (`u16` scores, nearest
-//! voting, unit votes) the merged volume is **bit-identical to the
-//! sequential golden path for every shard count** — saturating unit-count
-//! accumulation is order-independent — which the `parallel_equivalence`
-//! integration tests assert on the `ThreePlanes` sequence. The float
-//! ablation datapaths are deterministic for a fixed shard count; nearest
-//! voting is still bit-identical (whole `f32` increments are exact), while
-//! bilinear voting can differ from the sequential float summation order by
-//! ULPs.
-//!
-//! The quantized hot-loop kernels delegate their arithmetic to the bit-true
-//! integer kernel ([`eventor_fixed::kernel`]) — the same functions the
-//! sequential golden model ([`QuantizedHomography`] /
-//! [`QuantizedCoefficients`]) and the `eventor-hwsim` device model call —
-//! so the fused fast path cannot drift from the reference implementation.
-//! [`QuantizedFrameParams`] hoists the **raw fixed-point words** out of the
-//! per-event loop (not an `f64` decode: there is none anymore), so the hot
-//! loop runs on integers end to end.
+//! The engine itself — [`VotingEngine`](eventor_emvs::VotingEngine), with
+//! its round-robin packet schedule ([`shard_packets`]), scoped shard runner
+//! ([`run_sharded`]) and hoisted per-frame parameter block
+//! ([`QuantizedFrameParams`]) — lives in [`eventor_emvs`] and is re-exported
+//! here. This module adds [`parallel_map`], the chunked, order-preserving
+//! parallel map the co-simulation driver uses for its PS-side per-event
+//! stages (distortion correction and Q9.7 transport encoding: pure
+//! per-event functions, so the parallel result is bit-identical).
 
-use crate::quantized::{QuantizedCoefficients, QuantizedHomography};
-use eventor_dsi::{DsiVolume, VoteArena, VoxelScore};
-use eventor_emvs::{FrameGeometry, VotingMode};
-use eventor_fixed::kernel::{self, batch, PhiWords};
-use eventor_fixed::PackedCoord;
-use eventor_geom::Vec2;
-
-pub use eventor_emvs::{run_sharded, shard_packets, ParallelConfig};
-
-/// Per-shard working state: the private DSI tile plus the canonical-point
-/// scratch buffer the fused kernels reuse across packets and key frames (no
-/// per-packet allocation).
-#[derive(Debug)]
-pub(crate) struct ShardState<S: VoxelScore> {
-    /// The shard's private DSI tile.
-    pub tile: DsiVolume<S>,
-    /// Canonical-plane points of the packet being processed, in the Q9.7
-    /// transport format (raw words — the kernels never decode them).
-    pub canon: Vec<PackedCoord>,
-    /// Slab-index scratch of the cache-blocked batched vote path, reused
-    /// across every packet segment the shard processes.
-    pub arena: VoteArena,
-}
-
-impl<S: VoxelScore> ShardState<S> {
-    pub(crate) fn new(tile: DsiVolume<S>, packet_events: usize) -> Self {
-        Self {
-            tile,
-            canon: Vec::with_capacity(packet_events),
-            arena: VoteArena::new(),
-        }
-    }
-}
+pub use eventor_emvs::{run_sharded, shard_packets, ParallelConfig, QuantizedFrameParams};
 
 /// Order-preserving parallel map: splits `input` into up to `shards`
 /// contiguous chunks (capped at the available hardware threads), maps each
@@ -108,136 +47,6 @@ where
         }
         out
     })
-}
-
-/// Per-frame quantized datapath parameters hoisted out of the per-event
-/// loop as **raw fixed-point words**: the nine Q11.21 `Buf_H` words of
-/// `H_{Z0}` and the per-plane Q11.21 `Buf_P` word triples of `φ` — exactly
-/// the payloads the DMA would ship to the device, consumed directly by the
-/// integer kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedFrameParams {
-    homography: [i32; 9],
-    coefficients: Vec<PhiWords>,
-}
-
-impl QuantizedFrameParams {
-    /// Quantizes and hoists one frame's geometry.
-    pub fn from_geometry(geometry: &FrameGeometry) -> Self {
-        let qh = QuantizedHomography::from_homography(&geometry.homography);
-        let qphi = QuantizedCoefficients::from_coefficients(&geometry.coefficients);
-        Self {
-            homography: qh.raw_words(),
-            coefficients: qphi.words().to_vec(),
-        }
-    }
-
-    /// Number of depth planes covered.
-    pub fn num_planes(&self) -> usize {
-        self.coefficients.len()
-    }
-
-    /// The per-plane raw coefficient words.
-    #[inline]
-    pub fn coefficients(&self) -> &[PhiWords] {
-        &self.coefficients
-    }
-
-    /// The nine raw Q11.21 `Buf_H` words of `H_{Z0}`, row-major — the
-    /// batched kernel entry points consume them directly.
-    #[inline]
-    pub fn homography_words(&self) -> &[i32; 9] {
-        &self.homography
-    }
-
-    /// The canonical projection `𝒫{Z0}` (delegates to the bit-true
-    /// [`kernel::project_z0`], the same function the golden model and the
-    /// device model call).
-    #[inline]
-    pub fn project(&self, coord: PackedCoord) -> Option<PackedCoord> {
-        kernel::project_z0(&self.homography, coord)
-    }
-}
-
-/// Fused `PE_Z0` → `PE_Zi` → Nearest Voxel Finder → vote kernel for one
-/// packet of the quantized nearest-voting (accelerator) datapath.
-///
-/// Equivalent, vote for vote, to the sequential
-/// `EventorPipeline::process_frame_quantized` path — both run the same
-/// integer kernel on the same raw words; the only difference is scheduling
-/// (one packet instead of one frame).
-/// The kernel runs plane-major through the **batched, vectorized** faces of
-/// the integer kernel: all canonical points of the packet are computed once
-/// into the shard's scratch buffer ([`batch::project_z0_batch`], lanes per
-/// the session's dispatch tier), then [`DsiVolume::vote_batch`] transfers
-/// and votes each depth plane's slab cache-blocked, reusing the shard's
-/// index arena across packets (mirroring the `PE_Zi` array structure, and
-/// keeping the write working-set at one plane instead of the whole volume).
-/// Reordering votes from the sequential event-major schedule to plane-major
-/// is exact for this datapath: saturating integer unit-vote accumulation is
-/// order-independent, and every dispatch tier is proven byte-identical to
-/// the scalar kernel. The in-sensor judgement runs against the tile
-/// dimensions, which every constructor sets to the sensor dimensions.
-#[inline]
-pub(crate) fn vote_packet_quantized_nearest(
-    state: &mut ShardState<u16>,
-    params: &QuantizedFrameParams,
-    events: &[PackedCoord],
-) {
-    batch::project_z0_batch(&params.homography, events, &mut state.canon);
-    state
-        .tile
-        .vote_batch(&state.canon, &params.coefficients, &mut state.arena);
-}
-
-/// Fused kernel for one packet of the quantized **bilinear** ablation
-/// (`EventorOptions::quantized_only`): quantized projection and transfer,
-/// float sub-pixel voting.
-/// Unlike the nearest kernel this one keeps the sequential event-major vote
-/// order, so the single-shard batched engine stays bit-identical even though
-/// bilinear `f32` accumulation is order-sensitive.
-#[inline]
-pub(crate) fn vote_packet_quantized_bilinear(
-    state: &mut ShardState<f32>,
-    params: &QuantizedFrameParams,
-    events: &[PackedCoord],
-) {
-    for &coord in events {
-        let Some(canonical) = params.project(coord) else {
-            continue;
-        };
-        for (i, phi) in params.coefficients.iter().enumerate() {
-            let (x, y) = kernel::transfer_subpixel(phi, canonical);
-            state.tile.vote_bilinear(x, y, i, 1.0);
-        }
-    }
-}
-
-/// Fused kernel for one packet of the full-precision ablation datapaths
-/// (`EventorOptions::{exact, nearest_only}`): float canonical projection and
-/// plane transfer on the frame geometry, voting in the configured mode.
-/// Keeps the sequential event-major vote order (see
-/// [`vote_packet_quantized_bilinear`]).
-#[inline]
-pub(crate) fn vote_packet_float(
-    state: &mut ShardState<f32>,
-    geometry: &FrameGeometry,
-    events: &[Vec2],
-    voting: VotingMode,
-) {
-    let n_planes = geometry.num_planes();
-    for &pixel in events {
-        let Some(canonical) = geometry.canonical(pixel) else {
-            continue;
-        };
-        for i in 0..n_planes {
-            let p = geometry.transfer(canonical, i);
-            match voting {
-                VotingMode::Bilinear => state.tile.vote_bilinear(p.x, p.y, i, 1.0),
-                VotingMode::Nearest => state.tile.vote_nearest(p.x, p.y, i, 1.0),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -285,8 +94,10 @@ mod tests {
 
     #[test]
     fn hoisted_params_match_golden_model() {
+        use crate::quantized::{QuantizedCoefficients, QuantizedHomography};
         use eventor_dsi::DepthPlanes;
         use eventor_emvs::FrameGeometry;
+        use eventor_fixed::{kernel, PackedCoord};
         use eventor_geom::{CameraIntrinsics, Pose, Vec3};
 
         let intrinsics = CameraIntrinsics::davis240_default();

@@ -19,67 +19,16 @@
 //! [`EventorOptions`], which is what the Fig. 4a / Fig. 4b / Fig. 7a
 //! ablations sweep.
 //!
-//! Since the streaming redesign the datapaths live in the session backends
-//! ([`crate::SoftwareBackend`] for the sequential golden path,
-//! [`crate::ShardedBackend`] for the parallel voting engine) and
-//! [`EventorPipeline::reconstruct`] is a thin batch wrapper over a session.
+//! The datapaths live in the one [`VotingEngine`] of `eventor-emvs`, and
+//! [`EventorPipeline::reconstruct`] is a thin batch wrapper over a session
+//! running it.
 
 use crate::parallel::ParallelConfig;
-use crate::session::{ShardedBackend, SoftwareBackend};
-use eventor_emvs::{reconstruct_with_backend, EmvsConfig, EmvsError, EmvsOutput, VotingMode};
+use eventor_emvs::{
+    reconstruct_with_backend, EmvsConfig, EmvsError, EmvsOutput, EventorOptions, VotingEngine,
+};
 use eventor_events::EventStream;
 use eventor_geom::{CameraModel, Trajectory};
-
-/// Reformulation/approximation switches of the Eventor datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventorOptions {
-    /// DSI voting mode (the accelerator uses nearest voting).
-    pub voting: VotingMode,
-    /// Apply the Table 1 hybrid fixed-point quantization.
-    pub quantize: bool,
-}
-
-impl Default for EventorOptions {
-    fn default() -> Self {
-        Self {
-            voting: VotingMode::Nearest,
-            quantize: true,
-        }
-    }
-}
-
-impl EventorOptions {
-    /// The full Eventor datapath (nearest voting + quantization), as deployed
-    /// on the FPGA.
-    pub fn accelerator() -> Self {
-        Self::default()
-    }
-
-    /// Nearest voting only (Fig. 4a ablation).
-    pub fn nearest_only() -> Self {
-        Self {
-            voting: VotingMode::Nearest,
-            quantize: false,
-        }
-    }
-
-    /// Quantization only (Fig. 4b ablation).
-    pub fn quantized_only() -> Self {
-        Self {
-            voting: VotingMode::Bilinear,
-            quantize: true,
-        }
-    }
-
-    /// No approximation at all (matches the baseline mapper; useful for
-    /// validating the rescheduled dataflow in isolation).
-    pub fn exact() -> Self {
-        Self {
-            voting: VotingMode::Bilinear,
-            quantize: false,
-        }
-    }
-}
 
 /// The Eventor reformulated EMVS pipeline.
 ///
@@ -129,16 +78,15 @@ impl EventorPipeline {
         })
     }
 
-    /// Enables the parallel sharded voting engine.
+    /// Sets the shard count of the [`VotingEngine`].
     ///
-    /// With [`ParallelConfig::sequential`] (the default) the original
-    /// single-threaded golden path runs unchanged ([`SoftwareBackend`]).
-    /// With more than one shard the reconstruction runs on the
-    /// [`ShardedBackend`]: vote packets are distributed round-robin over
-    /// worker shards voting into private DSI tiles, merged with a
-    /// deterministic tree reduction (see [`crate::parallel`]). For the
-    /// accelerator datapath ([`EventorOptions::accelerator`]) the output is
-    /// bit-identical to the sequential result for every shard count.
+    /// With [`ParallelConfig::sequential`] (the default) every frame votes
+    /// inline on the calling thread. With more than one shard the key
+    /// frame's vote packets are distributed round-robin over worker shards
+    /// voting into private DSI tiles, merged with a deterministic tree
+    /// reduction. For the accelerator datapath
+    /// ([`EventorOptions::accelerator`]) the output is bit-identical to the
+    /// one-shard result for every shard count.
     ///
     /// # Examples
     ///
@@ -177,8 +125,7 @@ impl EventorPipeline {
     }
 
     /// Runs the reformulated reconstruction — a batch wrapper over a
-    /// streaming session with the backend the parallelism configuration
-    /// selects.
+    /// streaming session on the [`VotingEngine`].
     ///
     /// # Errors
     ///
@@ -188,32 +135,21 @@ impl EventorPipeline {
         events: &EventStream,
         trajectory: &Trajectory,
     ) -> Result<EmvsOutput, EmvsError> {
-        if self.parallel.is_engine() {
-            let backend =
-                ShardedBackend::new(self.camera, &self.config, self.options, self.parallel)?;
-            reconstruct_with_backend(
-                self.camera,
-                self.config.clone(),
-                backend,
-                events,
-                trajectory,
-            )
-        } else {
-            let backend = SoftwareBackend::new(self.camera, &self.config, self.options)?;
-            reconstruct_with_backend(
-                self.camera,
-                self.config.clone(),
-                backend,
-                events,
-                trajectory,
-            )
-        }
+        let backend = VotingEngine::new(self.camera, &self.config, self.options, self.parallel)?;
+        reconstruct_with_backend(
+            self.camera,
+            self.config.clone(),
+            backend,
+            events,
+            trajectory,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eventor_emvs::VotingMode;
     use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
     use eventor_geom::Pose;
 

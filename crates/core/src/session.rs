@@ -5,11 +5,10 @@
 //! asks for. One validated configuration path ([`SessionBuilder`]) selects an
 //! [`ExecutionBackend`] trait object —
 //!
-//! * [`SoftwareBackend`] — the sequential reformulated (optionally
-//!   quantized) golden path of [`crate::EventorPipeline`],
-//! * [`ShardedBackend`] — the parallel sharded voting engine (private
-//!   per-shard DSI tiles, round-robin vote packets, deterministic tree
-//!   reduction),
+//! * the one [`VotingEngine`] — every [`EventorOptions`] datapath at any
+//!   shard count, spelled [`SoftwareBackend`] (one shard, every frame voted
+//!   inline) or [`ShardedBackend`] (private per-shard DSI tiles, round-robin
+//!   vote packets, deterministic tree reduction),
 //! * [`CosimBackend`] — the functional
 //!   `eventor-hwsim` device driven through its register/DMA interface,
 //! * any user type implementing [`ExecutionBackend`]
@@ -30,716 +29,67 @@
 //! [`SessionEvent::MapFused`] per key frame.
 
 use crate::cosim::CosimBackend;
-use crate::parallel::{
-    parallel_map, run_sharded, shard_packets, vote_packet_float, vote_packet_quantized_bilinear,
-    vote_packet_quantized_nearest, ParallelConfig, QuantizedFrameParams, ShardState,
-};
-use crate::pipeline::EventorOptions;
-use crate::quantized::{quantize_event_pixel, QuantizedCoefficients, QuantizedHomography};
-use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume, VoteArena, VoxelScore};
+use crate::parallel::ParallelConfig;
 use eventor_emvs::{
-    finalize_volume, import_vote_tiles, BackendVoteState, EmvsConfig, EmvsError, EmvsOutput,
-    FrameGeometry, KeyframeReconstruction, SessionDriver, Stage, StageProfile, VotingMode,
+    EmvsConfig, EmvsError, EmvsOutput, EventorOptions, KeyframeReconstruction, SessionDriver,
+    StageProfile, VotingEngine,
 };
-use eventor_events::{packetize_frame, Event, EventStream, VotePacket};
-use eventor_fixed::kernel;
-use eventor_fixed::PackedCoord;
-use eventor_geom::{CameraModel, Pose, Trajectory, Vec2};
+use eventor_events::{Event, EventStream};
+use eventor_geom::{CameraModel, Pose, Trajectory};
 use eventor_hwsim::AcceleratorConfig;
 use eventor_map::{GlobalMap, GlobalMapConfig};
-use std::time::Instant;
 
-pub use crate::cosim::CosimReport;
-pub use eventor_emvs::{
-    ExecutionBackend, FrameWork, SessionEvent, DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
-};
+use crate::cosim::CosimReport;
+use eventor_emvs::{ExecutionBackend, SessionEvent, DEFAULT_MAX_PENDING_EVENTS};
 
-/// DSI storage of the software backend: 16-bit integer scores for the
-/// quantized nearest-voting datapath, `f32` otherwise.
-#[derive(Debug, Clone)]
-enum DsiStorage {
-    Float(DsiVolume<f32>),
-    Quantized(DsiVolume<u16>),
-}
-
-impl DsiStorage {
-    fn new(
-        width: usize,
-        height: usize,
-        planes: DepthPlanes,
-        options: &EventorOptions,
-    ) -> Result<Self, EmvsError> {
-        if options.quantize && options.voting == VotingMode::Nearest {
-            Ok(Self::Quantized(DsiVolume::new(width, height, planes)?))
-        } else {
-            Ok(Self::Float(DsiVolume::new(width, height, planes)?))
-        }
-    }
-
-    fn vote(&mut self, x: f64, y: f64, plane: usize, voting: VotingMode) {
-        match (self, voting) {
-            (Self::Float(dsi), VotingMode::Bilinear) => dsi.vote_bilinear(x, y, plane, 1.0),
-            (Self::Float(dsi), VotingMode::Nearest) => dsi.vote_nearest(x, y, plane, 1.0),
-            (Self::Quantized(dsi), VotingMode::Bilinear) => dsi.vote_bilinear(x, y, plane, 1.0),
-            (Self::Quantized(dsi), VotingMode::Nearest) => dsi.vote_nearest(x, y, plane, 1.0),
-        }
-    }
-
-    fn finalize(
-        &self,
-        detection: &DetectionConfig,
-        camera: &CameraModel,
-        reference_pose: &Pose,
-        frames_used: usize,
-        events_used: usize,
-    ) -> KeyframeReconstruction {
-        match self {
-            Self::Float(dsi) => finalize_volume(
-                dsi,
-                detection,
-                camera,
-                reference_pose,
-                frames_used,
-                events_used,
-            ),
-            Self::Quantized(dsi) => finalize_volume(
-                dsi,
-                detection,
-                camera,
-                reference_pose,
-                frames_used,
-                events_used,
-            ),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Self::Float(dsi) => dsi.reset(),
-            Self::Quantized(dsi) => dsi.reset(),
-        }
-    }
-}
-
-/// Tree-reduces a set of shard tiles into `states[0]` and finalizes the
-/// merged volume — the score-type-generic body of
-/// [`ShardedBackend::retire_keyframe`], so a change to the reduction can
-/// never silently miss one tile variant.
-fn reduce_and_finalize<S: VoxelScore>(
-    states: &mut [ShardState<S>],
-    detection: &DetectionConfig,
-    camera: &CameraModel,
-    reference_pose: &Pose,
-    frames_used: usize,
-    events_used: usize,
-) -> KeyframeReconstruction {
-    {
-        let mut tiles: Vec<&mut DsiVolume<S>> = states.iter_mut().map(|s| &mut s.tile).collect();
-        DsiVolume::tree_reduce_refs(&mut tiles);
-    }
-    finalize_volume(
-        &states[0].tile,
-        detection,
-        camera,
-        reference_pose,
-        frames_used,
-        events_used,
-    )
-}
-
-/// Resets every shard tile for the next key frame (reused, not
-/// reallocated).
-fn reset_tiles<S: VoxelScore>(states: &mut [ShardState<S>]) {
-    for state in states {
-        state.tile.reset();
-    }
-}
-
-/// The sequential reformulated (Fig. 3 right) datapath behind the session
-/// contract: streaming per-event distortion correction, pre-computed
-/// `H_{Z0}` / `φ`, nearest or bilinear voting, optional Table 1
-/// quantization — exactly the per-frame work of the seed
-/// `EventorPipeline::reconstruct` loop.
-#[derive(Debug)]
-pub struct SoftwareBackend {
-    camera: CameraModel,
-    options: EventorOptions,
-    detection: DetectionConfig,
-    dsi: DsiStorage,
-    // Scratch buffers reused across frames (cleared, never reallocated), so
-    // the per-frame hot path allocates nothing — like the batch loop it
-    // replaced, which built these buffers once per stream.
-    corrected: Vec<Vec2>,
-    transported: Vec<PackedCoord>,
-    canonical_packed: Vec<PackedCoord>,
-    canonical_float: Vec<Option<Vec2>>,
-    vote_arena: VoteArena,
-}
+/// The `"software"` spelling of the one [`VotingEngine`]: one shard, every
+/// frame voted inline on the calling thread.
+#[derive(Debug, Clone, Copy)]
+pub struct SoftwareBackend;
 
 impl SoftwareBackend {
-    /// Creates the backend, allocating its DSI.
+    /// Builds the engine at one shard.
     ///
     /// # Errors
     ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations and
-    /// [`EmvsError::Dsi`] when the DSI cannot be allocated.
+    /// Same contract as [`VotingEngine::new`].
     pub fn new(
         camera: CameraModel,
         config: &EmvsConfig,
         options: EventorOptions,
-    ) -> Result<Self, EmvsError> {
-        let planes = config.depth_planes()?;
-        let width = camera.intrinsics.width as usize;
-        let height = camera.intrinsics.height as usize;
-        let dsi = DsiStorage::new(width, height, planes, &options)?;
-        Ok(Self {
-            camera,
-            options,
-            detection: config.detection,
-            dsi,
-            corrected: Vec::with_capacity(config.events_per_frame),
-            transported: Vec::with_capacity(config.events_per_frame),
-            canonical_packed: Vec::new(),
-            canonical_float: Vec::new(),
-            vote_arena: VoteArena::new(),
-        })
-    }
-
-    /// The active reformulation options.
-    pub fn options(&self) -> &EventorOptions {
-        &self.options
-    }
-
-    /// Quantized FPGA datapath for one frame.
-    fn process_frame_quantized(
-        &mut self,
-        events: &[PackedCoord],
-        homography: &QuantizedHomography,
-        coefficients: &QuantizedCoefficients,
-        profile: &mut StageProfile,
-    ) {
-        let width = self.camera.intrinsics.width;
-        let height = self.camera.intrinsics.height;
-        // Canonical projection P{Z0} on PE_Z0 through the batched kernel
-        // face (lane-parallel per the session's dispatch tier): the scratch
-        // buffer keeps only the survivors of the projection-missing
-        // judgement, densely, in input order — the same points the scalar
-        // `homography.project` loop would keep (buffer taken so the borrow
-        // doesn't alias the DSI votes below).
-        let t = Instant::now();
-        let mut canonical = std::mem::take(&mut self.canonical_packed);
-        kernel::batch::project_z0_batch(&homography.raw_words(), events, &mut canonical);
-        profile.add(Stage::CanonicalProjection, t.elapsed());
-
-        // Proportional projection + vote generation + voting.
-        let t = Instant::now();
-        let n_planes = coefficients.len();
-        match self.options.voting {
-            VotingMode::Nearest => match &mut self.dsi {
-                // The accelerator datapath: the cache-blocked batched vote
-                // loop transfers every canonical point per plane and votes
-                // straight into the u16 DSI slabs — raw words in, integer
-                // slab indices out, no `f64` anywhere in the loop. The
-                // plane-major order is exact (unit-vote saturation is
-                // order-independent), and the DSI dimensions equal the
-                // sensor dimensions by construction (`Self::new`).
-                DsiStorage::Quantized(dsi) => {
-                    dsi.vote_batch(&canonical, coefficients.words(), &mut self.vote_arena);
-                }
-                // Unreachable through the public options (quantize +
-                // nearest always selects integer storage); kept as the
-                // generic fallback.
-                DsiStorage::Float(dsi) => {
-                    for c in &canonical {
-                        for i in 0..n_planes {
-                            if let Some((x, y)) = coefficients
-                                .transfer_nearest(*c, i, width, height)
-                                .address()
-                            {
-                                dsi.vote_nearest(x as f64, y as f64, i, 1.0);
-                            }
-                        }
-                    }
-                }
-            },
-            VotingMode::Bilinear => {
-                for c in &canonical {
-                    for i in 0..n_planes {
-                        let p = coefficients.transfer_subpixel(*c, i);
-                        self.dsi.vote(p.x, p.y, i, VotingMode::Bilinear);
-                    }
-                }
-            }
-        }
-        // The address-generation and vote stages are fused on the FPGA; their
-        // combined cost is attributed to the proportional-projection stage,
-        // with the DSI update counted under VoteDsi for profile compatibility.
-        let elapsed = t.elapsed();
-        profile.add(Stage::ProportionalProjection, elapsed / 2);
-        profile.add(Stage::VoteDsi, elapsed - elapsed / 2);
-        self.canonical_packed = canonical;
-    }
-
-    /// Full-precision datapath for one frame (used by the ablations that
-    /// disable quantization).
-    fn process_frame_float(
-        &mut self,
-        events: &[Vec2],
-        geometry: &FrameGeometry,
-        profile: &mut StageProfile,
-    ) {
-        let t = Instant::now();
-        let mut canonical = std::mem::take(&mut self.canonical_float);
-        canonical.clear();
-        canonical.extend(events.iter().map(|&p| geometry.canonical(p)));
-        profile.add(Stage::CanonicalProjection, t.elapsed());
-
-        let t = Instant::now();
-        let n_planes = geometry.num_planes();
-        for c in canonical.iter().flatten() {
-            for i in 0..n_planes {
-                let p = geometry.transfer(*c, i);
-                self.dsi.vote(p.x, p.y, i, self.options.voting);
-            }
-        }
-        let elapsed = t.elapsed();
-        profile.add(Stage::ProportionalProjection, elapsed / 2);
-        profile.add(Stage::VoteDsi, elapsed - elapsed / 2);
-        self.canonical_float = canonical;
+    ) -> Result<VotingEngine, EmvsError> {
+        VotingEngine::new(camera, config, options, ParallelConfig::sequential())
     }
 }
 
-impl ExecutionBackend for SoftwareBackend {
-    fn name(&self) -> &'static str {
-        "software"
-    }
-
-    fn vote_frame(
-        &mut self,
-        work: &FrameWork<'_>,
-        profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        // ➊ Streaming event distortion correction (rescheduled stage) and,
-        //   under quantization, Q9.7 transport encoding. The scratch buffers
-        //   are taken out of `self` for the duration of the frame so they can
-        //   be passed to the `&mut self` datapath methods below.
-        let t = Instant::now();
-        let mut corrected = std::mem::take(&mut self.corrected);
-        corrected.clear();
-        corrected.extend(work.events.iter().map(|e| {
-            self.camera
-                .undistort_pixel(Vec2::new(e.x as f64, e.y as f64))
-        }));
-        let mut transported = std::mem::take(&mut self.transported);
-        transported.clear();
-        if self.options.quantize {
-            transported.extend(corrected.iter().map(|&p| quantize_event_pixel(p)));
-        }
-        profile.add(Stage::DistortionCorrection, t.elapsed());
-
-        // ➌ Quantize H_Z0 and φ (rescheduled: before the canonical
-        //   projection).
-        let t = Instant::now();
-        let quantized = if self.options.quantize {
-            Some((
-                QuantizedHomography::from_homography(&work.geometry.homography),
-                QuantizedCoefficients::from_coefficients(&work.geometry.coefficients),
-            ))
-        } else {
-            None
-        };
-        profile.add(Stage::ComputeCoefficients, t.elapsed());
-
-        // ➍ The FPGA datapath: canonical projection, proportional
-        //   projection, vote generation and DSI voting.
-        match &quantized {
-            Some((qh, qphi)) => self.process_frame_quantized(&transported, qh, qphi, profile),
-            None => self.process_frame_float(&corrected, work.geometry, profile),
-        }
-        self.corrected = corrected;
-        self.transported = transported;
-        Ok(())
-    }
-
-    fn retire_keyframe(
-        &mut self,
-        reference_pose: &Pose,
-        frames_used: usize,
-        events_used: usize,
-        profile: &mut StageProfile,
-    ) -> Result<KeyframeReconstruction, EmvsError> {
-        let t = Instant::now();
-        let reconstruction = self.dsi.finalize(
-            &self.detection,
-            &self.camera,
-            reference_pose,
-            frames_used,
-            events_used,
-        );
-        profile.add(Stage::Detection, t.elapsed());
-        let t = Instant::now();
-        self.dsi.reset();
-        profile.add(Stage::Merging, t.elapsed());
-        Ok(reconstruction)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn export_vote_state(
-        &mut self,
-        _profile: &mut StageProfile,
-    ) -> Result<BackendVoteState, EmvsError> {
-        Ok(match &self.dsi {
-            DsiStorage::Quantized(dsi) => BackendVoteState::Quantized(vec![dsi.clone()]),
-            DsiStorage::Float(dsi) => BackendVoteState::Float(vec![dsi.clone()]),
-        })
-    }
-
-    fn import_vote_state(
-        &mut self,
-        state: BackendVoteState,
-        _profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        match (&mut self.dsi, state) {
-            (DsiStorage::Quantized(dsi), BackendVoteState::Quantized(tiles)) => {
-                import_vote_tiles(tiles, &mut [dsi], "software")
-            }
-            (DsiStorage::Float(dsi), BackendVoteState::Float(tiles)) => {
-                import_vote_tiles(tiles, &mut [dsi], "software")
-            }
-            (DsiStorage::Quantized(_), BackendVoteState::Float(_)) => Err(EmvsError::Checkpoint {
-                reason: "float vote state cannot restore into the quantized software datapath"
-                    .into(),
-            }),
-            (DsiStorage::Float(_), BackendVoteState::Quantized(_)) => Err(EmvsError::Checkpoint {
-                reason: "quantized vote state cannot restore into the float software datapath"
-                    .into(),
-            }),
-        }
-    }
-}
-
-/// Per-shard tiles of the sharded backend, on the score type the options
-/// select.
-#[derive(Debug)]
-enum ShardTiles {
-    Quantized(Vec<ShardState<u16>>),
-    Float(Vec<ShardState<f32>>),
-}
-
-/// The parallel sharded voting engine behind the session contract: frames
-/// buffer (corrected/transported events plus hoisted per-frame parameters)
-/// while their key frame is open, and retirement votes the key frame's
-/// packets round-robin over worker shards into private DSI tiles, merged
-/// with a deterministic tree reduction.
-///
-/// For the accelerator datapath (`u16` scores, nearest voting) the output is
-/// bit-identical to [`SoftwareBackend`] for every shard count; see
+/// The `"sharded"` spelling of the one [`VotingEngine`]: vote packets
+/// round-robin over private per-shard DSI tiles, merged with a
+/// deterministic tree reduction at retirement. For the accelerator datapath
+/// the output is bit-identical at every shard count; see
 /// `docs/ARCHITECTURE.md` §5.
-#[derive(Debug)]
-pub struct ShardedBackend {
-    camera: CameraModel,
-    options: EventorOptions,
-    detection: DetectionConfig,
-    parallel: ParallelConfig,
-    tiles: ShardTiles,
-    // Buffered state of the open key frame.
-    buffered_events: usize,
-    frame_lens: Vec<usize>,
-    transported: Vec<PackedCoord>,
-    corrected: Vec<Vec2>,
-    params: Vec<QuantizedFrameParams>,
-    geometries: Vec<FrameGeometry>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct ShardedBackend;
 
 impl ShardedBackend {
-    /// Creates the backend, allocating one private DSI tile per shard.
+    /// Builds the engine at `parallel`'s shard count.
     ///
     /// # Errors
     ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations and
-    /// [`EmvsError::Dsi`] when the tiles cannot be allocated.
+    /// Same contract as [`VotingEngine::new`].
     pub fn new(
         camera: CameraModel,
         config: &EmvsConfig,
         options: EventorOptions,
         parallel: ParallelConfig,
-    ) -> Result<Self, EmvsError> {
-        let planes = config.depth_planes()?;
-        let width = camera.intrinsics.width as usize;
-        let height = camera.intrinsics.height as usize;
-        let shards = parallel.shards();
-        let tiles = if options.quantize && options.voting == VotingMode::Nearest {
-            ShardTiles::Quantized(
-                (0..shards)
-                    .map(|_| {
-                        DsiVolume::new(width, height, planes.clone())
-                            .map(|tile| ShardState::new(tile, parallel.packet_events()))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            ShardTiles::Float(
-                (0..shards)
-                    .map(|_| {
-                        DsiVolume::new(width, height, planes.clone())
-                            .map(|tile| ShardState::new(tile, parallel.packet_events()))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )
-        };
-        Ok(Self {
-            camera,
-            options,
-            detection: config.detection,
-            parallel,
-            tiles,
-            buffered_events: 0,
-            frame_lens: Vec::new(),
-            transported: Vec::new(),
-            corrected: Vec::new(),
-            params: Vec::new(),
-            geometries: Vec::new(),
-        })
-    }
-
-    /// The parallelism configuration.
-    pub fn parallelism(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
-    /// Splits the buffered frames into vote packets addressing the
-    /// key-frame-local concatenated event buffer.
-    fn packets(&self) -> Vec<VotePacket> {
-        let mut packets = Vec::new();
-        let mut start = 0usize;
-        for (i, &len) in self.frame_lens.iter().enumerate() {
-            packetize_frame(
-                i,
-                start..start + len,
-                self.parallel.packet_events(),
-                &mut packets,
-            );
-            start += len;
-        }
-        packets
-    }
-
-    /// Votes every buffered frame into the shard tiles (packet round-robin
-    /// over the fused kernels) and clears the key-frame buffer. Called at
-    /// retirement and whenever the buffer crosses [`ENGINE_SPILL_EVENTS`],
-    /// so an arbitrarily long key frame never buffers unboundedly — only
-    /// the fixed-size tiles accumulate. Spilling at any boundary is safe:
-    /// nearest voting is order-independent, and a single-shard partition
-    /// keeps the exact sequential packet order across spills.
-    fn vote_buffered(&mut self, profile: &mut StageProfile) {
-        if self.frame_lens.is_empty() {
-            return;
-        }
-        let t = Instant::now();
-        let packets = self.packets();
-        let shards = self.parallel.shards();
-        match &mut self.tiles {
-            ShardTiles::Quantized(states) => {
-                let params = &self.params;
-                let transported = &self.transported;
-                run_sharded(states, |shard, state| {
-                    for packet in shard_packets(&packets, shard, shards) {
-                        vote_packet_quantized_nearest(
-                            state,
-                            &params[packet.frame],
-                            &transported[packet.range.clone()],
-                        );
-                    }
-                });
-            }
-            ShardTiles::Float(states) => {
-                if self.options.quantize {
-                    let params = &self.params;
-                    let transported = &self.transported;
-                    run_sharded(states, |shard, state| {
-                        for packet in shard_packets(&packets, shard, shards) {
-                            vote_packet_quantized_bilinear(
-                                state,
-                                &params[packet.frame],
-                                &transported[packet.range.clone()],
-                            );
-                        }
-                    });
-                } else {
-                    let geometries = &self.geometries;
-                    let corrected = &self.corrected;
-                    let voting = self.options.voting;
-                    run_sharded(states, |shard, state| {
-                        for packet in shard_packets(&packets, shard, shards) {
-                            vote_packet_float(
-                                state,
-                                &geometries[packet.frame],
-                                &corrected[packet.range.clone()],
-                                voting,
-                            );
-                        }
-                    });
-                }
-            }
-        }
-        self.buffered_events = 0;
-        self.frame_lens.clear();
-        self.transported.clear();
-        self.corrected.clear();
-        self.params.clear();
-        self.geometries.clear();
-        // The fused vote kernel's wall time cannot be split into the paper's
-        // canonical/proportional/vote stages once fused.
-        let fused = t.elapsed() / 3;
-        profile.add(Stage::CanonicalProjection, fused);
-        profile.add(Stage::ProportionalProjection, fused);
-        profile.add(Stage::VoteDsi, fused);
-    }
-}
-
-impl ExecutionBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn vote_frame(
-        &mut self,
-        work: &FrameWork<'_>,
-        profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        let shards = self.parallel.shards();
-        // ➊ Streaming distortion correction, chunked over the shards
-        //   (per-event pure map: bit-identical for any shard count).
-        let t = Instant::now();
-        let corrected: Vec<Vec2> = parallel_map(work.events, shards, |e| {
-            self.camera
-                .undistort_pixel(Vec2::new(e.x as f64, e.y as f64))
-        });
-        profile.add(Stage::DistortionCorrection, t.elapsed());
-
-        // ➋ Transport-encode (chunked over the shards, like the distortion
-        //   correction above — another per-event pure map) and hoist the
-        //   per-frame parameter block (Q11.21 → f64 decode out of the
-        //   per-event hot loop).
-        let t = Instant::now();
-        if self.options.quantize {
-            let transported = parallel_map(&corrected, shards, |&p| quantize_event_pixel(p));
-            self.transported.extend_from_slice(&transported);
-            self.params
-                .push(QuantizedFrameParams::from_geometry(work.geometry));
-        } else {
-            self.corrected.extend_from_slice(&corrected);
-            self.geometries.push(work.geometry.clone());
-        }
-        self.frame_lens.push(work.events.len());
-        self.buffered_events += work.events.len();
-        profile.add(Stage::ComputeCoefficients, t.elapsed());
-        if self.buffered_events >= ENGINE_SPILL_EVENTS {
-            self.vote_buffered(profile);
-        }
-        Ok(())
-    }
-
-    fn retire_keyframe(
-        &mut self,
-        reference_pose: &Pose,
-        frames_used: usize,
-        events_used: usize,
-        profile: &mut StageProfile,
-    ) -> Result<KeyframeReconstruction, EmvsError> {
-        self.vote_buffered(profile);
-        let t = Instant::now();
-        let reconstruction = match &mut self.tiles {
-            ShardTiles::Quantized(states) => reduce_and_finalize(
-                states,
-                &self.detection,
-                &self.camera,
-                reference_pose,
-                frames_used,
-                events_used,
-            ),
-            ShardTiles::Float(states) => reduce_and_finalize(
-                states,
-                &self.detection,
-                &self.camera,
-                reference_pose,
-                frames_used,
-                events_used,
-            ),
-        };
-        profile.add(Stage::Detection, t.elapsed());
-
-        let t = Instant::now();
-        match &mut self.tiles {
-            ShardTiles::Quantized(states) => reset_tiles(states),
-            ShardTiles::Float(states) => reset_tiles(states),
-        }
-        profile.add(Stage::Merging, t.elapsed());
-        Ok(reconstruction)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn export_vote_state(
-        &mut self,
-        profile: &mut StageProfile,
-    ) -> Result<BackendVoteState, EmvsError> {
-        // Flushing the buffered key-frame work is a spill boundary, already
-        // proven safe at any point of a key frame, so the tiles alone carry
-        // the open key frame's state.
-        self.vote_buffered(profile);
-        Ok(match &self.tiles {
-            ShardTiles::Quantized(states) => {
-                BackendVoteState::Quantized(states.iter().map(|s| s.tile.clone()).collect())
-            }
-            ShardTiles::Float(states) => {
-                BackendVoteState::Float(states.iter().map(|s| s.tile.clone()).collect())
-            }
-        })
-    }
-
-    fn import_vote_state(
-        &mut self,
-        state: BackendVoteState,
-        _profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        self.buffered_events = 0;
-        self.frame_lens.clear();
-        self.transported.clear();
-        self.corrected.clear();
-        self.params.clear();
-        self.geometries.clear();
-        match (&mut self.tiles, state) {
-            (ShardTiles::Quantized(states), BackendVoteState::Quantized(tiles)) => {
-                let mut targets: Vec<&mut DsiVolume<u16>> =
-                    states.iter_mut().map(|s| &mut s.tile).collect();
-                import_vote_tiles(tiles, &mut targets, "sharded")
-            }
-            (ShardTiles::Float(states), BackendVoteState::Float(tiles)) => {
-                let mut targets: Vec<&mut DsiVolume<f32>> =
-                    states.iter_mut().map(|s| &mut s.tile).collect();
-                import_vote_tiles(tiles, &mut targets, "sharded")
-            }
-            (ShardTiles::Quantized(_), BackendVoteState::Float(_)) => Err(EmvsError::Checkpoint {
-                reason: "float vote state cannot restore into the quantized sharded engine".into(),
-            }),
-            (ShardTiles::Float(_), BackendVoteState::Quantized(_)) => Err(EmvsError::Checkpoint {
-                reason: "quantized vote state cannot restore into the float sharded engine".into(),
-            }),
-        }
+    ) -> Result<VotingEngine, EmvsError> {
+        VotingEngine::new(camera, config, options, parallel)
     }
 }
 
 /// Backend selection recorded by the builder until [`SessionBuilder::build`].
 #[derive(Debug)]
 enum BackendChoice {
-    Software(EventorOptions),
-    Sharded(EventorOptions, ParallelConfig),
+    Engine(EventorOptions, ParallelConfig),
     Cosim(AcceleratorConfig, ParallelConfig),
     Custom(Box<dyn ExecutionBackend>),
 }
@@ -790,16 +140,16 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Selects the sequential software backend (default:
+    /// Selects the voting engine at one shard (default:
     /// [`EventorOptions::accelerator`]).
     pub fn software(mut self, options: EventorOptions) -> Self {
-        self.backend = BackendChoice::Software(options);
+        self.backend = BackendChoice::Engine(options, ParallelConfig::sequential());
         self
     }
 
-    /// Selects the parallel sharded voting engine.
+    /// Selects the voting engine at `parallel`'s shard count.
     pub fn sharded(mut self, options: EventorOptions, parallel: ParallelConfig) -> Self {
-        self.backend = BackendChoice::Sharded(options, parallel);
+        self.backend = BackendChoice::Engine(options, parallel);
         self
     }
 
@@ -850,11 +200,8 @@ impl SessionBuilder {
         choice: BackendChoice,
     ) -> Result<Box<dyn ExecutionBackend>, EmvsError> {
         Ok(match choice {
-            BackendChoice::Software(options) => {
-                Box::new(SoftwareBackend::new(camera, config, options)?)
-            }
-            BackendChoice::Sharded(options, parallel) => {
-                Box::new(ShardedBackend::new(camera, config, options, parallel)?)
+            BackendChoice::Engine(options, parallel) => {
+                Box::new(VotingEngine::new(camera, config, options, parallel)?)
             }
             BackendChoice::Cosim(accelerator, parallel) => {
                 Box::new(CosimBackend::new(camera, config, accelerator, parallel)?)
@@ -1013,7 +360,10 @@ impl EventorSession {
         SessionBuilder {
             camera,
             config,
-            backend: BackendChoice::Software(EventorOptions::accelerator()),
+            backend: BackendChoice::Engine(
+                EventorOptions::accelerator(),
+                ParallelConfig::sequential(),
+            ),
             fusion: None,
             max_pending_events: DEFAULT_MAX_PENDING_EVENTS,
         }
@@ -1050,7 +400,9 @@ impl EventorSession {
         self.driver.keyframes()
     }
 
-    /// The per-stage runtime profile accumulated so far.
+    /// The per-stage runtime profile accumulated so far. The built-in
+    /// backends report the DSI vote `V` fused into `P{Z0;Zi} + G` (see
+    /// [`eventor_emvs::Stage`]).
     pub fn profile(&self) -> &StageProfile {
         self.driver.profile()
     }

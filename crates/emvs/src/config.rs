@@ -27,6 +27,60 @@ impl std::fmt::Display for VotingMode {
     }
 }
 
+/// Reformulation/approximation switches of the Eventor datapath: the two
+/// approximations of the paper, each switchable on its own. Together they
+/// select one of four datapaths of the [`VotingEngine`](crate::VotingEngine);
+/// [`EventorOptions::exact`] is the baseline EMVS datapath.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventorOptions {
+    /// DSI voting mode (the accelerator uses nearest voting).
+    pub voting: VotingMode,
+    /// Apply the Table 1 hybrid fixed-point quantization.
+    pub quantize: bool,
+}
+
+impl Default for EventorOptions {
+    fn default() -> Self {
+        Self {
+            voting: VotingMode::Nearest,
+            quantize: true,
+        }
+    }
+}
+
+impl EventorOptions {
+    /// The full Eventor datapath (nearest voting + quantization), as deployed
+    /// on the FPGA.
+    pub fn accelerator() -> Self {
+        Self::default()
+    }
+
+    /// Nearest voting only (Fig. 4a ablation).
+    pub fn nearest_only() -> Self {
+        Self {
+            voting: VotingMode::Nearest,
+            quantize: false,
+        }
+    }
+
+    /// Quantization only (Fig. 4b ablation).
+    pub fn quantized_only() -> Self {
+        Self {
+            voting: VotingMode::Bilinear,
+            quantize: true,
+        }
+    }
+
+    /// No approximation at all (matches the baseline mapper; useful for
+    /// validating the rescheduled dataflow in isolation).
+    pub fn exact() -> Self {
+        Self {
+            voting: VotingMode::Bilinear,
+            quantize: false,
+        }
+    }
+}
+
 /// Configuration of the EMVS mapper (baseline and reformulated pipelines
 /// share this struct).
 #[derive(Debug, Clone, PartialEq)]

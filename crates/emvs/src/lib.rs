@@ -13,13 +13,15 @@
 //! detected per key frame and merged into a global point cloud.
 //!
 //! The hardware-friendly reformulation (streaming distortion correction,
-//! pre-computed coefficients, nearest voting, fixed-point quantization) lives
-//! in `eventor-core`.
+//! pre-computed coefficients, nearest voting, fixed-point quantization) is
+//! assembled in `eventor-core`.
 //!
 //! This crate also hosts the **streaming session core** shared by every
 //! pipeline: the [`ExecutionBackend`] contract, the push/poll
-//! [`SessionDriver`] and the [`BaselineBackend`] — see [`EmvsMapper::reconstruct`],
-//! which is a thin batch wrapper over a session.
+//! [`SessionDriver`] and the one [`VotingEngine`], which runs every
+//! [`EventorOptions`] datapath — the baseline float one included — at any
+//! shard count. [`EmvsMapper::reconstruct`] is a thin batch wrapper over a
+//! session on that engine with quantization off.
 //!
 //! ## Example
 //!
@@ -42,6 +44,7 @@
 
 mod backproject;
 mod config;
+mod engine;
 mod error;
 mod keyframe;
 mod mapper;
@@ -50,7 +53,8 @@ mod profile;
 mod session;
 
 pub use backproject::FrameGeometry;
-pub use config::{EmvsConfig, VotingMode};
+pub use config::{EmvsConfig, EventorOptions, VotingMode};
+pub use engine::{QuantizedFrameParams, VotingEngine, ENGINE_SPILL_EVENTS};
 pub use error::EmvsError;
 pub use keyframe::KeyframeSelector;
 pub use mapper::{EmvsMapper, EmvsOutput, KeyframeReconstruction};
@@ -58,6 +62,6 @@ pub use parallel::{run_sharded, shard_packets, ParallelConfig};
 pub use profile::{Stage, StageProfile};
 pub use session::{
     finalize_volume, import_vote_tiles, reconstruct_with_backend, BackendVoteState,
-    BaselineBackend, DriverCheckpoint, ExecutionBackend, FrameWork, SessionDriver, SessionEvent,
-    DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
+    DriverCheckpoint, ExecutionBackend, FrameWork, SessionDriver, SessionEvent,
+    DEFAULT_MAX_PENDING_EVENTS,
 };

@@ -6,15 +6,17 @@
 //! key-frame management, scene-structure detection and map merging — all in
 //! double/single-precision floating point.
 //!
-//! Since the streaming redesign, [`EmvsMapper::reconstruct`] is a thin batch
-//! wrapper over the session core ([`crate::SessionDriver`]) running the
-//! [`crate::BaselineBackend`]; the per-frame datapath is unchanged and the
-//! nearest-voting output is bit-identical to the original in-line loop.
+//! [`EmvsMapper::reconstruct`] is a thin batch wrapper over the session core
+//! ([`crate::SessionDriver`]) running the [`VotingEngine`] on the float
+//! datapath ([`EventorOptions`] with `quantize: false` and the configured
+//! voting mode): the same per-event arithmetic in the same order as the
+//! original in-line loop.
 
-use crate::config::EmvsConfig;
+use crate::config::{EmvsConfig, EventorOptions};
+use crate::engine::VotingEngine;
 use crate::parallel::ParallelConfig;
 use crate::profile::StageProfile;
-use crate::session::{reconstruct_with_backend, BaselineBackend};
+use crate::session::reconstruct_with_backend;
 use crate::EmvsError;
 use eventor_dsi::{DepthMap, PointCloud};
 use eventor_events::EventStream;
@@ -81,15 +83,15 @@ impl EmvsMapper {
         })
     }
 
-    /// Enables the parallel sharded voting engine for this mapper.
+    /// Sets the shard count of the [`VotingEngine`] for this mapper.
     ///
-    /// With [`ParallelConfig::sequential`] (the default) the original
-    /// single-threaded golden path runs. With more than one shard the
-    /// key frame's vote packets are distributed over worker shards with a
-    /// deterministic tree-reduction merge (see [`crate::BaselineBackend`]).
-    /// Nearest voting stays bit-identical to the sequential result; bilinear
-    /// voting is deterministic per shard count but may differ from the
-    /// sequential float summation order by ULPs.
+    /// With [`ParallelConfig::sequential`] (the default) every frame votes
+    /// inline on the calling thread. With more than one shard the key
+    /// frame's vote packets are distributed over worker shards with a
+    /// deterministic tree-reduction merge. Nearest voting stays
+    /// bit-identical to the one-shard result; bilinear voting is
+    /// deterministic per shard count but may differ from the one-shard
+    /// float summation order by ULPs.
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -111,8 +113,8 @@ impl EmvsMapper {
     }
 
     /// Runs the full reconstruction on an event stream with a known
-    /// trajectory — the batch wrapper over a streaming session with the
-    /// [`BaselineBackend`].
+    /// trajectory — the batch wrapper over a streaming session on the
+    /// [`VotingEngine`] with quantization off.
     ///
     /// # Errors
     ///
@@ -125,7 +127,11 @@ impl EmvsMapper {
         events: &EventStream,
         trajectory: &Trajectory,
     ) -> Result<EmvsOutput, EmvsError> {
-        let backend = BaselineBackend::new(self.camera, &self.config, self.parallel)?;
+        let options = EventorOptions {
+            voting: self.config.voting,
+            quantize: false,
+        };
+        let backend = VotingEngine::new(self.camera, &self.config, options, self.parallel)?;
         reconstruct_with_backend(
             self.camera,
             self.config.clone(),

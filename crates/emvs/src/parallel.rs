@@ -1,11 +1,9 @@
-//! Shared infrastructure of the **parallel sharded voting engine**: the
+//! Shard infrastructure of the [`VotingEngine`](crate::VotingEngine): the
 //! shard-count/packet-size configuration and the scoped worker-shard runner.
 //!
-//! The engine's execution model (used by the session backends — the baseline
-//! [`BaselineBackend`](crate::BaselineBackend) and `eventor-core`'s
-//! `ShardedBackend`; key-frame segmentation itself is performed live by the
-//! session driver's key-frame selector, the same state machine the
-//! sequential golden path runs):
+//! At one shard the engine votes every frame inline and none of this runs.
+//! Above one shard (key-frame segmentation itself is performed live by the
+//! session driver's key-frame selector, whatever the shard count):
 //!
 //! 1. **Vote** — split each key frame's event frames into
 //!    [`VotePacket`]s (`crates/events`) and
@@ -17,24 +15,24 @@
 //!    whose result depends only on the shard count, never on thread timing.
 //!
 //! For integer (`u16`) DSI scores and unit votes the merged volume is
-//! **bit-identical to the sequential golden path for every shard count**,
-//! because saturating unit-vote accumulation is order-independent — and,
-//! since the bit-true kernel refactor, every quantized vote address is
-//! computed by the same integer kernel (`eventor_fixed::kernel`) on the
-//! same hoisted raw words regardless of which engine runs the packet, so
-//! there is no arithmetic left to diverge, only scheduling. For `f32`
-//! scores, nearest voting (whole `1.0` increments, exact in `f32`) is also
-//! bit-identical; bilinear voting deposits fractional weights whose final
-//! float rounding can differ from the sequential summation order by a few
-//! ULPs — still deterministic for a fixed shard count.
+//! **bit-identical to the one-shard path for every shard count**, because
+//! saturating unit-vote accumulation is order-independent — and every
+//! quantized vote address is computed by the same integer kernel
+//! (`eventor_fixed::kernel`) on the same hoisted raw words whichever
+//! schedule runs the packet, so there is no arithmetic left to diverge, only
+//! scheduling. For `f32` scores, nearest voting (whole `1.0` increments,
+//! exact in `f32`) is also bit-identical; bilinear voting deposits
+//! fractional weights whose final float rounding can differ from the
+//! one-shard summation order by a few ULPs — still deterministic for a
+//! fixed shard count.
 
 use eventor_events::VotePacket;
 
-/// Degree of parallelism of the sharded voting engine.
+/// Degree of parallelism of the voting engine.
 ///
-/// The default is [`ParallelConfig::sequential`], which preserves the exact
-/// single-threaded golden path; [`ParallelConfig::auto`] spreads work over the
-/// machine's available cores.
+/// The default is [`ParallelConfig::sequential`], the single-threaded golden
+/// path; [`ParallelConfig::auto`] spreads work over the machine's available
+/// cores.
 ///
 /// # Examples
 ///
@@ -50,7 +48,6 @@ use eventor_events::VotePacket;
 pub struct ParallelConfig {
     shards: usize,
     packet_events: usize,
-    force_engine: bool,
 }
 
 impl Default for ParallelConfig {
@@ -60,28 +57,12 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Single-shard configuration: the engine is bypassed entirely and the
-    /// sequential golden path runs.
+    /// Single-shard configuration: the golden path, every frame voted
+    /// inline on the calling thread.
     pub fn sequential() -> Self {
         Self {
             shards: 1,
             packet_events: eventor_events::DEFAULT_PACKET_EVENTS,
-            force_engine: false,
-        }
-    }
-
-    /// Runs the batched engine (segment planning + fused vote kernels) on a
-    /// single shard, without worker threads.
-    ///
-    /// With one shard the packets execute in exact sequential order into one
-    /// tile, so the result is bit-identical to the golden path for *every*
-    /// datapath, including float bilinear voting. This isolates the engine's
-    /// batching/hoisting speedup from its thread scaling — the
-    /// `parallel_voting` benchmark's `engine_1_shard` row.
-    pub fn batched() -> Self {
-        Self {
-            force_engine: true,
-            ..Self::sequential()
         }
     }
 
@@ -93,12 +74,11 @@ impl ParallelConfig {
         Self::with_shards(shards)
     }
 
-    /// A fixed shard count (clamped to at least 1). A single shard behaves
-    /// like [`ParallelConfig::batched`].
+    /// A fixed shard count (clamped to at least 1). A single shard is
+    /// [`ParallelConfig::sequential`].
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
-            force_engine: true,
             ..Self::sequential()
         }
     }
@@ -134,7 +114,7 @@ impl ParallelConfig {
         self.shards.min(available).max(1)
     }
 
-    /// Events per vote packet.
+    /// Events per vote packet (used above one shard).
     pub fn packet_events(&self) -> usize {
         self.packet_events
     }
@@ -143,18 +123,12 @@ impl ParallelConfig {
     pub fn is_parallel(&self) -> bool {
         self.shards > 1
     }
-
-    /// Whether the batched engine runs at all (multi-shard, or single-shard
-    /// batched mode).
-    pub fn is_engine(&self) -> bool {
-        self.shards > 1 || self.force_engine
-    }
 }
 
 /// Round-robin packet-to-shard assignment: the packets shard `shard` owns
 /// out of `packets`, in sequential-schedule order. This single function is
-/// the load-balancing rule both engines (the baseline mapper's and
-/// `eventor-core`'s) use, and the one the bit-identity argument fixes:
+/// the engine's load-balancing rule, and the one the bit-identity argument
+/// fixes:
 /// packet `p` goes to shard `p mod shards`, independent of thread timing.
 #[inline]
 pub fn shard_packets(
@@ -170,10 +144,9 @@ pub fn shard_packets(
 /// threads; with more tiles than threads, each thread processes a contiguous
 /// block of tiles.
 ///
-/// The single-thread case runs inline on the caller's thread (no spawn),
-/// which is what makes [`ParallelConfig::sequential`] a true golden path —
-/// and also means an N-shard partition is fully exercised on a 1-core host,
-/// just without concurrency. Each worker owns its tiles exclusively for the
+/// The single-thread case runs inline on the caller's thread (no spawn), so
+/// an N-shard partition is fully exercised on a 1-core host, just without
+/// concurrency. Each worker owns its tiles exclusively for the
 /// duration of the call, so the closure needs no synchronisation;
 /// determinism follows from the fixed packet-to-shard assignment chosen by
 /// the caller, not from scheduling.
@@ -220,12 +193,10 @@ mod tests {
         );
         assert!(ParallelConfig::auto().shards() >= 1);
         assert_eq!(ParallelConfig::default(), ParallelConfig::sequential());
-        // Engine selection: sequential bypasses it, batched forces it at one
-        // shard, multi-shard always uses it.
-        assert!(!ParallelConfig::sequential().is_engine());
-        assert!(ParallelConfig::batched().is_engine());
-        assert!(!ParallelConfig::batched().is_parallel());
-        assert!(ParallelConfig::with_shards(2).is_engine());
+        // One shard is the inline path however it is spelled; more than one
+        // is the sharded schedule.
+        assert_eq!(ParallelConfig::with_shards(1), ParallelConfig::sequential());
+        assert!(!ParallelConfig::sequential().is_parallel());
         assert!(ParallelConfig::with_shards(2).is_parallel());
         // The partition is never clamped — only the thread count is.
         assert_eq!(ParallelConfig::with_shards(64).shards(), 64);

@@ -11,6 +11,14 @@ use std::fmt;
 use std::time::Duration;
 
 /// The pipeline stages that are timed individually.
+///
+/// Every stage holds measured time only, never a share of a fused
+/// interval. The built-in backends fuse the vote `𝒱` into the transfer loop,
+/// so they report it inside [`Stage::ProportionalProjection`] and leave
+/// [`Stage::VoteDsi`] empty; the sharded engine reports its whole packet
+/// phase there too and leaves [`Stage::CanonicalProjection`] empty. Table 3
+/// row 2, the §2.1 shares and the `emvs.vote_fused_us_per_frame` benchmark
+/// metric read only the sum of the two vote-side stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Event aggregation `𝒜`.
@@ -24,9 +32,11 @@ pub enum Stage {
     /// Computing the proportional coefficients `φ` (once per frame).
     ComputeCoefficients,
     /// Proportional back-projection `𝒫{Z0;Zi}` and vote generation `𝒢`
-    /// (per event, per plane).
+    /// (per event, per plane) — with the DSI vote `𝒱` fused in on the
+    /// built-in backends.
     ProportionalProjection,
-    /// Voting DSI voxels `𝒱`.
+    /// Voting DSI voxels `𝒱`, for a profile that times it apart from
+    /// `𝒫{Z0;Zi} + 𝒢` (the built-in backends do not).
     VoteDsi,
     /// Scene structure detection `𝒟`.
     Detection,

@@ -13,10 +13,9 @@
 //!   selection, per-frame geometry (`H_{Z0}` / `φ`) computation, keyframe
 //!   retirement and global-map merging.
 //! * [`ExecutionBackend`] is the narrow contract a voting engine implements:
-//!   vote one aggregated frame, retire one key frame. The baseline float
-//!   mapper ([`BaselineBackend`]), the reformulated/quantized software and
-//!   sharded engines and the co-simulated device (`eventor-core`) all sit
-//!   behind it.
+//!   vote one aggregated frame, retire one key frame. The one
+//!   [`VotingEngine`](crate::VotingEngine) (every datapath, every shard
+//!   count) and the co-simulated device (`eventor-core`) sit behind it.
 //! * [`SessionEvent`] is what [`SessionDriver::poll`] yields: lifecycle
 //!   notifications (`SegmentRetired` → `DepthMapReady` → `KeyframeReady`)
 //!   emitted as key frames complete.
@@ -29,8 +28,9 @@
 //! trajectory — **independent of how the stream was split into pushed
 //! packets**. For the quantized nearest-voting datapath the output is
 //! bit-identical to the batch golden path for every backend
-//! (`tests/session_equivalence.rs`, `tests/session_properties.rs`): all of
-//! them — software, sharded, and the co-simulated device — delegate the
+//! (`tests/session_equivalence.rs`, `tests/session_properties.rs`): both of
+//! them — the voting engine at any shard count and the co-simulated
+//! device — delegate the
 //! per-event arithmetic to the one bit-true integer kernel in
 //! `eventor_fixed::kernel`, so backends differ only in scheduling.
 //!
@@ -39,24 +39,24 @@
 //! In-flight memory is bounded: at most `max_pending_events` events are
 //! buffered (frames leave the buffer as soon as the trajectory covers their
 //! mid-point timestamp), and each backend holds fixed-size DSI state plus at
-//! most [`ENGINE_SPILL_EVENTS`] buffered key-frame events (the sharded
-//! engines spill buffered votes into their tiles past that threshold, so
-//! even a key frame that never retires cannot grow without bound). When the
+//! most [`ENGINE_SPILL_EVENTS`](crate::ENGINE_SPILL_EVENTS) buffered
+//! key-frame events (a sharded engine spills buffered votes into its tiles
+//! past that threshold, so even a key frame that never retires cannot grow
+//! without bound). When the
 //! buffer is full, [`SessionDriver::push_events`] first tries to drain ready
 //! frames and then reports [`EmvsError::Backpressure`] instead of growing
 //! without bound; [`SessionDriver::discard_pending`] is the explicit escape
 //! hatch for events whose poses can never arrive.
 
 use crate::backproject::FrameGeometry;
-use crate::config::{EmvsConfig, VotingMode};
+use crate::config::EmvsConfig;
 use crate::keyframe::KeyframeSelector;
 use crate::mapper::{EmvsOutput, KeyframeReconstruction};
-use crate::parallel::{run_sharded, shard_packets, ParallelConfig};
 use crate::profile::{Stage, StageProfile};
 use crate::EmvsError;
 use eventor_dsi::{detect_structure, DepthPlanes, DetectionConfig, DsiVolume, PointCloud};
-use eventor_events::{packetize_frame, Event, EventStream, VotePacket};
-use eventor_geom::{CameraModel, Pose, Trajectory, Vec2};
+use eventor_events::{Event, EventStream};
+use eventor_geom::{CameraModel, Pose, Trajectory};
 use std::time::Instant;
 
 /// Default bound on the session's pending-event buffer (events not yet
@@ -179,7 +179,7 @@ impl BackendVoteState {
 /// other count merges everything into tile 0 — the canonical form, exact for
 /// saturating integer scores. Every target tile is reset first.
 ///
-/// Shared by every built-in backend's
+/// Shared by both built-in backends'
 /// [`ExecutionBackend::import_vote_state`], so the geometry validation and
 /// reshaping rules cannot drift between them.
 ///
@@ -240,7 +240,7 @@ pub fn import_vote_tiles<S: eventor_dsi::VoxelScore>(
 /// required.
 pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Short stable identifier of the backend (`"software"`, `"sharded"`,
-    /// `"cosim"`, `"baseline"`, …).
+    /// `"cosim"`, …).
     fn name(&self) -> &'static str;
 
     /// Votes one aggregated event frame into the active key frame's DSI.
@@ -284,7 +284,7 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Exports the open key frame's partial DSI vote state for a session
     /// checkpoint.
     ///
-    /// Backends that buffer key-frame work (the sharded engines) first flush
+    /// Backends that buffer key-frame work (a sharded engine) first flush
     /// their buffers into the tiles — equivalent to a spill boundary, which
     /// is already proven safe at any point of a key frame — so the exported
     /// tiles alone determine the key frame's remaining evolution. The
@@ -979,8 +979,8 @@ pub struct DriverCheckpoint {
 
 /// Builds a [`KeyframeReconstruction`] from an accumulated DSI: structure
 /// detection, world-frame point-cloud conversion, vote-count capture — the
-/// one keyframe-finalization path every backend (baseline, software,
-/// sharded, cosim readback) shares.
+/// one keyframe-finalization path every backend (the voting engine at any
+/// shard count, cosim readback) shares.
 pub fn finalize_volume<S: eventor_dsi::VoxelScore>(
     dsi: &DsiVolume<S>,
     detection: &DetectionConfig,
@@ -1025,308 +1025,10 @@ pub fn reconstruct_with_backend<B: ExecutionBackend>(
     driver.finish()
 }
 
-/// Buffered events at which the sharded backends flush their open key
-/// frame's buffered votes into the shard tiles. Bounds backend memory for
-/// arbitrarily long key frames (e.g. a stationary camera that never triggers
-/// a key-frame switch) at roughly one spill window of events plus the
-/// fixed-size tiles.
-pub const ENGINE_SPILL_EVENTS: usize = 1 << 16;
-
-/// One event frame buffered by [`BaselineBackend`]'s sharded mode until its
-/// key frame retires.
-#[derive(Debug)]
-struct BufferedFrame {
-    events: Vec<Event>,
-    geometry: FrameGeometry,
-}
-
-/// The baseline float EMVS datapath behind the session contract: the
-/// original (non-reformulated) schedule with bilinear or nearest voting into
-/// an `f32` DSI — exactly the per-frame work of the seed
-/// `EmvsMapper::reconstruct` loop.
-///
-/// With an engine [`ParallelConfig`] the backend buffers the key frame's
-/// frames and votes them on worker shards at retirement (packet round-robin,
-/// private tiles, deterministic tree reduction) — the baseline half of the
-/// PR-1 parallel voting engine, now expressed as a session backend.
-#[derive(Debug)]
-pub struct BaselineBackend {
-    camera: CameraModel,
-    voting: VotingMode,
-    detection: DetectionConfig,
-    parallel: ParallelConfig,
-    /// Sequential mode: `tiles[0]` is the single DSI. Engine mode: one
-    /// private tile per shard.
-    tiles: Vec<DsiVolume<f32>>,
-    buffered: Vec<BufferedFrame>,
-    buffered_events: usize,
-    // Scratch buffers reused across frames (sequential mode).
-    undistorted: Vec<Vec2>,
-    canonical: Vec<Option<Vec2>>,
-    vote_targets: Vec<(f64, f64, usize)>,
-}
-
-impl BaselineBackend {
-    /// Creates the backend, allocating its DSI tile(s).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations and
-    /// [`EmvsError::Dsi`] when the DSI cannot be allocated.
-    pub fn new(
-        camera: CameraModel,
-        config: &EmvsConfig,
-        parallel: ParallelConfig,
-    ) -> Result<Self, EmvsError> {
-        let planes = config.depth_planes()?;
-        let width = camera.intrinsics.width as usize;
-        let height = camera.intrinsics.height as usize;
-        let count = if parallel.is_engine() {
-            parallel.shards()
-        } else {
-            1
-        };
-        let tiles: Vec<DsiVolume<f32>> = (0..count)
-            .map(|_| DsiVolume::new(width, height, planes.clone()))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            camera,
-            voting: config.voting,
-            detection: config.detection,
-            parallel,
-            tiles,
-            buffered: Vec::new(),
-            buffered_events: 0,
-            undistorted: Vec::with_capacity(config.events_per_frame),
-            canonical: Vec::with_capacity(config.events_per_frame),
-            vote_targets: Vec::new(),
-        })
-    }
-
-    /// Sequential golden path for one frame: undistort → canonical
-    /// projection → proportional projection → vote (the `𝒫` / `ℛ` stages of
-    /// the original schedule, identical to the seed mapper's per-frame
-    /// body).
-    fn vote_frame_sequential(&mut self, work: &FrameWork<'_>, profile: &mut StageProfile) {
-        let t = Instant::now();
-        self.undistorted.clear();
-        self.undistorted.extend(work.events.iter().map(|e| {
-            self.camera
-                .undistort_pixel(Vec2::new(e.x as f64, e.y as f64))
-        }));
-        profile.add(Stage::DistortionCorrection, t.elapsed());
-
-        // The reference implementation computes φ after the canonical
-        // projection; the (trivial) cost keeps its own stage either way.
-        let t = Instant::now();
-        let n_planes = work.geometry.num_planes();
-        profile.add(Stage::ComputeCoefficients, t.elapsed());
-
-        let t = Instant::now();
-        self.canonical.clear();
-        self.canonical.extend(
-            self.undistorted
-                .iter()
-                .map(|&px| work.geometry.canonical(px)),
-        );
-        profile.add(Stage::CanonicalProjection, t.elapsed());
-
-        let t = Instant::now();
-        self.vote_targets.clear();
-        for c in self.canonical.iter().flatten() {
-            for i in 0..n_planes {
-                let p = work.geometry.transfer(*c, i);
-                self.vote_targets.push((p.x, p.y, i));
-            }
-        }
-        profile.add(Stage::ProportionalProjection, t.elapsed());
-
-        let t = Instant::now();
-        let dsi = &mut self.tiles[0];
-        match self.voting {
-            VotingMode::Bilinear => {
-                for &(x, y, plane) in &self.vote_targets {
-                    dsi.vote_bilinear(x, y, plane, 1.0);
-                }
-            }
-            VotingMode::Nearest => {
-                for &(x, y, plane) in &self.vote_targets {
-                    dsi.vote_nearest(x, y, plane, 1.0);
-                }
-            }
-        }
-        profile.add(Stage::VoteDsi, t.elapsed());
-    }
-
-    /// Votes every buffered frame into the shard tiles (packet round-robin)
-    /// and clears the buffer. Called at key-frame retirement and whenever
-    /// the buffer crosses [`ENGINE_SPILL_EVENTS`], so an arbitrarily long
-    /// key frame never buffers unboundedly — only the tiles (fixed-size)
-    /// accumulate. Safe at any boundary: nearest voting is
-    /// order-independent, and a single-shard partition preserves the exact
-    /// sequential packet order across spills.
-    fn vote_buffered(&mut self, profile: &mut StageProfile) {
-        if self.buffered.is_empty() {
-            return;
-        }
-        let t = Instant::now();
-        let packet_events = self.parallel.packet_events();
-        let mut packets: Vec<VotePacket> = Vec::new();
-        for (i, frame) in self.buffered.iter().enumerate() {
-            packetize_frame(i, 0..frame.events.len(), packet_events, &mut packets);
-        }
-        let shards = self.parallel.shards();
-        let camera = &self.camera;
-        let voting = self.voting;
-        let buffered = &self.buffered;
-        run_sharded(&mut self.tiles, |shard, tile| {
-            for packet in shard_packets(&packets, shard, shards) {
-                let frame = &buffered[packet.frame];
-                for e in &frame.events[packet.range.clone()] {
-                    let px = camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
-                    let Some(c) = frame.geometry.canonical(px) else {
-                        continue;
-                    };
-                    for i in 0..frame.geometry.num_planes() {
-                        let p = frame.geometry.transfer(c, i);
-                        match voting {
-                            VotingMode::Bilinear => tile.vote_bilinear(p.x, p.y, i, 1.0),
-                            VotingMode::Nearest => tile.vote_nearest(p.x, p.y, i, 1.0),
-                        }
-                    }
-                }
-            }
-        });
-        self.buffered.clear();
-        self.buffered_events = 0;
-        // The fused kernel's wall time cannot be split into its four stages
-        // once fused; attribute it evenly, as the batch engine did.
-        let fused = t.elapsed() / 4;
-        profile.add(Stage::DistortionCorrection, fused);
-        profile.add(Stage::CanonicalProjection, fused);
-        profile.add(Stage::ProportionalProjection, fused);
-        profile.add(Stage::VoteDsi, fused);
-    }
-
-    /// Engine-mode retirement: flush the buffered frames into the tiles,
-    /// tree-reduce, detect.
-    fn retire_sharded(
-        &mut self,
-        reference_pose: &Pose,
-        frames_used: usize,
-        events_used: usize,
-        profile: &mut StageProfile,
-    ) -> KeyframeReconstruction {
-        self.vote_buffered(profile);
-        let t = Instant::now();
-        DsiVolume::tree_reduce(&mut self.tiles).expect("at least one shard tile");
-        let reconstruction = finalize_volume(
-            &self.tiles[0],
-            &self.detection,
-            &self.camera,
-            reference_pose,
-            frames_used,
-            events_used,
-        );
-        profile.add(Stage::Detection, t.elapsed());
-        reconstruction
-    }
-}
-
-impl ExecutionBackend for BaselineBackend {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn vote_frame(
-        &mut self,
-        work: &FrameWork<'_>,
-        profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        if self.parallel.is_engine() {
-            self.buffered_events += work.events.len();
-            self.buffered.push(BufferedFrame {
-                events: work.events.to_vec(),
-                geometry: work.geometry.clone(),
-            });
-            if self.buffered_events >= ENGINE_SPILL_EVENTS {
-                self.vote_buffered(profile);
-            }
-        } else {
-            self.vote_frame_sequential(work, profile);
-        }
-        Ok(())
-    }
-
-    fn retire_keyframe(
-        &mut self,
-        reference_pose: &Pose,
-        frames_used: usize,
-        events_used: usize,
-        profile: &mut StageProfile,
-    ) -> Result<KeyframeReconstruction, EmvsError> {
-        let reconstruction = if self.parallel.is_engine() {
-            self.retire_sharded(reference_pose, frames_used, events_used, profile)
-        } else {
-            let t = Instant::now();
-            let reconstruction = finalize_volume(
-                &self.tiles[0],
-                &self.detection,
-                &self.camera,
-                reference_pose,
-                frames_used,
-                events_used,
-            );
-            profile.add(Stage::Detection, t.elapsed());
-            reconstruction
-        };
-        let t = Instant::now();
-        for tile in &mut self.tiles {
-            tile.reset();
-        }
-        profile.add(Stage::Merging, t.elapsed());
-        Ok(reconstruction)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn export_vote_state(
-        &mut self,
-        profile: &mut StageProfile,
-    ) -> Result<BackendVoteState, EmvsError> {
-        // Flushing buffered engine-mode frames is a spill boundary, already
-        // proven safe at any point of a key frame.
-        if self.parallel.is_engine() {
-            self.vote_buffered(profile);
-        }
-        Ok(BackendVoteState::Float(self.tiles.clone()))
-    }
-
-    fn import_vote_state(
-        &mut self,
-        state: BackendVoteState,
-        _profile: &mut StageProfile,
-    ) -> Result<(), EmvsError> {
-        self.buffered.clear();
-        self.buffered_events = 0;
-        match state {
-            BackendVoteState::Float(tiles) => {
-                let mut targets: Vec<&mut DsiVolume<f32>> = self.tiles.iter_mut().collect();
-                import_vote_tiles(tiles, &mut targets, "baseline")
-            }
-            BackendVoteState::Quantized(_) => Err(EmvsError::Checkpoint {
-                reason: "quantized vote state cannot restore into the float baseline backend"
-                    .into(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EventorOptions, ParallelConfig, VotingEngine, VotingMode, ENGINE_SPILL_EVENTS};
     use eventor_events::{DatasetConfig, Polarity, SequenceKind, SyntheticSequence};
     use eventor_geom::Vec3;
 
@@ -1340,9 +1042,22 @@ mod tests {
             .with_depth_planes(60)
     }
 
-    fn driver_for(seq: &SyntheticSequence, config: &EmvsConfig) -> SessionDriver<BaselineBackend> {
-        let backend =
-            BaselineBackend::new(seq.camera, config, ParallelConfig::sequential()).unwrap();
+    /// The engine on the baseline float datapath: the configured voting
+    /// mode, no quantization.
+    fn engine(
+        seq: &SyntheticSequence,
+        config: &EmvsConfig,
+        parallel: ParallelConfig,
+    ) -> VotingEngine {
+        let options = EventorOptions {
+            voting: config.voting,
+            quantize: false,
+        };
+        VotingEngine::new(seq.camera, config, options, parallel).unwrap()
+    }
+
+    fn driver_for(seq: &SyntheticSequence, config: &EmvsConfig) -> SessionDriver<VotingEngine> {
+        let backend = engine(seq, config, ParallelConfig::sequential());
         SessionDriver::new(seq.camera, config.clone(), backend).unwrap()
     }
 
@@ -1353,7 +1068,7 @@ mod tests {
         let batch = reconstruct_with_backend(
             seq.camera,
             config.clone(),
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap(),
+            engine(&seq, &config, ParallelConfig::sequential()),
             &seq.events,
             &seq.trajectory,
         )
@@ -1468,7 +1183,7 @@ mod tests {
         let batch = reconstruct_with_backend(
             seq.camera,
             config.clone(),
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap(),
+            engine(&seq, &config, ParallelConfig::sequential()),
             &seq.events,
             &seq.trajectory,
         )
@@ -1517,7 +1232,7 @@ mod tests {
             reconstruct_with_backend(
                 seq.camera,
                 config.clone(),
-                BaselineBackend::new(seq.camera, &config, parallel).unwrap(),
+                engine(&seq, &config, parallel),
                 &seq.events,
                 &seq.trajectory,
             )
@@ -1566,7 +1281,7 @@ mod tests {
         let uninterrupted = reconstruct_with_backend(
             seq.camera,
             config.clone(),
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap(),
+            engine(&seq, &config, ParallelConfig::sequential()),
             &seq.events,
             &seq.trajectory,
         )
@@ -1585,8 +1300,7 @@ mod tests {
         drop(driver);
 
         // Restore into a fresh driver + backend and feed the remainder.
-        let backend =
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap();
+        let backend = engine(&seq, &config, ParallelConfig::sequential());
         let mut restored = SessionDriver::restore(backend, checkpoint).unwrap();
         restored.push_events(&events[cut..]).unwrap();
         let resumed = restored.finish().unwrap();
@@ -1615,13 +1329,13 @@ mod tests {
         let uninterrupted = reconstruct_with_backend(
             seq.camera,
             config.clone(),
-            BaselineBackend::new(seq.camera, &config, parallel).unwrap(),
+            engine(&seq, &config, parallel),
             &seq.events,
             &seq.trajectory,
         )
         .unwrap();
 
-        let backend = BaselineBackend::new(seq.camera, &config, parallel).unwrap();
+        let backend = engine(&seq, &config, parallel);
         let mut driver = SessionDriver::new(seq.camera, config.clone(), backend).unwrap();
         driver.push_trajectory(&seq.trajectory).unwrap();
         let events = seq.events.as_slice();
@@ -1632,7 +1346,7 @@ mod tests {
         assert_eq!(checkpoint.vote_state.tile_count(), 4);
         drop(driver);
 
-        let backend = BaselineBackend::new(seq.camera, &config, parallel).unwrap();
+        let backend = engine(&seq, &config, parallel);
         let mut restored = SessionDriver::restore(backend, checkpoint).unwrap();
         restored.push_events(&events[cut..]).unwrap();
         let resumed = restored.finish().unwrap();
@@ -1675,8 +1389,7 @@ mod tests {
         let mut bad = checkpoint.clone();
         bad.events_pushed = 1;
         bad.pending = seq.events.as_slice()[..8].to_vec();
-        let backend =
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap();
+        let backend = engine(&seq, &config, ParallelConfig::sequential());
         assert!(matches!(
             SessionDriver::restore(backend, bad),
             Err(EmvsError::Checkpoint { .. })
@@ -1688,18 +1401,16 @@ mod tests {
             BackendVoteState::Float(vec![
                 DsiVolume::new(2, 2, config.depth_planes().unwrap()).unwrap()
             ]);
-        let backend =
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap();
+        let backend = engine(&seq, &config, ParallelConfig::sequential());
         assert!(matches!(
             SessionDriver::restore(backend, bad),
             Err(EmvsError::Checkpoint { .. })
         ));
 
-        // Quantized state into the float baseline backend.
+        // Quantized state into the float engine.
         let mut bad = checkpoint;
         bad.vote_state = BackendVoteState::Quantized(vec![]);
-        let backend =
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap();
+        let backend = engine(&seq, &config, ParallelConfig::sequential());
         assert!(matches!(
             SessionDriver::restore(backend, bad),
             Err(EmvsError::Checkpoint { .. })
@@ -1710,10 +1421,9 @@ mod tests {
     fn boxed_backend_forwards_the_contract() {
         let seq = sequence();
         let config = config_for(&seq);
-        let backend: Box<dyn ExecutionBackend> = Box::new(
-            BaselineBackend::new(seq.camera, &config, ParallelConfig::sequential()).unwrap(),
-        );
-        assert_eq!(backend.name(), "baseline");
+        let backend: Box<dyn ExecutionBackend> =
+            Box::new(engine(&seq, &config, ParallelConfig::sequential()));
+        assert_eq!(backend.name(), "software");
         assert!(backend.as_any().is_some());
         let output =
             reconstruct_with_backend(seq.camera, config, backend, &seq.events, &seq.trajectory)

@@ -6,22 +6,19 @@
 //! fused packet kernels) stream thousands of events through ~100 planes per
 //! frame, which is a data-parallel shape: the same Q11.21×Q9.7 MAC applied
 //! independently per lane. This module provides batched entry points over
-//! slices, executed by one of three **dispatch tiers**:
+//! slices, executed by one of two **dispatch tiers**:
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
 //! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, 4×/2× `i64` lanes, runtime-detected |
-//! | `Swar`     | `swar`               | two products per 64×64→128 widening multiply (48-bit packed fields) |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
 //! The tier is selected **once per session** ([`active`]): the
 //! [`EVENTOR_KERNEL_DISPATCH`](DISPATCH_ENV) environment variable
-//! (`scalar`/`swar`/`simd`, a typed [`DispatchError`] on anything else or
-//! on an unsupported tier) wins, otherwise detection prefers `Simd` where
-//! the CPU supports it and falls back architecture-aware: `Scalar` on
-//! x86-64 without AVX2 (where the measured SWAR tier is *slower* than the
-//! scalar loop, `docs/BENCHMARKS.md`), `Swar` elsewhere. Tests and benches may pin
-//! a tier in-process with [`force`], or bypass the global entirely with the
+//! (`scalar`/`simd`, a typed [`DispatchError`] on anything else or on an
+//! unsupported tier) wins, otherwise detection picks `Simd` where the CPU
+//! supports it and `Scalar` elsewhere. Tests and benches may pin a tier
+//! in-process with [`force`], or bypass the global entirely with the
 //! `*_with` variants that take an explicit [`Dispatch`].
 //!
 //! ## Bit-identity guarantee
@@ -72,7 +69,7 @@ use crate::formats::{PackedCoord, PlaneCoord};
 pub const MISS: u32 = u32::MAX;
 
 /// The environment variable that forces a dispatch tier for the whole
-/// process: `scalar`, `swar` or `simd` (lower-case, exact).
+/// process: `scalar` or `simd` (lower-case, exact).
 pub const DISPATCH_ENV: &str = "EVENTOR_KERNEL_DISPATCH";
 
 /// A kernel dispatch tier. Ordered fastest-first; [`active`] resolves the
@@ -80,12 +77,8 @@ pub const DISPATCH_ENV: &str = "EVENTOR_KERNEL_DISPATCH";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dispatch {
     /// The scalar kernel in a loop — always available, and the reference
-    /// every other tier must match byte for byte.
+    /// the SIMD tier must match byte for byte.
     Scalar,
-    /// 64-bit SWAR packing: both axis products of one event (or two packed
-    /// operands) computed by a single 64×64→128 widening multiply with
-    /// biased 48-bit fields. Always available.
-    Swar,
     /// `core::arch` intrinsics: AVX2 on `x86_64` (4 × `i64` lanes), NEON on
     /// `aarch64` (2 × `i64` lanes). Supported only where runtime detection
     /// finds the feature.
@@ -95,23 +88,22 @@ pub enum Dispatch {
 impl Dispatch {
     /// Every tier, fastest-first — iterate and filter by
     /// [`is_supported`](Self::is_supported) to sweep all testable paths.
-    pub const ALL: [Dispatch; 3] = [Dispatch::Simd, Dispatch::Swar, Dispatch::Scalar];
+    pub const ALL: [Dispatch; 2] = [Dispatch::Simd, Dispatch::Scalar];
 
     /// Whether this tier can execute on the current host.
     pub fn is_supported(self) -> bool {
         match self {
-            Dispatch::Scalar | Dispatch::Swar => true,
+            Dispatch::Scalar => true,
             Dispatch::Simd => simd_supported(),
         }
     }
 
     /// The tier name reported in diagnostics and `eventor-bench/1`
-    /// artifacts: `"scalar"`, `"swar"`, or the concrete instruction set of
-    /// the SIMD tier (`"avx2"` / `"neon"`).
+    /// artifacts: `"scalar"`, or the concrete instruction set of the SIMD
+    /// tier (`"avx2"` / `"neon"`).
     pub fn name(self) -> &'static str {
         match self {
             Dispatch::Scalar => "scalar",
-            Dispatch::Swar => "swar",
             Dispatch::Simd => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -130,12 +122,11 @@ impl Dispatch {
     }
 
     /// Parses an [`EVENTOR_KERNEL_DISPATCH`](DISPATCH_ENV) value. The
-    /// accepted spellings are exactly `scalar`, `swar` and `simd`; anything
-    /// else is a typed [`DispatchError::UnknownTier`].
+    /// accepted spellings are exactly `scalar` and `simd`; anything else is
+    /// a typed [`DispatchError::UnknownTier`].
     pub fn from_name(value: &str) -> Result<Dispatch, DispatchError> {
         match value {
             "scalar" => Ok(Dispatch::Scalar),
-            "swar" => Ok(Dispatch::Swar),
             "simd" => Ok(Dispatch::Simd),
             other => Err(DispatchError::UnknownTier {
                 value: other.to_string(),
@@ -147,7 +138,7 @@ impl Dispatch {
 /// A dispatch tier could not be selected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatchError {
-    /// The [`DISPATCH_ENV`] value is not one of `scalar`/`swar`/`simd`.
+    /// The [`DISPATCH_ENV`] value is not one of `scalar`/`simd`.
     UnknownTier {
         /// The rejected value, verbatim.
         value: String,
@@ -166,7 +157,7 @@ impl fmt::Display for DispatchError {
         match self {
             DispatchError::UnknownTier { value } => write!(
                 f,
-                "unknown kernel dispatch tier {value:?} (expected one of: scalar, swar, simd)"
+                "unknown kernel dispatch tier {value:?} (expected one of: scalar, simd)"
             ),
             DispatchError::Unsupported { tier } => write!(
                 f,
@@ -203,20 +194,13 @@ fn check_supported(tier: Dispatch) -> Result<Dispatch, DispatchError> {
     }
 }
 
-/// The tier detection falls back to when [`DISPATCH_ENV`] is unset: `Simd`
-/// wherever the CPU supports it. Without SIMD the choice is
-/// architecture-aware: on `x86_64` the scalar loop wins — the bias/unbias
-/// algebra around SWAR's packed 48-bit fields costs more ALU work than the
-/// fused multiply saves on a wide out-of-order core, measured ~2× slower
-/// (`docs/BENCHMARKS.md`, "An honest note on SWAR") — while narrow
-/// single-multiplier cores keep `Swar`.
+/// The tier detection picks when [`DISPATCH_ENV`] is unset: `Simd`
+/// wherever the CPU supports it, `Scalar` elsewhere.
 fn detected() -> Dispatch {
     if simd_supported() {
         Dispatch::Simd
-    } else if cfg!(target_arch = "x86_64") {
-        Dispatch::Scalar
     } else {
-        Dispatch::Swar
+        Dispatch::Scalar
     }
 }
 
@@ -253,8 +237,7 @@ pub fn force(tier: Option<Dispatch>) -> Result<(), DispatchError> {
             check_supported(t)?;
             match t {
                 Dispatch::Scalar => 1,
-                Dispatch::Swar => 2,
-                Dispatch::Simd => 3,
+                Dispatch::Simd => 2,
             }
         }
     };
@@ -267,16 +250,14 @@ pub fn force(tier: Option<Dispatch>) -> Result<(), DispatchError> {
 pub fn try_active() -> Result<Dispatch, DispatchError> {
     match FORCED.load(Ordering::Acquire) {
         1 => Ok(Dispatch::Scalar),
-        2 => Ok(Dispatch::Swar),
-        3 => Ok(Dispatch::Simd),
+        2 => Ok(Dispatch::Simd),
         _ => resolved(),
     }
 }
 
 /// The session's dispatch tier: [`force`] override, then
-/// [`DISPATCH_ENV`], then detection (`Simd` where supported; otherwise
-/// `Scalar` on x86-64 — where SWAR measures slower than the scalar loop —
-/// and `Swar` elsewhere).
+/// [`DISPATCH_ENV`], then detection (`Simd` where supported, `Scalar`
+/// otherwise).
 ///
 /// # Panics
 ///
@@ -320,7 +301,6 @@ pub fn mat_vec_mac_batch_with(
     out.reserve(coords.len());
     match tier {
         Dispatch::Scalar => out.extend(coords.iter().map(|&c| super::mat_vec_mac(h, c))),
-        Dispatch::Swar => swar::mat_vec(h, coords, out),
         Dispatch::Simd => simd::mat_vec(h, coords, out),
     }
 }
@@ -350,7 +330,6 @@ pub fn project_z0_batch_with(
     out.reserve(coords.len());
     match tier {
         Dispatch::Scalar => out.extend(coords.iter().filter_map(|&c| super::project_z0(h, c))),
-        Dispatch::Swar => swar::project(h, coords, out),
         Dispatch::Simd => simd::project(h, coords, out),
     }
 }
@@ -375,7 +354,6 @@ pub fn plane_mac_batch_with(
     out.reserve(cs.len());
     match tier {
         Dispatch::Scalar => out.extend(cs.iter().map(|&c| super::plane_mac(scale, offset, c))),
-        Dispatch::Swar => swar::plane_mac(scale, offset, cs, out),
         Dispatch::Simd => simd::plane_mac(scale, offset, cs, out),
     }
 }
@@ -417,7 +395,6 @@ pub fn nearest_voxel_batch_with(
                 .zip(acc_y)
                 .map(|(&ax, &ay)| super::nearest_voxel(ax, ay, width, height)),
         ),
-        Dispatch::Swar => swar::nearest_voxel(acc_x, acc_y, width, height, out),
         Dispatch::Simd => simd::nearest_voxel(acc_x, acc_y, width, height, out),
     }
 }
@@ -476,7 +453,6 @@ pub fn transfer_nearest_batch_with(
                 *d = scalar_transfer_index(phi, c, width, height);
             }
         }
-        Dispatch::Swar => swar::transfer(phi, canon, width, height, dst),
         Dispatch::Simd => simd::transfer(phi, canon, width, height, dst),
     }
 }
@@ -494,193 +470,6 @@ fn scalar_transfer_index(phi: &PhiWords, c: PackedCoord, width: u32, height: u32
         yi as u32 * width + xi as u32
     } else {
         MISS
-    }
-}
-
-/// Branchless [`round_acc`](super::round_acc): `sign ⊕ ((|acc| + half) >>
-/// frac)`. Exactly ties-away-from-zero — the naive `(acc + half) >> frac`
-/// would round half-*up* and disagree with the scalar kernel at exact
-/// negative ties. The wide tiers carry this form per lane.
-#[inline]
-fn round_acc_branchless(acc: i64) -> i64 {
-    let sign = acc >> 63;
-    let mag = (acc ^ sign) - sign;
-    (((mag + ACC_HALF) >> ACC_FRAC) ^ sign) - sign
-}
-
-// ---------------------------------------------------------------------------
-// SWAR tier
-// ---------------------------------------------------------------------------
-
-/// 64-bit SWAR packing: two independent products per widening multiply.
-///
-/// Both operands are biased to unsigned (`v + 2^15` for 16-bit values,
-/// `v + 2^31` for 32-bit) so each product fits an unsigned 48-bit field of
-/// the 128-bit result with no carry between fields:
-/// `(a0 | a1 << 48) · m` yields `a0·m` in bits 0..48 and `a1·m` in bits
-/// 48..96 whenever `aᵢ·m < 2^48`. The bias is removed algebraically:
-/// `(v32 + 2^31)(v16 + 2^15) = v32·v16 + (v32 << 15) + (v16 << 31) + 2^46`.
-mod swar {
-    use super::*;
-
-    const MASK48: u128 = (1 << 48) - 1;
-
-    /// `(a0·m, a1·m)` in one widening multiply; requires `aᵢ·m < 2^48`
-    /// and `aᵢ < 2^16` (both fields of the packed word fit 64 bits, so
-    /// the product is a single 64×64→128 widening multiply — one `mulq`
-    /// on x86_64, `umulh`+`mul` on aarch64).
-    ///
-    /// The `black_box` pins the packed word in a scalar register: with the
-    /// value path fully visible, LLVM's loop vectorizer "vectorizes"
-    /// callers by packing the cheap bias/round algebra into SIMD lanes
-    /// while extracting every operand back to scalar registers for the
-    /// 128-bit multiply — the lane↔GPR churn more than triples the
-    /// per-event cost. The opaque pass-through keeps the whole caller loop
-    /// scalar, which is the point of the SWAR tier, at the price of one
-    /// register move.
-    #[inline]
-    fn dual_mul16(a0: u64, a1: u64, m: u64) -> (u64, u64) {
-        debug_assert!(a0 < (1 << 16) && a1 < (1 << 16));
-        debug_assert!((a0 as u128) * m as u128 <= MASK48 && (a1 as u128) * m as u128 <= MASK48);
-        let prod = (std::hint::black_box(a0 | (a1 << 48)) as u128) * m as u128;
-        ((prod & MASK48) as u64, (prod >> 48) as u64)
-    }
-
-    /// `(a0·m, a1·m)` in one widening multiply; requires `aᵢ·m < 2^48`.
-    #[inline]
-    fn dual_mul(a0: u64, a1: u64, m: u64) -> (u64, u64) {
-        debug_assert!((a0 as u128) * m as u128 <= MASK48 && (a1 as u128) * m as u128 <= MASK48);
-        // Pack in u128: a 32-bit biased operand shifted into the high
-        // field needs 80 bits before the multiply.
-        let prod = ((a0 as u128) | ((a1 as u128) << 48)) * m as u128;
-        ((prod & MASK48) as u64, (prod >> 48) as u64)
-    }
-
-    /// Removes the packing bias: biased product back to `v32 · v16`.
-    #[inline]
-    fn unbias(p: u64, v32: i64, v16: i64) -> i64 {
-        p as i64 - (v32 << 15) - (v16 << 31) - (1 << 46)
-    }
-
-    const BIAS16: i64 = 1 << 15;
-    const BIAS32: i64 = 1 << 31;
-
-    pub(super) fn transfer(
-        phi: &PhiWords,
-        canon: &[PackedCoord],
-        width: u32,
-        height: u32,
-        out: &mut [u32],
-    ) {
-        let scale = phi.scale as i64;
-        let bscale = (scale + BIAS32) as u64;
-        // Per-plane constants of the unbias algebra, hoisted: the offset
-        // term of the MAC minus the shared bias terms.
-        let corr_x = ((phi.offset_x as i64) << 7) - (scale << 15) - (1 << 46);
-        let corr_y = ((phi.offset_y as i64) << 7) - (scale << 15) - (1 << 46);
-        let (w, h) = (width as u64, height as u64);
-        for (d, &c) in out.iter_mut().zip(canon) {
-            let cx = c.x.raw() as i64;
-            let cy = c.y.raw() as i64;
-            let (px, py) = dual_mul16((cx + BIAS16) as u64, (cy + BIAS16) as u64, bscale);
-            let acc_x = px as i64 - (cx << 31) + corr_x;
-            let acc_y = py as i64 - (cy << 31) + corr_y;
-            let xi = round_acc_branchless(acc_x);
-            let yi = round_acc_branchless(acc_y);
-            // Unsigned compares fold the `< 0` and `>= dim` judgements;
-            // `&` and the unconditionally computed index (wrapping garbage
-            // in dropped lanes) keep the select branch-free — the
-            // judgement outcome is data-dependent per event, so a branch
-            // here mispredicts constantly.
-            let inside = ((xi as u64) < w) & ((yi as u64) < h);
-            let idx = (yi as u32).wrapping_mul(width).wrapping_add(xi as u32);
-            *d = if inside { idx } else { MISS };
-        }
-    }
-
-    pub(super) fn plane_mac(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-        let s = scale as i64;
-        let bscale = (s + BIAS32) as u64;
-        let corr = ((offset as i64) << 7) - (s << 15) - (1 << 46);
-        let mut chunks = cs.chunks_exact(2);
-        for pair in &mut chunks {
-            let c0 = pair[0] as i64;
-            let c1 = pair[1] as i64;
-            let (p0, p1) = dual_mul16((c0 + BIAS16) as u64, (c1 + BIAS16) as u64, bscale);
-            out.push(p0 as i64 - (c0 << 31) + corr);
-            out.push(p1 as i64 - (c1 << 31) + corr);
-        }
-        for &c in chunks.remainder() {
-            out.push(super::super::plane_mac(scale, offset, c));
-        }
-    }
-
-    /// The `PE_Z0` row MACs with packed 32-bit operands: rows 0 and 1
-    /// share each coordinate multiplier, so their x-terms (and y-terms)
-    /// pair up in one widening multiply each. Row 2 stays scalar — two
-    /// plain `imul`s beat a third packing round-trip.
-    #[inline]
-    pub(super) fn mat_vec_one(h: &[i32; 9], c: PackedCoord) -> [i64; 3] {
-        let x = c.x.raw() as i64;
-        let y = c.y.raw() as i64;
-        let bx = (x + BIAS16) as u64;
-        let by = (y + BIAS16) as u64;
-        let (p0x, p1x) = dual_mul(
-            (h[0] as i64 + BIAS32) as u64,
-            (h[3] as i64 + BIAS32) as u64,
-            bx,
-        );
-        let (p0y, p1y) = dual_mul(
-            (h[1] as i64 + BIAS32) as u64,
-            (h[4] as i64 + BIAS32) as u64,
-            by,
-        );
-        let n0 = unbias(p0x, h[0] as i64, x) + unbias(p0y, h[1] as i64, y) + ((h[2] as i64) << 7);
-        let n1 = unbias(p1x, h[3] as i64, x) + unbias(p1y, h[4] as i64, y) + ((h[5] as i64) << 7);
-        let n2 = h[6] as i64 * x + h[7] as i64 * y + ((h[8] as i64) << 7);
-        [n0, n1, n2]
-    }
-
-    pub(super) fn mat_vec(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-        out.extend(coords.iter().map(|&c| mat_vec_one(h, c)));
-    }
-
-    pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
-        for &c in coords {
-            let [num_x, num_y, w] = mat_vec_one(h, c);
-            let (Some(px), Some(py)) = (
-                super::super::normalize_q9p7(num_x, w),
-                super::super::normalize_q9p7(num_y, w),
-            ) else {
-                continue;
-            };
-            out.push(PackedCoord {
-                x: crate::formats::Q9p7::from_raw(px),
-                y: crate::formats::Q9p7::from_raw(py),
-            });
-        }
-    }
-
-    pub(super) fn nearest_voxel(
-        acc_x: &[i64],
-        acc_y: &[i64],
-        width: u32,
-        height: u32,
-        out: &mut Vec<PlaneCoord>,
-    ) {
-        let (w, h) = (width as u64, height as u64);
-        for (&ax, &ay) in acc_x.iter().zip(acc_y) {
-            let xi = round_acc_branchless(ax);
-            let yi = round_acc_branchless(ay);
-            out.push(if (xi as u64) < w && (yi as u64) < h {
-                PlaneCoord::Inside {
-                    x: xi as u8,
-                    y: yi as u8,
-                }
-            } else {
-                PlaneCoord::Missing
-            });
-        }
     }
 }
 
@@ -1032,10 +821,9 @@ mod simd {
 
 /// NEON: two `i64` lanes per operation on the per-plane faces (the
 /// widening `vmull_s32` is the exact 32×32→64 product; rounding and
-/// judgement mirror the AVX2 lane algebra). The matrix MAC and the
-/// standalone voxel finder share the SWAR implementations — at two lanes
-/// the shuffle overhead of a NEON row MAC costs more than the packed
-/// widening multiply it would replace.
+/// judgement mirror the AVX2 lane algebra). The matrix MAC, the projection
+/// and the standalone voxel finder run the scalar loops — at two lanes the
+/// shuffle overhead of a NEON row MAC costs more than it saves.
 ///
 /// Safety: wrappers assert `is_aarch64_feature_detected!("neon")` before
 /// entering any `#[target_feature(enable = "neon")]` function.
@@ -1137,13 +925,11 @@ mod simd {
     }
 
     pub(super) fn mat_vec(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-        assert_neon();
-        swar::mat_vec(h, coords, out);
+        out.extend(coords.iter().map(|&c| super::super::mat_vec_mac(h, c)));
     }
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
-        assert_neon();
-        swar::project(h, coords, out);
+        out.extend(coords.iter().filter_map(|&c| super::super::project_z0(h, c)));
     }
 
     pub(super) fn nearest_voxel(
@@ -1153,8 +939,12 @@ mod simd {
         height: u32,
         out: &mut Vec<PlaneCoord>,
     ) {
-        assert_neon();
-        swar::nearest_voxel(acc_x, acc_y, width, height, out);
+        out.extend(
+            acc_x
+                .iter()
+                .zip(acc_y)
+                .map(|(&ax, &ay)| super::super::nearest_voxel(ax, ay, width, height)),
+        );
     }
 }
 
@@ -1210,35 +1000,27 @@ mod tests {
     #[test]
     fn tier_names_and_parse_round_trip() {
         assert_eq!(Dispatch::from_name("scalar"), Ok(Dispatch::Scalar));
-        assert_eq!(Dispatch::from_name("swar"), Ok(Dispatch::Swar));
         assert_eq!(Dispatch::from_name("simd"), Ok(Dispatch::Simd));
         assert_eq!(Dispatch::Scalar.name(), "scalar");
-        assert_eq!(Dispatch::Swar.name(), "swar");
-        assert!(matches!(
-            Dispatch::from_name("avx512"),
-            Err(DispatchError::UnknownTier { .. })
-        ));
+        for retired in ["avx512", "swar"] {
+            assert!(matches!(
+                Dispatch::from_name(retired),
+                Err(DispatchError::UnknownTier { .. })
+            ));
+        }
         let err = Dispatch::from_name("AVX2").unwrap_err();
         assert!(err.to_string().contains("AVX2"), "{err}");
     }
 
     #[test]
     fn detection_fallback_is_architecture_aware() {
-        // Branches on the *runtime* host: with SIMD the fast tier wins; on
-        // an x86-64 host without AVX2 the fallback must be the scalar loop
-        // (SWAR measures ~2× slower there, docs/BENCHMARKS.md), and only
-        // non-x86 hosts without SIMD keep SWAR.
+        // Branches on the *runtime* host: with SIMD the fast tier wins,
+        // without it the scalar loop.
         let tier = detected();
         if simd_supported() {
             assert_eq!(tier, Dispatch::Simd);
-        } else if cfg!(target_arch = "x86_64") {
-            assert_eq!(
-                tier,
-                Dispatch::Scalar,
-                "x86-64 without AVX2 must not auto-select the slower SWAR tier"
-            );
         } else {
-            assert_eq!(tier, Dispatch::Swar);
+            assert_eq!(tier, Dispatch::Scalar);
         }
         assert!(tier.is_supported(), "detection picked an unsupported tier");
     }
@@ -1267,7 +1049,7 @@ mod tests {
     #[test]
     fn every_tier_matches_scalar_on_directed_cases() {
         // Exact ties (±half), judgement edges, saturated words, remainders
-        // of every length 0..=9 against 4-lane AVX2 / 2-lane SWAR packing.
+        // of every length 0..=9 against 4-lane AVX2 / 2-lane NEON packing.
         let phi_cases = [
             PhiWords::from_f64(1.0, 0.0, 0.0),
             PhiWords::from_f64(0.8371, -3.25, 17.0625),
@@ -1314,14 +1096,6 @@ mod tests {
                     assert_eq!(got, expect, "tier {} n {}", tier.name(), n);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn branchless_rounding_hits_the_negative_tie() {
-        // The one input family where add-half-and-shift would go wrong.
-        for acc in [-ACC_HALF, ACC_HALF, ACC_HALF - 1, -(ACC_HALF - 1), 0, 1, -1] {
-            assert_eq!(round_acc_branchless(acc), super::super::round_acc(acc));
         }
     }
 
@@ -1407,8 +1181,7 @@ mod proptests {
         }
 
         /// Batched matrix MAC reproduces the scalar wide accumulators
-        /// exactly — the SWAR bias algebra and the AVX2 lane products are
-        /// the same integers.
+        /// exactly — the AVX2 lane products are the same integers.
         #[test]
         fn mat_vec_batch_is_bit_identical_on_every_tier(
             h_vec in collection::vec(i32::MIN..i32::MAX, 9..10),
@@ -1428,7 +1201,7 @@ mod proptests {
         }
 
         /// Batched plane MAC over raw Q9.7 words is exact on every tier,
-        /// including the odd-length SWAR remainder.
+        /// including the lane remainders.
         #[test]
         fn plane_mac_batch_is_bit_identical_on_every_tier(
             scale in i32::MIN..i32::MAX,

@@ -62,9 +62,8 @@
 //! bit-identical nearest-voting output, and the legacy batch entry points
 //! (baseline mapper, reformulated pipeline, co-simulation) are thin
 //! wrappers over it. All three also still accept a
-//! [`core::ParallelConfig`] to run the reconstruction hot path on the
-//! parallel sharded voting engine — see [`core::parallel`] and
-//! `docs/ARCHITECTURE.md`. To serve **many** concurrent streams over shared
+//! [`core::ParallelConfig`] to spread the reconstruction hot path over
+//! worker shards — see [`emvs::VotingEngine`] and `docs/ARCHITECTURE.md`. To serve **many** concurrent streams over shared
 //! compute, admit the sessions into a [`serve::ServeEngine`]
 //! (`docs/SERVING.md`), or put that engine behind a TCP socket with
 //! [`net::WireServer`] and stream over the versioned `eventor-wire/1`

@@ -1,13 +1,13 @@
 //! Golden-digest sweep with every kernel dispatch tier forced in turn
-//! (`docs/ARCHITECTURE.md` §batched-kernel): the SIMD/SWAR/scalar tiers of
+//! (`docs/ARCHITECTURE.md` §batched-kernel): the SIMD and scalar tiers of
 //! `eventor_fixed::kernel::batch` must be bit-identical not just at the
 //! kernel faces (the proptests in `crates/fixed`) but through the complete
 //! reconstruction pipeline — software and sharded backends, projection,
 //! cache-blocked voting, detection, digesting.
 //!
-//! CI additionally runs the whole test suite under
-//! `EVENTOR_KERNEL_DISPATCH=scalar` and `=swar` (the `kernel-dispatch`
-//! matrix), which exercises the env-resolution path this test bypasses via
+//! CI additionally runs the kernel, DSI and end-to-end suites under
+//! `EVENTOR_KERNEL_DISPATCH=scalar` (the `kernel-dispatch` job), which
+//! exercises the env-resolution path this test bypasses via
 //! [`batch::force`].
 
 use eventor::fixed::kernel::batch::{self, Dispatch};

@@ -1,11 +1,11 @@
-//! Parallel sharded voting engine versus the sequential golden path.
+//! The sharded voting engine versus its one-shard golden path.
 //!
-//! The engine's contract (see `eventor_core::parallel`): for the quantized
-//! nearest-voting accelerator datapath the parallel reconstruction is
-//! **bit-identical** to the sequential one for every shard count; float
+//! The engine's contract (see `eventor_emvs::VotingEngine`): for the
+//! quantized nearest-voting accelerator datapath the sharded reconstruction
+//! is **bit-identical** to the one-shard one for every shard count; float
 //! nearest voting is also bit-identical (whole `f32` increments are exact);
 //! float bilinear voting is deterministic per shard count and numerically
-//! within float-summation-order noise of the sequential result.
+//! within float-summation-order noise of the one-shard result.
 
 use eventor::core::{
     config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline, ParallelConfig,
@@ -88,36 +88,6 @@ fn accelerator_pipeline_is_bit_identical_across_shard_counts() {
                 .reconstruct(&seq.events, &seq.trajectory)
                 .expect("parallel run");
         assert_bit_identical(&sequential, &parallel, &format!("accelerator x{shards}"));
-    }
-
-    // Single-shard batched mode (the engine without worker threads) is also
-    // bit-identical — packets run in exact sequential order.
-    let batched = EventorPipeline::new(seq.camera, config, EventorOptions::accelerator())
-        .expect("valid config")
-        .with_parallelism(ParallelConfig::batched())
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("batched run");
-    assert_bit_identical(&sequential, &batched, "accelerator batched x1");
-}
-
-#[test]
-fn batched_single_shard_is_bit_identical_even_for_bilinear() {
-    // With one shard the engine's packet order equals the sequential event
-    // order, so even the float bilinear datapath (order-sensitive f32 sums)
-    // is bit-identical.
-    let seq = three_planes();
-    let config = config_for_sequence(&seq, 50);
-    for options in [EventorOptions::exact(), EventorOptions::quantized_only()] {
-        let sequential = EventorPipeline::new(seq.camera, config.clone(), options)
-            .expect("valid config")
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("sequential run");
-        let batched = EventorPipeline::new(seq.camera, config.clone(), options)
-            .expect("valid config")
-            .with_parallelism(ParallelConfig::batched())
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("batched run");
-        assert_bit_identical(&sequential, &batched, &format!("{options:?} batched"));
     }
 }
 
