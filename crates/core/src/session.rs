@@ -28,25 +28,25 @@
 //! `eventor-map` [`GlobalMap`] ([`SessionBuilder::fuse_into_map`]), emitting
 //! [`SessionEvent::MapFused`] per key frame.
 
-use crate::cosim::CosimBackend;
+use crate::cosim::{CosimBackend, CosimReport};
 use crate::parallel::ParallelConfig;
 use eventor_emvs::{
-    EmvsConfig, EmvsError, EmvsOutput, EventorOptions, KeyframeReconstruction, SessionDriver,
-    StageProfile, VotingEngine,
+    EmvsConfig, EmvsError, EmvsOutput, EventorOptions, ExecutionBackend, KeyframeReconstruction,
+    SessionDriver, SessionEvent, StageProfile, VotingEngine, DEFAULT_MAX_PENDING_EVENTS,
 };
 use eventor_events::{Event, EventStream};
 use eventor_geom::{CameraModel, Pose, Trajectory};
 use eventor_hwsim::AcceleratorConfig;
 use eventor_map::{GlobalMap, GlobalMapConfig};
 
-use crate::cosim::CosimReport;
-use eventor_emvs::{ExecutionBackend, SessionEvent, DEFAULT_MAX_PENDING_EVENTS};
-
 /// The `"software"` spelling of the one [`VotingEngine`]: one shard, every
 /// frame voted inline on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct SoftwareBackend;
 
+// `new` returns the engine, not `Self`: these types exist only to keep the
+// `SoftwareBackend::new` / `ShardedBackend::new` spellings callers use.
+#[allow(clippy::new_ret_no_self)]
 impl SoftwareBackend {
     /// Builds the engine at one shard.
     ///
@@ -70,6 +70,7 @@ impl SoftwareBackend {
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedBackend;
 
+#[allow(clippy::new_ret_no_self)]
 impl ShardedBackend {
     /// Builds the engine at `parallel`'s shard count.
     ///

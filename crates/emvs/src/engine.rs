@@ -1,47 +1,5 @@
-//! The **one voting engine** behind the session contract: every datapath
-//! and every shard count.
-//!
-//! The paper's accelerator has one datapath — `PE_Z0` canonical projection,
-//! the `PE_Zi` array's proportional projection, the Nearest Voxel Finder and
-//! the DSI vote — and its reformulation is a set of switches on it.
-//! [`EventorOptions`] spells the two switches that change results
-//! (`quantize` × `voting`), so the engine runs four datapaths:
-//!
-//! | options | DSI scores | projection and transfer |
-//! |---|---|---|
-//! | [`EventorOptions::accelerator`] | `u16` | bit-true integer kernel, cache-blocked [`DsiVolume::vote_batch`] |
-//! | [`EventorOptions::quantized_only`] | `f32` | integer kernel, sub-pixel bilinear vote |
-//! | [`EventorOptions::nearest_only`] | `f32` | `f64` geometry, nearest vote |
-//! | [`EventorOptions::exact`] | `f32` | `f64` geometry, bilinear vote — the baseline EMVS mapper |
-//!
-//! [`ParallelConfig`] picks the schedule. Every shard count shares one
-//! **ingest** step on the calling thread: streaming distortion correction,
-//! Q9.7 transport encoding and the per-frame parameter hoist
-//! ([`QuantizedFrameParams`]). Then:
-//!
-//! * **one shard** votes each frame inline — one canonical projection and
-//!   one transfer-and-vote pass over the whole frame, no buffering and no
-//!   packetization;
-//! * **more than one shard** buffers the open key frame's ingested frames
-//!   (spilling at [`ENGINE_SPILL_EVENTS`]), splits them into vote packets
-//!   that go round-robin to private per-shard DSI tiles ([`run_sharded`]),
-//!   and merges the tiles with [`DsiVolume::tree_reduce`] at retirement.
-//!
-//! Both schedules run the same per-slice kernels, so they differ only in
-//! vote order. Saturating unit votes are order-independent, so the `u16`
-//! accelerator datapath is bit-identical at every shard count, and whole
-//! `f32` increments make float nearest voting exact too; bilinear `f32`
-//! sums are deterministic per shard count.
-//!
-//! ## Profile
-//!
-//! Stage times come from timers, never from splitting a fused interval. At
-//! one shard the canonical projection is timed under
-//! [`Stage::CanonicalProjection`] and the transfer-and-vote pass under
-//! [`Stage::ProportionalProjection`]. Above one shard the packet phase
-//! (spawn, fused project/transfer/vote, join) is one interval under
-//! [`Stage::ProportionalProjection`]. [`Stage::VoteDsi`] stays empty: the
-//! vote is fused into the transfer loop.
+//! The one voting engine behind the session contract: every datapath and
+//! every shard count (see [`VotingEngine`]).
 
 use crate::backproject::FrameGeometry;
 use crate::config::{EmvsConfig, EventorOptions, VotingMode};
@@ -98,13 +56,6 @@ impl QuantizedFrameParams {
     #[inline]
     pub fn coefficients(&self) -> &[PhiWords] {
         &self.coefficients
-    }
-
-    /// The nine raw Q11.21 `Buf_H` words of `H_{Z0}`, row-major — the
-    /// batched kernel entry points consume them directly.
-    #[inline]
-    pub fn homography_words(&self) -> &[i32; 9] {
-        &self.homography
     }
 
     /// The canonical projection `𝒫{Z0}` (delegates to the bit-true
@@ -280,8 +231,50 @@ impl Buffer {
     }
 }
 
-/// The one voting engine: every [`EventorOptions`] datapath at every
-/// [`ParallelConfig`] shard count (see the [module docs](self)).
+/// The **one voting engine** behind the session contract: every
+/// [`EventorOptions`] datapath at every [`ParallelConfig`] shard count.
+///
+/// The paper's accelerator has one datapath — `PE_Z0` canonical projection,
+/// the `PE_Zi` array's proportional projection, the Nearest Voxel Finder and
+/// the DSI vote — and its reformulation is a set of switches on it.
+/// [`EventorOptions`] spells the two switches that change results
+/// (`quantize` × `voting`), so the engine runs four datapaths:
+///
+/// | options | DSI scores | projection and transfer |
+/// |---|---|---|
+/// | [`EventorOptions::accelerator`] | `u16` | bit-true integer kernel, cache-blocked [`DsiVolume::vote_batch`] |
+/// | [`EventorOptions::quantized_only`] | `f32` | integer kernel, sub-pixel bilinear vote |
+/// | [`EventorOptions::nearest_only`] | `f32` | `f64` geometry, nearest vote |
+/// | [`EventorOptions::exact`] | `f32` | `f64` geometry, bilinear vote — the baseline EMVS mapper |
+///
+/// [`ParallelConfig`] picks the schedule. Every shard count shares one
+/// **ingest** step on the calling thread: streaming distortion correction,
+/// Q9.7 transport encoding and the per-frame parameter hoist
+/// ([`QuantizedFrameParams`]). Then:
+///
+/// * **one shard** votes each frame inline — one canonical projection and
+///   one transfer-and-vote pass over the whole frame, no buffering and no
+///   packetization;
+/// * **more than one shard** buffers the open key frame's ingested frames
+///   (spilling at [`ENGINE_SPILL_EVENTS`]), splits them into vote packets
+///   that go round-robin to private per-shard DSI tiles ([`run_sharded`]),
+///   and merges the tiles with [`DsiVolume::tree_reduce`] at retirement.
+///
+/// Both schedules run the same per-slice kernels, so they differ only in
+/// vote order. Saturating unit votes are order-independent, so the `u16`
+/// accelerator datapath is bit-identical at every shard count, and whole
+/// `f32` increments make float nearest voting exact too; bilinear `f32`
+/// sums are deterministic per shard count.
+///
+/// # Profile
+///
+/// Stage times come from timers, never from splitting a fused interval. At
+/// one shard the canonical projection is timed under
+/// [`Stage::CanonicalProjection`] and the transfer-and-vote pass under
+/// [`Stage::ProportionalProjection`]. Above one shard the packet phase
+/// (spawn, fused project/transfer/vote, join) is one interval under
+/// [`Stage::ProportionalProjection`]. [`Stage::VoteDsi`] stays empty: the
+/// vote is fused into the transfer loop.
 ///
 /// [`name`](ExecutionBackend::name) reports `"software"` at one shard and
 /// `"sharded"` above one — the spellings the session builder, the scenario

@@ -128,8 +128,8 @@ impl ParallelConfig {
 /// Round-robin packet-to-shard assignment: the packets shard `shard` owns
 /// out of `packets`, in sequential-schedule order. This single function is
 /// the engine's load-balancing rule, and the one the bit-identity argument
-/// fixes:
-/// packet `p` goes to shard `p mod shards`, independent of thread timing.
+/// fixes: packet `p` goes to shard `p mod shards`, independent of thread
+/// timing.
 #[inline]
 pub fn shard_packets(
     packets: &[VotePacket],
@@ -146,10 +146,10 @@ pub fn shard_packets(
 ///
 /// The single-thread case runs inline on the caller's thread (no spawn), so
 /// an N-shard partition is fully exercised on a 1-core host, just without
-/// concurrency. Each worker owns its tiles exclusively for the
-/// duration of the call, so the closure needs no synchronisation;
-/// determinism follows from the fixed packet-to-shard assignment chosen by
-/// the caller, not from scheduling.
+/// concurrency. Each worker owns its tiles exclusively for the duration of
+/// the call, so the closure needs no synchronisation; determinism follows
+/// from the fixed packet-to-shard assignment chosen by the caller, not from
+/// scheduling.
 pub fn run_sharded<T, F>(tiles: &mut [T], work: F)
 where
     T: Send,

@@ -29,9 +29,8 @@
 //! packets**. For the quantized nearest-voting datapath the output is
 //! bit-identical to the batch golden path for every backend
 //! (`tests/session_equivalence.rs`, `tests/session_properties.rs`): both of
-//! them — the voting engine at any shard count and the co-simulated
-//! device — delegate the
-//! per-event arithmetic to the one bit-true integer kernel in
+//! them — the voting engine at any shard count and the co-simulated device
+//! — delegate the per-event arithmetic to the one bit-true integer kernel in
 //! `eventor_fixed::kernel`, so backends differ only in scheduling.
 //!
 //! ## Backpressure and bounded memory
@@ -42,11 +41,11 @@
 //! most [`ENGINE_SPILL_EVENTS`](crate::ENGINE_SPILL_EVENTS) buffered
 //! key-frame events (a sharded engine spills buffered votes into its tiles
 //! past that threshold, so even a key frame that never retires cannot grow
-//! without bound). When the
-//! buffer is full, [`SessionDriver::push_events`] first tries to drain ready
-//! frames and then reports [`EmvsError::Backpressure`] instead of growing
-//! without bound; [`SessionDriver::discard_pending`] is the explicit escape
-//! hatch for events whose poses can never arrive.
+//! without bound). When the buffer is full, [`SessionDriver::push_events`]
+//! first tries to drain ready frames and then reports
+//! [`EmvsError::Backpressure`] instead of growing without bound;
+//! [`SessionDriver::discard_pending`] is the explicit escape hatch for
+//! events whose poses can never arrive.
 
 use crate::backproject::FrameGeometry;
 use crate::config::EmvsConfig;

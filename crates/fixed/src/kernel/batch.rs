@@ -929,7 +929,11 @@ mod simd {
     }
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
-        out.extend(coords.iter().filter_map(|&c| super::super::project_z0(h, c)));
+        out.extend(
+            coords
+                .iter()
+                .filter_map(|&c| super::super::project_z0(h, c)),
+        );
     }
 
     pub(super) fn nearest_voxel(
