@@ -5,11 +5,11 @@
 //! Rows:
 //!
 //! * `sequential_baseline` — the single-threaded golden path
-//!   (`ParallelConfig::sequential`): every frame voted inline,
-//! * `engine_{2,4,8}_shards` — the sharded schedule: buffered key frames,
-//!   vote packets round-robin over private tiles, tree reduction. On a
-//!   multi-core host these rows measure the thread scaling of the vote
-//!   phase; on a single-core host, the schedule's overhead.
+//!   (`ParallelConfig::sequential`): every frame voted as it is ingested,
+//! * `engine_{2,4,8}_shards` — buffered key frames voted into the one DSI
+//!   split into 2/4/8 depth-plane ranges. On a multi-core host these rows
+//!   measure the thread scaling of the vote phase; on a single-core host,
+//!   the buffering and spawn overhead.
 //!
 //! Throughput is reported in events per second across the whole
 //! reconstruction (undistortion, aggregation, planning, voting, detection).
@@ -47,9 +47,9 @@ fn bench_parallel_voting(c: &mut Criterion) {
 
     group.bench_function("sequential_baseline", run(ParallelConfig::sequential()));
     for shards in [2usize, 4, 8] {
-        // The partition always has `shards` tiles; only the OS thread count
-        // is capped at the host's hardware threads. Label each row with the
-        // concurrency that actually backed it.
+        // The DSI always splits into `shards` plane ranges; only the OS
+        // thread count is capped at the host's hardware threads. Label each
+        // row with the concurrency that actually backed it.
         let threads = ParallelConfig::with_shards(shards).worker_threads();
         if threads != shards {
             println!(

@@ -32,7 +32,7 @@
 //!   [`EmvsError::Checkpoint`].
 
 use crate::session::EventorSession;
-use eventor_dsi::DsiVolume;
+use eventor_dsi::{DepthPlanes, DsiVolume, VoxelScore};
 use eventor_emvs::{BackendVoteState, DriverCheckpoint, EmvsConfig, EmvsError, VotingMode};
 use eventor_events::{Event, Polarity};
 use eventor_geom::{
@@ -208,34 +208,19 @@ impl SessionCheckpoint {
             }
         }
 
-        // Backend vote state: per-shard tiles, each in the DSI crate's LE
-        // vote-state encoding.
-        match &d.vote_state {
-            BackendVoteState::Quantized(tiles) => {
-                out.push(0);
-                put_u64(&mut out, tiles.len() as u64);
-                for tile in tiles {
-                    put_tile_bytes(
-                        &mut out,
-                        tile.width(),
-                        tile.height(),
-                        tile.encode_vote_state(),
-                    );
-                }
-            }
-            BackendVoteState::Float(tiles) => {
-                out.push(1);
-                put_u64(&mut out, tiles.len() as u64);
-                for tile in tiles {
-                    put_tile_bytes(
-                        &mut out,
-                        tile.width(),
-                        tile.height(),
-                        tile.encode_vote_state(),
-                    );
-                }
-            }
-        }
+        // Backend vote state: a tile count (always 1 since every backend
+        // keeps one DSI; the decoder still merges legacy multi-tile states)
+        // and the volume in the DSI crate's LE vote-state encoding.
+        let (tag, width, height, payload) = match &d.vote_state {
+            BackendVoteState::Quantized(v) => (0, v.width(), v.height(), v.encode_vote_state()),
+            BackendVoteState::Float(v) => (1, v.width(), v.height(), v.encode_vote_state()),
+        };
+        out.push(tag);
+        put_u64(&mut out, 1);
+        put_u64(&mut out, width as u64);
+        put_u64(&mut out, height as u64);
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
         out
     }
 
@@ -245,8 +230,8 @@ impl SessionCheckpoint {
     ///
     /// [`EmvsError::Checkpoint`] for any structural violation: truncation,
     /// trailing bytes, invalid enum codes, non-finite timestamps, non-unit
-    /// rotations, or vote-state tiles that disagree with their declared
-    /// geometry.
+    /// rotations, an empty vote state, or vote-state tiles that disagree
+    /// with their declared geometry or with each other.
     pub fn decode(bytes: &[u8]) -> Result<Self, EmvsError> {
         let mut c = Reader { bytes, at: 0 };
         let origin = c.string("origin")?;
@@ -405,25 +390,9 @@ impl SessionCheckpoint {
         let tile_count = c.usize("vote-state tile count")?;
         c.reserve(tile_count, 24, "vote-state tiles")?;
         let vote_state = if quantized {
-            let mut tiles: Vec<DsiVolume<u16>> = Vec::with_capacity(tile_count);
-            for i in 0..tile_count {
-                let (w, h, payload) = c.tile_bytes(i)?;
-                tiles.push(
-                    DsiVolume::decode_vote_state(w, h, planes.clone(), payload)
-                        .map_err(|e| corrupt(format!("vote-state tile {i}: {e}")))?,
-                );
-            }
-            BackendVoteState::Quantized(tiles)
+            BackendVoteState::Quantized(c.vote_volume(tile_count, &planes)?)
         } else {
-            let mut tiles: Vec<DsiVolume<f32>> = Vec::with_capacity(tile_count);
-            for i in 0..tile_count {
-                let (w, h, payload) = c.tile_bytes(i)?;
-                tiles.push(
-                    DsiVolume::decode_vote_state(w, h, planes.clone(), payload)
-                        .map_err(|e| corrupt(format!("vote-state tile {i}: {e}")))?,
-                );
-            }
-            BackendVoteState::Float(tiles)
+            BackendVoteState::Float(c.vote_volume(tile_count, &planes)?)
         };
 
         if c.at != c.bytes.len() {
@@ -535,13 +504,6 @@ fn put_pose(out: &mut Vec<u8>, pose: &Pose) {
     }
 }
 
-fn put_tile_bytes(out: &mut Vec<u8>, width: usize, height: usize, payload: Vec<u8>) {
-    put_u64(out, width as u64);
-    put_u64(out, height as u64);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-}
-
 /// Bounds-checked little-endian reader over the checkpoint payload; every
 /// failure names the field being read.
 struct Reader<'a> {
@@ -627,13 +589,39 @@ impl<'a> Reader<'a> {
         Ok(Pose::new(rotation, translation))
     }
 
-    fn tile_bytes(&mut self, index: usize) -> Result<(usize, usize, &'a [u8]), EmvsError> {
-        let what = format!("vote-state tile {index}");
-        let width = self.usize(&what)?;
-        let height = self.usize(&what)?;
-        let len = self.usize(&what)?;
-        let payload = self.take(len, &what)?;
-        Ok((width, height, payload))
+    /// Reads `tiles` vote-state tiles and merges them into one volume.
+    /// Checkpoints written before the engine kept one DSI carry one tile per
+    /// shard; every tile must match the first one's dimensions before
+    /// [`DsiVolume::merge_from`] may see it.
+    fn vote_volume<S: VoxelScore>(
+        &mut self,
+        tiles: usize,
+        planes: &DepthPlanes,
+    ) -> Result<DsiVolume<S>, EmvsError> {
+        let mut volume: Option<DsiVolume<S>> = None;
+        for i in 0..tiles {
+            let what = format!("vote-state tile {i}");
+            let width = self.usize(&what)?;
+            let height = self.usize(&what)?;
+            let len = self.usize(&what)?;
+            let payload = self.take(len, &what)?;
+            let tile = DsiVolume::decode_vote_state(width, height, planes.clone(), payload)
+                .map_err(|e| corrupt(format!("{what}: {e}")))?;
+            match &mut volume {
+                None => volume = Some(tile),
+                Some(first) if (first.width(), first.height()) == (width, height) => {
+                    first.merge_from(&tile);
+                }
+                Some(first) => {
+                    return Err(corrupt(format!(
+                        "{what} is {width}x{height} but tile 0 is {}x{}",
+                        first.width(),
+                        first.height()
+                    )))
+                }
+            }
+        }
+        volume.ok_or_else(|| corrupt("vote state holds no tiles"))
     }
 }
 

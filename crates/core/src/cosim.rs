@@ -22,7 +22,7 @@ use crate::parallel::{parallel_map, ParallelConfig};
 use crate::quantized::quantize_event_pixel;
 use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume};
 use eventor_emvs::{
-    finalize_volume, import_vote_tiles, BackendVoteState, EmvsConfig, EmvsError, EmvsOutput,
+    finalize_volume, import_vote_volume, BackendVoteState, EmvsConfig, EmvsError, EmvsOutput,
     ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction, Stage, StageProfile,
 };
 use eventor_events::EventStream;
@@ -311,7 +311,7 @@ impl ExecutionBackend for CosimBackend {
                 self.votes_in_keyframe,
             )?
         };
-        Ok(BackendVoteState::Quantized(vec![dsi]))
+        Ok(BackendVoteState::Quantized(dsi))
     }
 
     fn import_vote_state(
@@ -319,20 +319,20 @@ impl ExecutionBackend for CosimBackend {
         state: BackendVoteState,
         _profile: &mut StageProfile,
     ) -> Result<(), EmvsError> {
-        let tiles = match state {
-            BackendVoteState::Quantized(tiles) => tiles,
+        let volume = match state {
+            BackendVoteState::Quantized(volume) => volume,
             BackendVoteState::Float(_) => {
                 return Err(EmvsError::Checkpoint {
                     reason: "float vote state cannot restore into the co-simulated device".into(),
                 })
             }
         };
-        // Merge the (per-shard) tiles into one canonical volume — exact for
-        // the saturating u16 datapath — and image it into device DRAM.
+        // Check the volume against the device's DSI geometry and image it
+        // into device DRAM.
         let dram = self.device.dsi();
         let mut canonical: DsiVolume<u16> =
             DsiVolume::new(dram.width(), dram.height(), self.planes.clone())?;
-        import_vote_tiles(tiles, &mut [&mut canonical], "cosim")?;
+        import_vote_volume(volume, &mut canonical, "cosim")?;
         self.votes_in_keyframe = canonical.votes_cast();
         self.device.load_dsi(canonical.raw_scores());
         // The DSI image already reflects the open key frame (all zeros when

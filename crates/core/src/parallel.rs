@@ -2,15 +2,14 @@
 //! one voting engine.
 //!
 //! The engine itself — [`VotingEngine`](eventor_emvs::VotingEngine), with
-//! its round-robin packet schedule ([`shard_packets`]), scoped shard runner
-//! ([`run_sharded`]) and hoisted per-frame parameter block
-//! ([`QuantizedFrameParams`]) — lives in [`eventor_emvs`] and is re-exported
-//! here. This module adds [`parallel_map`], the chunked, order-preserving
-//! parallel map the co-simulation driver uses for its PS-side per-event
-//! stages (distortion correction and Q9.7 transport encoding: pure
+//! its scoped shard runner ([`run_sharded`]) and hoisted per-frame parameter
+//! block ([`QuantizedFrameParams`]) — lives in [`eventor_emvs`] and is
+//! re-exported here. This module adds [`parallel_map`], the chunked,
+//! order-preserving parallel map the co-simulation driver uses for its
+//! PS-side per-event stages (distortion correction and Q9.7 transport encoding: pure
 //! per-event functions, so the parallel result is bit-identical).
 
-pub use eventor_emvs::{run_sharded, shard_packets, ParallelConfig, QuantizedFrameParams};
+pub use eventor_emvs::{run_sharded, ParallelConfig, QuantizedFrameParams};
 
 /// Order-preserving parallel map: splits `input` into up to `shards`
 /// contiguous chunks (capped at the available hardware threads), maps each
@@ -70,26 +69,6 @@ mod tests {
             parallel_map::<u64, u64, _>(&[], 4, |x| *x),
             Vec::<u64>::new()
         );
-    }
-
-    #[test]
-    fn shard_packets_partition_all_packets() {
-        use eventor_events::VotePacket;
-        let packets: Vec<VotePacket> = (0..13)
-            .map(|i| VotePacket {
-                frame: i,
-                range: i * 10..i * 10 + 10,
-            })
-            .collect();
-        let shards = 4;
-        let mut seen: Vec<usize> = Vec::new();
-        for s in 0..shards {
-            for p in shard_packets(&packets, s, shards) {
-                seen.push(p.frame);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..13).collect::<Vec<_>>());
     }
 
     #[test]

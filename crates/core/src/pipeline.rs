@@ -81,12 +81,9 @@ impl EventorPipeline {
     /// Sets the shard count of the [`VotingEngine`].
     ///
     /// With [`ParallelConfig::sequential`] (the default) every frame votes
-    /// inline on the calling thread. With more than one shard the key
-    /// frame's vote packets are distributed round-robin over worker shards
-    /// voting into private DSI tiles, merged with a deterministic tree
-    /// reduction. For the accelerator datapath
-    /// ([`EventorOptions::accelerator`]) the output is bit-identical to the
-    /// one-shard result for every shard count.
+    /// on the calling thread. With more than one shard the DSI's depth
+    /// planes are split over worker shards. For every datapath the output
+    /// is bit-identical to the one-shard result at every shard count.
     ///
     /// # Examples
     ///
@@ -299,9 +296,8 @@ mod tests {
         let p =
             EventorPipeline::new(cam, EmvsConfig::default(), EventorOptions::default()).unwrap();
         assert!(!p.parallelism().is_parallel());
-        let p = p.with_parallelism(ParallelConfig::with_shards(8).with_packet_events(128));
+        let p = p.with_parallelism(ParallelConfig::with_shards(8));
         assert_eq!(p.parallelism().shards(), 8);
-        assert_eq!(p.parallelism().packet_events(), 128);
     }
 
     #[test]

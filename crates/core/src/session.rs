@@ -7,8 +7,8 @@
 //!
 //! * the one [`VotingEngine`] — every [`EventorOptions`] datapath at any
 //!   shard count, spelled [`SoftwareBackend`] (one shard, every frame voted
-//!   inline) or [`ShardedBackend`] (private per-shard DSI tiles, round-robin
-//!   vote packets, deterministic tree reduction),
+//!   as it is ingested) or [`ShardedBackend`] (the DSI's depth planes split
+//!   over worker shards, bit-identical to one shard),
 //! * [`CosimBackend`] — the functional
 //!   `eventor-hwsim` device driven through its register/DMA interface,
 //! * any user type implementing [`ExecutionBackend`]
@@ -62,11 +62,9 @@ impl SoftwareBackend {
     }
 }
 
-/// The `"sharded"` spelling of the one [`VotingEngine`]: vote packets
-/// round-robin over private per-shard DSI tiles, merged with a
-/// deterministic tree reduction at retirement. For the accelerator datapath
-/// the output is bit-identical at every shard count; see
-/// `docs/ARCHITECTURE.md` §5.
+/// The `"sharded"` spelling of the one [`VotingEngine`]: the DSI's depth
+/// planes split over worker shards. For every datapath the output is
+/// bit-identical at every shard count; see `docs/ARCHITECTURE.md` §5.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedBackend;
 

@@ -46,7 +46,7 @@ pub use detection::{confidence_map, detect_structure, ConfidenceMap, DetectionCo
 pub use error::DsiError;
 pub use planes::DepthPlanes;
 pub use pointcloud::{MapPoint, PointCloud};
-pub use volume::{DsiVolume, VoteArena, VoxelScore};
+pub use volume::{DsiVolume, PlaneRange, VoteArena, VoxelScore};
 
 #[cfg(test)]
 mod proptests {

@@ -6,12 +6,13 @@ use crate::DsiError;
 use eventor_fixed::kernel::batch;
 use eventor_fixed::kernel::PhiWords;
 use eventor_fixed::PackedCoord;
+use std::ops::Range;
 
-/// Reusable scratch for [`DsiVolume::vote_batch`]: the packed slab-index
+/// Reusable scratch for [`PlaneRange::vote_batch`]: the packed slab-index
 /// buffer the batched transfer writes and the vote deposit reads.
 ///
-/// Owning the buffer outside the volume lets the sharded hot loop carry one
-/// arena per shard across every packet segment instead of reallocating per
+/// Owning the buffer outside the volume lets the voting engine carry one
+/// arena per plane range across every vote pass instead of reallocating per
 /// call; a fresh (empty) arena is always valid input.
 #[derive(Debug, Default)]
 pub struct VoteArena {
@@ -45,13 +46,13 @@ pub trait VoxelScore:
     fn add_vote(&mut self, weight: f64);
     /// The score as `f64` for detection and comparison.
     fn as_f64(self) -> f64;
-    /// Accumulates another score of the same type — the shard-merge operation
-    /// of the parallel voting engine. Integer scores saturate exactly like
+    /// Accumulates another score of the same type — the merge behind
+    /// [`DsiVolume::merge_from`]. Integer scores saturate exactly like
     /// repeated unit votes would; float scores add.
     fn merge(&mut self, other: Self);
     /// Adds one unit vote — exactly equivalent to `add_vote(1.0)`, without
-    /// the weight-rounding work. The parallel engine's fused kernels use this
-    /// in their inner loop.
+    /// the weight-rounding work. [`PlaneRange::vote_batch`] uses this in its
+    /// inner loop.
     #[inline]
     fn add_unit(&mut self) {
         self.add_vote(1.0);
@@ -114,9 +115,9 @@ impl VoxelScore for u16 {
     }
     #[inline]
     fn merge(&mut self, other: Self) {
-        // Saturating accumulation: merging shard counts is exact with respect
-        // to sequential unit voting because min(Σ min(cᵢ, MAX), MAX) equals
-        // min(Σ cᵢ, MAX) for non-negative counts.
+        // Saturating accumulation: merging partial counts is exact with
+        // respect to sequential unit voting because min(Σ min(cᵢ, MAX), MAX)
+        // equals min(Σ cᵢ, MAX) for non-negative counts.
         *self = (*self).saturating_add(other);
     }
     #[inline]
@@ -378,27 +379,6 @@ impl<S: VoxelScore> DsiVolume<S> {
         &self.data[start..start + self.width * self.height]
     }
 
-    /// Mutable raw scores of one depth plane, row-major — the parallel
-    /// engine's fused kernels vote plane by plane directly into the slab
-    /// (index `y * width + x`), then account the deposited votes in bulk via
-    /// [`Self::add_cast_votes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plane` is out of range.
-    pub fn plane_scores_mut(&mut self, plane: usize) -> &mut [S] {
-        assert!(plane < self.planes.len());
-        let start = plane * self.width * self.height;
-        let len = self.width * self.height;
-        &mut self.data[start..start + len]
-    }
-
-    /// Bulk-accounts `n` votes deposited directly into plane slabs obtained
-    /// from [`Self::plane_scores_mut`].
-    pub fn add_cast_votes(&mut self, n: u64) {
-        self.votes_cast += n;
-    }
-
     /// Resets every score to zero (the "Reset DSI" step performed when a new
     /// key frame is selected) and clears the vote counters.
     pub fn reset(&mut self) {
@@ -409,25 +389,98 @@ impl<S: VoxelScore> DsiVolume<S> {
         self.votes_missed = 0;
     }
 
-    /// Deposits a unit (or weighted) vote at the voxel *nearest* to the
-    /// projected point — the approximate voting mode used by the accelerator.
+    /// Splits the volume into views of `count` contiguous depth-plane ranges
+    /// (clamped to `1..=num_planes`), in plane order, each within one plane
+    /// of the others' size.
     ///
-    /// Out-of-volume projections are counted as missed and ignored.
+    /// Each view counts its own votes; fold them back into the volume with
+    /// [`Self::add_votes`] once the views are gone.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eventor_dsi::{DepthPlanes, DsiVolume};
+    /// let planes = DepthPlanes::uniform_inverse_depth(1.0, 4.0, 5)?;
+    /// let mut dsi: DsiVolume<f32> = DsiVolume::new(8, 6, planes)?;
+    /// let (mut cast, mut missed) = (0, 0);
+    /// for mut view in dsi.plane_ranges_mut(2) {
+    ///     for plane in view.planes() {
+    ///         view.vote_bilinear(3.25, 2.5, plane, 1.0);
+    ///     }
+    ///     cast += view.votes_cast();
+    ///     missed += view.votes_missed();
+    /// }
+    /// dsi.add_votes(cast, missed);
+    /// assert_eq!(dsi.votes_cast(), 5);
+    /// # Ok::<(), eventor_dsi::DsiError>(())
+    /// ```
+    pub fn plane_ranges_mut(
+        &mut self,
+        count: usize,
+    ) -> impl ExactSizeIterator<Item = PlaneRange<'_, S>> {
+        let (width, height, planes) = (self.width, self.height, self.planes.len());
+        let count = count.clamp(1, planes.max(1));
+        let mut rest = self.data.as_mut_slice();
+        let mut end = 0;
+        (0..count).map(move |i| {
+            let len = planes / count + usize::from(i < planes % count);
+            let (data, tail) = std::mem::take(&mut rest).split_at_mut(len * width * height);
+            rest = tail;
+            end += len;
+            PlaneRange::new(width, height, end - len..end, data)
+        })
+    }
+
+    /// Adds the vote counters of [`Self::plane_ranges_mut`] views to the
+    /// volume's.
+    pub fn add_votes(&mut self, cast: u64, missed: u64) {
+        self.votes_cast += cast;
+        self.votes_missed += missed;
+    }
+
+    /// Runs one vote kernel on a view of the whole volume and keeps its
+    /// counts.
+    #[inline]
+    fn vote_all(&mut self, vote: impl FnOnce(&mut PlaneRange<'_, S>)) {
+        let mut view = PlaneRange::new(
+            self.width,
+            self.height,
+            0..self.planes.len(),
+            &mut self.data,
+        );
+        vote(&mut view);
+        self.votes_cast += view.votes_cast;
+        self.votes_missed += view.votes_missed;
+    }
+
+    /// [`PlaneRange::vote_nearest`] on the whole volume.
     #[inline]
     pub fn vote_nearest(&mut self, x: f64, y: f64, plane: usize, weight: f64) {
-        if plane >= self.planes.len() || !x.is_finite() || !y.is_finite() {
-            self.votes_missed += 1;
-            return;
-        }
-        let xi = x.round();
-        let yi = y.round();
-        if xi < 0.0 || yi < 0.0 || xi >= self.width as f64 || yi >= self.height as f64 {
-            self.votes_missed += 1;
-            return;
-        }
-        let idx = self.index(xi as usize, yi as usize, plane);
-        self.data[idx].add_vote(weight);
-        self.votes_cast += 1;
+        self.vote_all(|view| view.vote_nearest(x, y, plane, weight));
+    }
+
+    /// [`PlaneRange::vote_bilinear`] on the whole volume.
+    pub fn vote_bilinear(&mut self, x: f64, y: f64, plane: usize, weight: f64) {
+        self.vote_all(|view| view.vote_bilinear(x, y, plane, weight));
+    }
+
+    /// [`PlaneRange::vote_batch`] on the whole volume.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `coefficients` holds more entries than the volume has
+    /// depth planes.
+    pub fn vote_batch(
+        &mut self,
+        canon: &[PackedCoord],
+        coefficients: &[PhiWords],
+        arena: &mut VoteArena,
+    ) {
+        assert!(
+            coefficients.len() <= self.planes.len(),
+            "more φ coefficient entries than depth planes"
+        );
+        self.vote_all(|view| view.vote_batch(canon, coefficients, arena));
     }
 
     /// Deposits one unit vote at an exact integer voxel address — the
@@ -449,6 +502,151 @@ impl<S: VoxelScore> DsiVolume<S> {
         self.votes_cast += 1;
     }
 
+    /// Deposits one unit vote at an integer voxel address — the
+    /// bounds-checked single-vote entry point for producers whose addresses
+    /// are already rounded (e.g. a Nearest Voxel Finder that performed the
+    /// projection-missing judgement upstream).
+    ///
+    /// Bit-identical to `vote_nearest(x as f64, y as f64, plane, 1.0)` for
+    /// in-range addresses; out-of-range addresses are counted as missed, like
+    /// the float entry points do.
+    #[inline]
+    pub fn vote_unit_at(&mut self, x: u16, y: u16, plane: usize) {
+        let (x, y) = (x as usize, y as usize);
+        if x >= self.width || y >= self.height || plane >= self.planes.len() {
+            self.votes_missed += 1;
+            return;
+        }
+        let idx = self.index(x, y, plane);
+        self.data[idx].add_vote(1.0);
+        self.votes_cast += 1;
+    }
+
+    /// Accumulates another volume of identical dimensions into this one —
+    /// how a checkpoint decoder folds a legacy multi-tile vote state into
+    /// one volume. Scores merge voxel-wise through [`VoxelScore::merge`];
+    /// the vote counters add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two volumes have different dimensions or plane counts.
+    pub fn merge_from(&mut self, other: &Self) {
+        assert!(
+            self.width == other.width
+                && self.height == other.height
+                && self.planes.len() == other.planes.len(),
+            "cannot merge DSI volumes of different dimensions"
+        );
+        for (dst, src) in self.data.iter_mut().zip(&other.data) {
+            dst.merge(*src);
+        }
+        self.votes_cast += other.votes_cast;
+        self.votes_missed += other.votes_missed;
+    }
+
+    /// The maximum score over the whole volume.
+    pub fn max_score(&self) -> f64 {
+        self.data.iter().map(|s| s.as_f64()).fold(0.0, f64::max)
+    }
+
+    /// Sum of all scores.
+    pub fn total_score(&self) -> f64 {
+        self.data.iter().map(|s| s.as_f64()).sum()
+    }
+
+    /// For one pixel, the best (maximum-score) plane index and its score.
+    #[inline]
+    pub fn best_plane(&self, x: usize, y: usize) -> (usize, f64) {
+        let mut best_plane = 0;
+        let mut best_score = f64::NEG_INFINITY;
+        for plane in 0..self.planes.len() {
+            let s = self.data[self.index(x, y, plane)].as_f64();
+            if s > best_score {
+                best_score = s;
+                best_plane = plane;
+            }
+        }
+        (best_plane, best_score)
+    }
+}
+
+/// A mutable view of a contiguous range of one [`DsiVolume`]'s depth planes,
+/// with its own vote counters — the unit of work the voting engine hands
+/// each shard ([`DsiVolume::plane_ranges_mut`]).
+///
+/// The vote kernels live here, once; [`DsiVolume`]'s own vote methods run
+/// them on a view of the whole volume. Views of one volume are disjoint, so
+/// each voxel has exactly one writer, and a writer that votes its inputs in
+/// stream order accumulates every voxel in the same order as a whole-volume
+/// pass does — bit-identical even for order-sensitive `f32` bilinear sums.
+///
+/// Planes are addressed by their index in the whole volume; a vote on a
+/// plane outside the view is counted as missed, like one outside the
+/// volume.
+#[derive(Debug)]
+pub struct PlaneRange<'a, S: VoxelScore> {
+    width: usize,
+    height: usize,
+    planes: Range<usize>,
+    data: &'a mut [S],
+    votes_cast: u64,
+    votes_missed: u64,
+}
+
+impl<'a, S: VoxelScore> PlaneRange<'a, S> {
+    fn new(width: usize, height: usize, planes: Range<usize>, data: &'a mut [S]) -> Self {
+        debug_assert_eq!(data.len(), planes.len() * width * height);
+        Self {
+            width,
+            height,
+            planes,
+            data,
+            votes_cast: 0,
+            votes_missed: 0,
+        }
+    }
+
+    /// The depth planes the view covers, as indices into the whole volume.
+    pub fn planes(&self) -> Range<usize> {
+        self.planes.clone()
+    }
+
+    /// Votes deposited through this view.
+    pub fn votes_cast(&self) -> u64 {
+        self.votes_cast
+    }
+
+    /// Vote attempts through this view that fell outside it.
+    pub fn votes_missed(&self) -> u64 {
+        self.votes_missed
+    }
+
+    #[inline]
+    fn index(&self, x: usize, y: usize, plane: usize) -> usize {
+        ((plane - self.planes.start) * self.height + y) * self.width + x
+    }
+
+    /// Deposits a unit (or weighted) vote at the voxel *nearest* to the
+    /// projected point — the approximate voting mode used by the accelerator.
+    ///
+    /// Out-of-volume projections are counted as missed and ignored.
+    #[inline]
+    pub fn vote_nearest(&mut self, x: f64, y: f64, plane: usize, weight: f64) {
+        if !self.planes.contains(&plane) || !x.is_finite() || !y.is_finite() {
+            self.votes_missed += 1;
+            return;
+        }
+        let xi = x.round();
+        let yi = y.round();
+        if xi < 0.0 || yi < 0.0 || xi >= self.width as f64 || yi >= self.height as f64 {
+            self.votes_missed += 1;
+            return;
+        }
+        let idx = self.index(xi as usize, yi as usize, plane);
+        self.data[idx].add_vote(weight);
+        self.votes_cast += 1;
+    }
+
     /// Deposits a vote split over the four voxels surrounding the projected
     /// point, weighted by bilinear interpolation — the exact voting mode of
     /// the baseline EMVS.
@@ -457,7 +655,7 @@ impl<S: VoxelScore> DsiVolume<S> {
     /// the border half-pixel deposit only the in-bounds portion of their
     /// weight.
     pub fn vote_bilinear(&mut self, x: f64, y: f64, plane: usize, weight: f64) {
-        if plane >= self.planes.len() || !x.is_finite() || !y.is_finite() {
+        if !self.planes.contains(&plane) || !x.is_finite() || !y.is_finite() {
             self.votes_missed += 1;
             return;
         }
@@ -497,157 +695,50 @@ impl<S: VoxelScore> DsiVolume<S> {
         }
     }
 
-    /// Deposits one unit vote at an integer voxel address — the
-    /// bounds-checked single-vote entry point for producers whose addresses
-    /// are already rounded (e.g. a Nearest Voxel Finder that performed the
-    /// projection-missing judgement upstream).
-    ///
-    /// Bit-identical to `vote_nearest(x as f64, y as f64, plane, 1.0)` for
-    /// in-range addresses; out-of-range addresses are counted as missed, like
-    /// the float entry points do. The parallel engine's hot kernel instead
-    /// writes plane slabs directly ([`Self::plane_scores_mut`] +
-    /// [`Self::add_cast_votes`]) to keep the bounds work per plane rather
-    /// than per vote; this method is the safe equivalent for one-off votes.
-    #[inline]
-    pub fn vote_unit_at(&mut self, x: u16, y: u16, plane: usize) {
-        let (x, y) = (x as usize, y as usize);
-        if x >= self.width || y >= self.height || plane >= self.planes.len() {
-            self.votes_missed += 1;
-            return;
-        }
-        let idx = self.index(x, y, plane);
-        self.data[idx].add_vote(1.0);
-        self.votes_cast += 1;
-    }
-
     /// The batched, cache-blocked spelling of the quantized nearest vote
-    /// loop: for every depth plane, transfers every canonical coordinate
-    /// through the batched `PE_Zi` kernel
-    /// ([`batch::transfer_nearest_batch`], vectorized per the session's
-    /// dispatch tier) and deposits one unit vote per in-sensor address
-    /// directly into the plane slab.
+    /// loop: for every depth plane of the view that `coefficients` covers
+    /// (`coefficients[i]` belongs to plane `i` of the whole volume),
+    /// transfers every canonical coordinate through the batched `PE_Zi`
+    /// kernel ([`batch::transfer_nearest_batch`], vectorized per the
+    /// session's dispatch tier) and deposits one unit vote per in-sensor
+    /// address directly into the plane slab.
     ///
     /// **Bit-identical to the scalar loop** (`transfer_nearest` +
-    /// [`Self::vote_at`] per event and plane): unit votes accumulate by
+    /// [`DsiVolume::vote_at`] per event and plane): unit votes accumulate by
     /// saturating/exact addition, which is order-independent, so the
     /// plane-major blocked order changes no byte of the score array.
-    /// Counter semantics match the fused packet kernels: in-sensor deposits
-    /// count as cast, per-plane projection-missing transfers are dropped
-    /// without touching the missed counter (they are per-plane outcomes,
-    /// not lost events).
+    /// In-sensor deposits count as cast; per-plane projection-missing
+    /// transfers are dropped without touching the missed counter (they are
+    /// per-plane outcomes, not lost events).
     ///
     /// The loop is blocked for the cache hierarchy: canonical coordinates
     /// stream in `VOTE_BLOCK`-sized chunks whose index buffer (reused
     /// across calls via `arena`) stays L1-resident, while the current plane
     /// slab is the only large write set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `coefficients` holds more entries than the volume has
-    /// depth planes.
     pub fn vote_batch(
         &mut self,
         canon: &[PackedCoord],
         coefficients: &[PhiWords],
         arena: &mut VoteArena,
     ) {
-        assert!(
-            coefficients.len() <= self.planes.len(),
-            "more φ coefficient entries than depth planes"
-        );
         let (width, height) = (self.width as u32, self.height as u32);
-        let slab_len = self.width * self.height;
+        let slabs = self.data.chunks_exact_mut(self.width * self.height);
+        let phis = coefficients.get(self.planes.start..).unwrap_or_default();
         let mut cast = 0u64;
-        for (plane, phi) in coefficients.iter().enumerate() {
-            let slab = &mut self.data[plane * slab_len..(plane + 1) * slab_len];
+        for (phi, slab) in phis.iter().zip(slabs) {
             for block in canon.chunks(VOTE_BLOCK) {
                 batch::transfer_nearest_batch(phi, block, width, height, &mut arena.idx);
                 for &idx in &arena.idx {
-                    if idx != batch::MISS {
-                        slab[idx as usize].add_unit();
+                    // `MISS` lies past every slab index, so the bounds check
+                    // also skips the projection-missing transfers.
+                    if let Some(score) = slab.get_mut(idx as usize) {
+                        score.add_unit();
                         cast += 1;
                     }
                 }
             }
         }
         self.votes_cast += cast;
-    }
-
-    /// Accumulates another volume of identical dimensions into this one —
-    /// the shard-merge step of the parallel voting engine. Scores merge
-    /// voxel-wise through [`VoxelScore::merge`]; the vote counters add.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two volumes have different dimensions or plane counts.
-    pub fn merge_from(&mut self, other: &Self) {
-        assert!(
-            self.width == other.width
-                && self.height == other.height
-                && self.planes.len() == other.planes.len(),
-            "cannot merge DSI volumes of different dimensions"
-        );
-        for (dst, src) in self.data.iter_mut().zip(&other.data) {
-            dst.merge(*src);
-        }
-        self.votes_cast += other.votes_cast;
-        self.votes_missed += other.votes_missed;
-    }
-
-    /// Merges a set of per-shard volumes into `tiles[0]` with a fixed-shape
-    /// binary tree reduction: pass 1 merges tile `i+1` into tile `i` for even
-    /// `i`, pass 2 merges stride 2, and so on. The reduction shape depends
-    /// only on `tiles.len()`, never on thread timing, so the result is
-    /// deterministic for a given shard count (and — for integer scores and
-    /// unit votes — bit-identical to sequential voting regardless of the
-    /// shard count).
-    ///
-    /// Returns `None` when `tiles` is empty.
-    pub fn tree_reduce(tiles: &mut [Self]) -> Option<&mut Self> {
-        let mut refs: Vec<&mut Self> = tiles.iter_mut().collect();
-        Self::tree_reduce_refs(&mut refs);
-        tiles.first_mut()
-    }
-
-    /// [`Self::tree_reduce`] over a slice of mutable references (used when
-    /// the tiles are embedded in larger per-shard state structs). The merged
-    /// result lands in `tiles[0]`.
-    pub fn tree_reduce_refs(tiles: &mut [&mut Self]) {
-        let mut stride = 1;
-        while stride < tiles.len() {
-            let mut i = 0;
-            while i + stride < tiles.len() {
-                let (head, tail) = tiles.split_at_mut(i + stride);
-                head[i].merge_from(&*tail[0]);
-                i += 2 * stride;
-            }
-            stride *= 2;
-        }
-    }
-
-    /// The maximum score over the whole volume.
-    pub fn max_score(&self) -> f64 {
-        self.data.iter().map(|s| s.as_f64()).fold(0.0, f64::max)
-    }
-
-    /// Sum of all scores.
-    pub fn total_score(&self) -> f64 {
-        self.data.iter().map(|s| s.as_f64()).sum()
-    }
-
-    /// For one pixel, the best (maximum-score) plane index and its score.
-    #[inline]
-    pub fn best_plane(&self, x: usize, y: usize) -> (usize, f64) {
-        let mut best_plane = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for plane in 0..self.planes.len() {
-            let s = self.data[self.index(x, y, plane)].as_f64();
-            if s > best_score {
-                best_score = s;
-                best_plane = plane;
-            }
-        }
-        (best_plane, best_score)
     }
 }
 
@@ -809,42 +900,98 @@ mod tests {
         for _ in 0..70_000 {
             sequential.vote_nearest(1.0, 1.0, 0, 1.0);
         }
-        // Sharded: 35000 votes in each of two tiles, then merged.
-        let mut tiles = vec![
-            DsiVolume::<u16>::new(4, 4, planes(2)).unwrap(),
-            DsiVolume::<u16>::new(4, 4, planes(2)).unwrap(),
-        ];
-        for tile in &mut tiles {
-            for _ in 0..35_000 {
-                tile.vote_unit_at(1, 1, 0);
-            }
+        // Two partial volumes of 35000 votes each, then merged.
+        let mut merged = DsiVolume::<u16>::new(4, 4, planes(2)).unwrap();
+        let mut other = DsiVolume::<u16>::new(4, 4, planes(2)).unwrap();
+        for _ in 0..35_000 {
+            merged.vote_unit_at(1, 1, 0);
+            other.vote_unit_at(1, 1, 0);
         }
-        let merged = DsiVolume::tree_reduce(&mut tiles).unwrap();
+        merged.merge_from(&other);
         assert_eq!(merged.score(1, 1, 0), sequential.score(1, 1, 0));
         assert_eq!(merged.votes_cast(), sequential.votes_cast());
     }
 
     #[test]
-    fn tree_reduce_is_equivalent_for_any_shard_count() {
+    fn plane_ranges_are_equivalent_for_any_shard_count() {
+        // Float bilinear and nearest votes plus batched u16 votes, split
+        // over every range count (past the plane count too), must equal the
+        // whole-volume pass bit for bit, counters included.
+        let points: Vec<(f64, f64)> = (0..300)
+            .map(|i| {
+                (
+                    (i * 37 % 200) as f64 * 0.1 - 1.0,
+                    (i * 53 % 150) as f64 * 0.1 - 1.0,
+                )
+            })
+            .collect();
+        let canon: Vec<PackedCoord> = points
+            .iter()
+            .map(|&(x, y)| PackedCoord::from_f64(x, y))
+            .collect();
+        let coeffs: Vec<PhiWords> = (0..5)
+            .map(|p| PhiWords::from_f64(0.8 + p as f64 * 0.1, p as f64 - 2.0, 0.5 * p as f64))
+            .collect();
+        let vote = |view: &mut PlaneRange<'_, f32>| {
+            for &(x, y) in &points {
+                for plane in view.planes() {
+                    view.vote_bilinear(x + plane as f64 * 0.3, y, plane, 0.7);
+                    view.vote_nearest(x, y - plane as f64 * 0.2, plane, 1.0);
+                }
+            }
+        };
+        let mut whole = DsiVolume::<f32>::new(16, 12, planes(5)).unwrap();
+        whole.vote_all(vote);
+        let mut whole_u16 = DsiVolume::<u16>::new(16, 12, planes(5)).unwrap();
+        whole_u16.vote_batch(&canon, &coeffs, &mut VoteArena::new());
+        assert!(whole.votes_cast() > 0 && whole.votes_missed() > 0);
+        assert!(whole_u16.votes_cast() > 0);
+
         for shards in 1..=8usize {
-            let mut tiles: Vec<DsiVolume<u16>> = (0..shards)
-                .map(|_| DsiVolume::new(16, 12, planes(3)).unwrap())
-                .collect();
-            // Deterministic vote pattern distributed round-robin over shards.
-            let votes: Vec<(u16, u16, usize)> = (0..500)
-                .map(|i| ((i * 7 % 16) as u16, (i * 5 % 12) as u16, i % 3))
-                .collect();
-            for (i, &(x, y, p)) in votes.iter().enumerate() {
-                tiles[i % shards].vote_unit_at(x, y, p);
+            let mut split = DsiVolume::<f32>::new(16, 12, planes(5)).unwrap();
+            let mut split_u16 = DsiVolume::<u16>::new(16, 12, planes(5)).unwrap();
+            let views: Vec<_> = split.plane_ranges_mut(shards).collect();
+            assert_eq!(views.len(), shards.min(5));
+            let covered: Vec<usize> = views.iter().flat_map(|v| v.planes()).collect();
+            assert_eq!(covered, (0..5).collect::<Vec<_>>());
+            let (mut cast, mut missed) = (0, 0);
+            for mut view in views {
+                vote(&mut view);
+                cast += view.votes_cast();
+                missed += view.votes_missed();
             }
-            let mut reference = DsiVolume::<u16>::new(16, 12, planes(3)).unwrap();
-            for &(x, y, p) in &votes {
-                reference.vote_unit_at(x, y, p);
+            split.add_votes(cast, missed);
+            let mut cast_u16 = 0;
+            for mut view in split_u16.plane_ranges_mut(shards) {
+                view.vote_batch(&canon, &coeffs, &mut VoteArena::new());
+                cast_u16 += view.votes_cast();
             }
-            let merged = DsiVolume::tree_reduce(&mut tiles).unwrap();
-            assert_eq!(*merged, reference, "shards = {shards}");
+            split_u16.add_votes(cast_u16, 0);
+            let bits = |v: &DsiVolume<f32>| v.raw_scores().iter().map(|s| s.to_bits()).collect();
+            let (a, b): (Vec<u32>, Vec<u32>) = (bits(&split), bits(&whole));
+            assert_eq!(a, b, "f32 scores, shards = {shards}");
+            assert_eq!(split.votes_cast(), whole.votes_cast(), "shards = {shards}");
+            assert_eq!(
+                split.votes_missed(),
+                whole.votes_missed(),
+                "shards = {shards}"
+            );
+            assert_eq!(split_u16, whole_u16, "u16 scores, shards = {shards}");
         }
-        assert!(DsiVolume::<u16>::tree_reduce(&mut []).is_none());
+    }
+
+    #[test]
+    fn plane_range_counts_votes_outside_it_as_missed() {
+        let mut dsi = DsiVolume::<f32>::new(8, 8, planes(4)).unwrap();
+        let mut views: Vec<_> = dsi.plane_ranges_mut(2).collect();
+        assert_eq!(views[1].planes(), 2..4);
+        views[1].vote_nearest(3.0, 3.0, 1, 1.0);
+        views[1].vote_bilinear(3.0, 3.0, 4, 1.0);
+        views[1].vote_nearest(3.0, 3.0, 2, 1.0);
+        assert_eq!((views[1].votes_cast(), views[1].votes_missed()), (1, 2));
+        drop(views);
+        assert_eq!(dsi.score(3, 3, 2), 1.0);
+        assert_eq!(dsi.total_score(), 1.0);
     }
 
     #[test]

@@ -4,24 +4,24 @@
 use crate::backproject::FrameGeometry;
 use crate::config::{EmvsConfig, EventorOptions, VotingMode};
 use crate::mapper::KeyframeReconstruction;
-use crate::parallel::{run_sharded, shard_packets, ParallelConfig};
+use crate::parallel::{run_sharded, ParallelConfig};
 use crate::profile::{Stage, StageProfile};
 use crate::session::{
-    finalize_volume, import_vote_tiles, BackendVoteState, ExecutionBackend, FrameWork,
+    finalize_volume, import_vote_volume, BackendVoteState, ExecutionBackend, FrameWork,
 };
 use crate::EmvsError;
-use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume, VoteArena, VoxelScore};
-use eventor_events::{packetize_frame, Event, VotePacket};
+use eventor_dsi::{DetectionConfig, DsiVolume, PlaneRange, VoteArena, VoxelScore};
+use eventor_events::Event;
 use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
 use std::time::Instant;
 
-/// Buffered events at which a sharded engine votes its open key frame's
-/// buffered frames into the shard tiles. Bounds engine memory for
+/// Buffered canonical coordinates at which a sharded engine votes its open
+/// key frame's buffered frames into the DSI. Bounds engine memory for
 /// arbitrarily long key frames (e.g. a stationary camera that never triggers
-/// a key-frame switch) at roughly one spill window of events plus the
-/// fixed-size tiles.
+/// a key-frame switch) at roughly one spill window of events plus the one
+/// DSI.
 pub const ENGINE_SPILL_EVENTS: usize = 1 << 16;
 
 /// Per-frame quantized datapath parameters hoisted out of the per-event
@@ -67,166 +67,112 @@ impl QuantizedFrameParams {
     }
 }
 
-/// The ingested inputs of one frame, or of one packet of it: the events
-/// after distortion correction (and, when quantized, Q9.7 encoding) with
-/// the parameters they vote under.
-#[derive(Debug, Clone, Copy)]
-enum SliceInput<'a> {
-    Quantized(&'a QuantizedFrameParams, &'a [PackedCoord]),
-    Float(&'a FrameGeometry, &'a [Vec2]),
-}
-
-/// One shard's private DSI tile plus the scratch its kernels reuse across
-/// frames, packets and key frames (no per-slice allocation).
+/// The engine's one DSI, on the score type the options select: `u16` for
+/// the quantized nearest-voting accelerator datapath, `f32` otherwise.
 #[derive(Debug)]
-struct Shard<S: VoxelScore> {
-    tile: DsiVolume<S>,
-    /// Survivors of the quantized canonical projection, as raw Q9.7 words.
-    canon: Vec<PackedCoord>,
-    /// Survivors of the float canonical projection.
-    canon_float: Vec<Vec2>,
-    /// Slab-index scratch of [`DsiVolume::vote_batch`].
-    arena: VoteArena,
+enum Dsi {
+    Quantized(DsiVolume<u16>),
+    Float(DsiVolume<f32>),
 }
 
-impl<S: VoxelScore> Shard<S> {
-    fn alloc(
-        count: usize,
-        width: usize,
-        height: usize,
-        planes: &DepthPlanes,
-    ) -> Result<Vec<Self>, EmvsError> {
-        (0..count)
-            .map(|_| -> Result<Self, EmvsError> {
-                Ok(Self {
-                    tile: DsiVolume::new(width, height, planes.clone())?,
-                    canon: Vec::new(),
-                    canon_float: Vec::new(),
-                    arena: VoteArena::new(),
-                })
-            })
-            .collect()
-    }
-
-    /// `PE_Z0`: the canonical projection of a slice, keeping the survivors
-    /// of the projection-missing judgement in input order. The quantized
-    /// face runs lane-parallel per the kernel's dispatch tier.
-    fn project(&mut self, input: SliceInput<'_>) {
-        match input {
-            SliceInput::Quantized(params, events) => {
-                batch::project_z0_batch(&params.homography, events, &mut self.canon);
-            }
-            SliceInput::Float(geometry, events) => {
-                self.canon_float.clear();
-                self.canon_float
-                    .extend(events.iter().filter_map(|&p| geometry.canonical(p)));
-            }
-        }
-    }
-
-    /// `PE_Zi` → Nearest Voxel Finder → vote: transfers the projected slice
-    /// to every depth plane and votes it into the tile.
-    ///
-    /// The accelerator datapath votes plane-major through the cache-blocked
-    /// [`DsiVolume::vote_batch`] (raw words in, slab indices out, no `f64`
-    /// in the loop; exact because unit-vote saturation is order-independent
-    /// and the tile is sensor-sized). The other datapaths keep the
-    /// event-major order of the sequential schedule, since bilinear `f32`
-    /// accumulation is order-sensitive.
-    fn vote(&mut self, input: SliceInput<'_>, voting: VotingMode) {
-        let tile = &mut self.tile;
-        match (input, voting) {
-            (SliceInput::Quantized(params, _), VotingMode::Nearest) => {
-                tile.vote_batch(&self.canon, &params.coefficients, &mut self.arena);
-            }
-            (SliceInput::Quantized(params, _), VotingMode::Bilinear) => {
-                for &c in &self.canon {
-                    for (i, phi) in params.coefficients.iter().enumerate() {
-                        let (x, y) = kernel::transfer_subpixel(phi, c);
-                        tile.vote_bilinear(x, y, i, 1.0);
-                    }
-                }
-            }
-            (SliceInput::Float(geometry, _), voting) => {
-                for &c in &self.canon_float {
-                    for i in 0..geometry.num_planes() {
-                        let p = geometry.transfer(c, i);
-                        match voting {
-                            VotingMode::Bilinear => tile.vote_bilinear(p.x, p.y, i, 1.0),
-                            VotingMode::Nearest => tile.vote_nearest(p.x, p.y, i, 1.0),
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The shard tiles, on the score type the options select: `u16` for the
-/// quantized nearest-voting accelerator datapath, `f32` otherwise.
-#[derive(Debug)]
-enum Tiles {
-    Quantized(Vec<Shard<u16>>),
-    Float(Vec<Shard<f32>>),
-}
-
-/// Runs one generic body on whichever score type the tiles hold.
-macro_rules! on_tiles {
-    ($tiles:expr, $shards:ident => $body:expr) => {
-        match $tiles {
-            Tiles::Quantized($shards) => $body,
-            Tiles::Float($shards) => $body,
+/// Runs one generic body on whichever score type the DSI holds.
+macro_rules! on_dsi {
+    ($dsi:expr, $volume:ident => $body:expr) => {
+        match $dsi {
+            Dsi::Quantized($volume) => $body,
+            Dsi::Float($volume) => $body,
         }
     };
 }
 
-/// Ingested frames: the current frame at one shard (cleared once voted),
-/// the open key frame's unvoted frames above one.
+/// One plane range's scratch, reused across vote passes: the slab-index
+/// arena of [`PlaneRange::vote_batch`] and the range's `(cast, missed)`
+/// vote counts of the last pass.
+#[derive(Debug, Default)]
+struct Lane {
+    arena: VoteArena,
+    votes: (u64, u64),
+}
+
+/// The open key frame's ingested, not yet voted frames: canonical-plane
+/// survivors of `PE_Z0` plus the parameters the `PE_Zi` array transfers
+/// them with. One shard votes after every frame, so it holds one frame.
 #[derive(Debug, Default)]
 struct Buffer {
+    /// Canonical survivors per buffered frame.
     frame_lens: Vec<usize>,
-    /// Q9.7-encoded events of the quantized datapaths.
-    transported: Vec<PackedCoord>,
-    /// Distortion-corrected events of the float datapaths.
-    corrected: Vec<Vec2>,
+    /// Survivors of the quantized canonical projection, as raw Q9.7 words.
+    canon: Vec<PackedCoord>,
+    /// Survivors of the float canonical projection.
+    canon_float: Vec<Vec2>,
     /// One hoisted parameter block per buffered frame (quantized).
     params: Vec<QuantizedFrameParams>,
     /// One geometry per buffered frame (float).
     geometries: Vec<FrameGeometry>,
+    /// Scratch: the current frame's Q9.7-encoded events (quantized).
+    transported: Vec<PackedCoord>,
+    /// Scratch: the current frame's distortion-corrected events (float).
+    corrected: Vec<Vec2>,
+    /// Scratch: the current frame's quantized canonical survivors.
+    projected: Vec<PackedCoord>,
 }
 
 impl Buffer {
     fn events(&self) -> usize {
-        self.transported.len() + self.corrected.len()
+        self.canon.len() + self.canon_float.len()
     }
 
     fn clear(&mut self) {
         self.frame_lens.clear();
-        self.transported.clear();
-        self.corrected.clear();
+        self.canon.clear();
+        self.canon_float.clear();
         self.params.clear();
         self.geometries.clear();
     }
 
-    /// Splits the buffered frames into vote packets addressing the
-    /// concatenated event buffer.
-    fn packets(&self, packet_events: usize) -> Vec<VotePacket> {
-        let mut packets = Vec::new();
+    /// `PE_Zi` → Nearest Voxel Finder → vote: transfers every buffered
+    /// canonical coordinate to the view's depth planes and votes it, frame
+    /// by frame and event by event in stream order, so each voxel of the
+    /// view accumulates its votes in the order a one-shard pass would.
+    ///
+    /// The accelerator datapath votes plane-major through the cache-blocked
+    /// [`PlaneRange::vote_batch`] (raw words in, slab indices out, no `f64`
+    /// in the loop); the other datapaths vote event-major.
+    fn vote<S: VoxelScore>(
+        &self,
+        view: &mut PlaneRange<'_, S>,
+        voting: VotingMode,
+        arena: &mut VoteArena,
+    ) {
         let mut start = 0;
         for (frame, &len) in self.frame_lens.iter().enumerate() {
-            packetize_frame(frame, start..start + len, packet_events, &mut packets);
+            let range = start..start + len;
             start += len;
-        }
-        packets
-    }
-
-    /// The inputs of one packet: a quantized engine buffers one parameter
-    /// block per frame, a float engine none.
-    fn input(&self, packet: &VotePacket) -> SliceInput<'_> {
-        let range = packet.range.clone();
-        match self.params.get(packet.frame) {
-            Some(params) => SliceInput::Quantized(params, &self.transported[range]),
-            None => SliceInput::Float(&self.geometries[packet.frame], &self.corrected[range]),
+            match (self.params.get(frame), voting) {
+                (Some(params), VotingMode::Nearest) => {
+                    view.vote_batch(&self.canon[range], params.coefficients(), arena);
+                }
+                (Some(params), VotingMode::Bilinear) => {
+                    for &c in &self.canon[range] {
+                        for i in view.planes() {
+                            let (x, y) = kernel::transfer_subpixel(&params.coefficients[i], c);
+                            view.vote_bilinear(x, y, i, 1.0);
+                        }
+                    }
+                }
+                (None, voting) => {
+                    let geometry = &self.geometries[frame];
+                    for &c in &self.canon_float[range] {
+                        for i in view.planes() {
+                            let p = geometry.transfer(c, i);
+                            match voting {
+                                VotingMode::Bilinear => view.vote_bilinear(p.x, p.y, i, 1.0),
+                                VotingMode::Nearest => view.vote_nearest(p.x, p.y, i, 1.0),
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -242,37 +188,31 @@ impl Buffer {
 ///
 /// | options | DSI scores | projection and transfer |
 /// |---|---|---|
-/// | [`EventorOptions::accelerator`] | `u16` | bit-true integer kernel, cache-blocked [`DsiVolume::vote_batch`] |
+/// | [`EventorOptions::accelerator`] | `u16` | bit-true integer kernel, cache-blocked [`PlaneRange::vote_batch`] |
 /// | [`EventorOptions::quantized_only`] | `f32` | integer kernel, sub-pixel bilinear vote |
 /// | [`EventorOptions::nearest_only`] | `f32` | `f64` geometry, nearest vote |
 /// | [`EventorOptions::exact`] | `f32` | `f64` geometry, bilinear vote — the baseline EMVS mapper |
 ///
-/// [`ParallelConfig`] picks the schedule. Every shard count shares one
-/// **ingest** step on the calling thread: streaming distortion correction,
-/// Q9.7 transport encoding and the per-frame parameter hoist
-/// ([`QuantizedFrameParams`]). Then:
+/// Every shard count runs one schedule. **Ingest** runs on the calling
+/// thread, once per frame: streaming distortion correction, Q9.7 transport
+/// encoding, the per-frame parameter hoist ([`QuantizedFrameParams`]) and
+/// the `PE_Z0` canonical projection, whose survivors are appended to a
+/// buffer. **Vote** splits the engine's one [`DsiVolume`] into
+/// `min(shards, planes)` contiguous plane ranges — the `PE_Zi` array's
+/// plane partition — and votes the whole buffer into every range on its own
+/// worker ([`run_sharded`]). One shard votes after every frame; more than
+/// one votes at [`ENGINE_SPILL_EVENTS`] buffered survivors, at retirement
+/// and at checkpoint export.
 ///
-/// * **one shard** votes each frame inline — one canonical projection and
-///   one transfer-and-vote pass over the whole frame, no buffering and no
-///   packetization;
-/// * **more than one shard** buffers the open key frame's ingested frames
-///   (spilling at [`ENGINE_SPILL_EVENTS`]), splits them into vote packets
-///   that go round-robin to private per-shard DSI tiles ([`run_sharded`]),
-///   and merges the tiles with [`DsiVolume::tree_reduce`] at retirement.
-///
-/// Both schedules run the same per-slice kernels, so they differ only in
-/// vote order. Saturating unit votes are order-independent, so the `u16`
-/// accelerator datapath is bit-identical at every shard count, and whole
-/// `f32` increments make float nearest voting exact too; bilinear `f32`
-/// sums are deterministic per shard count.
+/// Each voxel has one writer, which sees its votes in stream order, so every
+/// datapath — `f32` bilinear sums included — is bit-identical to the
+/// one-shard result at every shard count.
 ///
 /// # Profile
 ///
-/// Stage times come from timers, never from splitting a fused interval. At
-/// one shard the canonical projection is timed under
-/// [`Stage::CanonicalProjection`] and the transfer-and-vote pass under
-/// [`Stage::ProportionalProjection`]. Above one shard the packet phase
-/// (spawn, fused project/transfer/vote, join) is one interval under
+/// Stage times come from timers, never from splitting a fused interval: the
+/// canonical projection is timed under [`Stage::CanonicalProjection`] and
+/// the vote pass (above one shard: spawn, transfer-and-vote, join) under
 /// [`Stage::ProportionalProjection`]. [`Stage::VoteDsi`] stays empty: the
 /// vote is fused into the transfer loop.
 ///
@@ -285,17 +225,18 @@ pub struct VotingEngine {
     options: EventorOptions,
     detection: DetectionConfig,
     parallel: ParallelConfig,
-    tiles: Tiles,
+    dsi: Dsi,
+    lanes: Vec<Lane>,
     buffer: Buffer,
 }
 
 impl VotingEngine {
-    /// Creates the engine, allocating one sensor-sized DSI tile per shard.
+    /// Creates the engine, allocating its one sensor-sized DSI.
     ///
     /// # Errors
     ///
     /// Returns [`EmvsError::InvalidConfig`] for unusable configurations and
-    /// [`EmvsError::Dsi`] when the tiles cannot be allocated.
+    /// [`EmvsError::Dsi`] when the DSI cannot be allocated.
     pub fn new(
         camera: CameraModel,
         config: &EmvsConfig,
@@ -307,67 +248,45 @@ impl VotingEngine {
             camera.intrinsics.width as usize,
             camera.intrinsics.height as usize,
         );
-        let shards = parallel.shards();
-        let tiles = if options.quantize && options.voting == VotingMode::Nearest {
-            Tiles::Quantized(Shard::alloc(shards, width, height, &planes)?)
+        let ranges = parallel.shards().min(planes.len());
+        let dsi = if options.quantize && options.voting == VotingMode::Nearest {
+            Dsi::Quantized(DsiVolume::new(width, height, planes)?)
         } else {
-            Tiles::Float(Shard::alloc(shards, width, height, &planes)?)
+            Dsi::Float(DsiVolume::new(width, height, planes)?)
         };
         Ok(Self {
             camera,
             options,
             detection: config.detection,
             parallel,
-            tiles,
+            dsi,
+            lanes: (0..ranges).map(|_| Lane::default()).collect(),
             buffer: Buffer::default(),
         })
     }
 
-    /// Votes every buffered frame into the shard tiles (packet round-robin)
-    /// and clears the buffer. Runs at retirement, at checkpoint export and
-    /// whenever the buffer crosses [`ENGINE_SPILL_EVENTS`]. Spilling at any
-    /// boundary is safe: nearest voting is order-independent, and the spill
-    /// points are a pure function of the stream, so bilinear tiles stay
-    /// deterministic for a fixed shard count.
+    /// Votes every buffered frame into the DSI, one plane range per lane,
+    /// and clears the buffer.
     fn vote_buffered(&mut self, profile: &mut StageProfile) {
         if self.buffer.frame_lens.is_empty() {
             return;
         }
         let t = Instant::now();
-        let packets = self.buffer.packets(self.parallel.packet_events());
-        let shards = self.parallel.shards();
-        let (buffer, voting) = (&self.buffer, self.options.voting);
-        on_tiles!(&mut self.tiles, tiles => run_sharded(tiles, |shard, state| {
-            for packet in shard_packets(&packets, shard, shards) {
-                let input = buffer.input(packet);
-                state.project(input);
-                state.vote(input, voting);
+        let (buffer, voting, lanes) = (&self.buffer, self.options.voting, &mut self.lanes);
+        on_dsi!(&mut self.dsi, dsi => {
+            let jobs = dsi.plane_ranges_mut(lanes.len()).zip(lanes.iter_mut());
+            run_sharded(jobs, |(mut view, lane)| {
+                buffer.vote(&mut view, voting, &mut lane.arena);
+                lane.votes = (view.votes_cast(), view.votes_missed());
+            });
+            for lane in lanes.iter_mut() {
+                let (cast, missed) = std::mem::take(&mut lane.votes);
+                dsi.add_votes(cast, missed);
             }
-        }));
+        });
         self.buffer.clear();
         profile.add(Stage::ProportionalProjection, t.elapsed());
     }
-}
-
-/// Tree-reduces the shard tiles into tile 0 and finalizes it.
-fn reduce_and_finalize<S: VoxelScore>(
-    shards: &mut [Shard<S>],
-    detection: &DetectionConfig,
-    camera: &CameraModel,
-    reference_pose: &Pose,
-    frames_used: usize,
-    events_used: usize,
-) -> KeyframeReconstruction {
-    let mut tiles: Vec<&mut DsiVolume<S>> = shards.iter_mut().map(|s| &mut s.tile).collect();
-    DsiVolume::tree_reduce_refs(&mut tiles);
-    finalize_volume(
-        &shards[0].tile,
-        detection,
-        camera,
-        reference_pose,
-        frames_used,
-        events_used,
-    )
 }
 
 impl ExecutionBackend for VotingEngine {
@@ -384,60 +303,68 @@ impl ExecutionBackend for VotingEngine {
         work: &FrameWork<'_>,
         profile: &mut StageProfile,
     ) -> Result<(), EmvsError> {
-        // ➊ Ingest on the calling thread: streaming distortion correction
-        //   and, under quantization, Q9.7 transport encoding.
+        let buffer = &mut self.buffer;
+
+        // ➊ Streaming distortion correction and, under quantization, Q9.7
+        //   transport encoding.
         let t = Instant::now();
         let camera = &self.camera;
         let undistort = |e: &Event| camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
         if self.options.quantize {
-            self.buffer.transported.extend(work.events.iter().map(|e| {
+            buffer.transported.clear();
+            buffer.transported.extend(work.events.iter().map(|e| {
                 let p = undistort(e);
                 PackedCoord::from_f64(p.x, p.y)
             }));
         } else {
-            self.buffer
-                .corrected
-                .extend(work.events.iter().map(undistort));
+            buffer.corrected.clear();
+            buffer.corrected.extend(work.events.iter().map(undistort));
         }
         profile.add(Stage::DistortionCorrection, t.elapsed());
 
         // ➋ Hoist the quantized H_Z0 / φ words (rescheduled: before the
-        //   canonical projection).
+        //   canonical projection), or keep the float geometry.
         let t = Instant::now();
-        let params = self
-            .options
-            .quantize
-            .then(|| QuantizedFrameParams::from_geometry(work.geometry));
+        if self.options.quantize {
+            buffer
+                .params
+                .push(QuantizedFrameParams::from_geometry(work.geometry));
+        } else {
+            buffer.geometries.push(work.geometry.clone());
+        }
         profile.add(Stage::ComputeCoefficients, t.elapsed());
 
-        if self.parallel.is_parallel() {
-            match params {
-                Some(params) => self.buffer.params.push(params),
-                None => self.buffer.geometries.push(work.geometry.clone()),
+        // ➌ PE_Z0: the canonical projection, keeping the survivors of the
+        //   projection-missing judgement in stream order. The quantized face
+        //   runs lane-parallel per the kernel's dispatch tier.
+        let t = Instant::now();
+        let before = buffer.events();
+        match buffer.params.last() {
+            Some(params) => {
+                batch::project_z0_batch(
+                    &params.homography,
+                    &buffer.transported,
+                    &mut buffer.projected,
+                );
+                buffer.canon.extend_from_slice(&buffer.projected);
             }
-            self.buffer.frame_lens.push(work.events.len());
-            if self.buffer.events() >= ENGINE_SPILL_EVENTS {
-                self.vote_buffered(profile);
+            None => {
+                let geometry = work.geometry;
+                buffer.canon_float.extend(
+                    buffer
+                        .corrected
+                        .iter()
+                        .filter_map(|&p| geometry.canonical(p)),
+                );
             }
-            return Ok(());
         }
+        buffer.frame_lens.push(buffer.events() - before);
+        profile.add(Stage::CanonicalProjection, t.elapsed());
 
-        // ➌ One shard: vote the frame inline.
-        let input = match &params {
-            Some(params) => SliceInput::Quantized(params, &self.buffer.transported),
-            None => SliceInput::Float(work.geometry, &self.buffer.corrected),
-        };
-        let voting = self.options.voting;
-        on_tiles!(&mut self.tiles, shards => {
-            let t = Instant::now();
-            shards[0].project(input);
-            profile.add(Stage::CanonicalProjection, t.elapsed());
-            let t = Instant::now();
-            shards[0].vote(input, voting);
-            profile.add(Stage::ProportionalProjection, t.elapsed());
-        });
-        self.buffer.transported.clear();
-        self.buffer.corrected.clear();
+        // ➍ PE_Zi and the vote, per plane range.
+        if !self.parallel.is_parallel() || buffer.events() >= ENGINE_SPILL_EVENTS {
+            self.vote_buffered(profile);
+        }
         Ok(())
     }
 
@@ -451,8 +378,8 @@ impl ExecutionBackend for VotingEngine {
         self.vote_buffered(profile);
         let t = Instant::now();
         let (detection, camera) = (&self.detection, &self.camera);
-        let reconstruction = on_tiles!(&mut self.tiles, shards => reduce_and_finalize(
-            shards,
+        let reconstruction = on_dsi!(&self.dsi, dsi => finalize_volume(
+            dsi,
             detection,
             camera,
             reference_pose,
@@ -461,7 +388,7 @@ impl ExecutionBackend for VotingEngine {
         ));
         profile.add(Stage::Detection, t.elapsed());
         let t = Instant::now();
-        on_tiles!(&mut self.tiles, shards => shards.iter_mut().for_each(|s| s.tile.reset()));
+        on_dsi!(&mut self.dsi, dsi => dsi.reset());
         profile.add(Stage::Merging, t.elapsed());
         Ok(reconstruction)
     }
@@ -474,16 +401,13 @@ impl ExecutionBackend for VotingEngine {
         &mut self,
         profile: &mut StageProfile,
     ) -> Result<BackendVoteState, EmvsError> {
-        // Voting the buffered frames is a spill boundary, safe at any point
-        // of a key frame, so the tiles alone carry the open key frame.
+        // Voting the buffered frames is safe at any point of a key frame
+        // (each voxel still sees its votes in stream order), so the DSI
+        // alone carries the open key frame.
         self.vote_buffered(profile);
-        Ok(match &self.tiles {
-            Tiles::Quantized(shards) => {
-                BackendVoteState::Quantized(shards.iter().map(|s| s.tile.clone()).collect())
-            }
-            Tiles::Float(shards) => {
-                BackendVoteState::Float(shards.iter().map(|s| s.tile.clone()).collect())
-            }
+        Ok(match &self.dsi {
+            Dsi::Quantized(dsi) => BackendVoteState::Quantized(dsi.clone()),
+            Dsi::Float(dsi) => BackendVoteState::Float(dsi.clone()),
         })
     }
 
@@ -494,14 +418,12 @@ impl ExecutionBackend for VotingEngine {
     ) -> Result<(), EmvsError> {
         self.buffer.clear();
         let name = self.name();
-        match (&mut self.tiles, state) {
-            (Tiles::Quantized(shards), BackendVoteState::Quantized(tiles)) => {
-                let mut targets: Vec<_> = shards.iter_mut().map(|s| &mut s.tile).collect();
-                import_vote_tiles(tiles, &mut targets, name)
+        match (&mut self.dsi, state) {
+            (Dsi::Quantized(dsi), BackendVoteState::Quantized(volume)) => {
+                import_vote_volume(volume, dsi, name)
             }
-            (Tiles::Float(shards), BackendVoteState::Float(tiles)) => {
-                let mut targets: Vec<_> = shards.iter_mut().map(|s| &mut s.tile).collect();
-                import_vote_tiles(tiles, &mut targets, name)
+            (Dsi::Float(dsi), BackendVoteState::Float(volume)) => {
+                import_vote_volume(volume, dsi, name)
             }
             _ => Err(EmvsError::Checkpoint {
                 reason: format!("vote state score type does not fit the {name} engine's datapath"),
@@ -519,10 +441,9 @@ mod tests {
 
     #[test]
     fn profile_attributes_measured_stages_only() {
-        // One shard times the canonical projection and the fused
-        // transfer-and-vote pass apart; more than one shard times the whole
-        // packet phase as one interval. No backend splits an interval, so
-        // the vote stage is never charged.
+        // Every shard count times the canonical projection (on the caller)
+        // and the fused transfer-and-vote pass apart. No backend splits an
+        // interval, so the vote stage is never charged.
         let seq =
             SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test())
                 .unwrap();
@@ -549,11 +470,7 @@ mod tests {
                 let time = |stage| profile.stage_time(stage);
                 let label = format!("{options:?} x{shards}");
                 assert_eq!(time(Stage::VoteDsi), Duration::ZERO, "{label}");
-                assert_eq!(
-                    time(Stage::CanonicalProjection) > Duration::ZERO,
-                    shards == 1,
-                    "{label}"
-                );
+                assert!(time(Stage::CanonicalProjection) > Duration::ZERO, "{label}");
                 assert!(
                     time(Stage::ProportionalProjection) > Duration::ZERO,
                     "{label}"

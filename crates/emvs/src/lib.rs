@@ -58,10 +58,10 @@ pub use engine::{QuantizedFrameParams, VotingEngine, ENGINE_SPILL_EVENTS};
 pub use error::EmvsError;
 pub use keyframe::KeyframeSelector;
 pub use mapper::{EmvsMapper, EmvsOutput, KeyframeReconstruction};
-pub use parallel::{run_sharded, shard_packets, ParallelConfig};
+pub use parallel::{run_sharded, ParallelConfig};
 pub use profile::{Stage, StageProfile};
 pub use session::{
-    finalize_volume, import_vote_tiles, reconstruct_with_backend, BackendVoteState,
+    finalize_volume, import_vote_volume, reconstruct_with_backend, BackendVoteState,
     DriverCheckpoint, ExecutionBackend, FrameWork, SessionDriver, SessionEvent,
     DEFAULT_MAX_PENDING_EVENTS,
 };

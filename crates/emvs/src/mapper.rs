@@ -86,12 +86,9 @@ impl EmvsMapper {
     /// Sets the shard count of the [`VotingEngine`] for this mapper.
     ///
     /// With [`ParallelConfig::sequential`] (the default) every frame votes
-    /// inline on the calling thread. With more than one shard the key
-    /// frame's vote packets are distributed over worker shards with a
-    /// deterministic tree-reduction merge. Nearest voting stays
-    /// bit-identical to the one-shard result; bilinear voting is
-    /// deterministic per shard count but may differ from the one-shard
-    /// float summation order by ULPs.
+    /// on the calling thread. With more than one shard the DSI's depth
+    /// planes are split over worker shards. Either way the output is
+    /// bit-identical, bilinear voting included.
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self

@@ -15,8 +15,10 @@ use std::time::Duration;
 /// Every stage holds measured time only, never a share of a fused
 /// interval. The built-in backends fuse the vote `𝒱` into the transfer loop,
 /// so they report it inside [`Stage::ProportionalProjection`] and leave
-/// [`Stage::VoteDsi`] empty; the sharded engine reports its whole packet
-/// phase there too and leaves [`Stage::CanonicalProjection`] empty. Table 3
+/// [`Stage::VoteDsi`] empty. The voting engine runs the canonical projection
+/// on the calling thread at every shard count, so
+/// [`Stage::CanonicalProjection`] is measured everywhere; above one shard
+/// the vote interval also includes the worker spawn and join. Table 3
 /// row 2, the §2.1 shares and the `emvs.vote_fused_us_per_frame` benchmark
 /// metric read only the sum of the two vote-side stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,12 +35,13 @@ pub enum Stage {
     ComputeCoefficients,
     /// Proportional back-projection `𝒫{Z0;Zi}` and vote generation `𝒢`
     /// (per event, per plane) — with the DSI vote `𝒱` fused in on the
-    /// built-in backends.
+    /// built-in backends, and the shard spawn and join above one shard.
     ProportionalProjection,
     /// Voting DSI voxels `𝒱`, for a profile that times it apart from
     /// `𝒫{Z0;Zi} + 𝒢` (the built-in backends do not).
     VoteDsi,
-    /// Scene structure detection `𝒟`.
+    /// Scene structure detection `𝒟` (on the one DSI: no tile reduction
+    /// hides here).
     Detection,
     /// Map merging `ℳ` (reset DSI, point-cloud conversion, map update).
     Merging,

@@ -39,8 +39,8 @@
 //! buffered (frames leave the buffer as soon as the trajectory covers their
 //! mid-point timestamp), and each backend holds fixed-size DSI state plus at
 //! most [`ENGINE_SPILL_EVENTS`](crate::ENGINE_SPILL_EVENTS) buffered
-//! key-frame events (a sharded engine spills buffered votes into its tiles
-//! past that threshold, so even a key frame that never retires cannot grow
+//! key-frame events (a sharded engine votes its buffer into the DSI past
+//! that threshold, so even a key frame that never retires cannot grow
 //! without bound). When the buffer is full, [`SessionDriver::push_events`]
 //! first tries to drain ready frames and then reports
 //! [`EmvsError::Backpressure`] instead of growing without bound;
@@ -137,89 +137,55 @@ pub enum SessionEvent {
 /// [`ExecutionBackend::import_vote_state`] — the backend half of a session
 /// checkpoint.
 ///
-/// Tiles are kept **per shard**: a sharded engine exports each private tile's
-/// partial sums separately, so restoring into an engine with the same shard
-/// count reproduces the uninterrupted run bit-for-bit even for `f32` scores
-/// (whose addition is order-sensitive). Restoring into a different backend
-/// shape merges the tiles into one canonical volume — exact for the
-/// saturating `u16` accelerator datapath (saturating unit-vote addition is
-/// associative and commutative), approximate only for cross-shape `f32`
-/// migration.
+/// Every built-in backend keeps one DSI, whatever its shard count, so the
+/// state is one volume and restores bit-exactly into any shard count of the
+/// same datapath. The `u16` state also moves between the voting engine and
+/// the co-simulated device.
 #[derive(Debug, Clone)]
 pub enum BackendVoteState {
-    /// 16-bit integer tiles (the quantized nearest-voting accelerator
+    /// A 16-bit integer volume (the quantized nearest-voting accelerator
     /// datapath).
-    Quantized(Vec<DsiVolume<u16>>),
-    /// `f32` tiles (the baseline / unquantized datapaths).
-    Float(Vec<DsiVolume<f32>>),
+    Quantized(DsiVolume<u16>),
+    /// An `f32` volume (the baseline / unquantized datapaths).
+    Float(DsiVolume<f32>),
 }
 
 impl BackendVoteState {
-    /// Number of exported tiles.
-    pub fn tile_count(&self) -> usize {
-        match self {
-            Self::Quantized(tiles) => tiles.len(),
-            Self::Float(tiles) => tiles.len(),
-        }
-    }
-
-    /// Total votes cast across the exported tiles.
+    /// Votes cast into the volume.
     pub fn votes_cast(&self) -> u64 {
         match self {
-            Self::Quantized(tiles) => tiles.iter().map(|t| t.votes_cast()).sum(),
-            Self::Float(tiles) => tiles.iter().map(|t| t.votes_cast()).sum(),
+            Self::Quantized(volume) => volume.votes_cast(),
+            Self::Float(volume) => volume.votes_cast(),
         }
     }
 }
 
-/// Checks an imported tile set against a backend's tile geometry and
-/// reshapes it into the backend's tiles: a tile-count match restores
-/// per-shard partial sums verbatim (bit-exact for every score type); any
-/// other count merges everything into tile 0 — the canonical form, exact for
-/// saturating integer scores. Every target tile is reset first.
-///
-/// Shared by both built-in backends'
-/// [`ExecutionBackend::import_vote_state`], so the geometry validation and
-/// reshaping rules cannot drift between them.
+/// Checks an imported vote volume against a backend's DSI geometry and
+/// installs it — the shared body of every built-in backend's
+/// [`ExecutionBackend::import_vote_state`], so the validation cannot drift
+/// between them.
 ///
 /// # Errors
 ///
-/// [`EmvsError::Checkpoint`] (naming `backend`) when any incoming tile's
-/// dimensions differ from the targets'.
-pub fn import_vote_tiles<S: eventor_dsi::VoxelScore>(
-    incoming: Vec<DsiVolume<S>>,
-    targets: &mut [&mut DsiVolume<S>],
+/// [`EmvsError::Checkpoint`] (naming `backend`) when the volume's
+/// dimensions differ from the target's.
+pub fn import_vote_volume<S: eventor_dsi::VoxelScore>(
+    incoming: DsiVolume<S>,
+    target: &mut DsiVolume<S>,
     backend: &'static str,
 ) -> Result<(), EmvsError> {
-    let (w, h, p) = (
-        targets[0].width(),
-        targets[0].height(),
-        targets[0].num_planes(),
-    );
-    for tile in &incoming {
-        if tile.width() != w || tile.height() != h || tile.num_planes() != p {
-            return Err(EmvsError::Checkpoint {
-                reason: format!(
-                    "checkpointed DSI tile is {}x{}x{} but backend '{backend}' expects {w}x{h}x{p}",
-                    tile.width(),
-                    tile.height(),
-                    tile.num_planes()
-                ),
-            });
-        }
+    let (w, h, p) = (target.width(), target.height(), target.num_planes());
+    if incoming.width() != w || incoming.height() != h || incoming.num_planes() != p {
+        return Err(EmvsError::Checkpoint {
+            reason: format!(
+                "checkpointed DSI is {}x{}x{} but backend '{backend}' expects {w}x{h}x{p}",
+                incoming.width(),
+                incoming.height(),
+                incoming.num_planes()
+            ),
+        });
     }
-    for target in targets.iter_mut() {
-        target.reset();
-    }
-    if incoming.len() == targets.len() {
-        for (target, tile) in targets.iter_mut().zip(incoming) {
-            **target = tile;
-        }
-    } else {
-        for tile in &incoming {
-            targets[0].merge_from(tile);
-        }
-    }
+    *target = incoming;
     Ok(())
 }
 
@@ -283,10 +249,10 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Exports the open key frame's partial DSI vote state for a session
     /// checkpoint.
     ///
-    /// Backends that buffer key-frame work (a sharded engine) first flush
-    /// their buffers into the tiles — equivalent to a spill boundary, which
-    /// is already proven safe at any point of a key frame — so the exported
-    /// tiles alone determine the key frame's remaining evolution. The
+    /// Backends that buffer key-frame work (a sharded engine) first vote
+    /// their buffers into the DSI — equivalent to a spill boundary, which is
+    /// safe at any point of a key frame — so the exported volume alone
+    /// determines the key frame's remaining evolution. The
     /// backend stays fully usable afterwards: exporting is observation, not
     /// retirement.
     ///
@@ -310,7 +276,7 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     ///
     /// # Errors
     ///
-    /// [`EmvsError::Checkpoint`] when the state's score type or tile
+    /// [`EmvsError::Checkpoint`] when the state's score type or volume
     /// geometry does not fit this backend, or (default implementation) when
     /// the backend does not support checkpointing.
     fn import_vote_state(
@@ -682,9 +648,9 @@ impl<B: ExecutionBackend> SessionDriver<B> {
     ///
     /// Restoring the checkpoint into a fresh driver
     /// ([`SessionDriver::restore`]) and feeding it the remainder of the
-    /// stream reproduces the uninterrupted run bit-for-bit (for the
-    /// order-independent quantized datapath on any backend shape; for `f32`
-    /// scores when the restored backend has the same tile count).
+    /// stream reproduces the uninterrupted run bit-for-bit, at any shard
+    /// count of the same datapath (and, for the quantized datapath, on the
+    /// co-simulated device too).
     ///
     /// # Errors
     ///
@@ -1220,8 +1186,8 @@ mod tests {
     #[test]
     fn sharded_spill_keeps_a_giant_single_keyframe_bit_identical() {
         // One key frame holding the whole stream (more events than
-        // ENGINE_SPILL_EVENTS), so the engine must spill buffered votes into
-        // its tiles mid-key-frame — and stay bit-identical to sequential.
+        // ENGINE_SPILL_EVENTS), so the engine must vote its buffer into the
+        // DSI mid-key-frame — and stay bit-identical to sequential.
         let seq = sequence();
         assert!(seq.events.len() > ENGINE_SPILL_EVENTS);
         let config = config_for(&seq)
@@ -1320,21 +1286,21 @@ mod tests {
 
     #[test]
     fn snapshot_restore_is_exact_for_the_sharded_engine_same_shape() {
-        // f32 scores are order-sensitive, but per-shard tile export makes a
-        // same-shard-count restore bit-exact even mid-key-frame.
+        // f32 bilinear sums are order-sensitive, but the one-volume vote
+        // state makes a restore at any shard count bit-exact even
+        // mid-key-frame.
         let seq = sequence();
-        let config = config_for(&seq).with_voting(VotingMode::Nearest);
-        let parallel = ParallelConfig::with_shards(4);
+        let config = config_for(&seq).with_voting(VotingMode::Bilinear);
         let uninterrupted = reconstruct_with_backend(
             seq.camera,
             config.clone(),
-            engine(&seq, &config, parallel),
+            engine(&seq, &config, ParallelConfig::with_shards(4)),
             &seq.events,
             &seq.trajectory,
         )
         .unwrap();
 
-        let backend = engine(&seq, &config, parallel);
+        let backend = engine(&seq, &config, ParallelConfig::with_shards(4));
         let mut driver = SessionDriver::new(seq.camera, config.clone(), backend).unwrap();
         driver.push_trajectory(&seq.trajectory).unwrap();
         let events = seq.events.as_slice();
@@ -1342,17 +1308,23 @@ mod tests {
         driver.push_events(&events[..cut]).unwrap();
         driver.poll().unwrap();
         let checkpoint = driver.snapshot().unwrap();
-        assert_eq!(checkpoint.vote_state.tile_count(), 4);
+        assert!(matches!(checkpoint.vote_state, BackendVoteState::Float(_)));
         drop(driver);
 
-        let backend = engine(&seq, &config, parallel);
-        let mut restored = SessionDriver::restore(backend, checkpoint).unwrap();
-        restored.push_events(&events[cut..]).unwrap();
-        let resumed = restored.finish().unwrap();
-        assert_eq!(uninterrupted.keyframes.len(), resumed.keyframes.len());
-        for (a, b) in uninterrupted.keyframes.iter().zip(&resumed.keyframes) {
-            assert_eq!(a.votes_cast, b.votes_cast);
-            assert_eq!(a.depth_map.depth_data(), b.depth_map.depth_data());
+        for shards in [1, 3] {
+            let backend = engine(&seq, &config, ParallelConfig::with_shards(shards));
+            let mut restored = SessionDriver::restore(backend, checkpoint.clone()).unwrap();
+            restored.push_events(&events[cut..]).unwrap();
+            let resumed = restored.finish().unwrap();
+            assert_eq!(uninterrupted.keyframes.len(), resumed.keyframes.len());
+            for (a, b) in uninterrupted.keyframes.iter().zip(&resumed.keyframes) {
+                assert_eq!(a.votes_cast, b.votes_cast, "x{shards}");
+                assert_eq!(
+                    a.depth_map.depth_data(),
+                    b.depth_map.depth_data(),
+                    "x{shards}"
+                );
+            }
         }
     }
 
@@ -1394,12 +1366,10 @@ mod tests {
             Err(EmvsError::Checkpoint { .. })
         ));
 
-        // Tile geometry that does not match the backend.
+        // Volume geometry that does not match the backend.
         let mut bad = checkpoint.clone();
         bad.vote_state =
-            BackendVoteState::Float(vec![
-                DsiVolume::new(2, 2, config.depth_planes().unwrap()).unwrap()
-            ]);
+            BackendVoteState::Float(DsiVolume::new(2, 2, config.depth_planes().unwrap()).unwrap());
         let backend = engine(&seq, &config, ParallelConfig::sequential());
         assert!(matches!(
             SessionDriver::restore(backend, bad),
@@ -1408,7 +1378,9 @@ mod tests {
 
         // Quantized state into the float engine.
         let mut bad = checkpoint;
-        bad.vote_state = BackendVoteState::Quantized(vec![]);
+        bad.vote_state = BackendVoteState::Quantized(
+            DsiVolume::new(2, 2, config.depth_planes().unwrap()).unwrap(),
+        );
         let backend = engine(&seq, &config, ParallelConfig::sequential());
         assert!(matches!(
             SessionDriver::restore(backend, bad),

@@ -60,10 +60,7 @@ pub use fnv::{fnv1a_64, Fnv64};
 pub use image::Image;
 pub use io::{read_events, read_trajectory, write_events, write_trajectory};
 pub use noise::{NoiseConfig, NoiseInjector, NoiseReport};
-pub use packet::{
-    aggregate, packetize_frame, EventFrame, FrameIter, VotePacket, DEFAULT_EVENTS_PER_FRAME,
-    DEFAULT_PACKET_EVENTS,
-};
+pub use packet::{aggregate, EventFrame, FrameIter, DEFAULT_EVENTS_PER_FRAME};
 pub use rate::{rate_profile, slice_stream, RateProfile, SlicePolicy, SliceStats};
 pub use render::{render_depth, render_edge_map, render_log_intensity};
 pub use scene::{PlanarPatch, RayHit, Scene, Texture};

@@ -11,80 +11,6 @@ use crate::stream::EventStream;
 /// Number of events per frame used throughout the paper's evaluation.
 pub const DEFAULT_EVENTS_PER_FRAME: usize = 1024;
 
-/// Default number of events per *vote packet*, the unit of work the parallel
-/// voting engine distributes across worker shards. Small enough to balance
-/// load across shards within a single 1024-event frame, large enough to
-/// amortize per-packet dispatch.
-pub const DEFAULT_PACKET_EVENTS: usize = 256;
-
-/// A contiguous sub-range of one event frame, addressed in *stream-global*
-/// event indices — the unit of work the parallel voting engine assigns to a
-/// worker shard.
-///
-/// Packets never straddle frame boundaries, because all events of a frame
-/// share one back-projection geometry (`H_{Z0}`, `φ`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VotePacket {
-    /// Index of the frame (within the enclosing work set) this packet belongs
-    /// to.
-    pub frame: usize,
-    /// Global event-index range `[start, end)` into the corrected/transported
-    /// event arrays.
-    pub range: std::ops::Range<usize>,
-}
-
-impl VotePacket {
-    /// Number of events in the packet.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the packet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-}
-
-/// Splits the event range of one frame into packets of at most
-/// `packet_events` events, appending them to `out`.
-///
-/// The packets tile `range` exactly, in order, so processing the packets of a
-/// frame back-to-back visits the same events in the same order as processing
-/// the frame whole — the property the parallel engine's bit-identity argument
-/// rests on.
-///
-/// # Panics
-///
-/// Panics if `packet_events` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use eventor_events::{packetize_frame, VotePacket};
-/// let mut packets = Vec::new();
-/// packetize_frame(3, 1000..1600, 256, &mut packets);
-/// assert_eq!(packets.len(), 3);
-/// assert_eq!(packets[0], VotePacket { frame: 3, range: 1000..1256 });
-/// assert_eq!(packets[2], VotePacket { frame: 3, range: 1512..1600 });
-/// ```
-pub fn packetize_frame(
-    frame: usize,
-    range: std::ops::Range<usize>,
-    packet_events: usize,
-    out: &mut Vec<VotePacket>,
-) {
-    assert!(packet_events > 0, "packet_events must be positive");
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + packet_events).min(range.end);
-        out.push(VotePacket {
-            frame,
-            range: start..end,
-        });
-        start = end;
-    }
-}
-
 /// A packet of events processed as one unit by the back-projection stages.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventFrame {
@@ -265,38 +191,6 @@ mod tests {
         let mid = 0.5 * (f.start_time().unwrap() + f.end_time().unwrap());
         assert!((f.timestamp().unwrap() - mid).abs() < 1e-15);
         assert!(EventFrame::default().timestamp().is_none());
-    }
-
-    #[test]
-    fn packets_tile_the_frame_exactly() {
-        let mut packets = Vec::new();
-        packetize_frame(0, 0..1024, 256, &mut packets);
-        packetize_frame(1, 1024..1100, 256, &mut packets);
-        assert_eq!(packets.len(), 5);
-        // Contiguous, in order, no gaps or overlaps.
-        let mut cursor = 0;
-        for p in &packets {
-            assert_eq!(p.range.start, cursor);
-            assert!(p.len() <= 256);
-            assert!(!p.is_empty());
-            cursor = p.range.end;
-        }
-        assert_eq!(cursor, 1100);
-        assert_eq!(packets[4].frame, 1);
-    }
-
-    #[test]
-    fn empty_range_produces_no_packets() {
-        let mut packets = Vec::new();
-        packetize_frame(0, 5..5, 128, &mut packets);
-        assert!(packets.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_packet_size_panics() {
-        let mut packets = Vec::new();
-        packetize_frame(0, 0..10, 0, &mut packets);
     }
 
     #[test]

@@ -760,8 +760,9 @@ impl ServeEngine {
     }
 
     /// Admits a session resumed from a [`SessionCheckpoint`], on the backend
-    /// kind recorded in the checkpoint: `"software"`, `"sharded"` (one shard
-    /// per checkpointed vote tile, preserving bit-exactness) or `"cosim"`.
+    /// kind recorded in the checkpoint: `"software"`, `"sharded"` (at
+    /// [`ParallelConfig::auto`]; the output does not depend on the shard
+    /// count) or `"cosim"`.
     /// Emits [`ServeEvent::SessionAdmitted`] like any admission.
     ///
     /// # Errors
@@ -776,10 +777,7 @@ impl ServeEngine {
         let builder = EventorSession::builder(*checkpoint.camera(), checkpoint.config().clone());
         let builder = match checkpoint.backend_kind() {
             "software" => builder.software(EventorOptions::accelerator()),
-            "sharded" => builder.sharded(
-                EventorOptions::accelerator(),
-                ParallelConfig::with_shards(checkpoint.driver().vote_state.tile_count().max(1)),
-            ),
+            "sharded" => builder.sharded(EventorOptions::accelerator(), ParallelConfig::auto()),
             "cosim" => builder.cosim(eventor_hwsim::AcceleratorConfig::default()),
             other => {
                 return Err(ServeError::Resume {
@@ -816,7 +814,7 @@ impl ServeEngine {
             let lane = slot.id % workers;
             lanes[lane].push(slot);
         }
-        run_sharded(&mut lanes, |_, lane| {
+        run_sharded(&mut lanes, |lane| {
             for slot in lane.iter_mut() {
                 pump_slot(slot, quantum);
             }

@@ -8,7 +8,8 @@
 //! a vote, or a window boundary fails CI by scenario name.
 
 use eventor::core::{SessionCheckpoint, SessionOutput};
-use eventor::emvs::EmvsError;
+use eventor::dsi::DsiVolume;
+use eventor::emvs::{BackendVoteState, EmvsError};
 use eventor::scenarios::{
     builder_for_profile, corpus, digest_output, find, golden_digest, BackendKind, Scenario,
     ScenarioWorld,
@@ -227,8 +228,8 @@ fn a_restored_session_can_be_checkpointed_again() {
     );
 }
 
-/// Quantized vote tiles are exact under saturating u16 merge, so a
-/// checkpoint taken on one backend restores on any other: the session
+/// Every backend keeps one quantized vote volume, so a checkpoint taken on
+/// one backend restores on any other: the session
 /// migrates software → sharded → cosim mid-stream and still reproduces the
 /// golden digest.
 #[test]
@@ -265,6 +266,125 @@ fn checkpoint_migrates_across_backends_mid_stream() {
         golden,
         "software→sharded→cosim migration diverged from the golden digest"
     );
+}
+
+/// A checkpoint of `world` on `backend` at the stream midpoint, which falls
+/// mid-key-frame, with its u16 vote state and the cut.
+fn midpoint_checkpoint(
+    world: &ScenarioWorld,
+    backend: BackendKind,
+) -> (SessionCheckpoint, DsiVolume<u16>, usize) {
+    let cut = world.events.len() / 2;
+    let bytes = kill_at(world, backend, cut);
+    let checkpoint = SessionCheckpoint::read_from(bytes.as_slice())
+        .expect("container reads")
+        .expect("payload decodes");
+    let volume = match &checkpoint.driver().vote_state {
+        BackendVoteState::Quantized(volume) => volume.clone(),
+        BackendVoteState::Float(_) => panic!("the corpus runs the u16 datapath"),
+    };
+    assert!(volume.votes_cast() > 0, "the cut must fall mid-key-frame");
+    (checkpoint, volume, cut)
+}
+
+/// Every backend keeps one DSI, so a sharded checkpoint carries exactly the
+/// software backend's vote state.
+#[test]
+fn sharded_and_software_checkpoints_carry_the_same_vote_state() {
+    let world = world("orbit_dense");
+    let (_, software, _) = midpoint_checkpoint(world, BackendKind::Software);
+    let (_, sharded, _) = midpoint_checkpoint(world, BackendKind::Sharded);
+    assert_eq!(sharded, software);
+}
+
+/// `checkpoint`'s `CKPT` payload with its u16 vote state re-encoded as the
+/// given `(width, height, vote-state bytes)` tiles — the layout of
+/// checkpoints written when the sharded engine kept one DSI tile per shard.
+fn with_vote_tiles(
+    checkpoint: &SessionCheckpoint,
+    volume: &DsiVolume<u16>,
+    tiles: &[(usize, usize, Vec<u8>)],
+) -> Vec<u8> {
+    // The vote state closes the payload: a score-type tag, the tile count,
+    // then per tile its width, height, byte length and bytes.
+    let payload = checkpoint.encode();
+    let tail = 1 + 8 + 3 * 8 + volume.encode_vote_state().len();
+    let mut out = payload[..payload.len() - tail].to_vec();
+    out.push(0);
+    out.extend_from_slice(&(tiles.len() as u64).to_le_bytes());
+    for (width, height, bytes) in tiles {
+        out.extend_from_slice(&(*width as u64).to_le_bytes());
+        out.extend_from_slice(&(*height as u64).to_le_bytes());
+        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        out.extend_from_slice(bytes);
+    }
+    out
+}
+
+/// A legacy four-tile vote state — a real one, split voxel by voxel into
+/// four partial counts — decodes to the one volume and resumes to the
+/// committed golden digest.
+#[test]
+fn legacy_multi_tile_vote_state_resumes_to_the_golden_digest() {
+    let world = world("orbit_dense");
+    let golden = golden_digest(&world.name).expect("golden");
+    let (checkpoint, volume, cut) = midpoint_checkpoint(world, BackendKind::Sharded);
+    let one = (volume.width(), volume.height(), volume.encode_vote_state());
+    assert_eq!(
+        with_vote_tiles(&checkpoint, &volume, &[one]),
+        checkpoint.encode(),
+        "the test's layout must match the encoder's"
+    );
+
+    let share = |n: u64, k: u64| n / 4 + u64::from(k < n % 4);
+    let tiles: Vec<(usize, usize, Vec<u8>)> = (0..4)
+        .map(|k| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&share(volume.votes_cast(), k).to_le_bytes());
+            bytes.extend_from_slice(&share(volume.votes_missed(), k).to_le_bytes());
+            for &score in volume.raw_scores() {
+                bytes.extend_from_slice(&(share(u64::from(score), k) as u16).to_le_bytes());
+            }
+            (volume.width(), volume.height(), bytes)
+        })
+        .collect();
+    let payload = with_vote_tiles(&checkpoint, &volume, &tiles);
+    let decoded = SessionCheckpoint::decode(&payload).expect("legacy payload decodes");
+    assert!(
+        matches!(&decoded.driver().vote_state, BackendVoteState::Quantized(v) if *v == volume),
+        "the four tiles must merge back into the original volume"
+    );
+    assert_eq!(decoded.encode(), checkpoint.encode());
+
+    let mut container = Vec::new();
+    eventor::events::write_ckpt(&payload, &mut container).expect("container writes");
+    for backend in [BackendKind::Sharded, BackendKind::Software] {
+        let resumed = restore_and_finish(world, backend, &container, cut);
+        assert_eq!(digest_output(&resumed), golden, "{backend}");
+    }
+}
+
+/// Untrusted tile headers never reach the merge: a second tile of other
+/// dimensions, and an empty tile list, are typed checkpoint errors.
+#[test]
+fn forged_vote_tiles_are_typed_checkpoint_errors() {
+    let world = world("orbit_dense");
+    let (checkpoint, volume, _) = midpoint_checkpoint(world, BackendKind::Sharded);
+    let (width, height) = (volume.width(), volume.height());
+    let planes = world.config.depth_planes().expect("planes");
+    let narrow = DsiVolume::<u16>::new(width - 1, height, planes).expect("volume");
+    let forged = [
+        vec![
+            (width, height, volume.encode_vote_state()),
+            (width - 1, height, narrow.encode_vote_state()),
+        ],
+        Vec::new(),
+    ];
+    for tiles in forged {
+        let payload = with_vote_tiles(&checkpoint, &volume, &tiles);
+        let err = SessionCheckpoint::decode(&payload).expect_err("forged tiles are refused");
+        assert!(matches!(err, EmvsError::Checkpoint { .. }), "{err}");
+    }
 }
 
 /// The serving tier's kill-and-resume: a session admitted into a
