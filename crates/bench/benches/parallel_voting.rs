@@ -15,7 +15,7 @@
 //! reconstruction (undistortion, aggregation, planning, voting, detection).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use eventor_core::{config_for_sequence, EventorOptions, EventorPipeline, ParallelConfig};
+use eventor_core::{config_for_sequence, EventorOptions, EventorSession, ParallelConfig};
 use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use std::hint::black_box;
 
@@ -29,18 +29,15 @@ fn bench_parallel_voting(c: &mut Criterion) {
     group.sample_size(10);
 
     let run = |parallel: ParallelConfig| {
-        let pipeline =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .expect("experiment config is valid")
-                .with_parallelism(parallel);
-        let events = &seq.events;
-        let trajectory = &seq.trajectory;
+        let seq = &seq;
+        let config = &config;
         move |b: &mut criterion::Bencher| {
             b.iter(|| {
-                let out = pipeline
-                    .reconstruct(black_box(events), trajectory)
+                let out = EventorSession::builder(seq.camera, config.clone())
+                    .sharded(EventorOptions::accelerator(), parallel)
+                    .reconstruct(black_box(&seq.events), &seq.trajectory)
                     .expect("reconstruction succeeds");
-                black_box(out.keyframes.len())
+                black_box(out.output.keyframes.len())
             })
         }
     };

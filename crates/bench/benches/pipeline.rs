@@ -1,10 +1,9 @@
-//! End-to-end benchmarks: the baseline EMVS mapper versus the reformulated
-//! Eventor pipeline on a cached synthetic sequence (the software side of the
+//! End-to-end benchmarks: the baseline EMVS datapath versus the reformulated
+//! Eventor datapath on a cached synthetic sequence (the software side of the
 //! Table 3 comparison).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use eventor_core::{config_for_sequence, EventorOptions, EventorPipeline};
-use eventor_emvs::EmvsMapper;
+use eventor_core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use std::hint::black_box;
 
@@ -18,24 +17,28 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(seq.events.len() as u64));
 
-    group.bench_function("baseline_bilinear_full_sequence", |b| {
-        let mapper = EmvsMapper::new(seq.camera, config.clone()).unwrap();
-        b.iter(|| black_box(mapper.reconstruct(&seq.events, &seq.trajectory).unwrap()))
-    });
-
-    group.bench_function("eventor_reformulated_full_sequence", |b| {
-        let pipeline =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .unwrap();
-        b.iter(|| black_box(pipeline.reconstruct(&seq.events, &seq.trajectory).unwrap()))
-    });
-
-    group.bench_function("eventor_nearest_only_full_sequence", |b| {
-        let pipeline =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::nearest_only())
-                .unwrap();
-        b.iter(|| black_box(pipeline.reconstruct(&seq.events, &seq.trajectory).unwrap()))
-    });
+    for (id, options) in [
+        ("baseline_bilinear_full_sequence", EventorOptions::exact()),
+        (
+            "eventor_reformulated_full_sequence",
+            EventorOptions::accelerator(),
+        ),
+        (
+            "eventor_nearest_only_full_sequence",
+            EventorOptions::nearest_only(),
+        ),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                black_box(
+                    EventorSession::builder(seq.camera, config.clone())
+                        .software(options)
+                        .reconstruct(&seq.events, &seq.trajectory)
+                        .unwrap(),
+                )
+            })
+        });
+    }
 
     group.finish();
 }

@@ -1,11 +1,12 @@
 //! Throughput of the streaming `EventorSession` push/poll ingestion versus
-//! the batch `reconstruct()` wrapper, per execution backend, on the full
-//! `ThreePlanes` reconstruction.
+//! the batch `SessionBuilder::reconstruct`, per execution backend, on the
+//! full `ThreePlanes` reconstruction.
 //!
 //! Rows:
 //!
-//! * `batch_software` — the legacy one-shot wrapper (itself a session
-//!   internally): the baseline the streaming rows are compared against,
+//! * `batch_software` — `SessionBuilder::reconstruct` on the one-shard
+//!   engine (one session fed the whole stream at once): the baseline the
+//!   streaming rows are compared against,
 //! * `push_poll_software` — push/poll ingestion in 1024-event packets on the
 //!   sequential software backend: measures the ingestion machinery's
 //!   overhead (buffering, readiness checks, lifecycle events) on top of the
@@ -19,9 +20,7 @@
 //! (ingestion is O(events), the datapath dominates).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use eventor_core::{
-    config_for_sequence, EventorOptions, EventorPipeline, EventorSession, ParallelConfig,
-};
+use eventor_core::{config_for_sequence, EventorOptions, EventorSession, ParallelConfig};
 use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor_hwsim::AcceleratorConfig;
 use std::hint::black_box;
@@ -35,21 +34,15 @@ fn bench_streaming_session(c: &mut Criterion) {
     group.throughput(Throughput::Elements(seq.events.len() as u64));
     group.sample_size(10);
 
-    {
-        let pipeline =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .expect("experiment config is valid");
-        let events = &seq.events;
-        let trajectory = &seq.trajectory;
-        group.bench_function("batch_software", move |b| {
-            b.iter(|| {
-                let out = pipeline
-                    .reconstruct(black_box(events), trajectory)
-                    .expect("reconstruction succeeds");
-                black_box(out.keyframes.len())
-            })
-        });
-    }
+    group.bench_function("batch_software", |b| {
+        b.iter(|| {
+            let out = EventorSession::builder(seq.camera, config.clone())
+                .software(EventorOptions::accelerator())
+                .reconstruct(black_box(&seq.events), &seq.trajectory)
+                .expect("reconstruction succeeds");
+            black_box(out.output.keyframes.len())
+        })
+    });
 
     let stream = |session: EventorSession, seq: &SyntheticSequence| {
         let mut session = session;

@@ -7,7 +7,7 @@
 //! a viewer.
 
 use eventor_bench::{experiment_config, fast_mode, generate_sequence, print_header};
-use eventor_core::{EventorOptions, EventorPipeline};
+use eventor_core::{EventorOptions, EventorSession};
 use eventor_dsi::PointCloud;
 use eventor_events::SequenceKind;
 use std::fs;
@@ -18,11 +18,11 @@ fn main() {
     let seq = generate_sequence(SequenceKind::ThreePlanes, fast);
     let config = experiment_config(&seq);
 
-    let pipeline = EventorPipeline::new(seq.camera, config, EventorOptions::accelerator())
-        .expect("experiment config is valid");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("reconstruction succeeds on the synthetic sequence");
+        .expect("reconstruction succeeds on the synthetic sequence")
+        .output;
 
     let mut cloud = PointCloud::new();
     for kf in &output.keyframes {

@@ -7,7 +7,7 @@
 //!   **over 90 %** of the `𝒫 + ℛ` time.
 
 use eventor_bench::{experiment_config, fast_mode, generate_all_sequences, print_header};
-use eventor_emvs::EmvsMapper;
+use eventor_core::{EventorOptions, EventorSession};
 
 fn main() {
     let fast = fast_mode();
@@ -16,10 +16,11 @@ fn main() {
     print_header("Runtime breakdown of the baseline EMVS (Section 2.1 claims)");
     for seq in &sequences {
         let config = experiment_config(seq);
-        let mapper = EmvsMapper::new(seq.camera, config).expect("experiment config is valid");
-        let output = mapper
+        let output = EventorSession::builder(seq.camera, config)
+            .software(EventorOptions::exact())
             .reconstruct(&seq.events, &seq.trajectory)
-            .expect("baseline reconstruction succeeds");
+            .expect("baseline reconstruction succeeds")
+            .output;
         let profile = &output.profile;
         println!("\n--- {} ---", seq.name());
         println!("{}", profile.to_table());

@@ -9,8 +9,7 @@
 //! column comes from the calibrated hardware model in `eventor-hwsim`.
 
 use eventor_bench::{experiment_config, fast_mode, generate_sequence, print_header};
-use eventor_core::AcceleratorRun;
-use eventor_emvs::EmvsMapper;
+use eventor_core::{AcceleratorRun, EventorOptions, EventorSession};
 use eventor_events::SequenceKind;
 use eventor_hwsim::{AcceleratorConfig, INTEL_I5_POWER_W};
 
@@ -20,10 +19,11 @@ fn main() {
     let config = experiment_config(&seq);
 
     // CPU baseline: measured runtime of the original EMVS.
-    let mapper = EmvsMapper::new(seq.camera, config.clone()).expect("experiment config is valid");
-    let output = mapper
+    let output = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::exact())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("baseline reconstruction succeeds on the synthetic sequence");
+        .expect("baseline reconstruction succeeds on the synthetic sequence")
+        .output;
     let cpu = &output.profile;
 
     // Eventor: hardware model on the same frame workload.

@@ -2,9 +2,9 @@
 //! variants on a synthetic sequence and reports the AbsRel depth error for
 //! each — the machinery behind Fig. 4a, Fig. 4b and Fig. 7a.
 
-use crate::pipeline::EventorPipeline;
+use crate::EventorSession;
 use eventor_dsi::DepthMetrics;
-use eventor_emvs::{EmvsConfig, EmvsError, EmvsMapper, EmvsOutput, EventorOptions, VotingMode};
+use eventor_emvs::{EmvsConfig, EmvsError, EventorOptions};
 use eventor_events::SyntheticSequence;
 
 /// The pipeline variants compared in the paper's accuracy figures.
@@ -39,6 +39,16 @@ impl PipelineVariant {
             Self::Reformulated => "Nearest, Quantized, Rescheduled (Eventor)",
         }
     }
+
+    /// The datapath preset this variant runs on the voting engine.
+    fn options(self) -> EventorOptions {
+        match self {
+            Self::OriginalBilinear => EventorOptions::exact(),
+            Self::OriginalNearest => EventorOptions::nearest_only(),
+            Self::QuantizedBilinear => EventorOptions::quantized_only(),
+            Self::Reformulated => EventorOptions::accelerator(),
+        }
+    }
 }
 
 impl std::fmt::Display for PipelineVariant {
@@ -60,14 +70,14 @@ pub struct VariantAccuracy {
     pub keyframes: usize,
 }
 
-/// Runs one variant on a sequence.
+/// Runs one variant on a sequence, on the one-shard voting engine.
 ///
-/// The base configuration's voting mode is overridden per variant; the depth
-/// range is taken from the sequence.
+/// The variant picks the datapath; the depth range is taken from the
+/// sequence.
 ///
 /// # Errors
 ///
-/// Propagates reconstruction errors from the underlying pipeline.
+/// Propagates reconstruction errors from the session.
 pub fn run_variant(
     sequence: &SyntheticSequence,
     variant: PipelineVariant,
@@ -76,27 +86,10 @@ pub fn run_variant(
     let config = base_config
         .clone()
         .with_depth_range(sequence.depth_range.0, sequence.depth_range.1);
-    let output: EmvsOutput = match variant {
-        PipelineVariant::OriginalBilinear => {
-            let mapper =
-                EmvsMapper::new(sequence.camera, config.with_voting(VotingMode::Bilinear))?;
-            mapper.reconstruct(&sequence.events, &sequence.trajectory)?
-        }
-        PipelineVariant::OriginalNearest => {
-            let mapper = EmvsMapper::new(sequence.camera, config.with_voting(VotingMode::Nearest))?;
-            mapper.reconstruct(&sequence.events, &sequence.trajectory)?
-        }
-        PipelineVariant::QuantizedBilinear => {
-            let pipeline =
-                EventorPipeline::new(sequence.camera, config, EventorOptions::quantized_only())?;
-            pipeline.reconstruct(&sequence.events, &sequence.trajectory)?
-        }
-        PipelineVariant::Reformulated => {
-            let pipeline =
-                EventorPipeline::new(sequence.camera, config, EventorOptions::accelerator())?;
-            pipeline.reconstruct(&sequence.events, &sequence.trajectory)?
-        }
-    };
+    let output = EventorSession::builder(sequence.camera, config)
+        .software(variant.options())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
     let primary = output.primary().ok_or(EmvsError::NoEvents)?;
     let gt = sequence.ground_truth_depth_at(&primary.reference_pose);
     let metrics = primary.depth_map.compare_to_ground_truth(gt.as_slice())?;
@@ -142,6 +135,18 @@ pub fn config_for_sequence(sequence: &SyntheticSequence, num_depth_planes: usize
 mod tests {
     use super::*;
     use eventor_events::{DatasetConfig, SequenceKind};
+
+    #[test]
+    fn variants_run_the_four_presets() {
+        use PipelineVariant::*;
+        assert_eq!(OriginalBilinear.options(), EventorOptions::exact());
+        assert_eq!(OriginalNearest.options(), EventorOptions::nearest_only());
+        assert_eq!(
+            QuantizedBilinear.options(),
+            EventorOptions::quantized_only()
+        );
+        assert_eq!(Reformulated.options(), EventorOptions::accelerator());
+    }
 
     #[test]
     fn variant_labels_are_distinct() {

@@ -7,29 +7,30 @@
 //! stages (streaming distortion correction, Q9.7 transport encoding,
 //! register/BRAM parameter staging) and drives the PL-side stages (`𝒫{Z0}`,
 //! `𝒫{Z0;Zi}`, `𝒢`, `𝒱`) through the register/DMA interface of
-//! [`EventorDevice`]. [`CosimPipeline`] is the legacy batch façade — a thin
-//! wrapper that feeds a session the whole stream at once.
+//! [`EventorDevice`]. A batch run is
+//! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
+//! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
-//! The device datapath and the software datapath in
-//! [`crate::EventorPipeline`] are both thin wrappers over the **bit-true
-//! integer kernel** in [`eventor_fixed::kernel`] — same raw fixed-point
-//! words, same wide-MAC/normalization/judgement functions — so the two
-//! produce **identical DSI volumes** for identical inputs *by construction*;
-//! the workspace integration tests assert this bit-exact agreement, which is
-//! the co-verification argument of the accelerator design.
+//! The device datapath and the software datapath of the
+//! [`VotingEngine`](crate::VotingEngine) are both thin wrappers over the
+//! **bit-true integer kernel** in [`eventor_fixed::kernel`] — same raw
+//! fixed-point words, same wide-MAC/normalization/judgement functions — so
+//! the two produce **identical DSI volumes** for identical inputs *by
+//! construction*; the workspace integration tests assert this bit-exact
+//! agreement, which is the co-verification argument of the accelerator
+//! design.
 
-use crate::parallel::{parallel_map, ParallelConfig};
 use crate::quantized::quantize_event_pixel;
 use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume};
 use eventor_emvs::{
-    finalize_volume, import_vote_volume, BackendVoteState, EmvsConfig, EmvsError, EmvsOutput,
-    ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction, Stage, StageProfile,
+    finalize_volume, import_vote_volume, run_sharded, BackendVoteState, EmvsConfig, EmvsError,
+    ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction, ParallelConfig, Stage,
+    StageProfile,
 };
-use eventor_events::EventStream;
-use eventor_geom::{CameraModel, Pose, Trajectory, Vec2};
+use eventor_geom::{CameraModel, Pose, Vec2};
 use eventor_hwsim::{
-    AcceleratorConfig, ActivityEnergyModel, DeviceStats, EnergyBreakdown, EventorDevice,
-    FrameExecution, FrameKind, HomographyRegisters, PhiEntry,
+    AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
+    FrameKind, HomographyRegisters, PhiEntry,
 };
 use std::time::{Duration, Instant};
 
@@ -82,7 +83,9 @@ pub struct CosimBackend {
 impl CosimBackend {
     /// Creates a backend with a fresh device whose accelerator configuration
     /// is aligned with the EMVS configuration (frame size, plane count and
-    /// sensor resolution are taken from `config` / `camera`).
+    /// sensor resolution are taken from `config` / `camera`). `parallel`
+    /// chunks the PS-side per-event stages over worker shards; the device
+    /// itself stays serial, as it models a single accelerator.
     ///
     /// # Errors
     ///
@@ -93,34 +96,18 @@ impl CosimBackend {
         accelerator: AcceleratorConfig,
         parallel: ParallelConfig,
     ) -> Result<Self, EmvsError> {
+        let planes = config.depth_planes()?;
         let mut accelerator = accelerator;
         accelerator.events_per_frame = config.events_per_frame;
         accelerator.num_depth_planes = config.num_depth_planes;
         accelerator.sensor_width = camera.intrinsics.width as usize;
         accelerator.sensor_height = camera.intrinsics.height as usize;
-        Self::with_device(camera, config, EventorDevice::new(accelerator), parallel)
-    }
-
-    /// Creates a backend around an existing device (whose configuration must
-    /// already match the EMVS configuration) — used by the batch pipeline to
-    /// preserve device lifetime statistics across reconstructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations.
-    pub fn with_device(
-        camera: CameraModel,
-        config: &EmvsConfig,
-        device: EventorDevice,
-        parallel: ParallelConfig,
-    ) -> Result<Self, EmvsError> {
-        let planes = config.depth_planes()?;
         Ok(Self {
             camera,
             detection: config.detection,
             planes,
             parallel,
-            device,
+            device: EventorDevice::new(accelerator),
             report: CosimReport::default(),
             normal_us_sum: 0.0,
             key_us_sum: 0.0,
@@ -132,11 +119,6 @@ impl CosimBackend {
     /// The device model (for DSI readback and traffic inspection).
     pub fn device(&self) -> &EventorDevice {
         &self.device
-    }
-
-    /// Consumes the backend and returns the device.
-    pub fn into_device(self) -> EventorDevice {
-        self.device
     }
 
     /// The accelerator activity report accumulated so far, with the mean
@@ -222,12 +204,20 @@ impl ExecutionBackend for CosimBackend {
         let fabric = self.device.config().fabric_clock;
         // PS side: streaming distortion correction + Q9.7 transport encoding,
         // chunked over the configured worker shards (bit-identical for any
-        // shard count — both stages are per-event pure maps).
+        // shard count — both stages are per-event pure maps). One shard is
+        // one job, run inline.
         let camera = &self.camera;
-        let event_words: Vec<u32> = parallel_map(work.events, self.parallel.shards(), |e| {
-            let p = camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
-            quantize_event_pixel(p).to_word()
-        });
+        let mut event_words = vec![0u32; work.events.len()];
+        let chunk = work.events.len().div_ceil(self.parallel.shards()).max(1);
+        run_sharded(
+            work.events.chunks(chunk).zip(event_words.chunks_mut(chunk)),
+            |(events, words)| {
+                for (word, e) in words.iter_mut().zip(events) {
+                    let p = camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
+                    *word = quantize_event_pixel(p).to_word();
+                }
+            },
+        );
         let kind = if self.next_is_key {
             FrameKind::Key
         } else {
@@ -343,194 +333,11 @@ impl ExecutionBackend for CosimBackend {
     }
 }
 
-/// The co-simulated Eventor pipeline: the legacy batch façade over a
-/// streaming session with the [`CosimBackend`].
-///
-/// # Examples
-///
-/// ```no_run
-/// use eventor_core::CosimPipeline;
-/// use eventor_emvs::EmvsConfig;
-/// use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
-/// use eventor_hwsim::AcceleratorConfig;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let seq = SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test())?;
-/// let config = EmvsConfig::default().with_depth_range(seq.depth_range.0, seq.depth_range.1);
-/// let mut cosim = CosimPipeline::new(seq.camera, config, AcceleratorConfig::default())?;
-/// let output = cosim.reconstruct(&seq.events, &seq.trajectory)?;
-/// println!("accelerator applied {} votes", cosim.report().votes_applied);
-/// println!("{} key frames", output.keyframes.len());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CosimPipeline {
-    camera: CameraModel,
-    config: EmvsConfig,
-    /// `None` only while a `reconstruct` call has lent the device to its
-    /// session backend.
-    device: Option<EventorDevice>,
-    report: CosimReport,
-    parallel: ParallelConfig,
-}
-
-impl CosimPipeline {
-    /// Creates a co-simulation pipeline.
-    ///
-    /// The accelerator configuration is aligned with the EMVS configuration:
-    /// frame size, plane count and sensor resolution are taken from
-    /// `config` / `camera` so the device DSI matches the host's expectations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations (same
-    /// contract as [`crate::EventorPipeline::new`], via the shared
-    /// [`EmvsConfig::validate`]).
-    pub fn new(
-        camera: CameraModel,
-        config: EmvsConfig,
-        accelerator: AcceleratorConfig,
-    ) -> Result<Self, EmvsError> {
-        config.validate()?;
-        let mut accelerator = accelerator;
-        accelerator.events_per_frame = config.events_per_frame;
-        accelerator.num_depth_planes = config.num_depth_planes;
-        accelerator.sensor_width = camera.intrinsics.width as usize;
-        accelerator.sensor_height = camera.intrinsics.height as usize;
-        let device = EventorDevice::new(accelerator);
-        Ok(Self {
-            camera,
-            config,
-            device: Some(device),
-            report: CosimReport::default(),
-            parallel: ParallelConfig::sequential(),
-        })
-    }
-
-    fn device_ref(&self) -> &EventorDevice {
-        self.device
-            .as_ref()
-            .expect("device is only absent while reconstruct borrows it")
-    }
-
-    /// Parallelizes the PS-side (ARM firmware) stages of the co-simulation:
-    /// streaming distortion correction and Q9.7 transport encoding run
-    /// chunked over worker shards via [`parallel_map`]. Both are per-event
-    /// pure maps, so the device receives a bit-identical word stream and the
-    /// co-simulation result is unchanged for any shard count. The PL-side
-    /// device model itself stays serial — it models a single accelerator.
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// The active PS-side parallelism configuration.
-    pub fn parallelism(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
-    /// The EMVS configuration.
-    pub fn config(&self) -> &EmvsConfig {
-        &self.config
-    }
-
-    /// The accelerator configuration the device was built with.
-    pub fn accelerator_config(&self) -> &AcceleratorConfig {
-        self.device_ref().config()
-    }
-
-    /// The device model (for DSI readback and traffic inspection).
-    pub fn device(&self) -> &EventorDevice {
-        self.device_ref()
-    }
-
-    /// Lifetime statistics of the underlying device.
-    pub fn device_stats(&self) -> DeviceStats {
-        self.device_ref().stats()
-    }
-
-    /// The accelerator activity report of the last reconstruction.
-    pub fn report(&self) -> CosimReport {
-        self.report
-    }
-
-    /// Runs the co-simulated reconstruction — a batch wrapper over a
-    /// streaming session with the [`CosimBackend`].
-    ///
-    /// The returned profile contains the *modelled* accelerator time for the
-    /// FPGA stages (canonical projection, proportional projection + voting)
-    /// rather than host wall-clock time, so it can be compared directly
-    /// against the Table 3 Eventor column.
-    ///
-    /// # Errors
-    ///
-    /// Same error contract as [`crate::EventorPipeline::reconstruct`].
-    pub fn reconstruct(
-        &mut self,
-        events: &EventStream,
-        trajectory: &Trajectory,
-    ) -> Result<EmvsOutput, EmvsError> {
-        if events.is_empty() {
-            return Err(EmvsError::NoEvents);
-        }
-        // Backend construction only fails on config validation; check before
-        // taking the device so a failure can never lose it.
-        self.config.validate()?;
-        // Lend the device to the backend for the run and take it back after,
-        // so lifetime statistics survive across reconstructions.
-        let device = self
-            .device
-            .take()
-            .expect("device is present between reconstructions");
-        let backend = CosimBackend::with_device(self.camera, &self.config, device, self.parallel)
-            .expect("config validated above");
-        let (result, backend) = reconstruct_with_backend_recovering(
-            self.camera,
-            self.config.clone(),
-            backend,
-            events,
-            trajectory,
-        );
-        // Keep the last *successful* run's report, like the original loop
-        // did — a failed run must not clobber it.
-        if result.is_ok() {
-            self.report = backend.report();
-        }
-        self.device = Some(backend.into_device());
-        result
-    }
-}
-
-/// [`reconstruct_with_backend`](eventor_emvs::reconstruct_with_backend) that
-/// hands the backend back even on error —
-/// needed because the cosim backend owns the device the pipeline must
-/// recover.
-fn reconstruct_with_backend_recovering(
-    camera: CameraModel,
-    config: EmvsConfig,
-    backend: CosimBackend,
-    events: &EventStream,
-    trajectory: &Trajectory,
-) -> (Result<EmvsOutput, EmvsError>, CosimBackend) {
-    let mut driver = match eventor_emvs::SessionDriver::new(camera, config, backend) {
-        Ok(driver) => driver.with_max_pending_events(usize::MAX),
-        Err(_) => unreachable!("config validated by the pipeline constructor"),
-    };
-    let mut staged = driver.push_trajectory(trajectory);
-    if staged.is_ok() {
-        staged = driver.push_events(events.as_slice()).map(|_| ());
-    }
-    match staged {
-        Ok(()) => driver.finish_with_backend(),
-        Err(e) => (Err(e), driver.into_backend()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventorOptions, EventorPipeline};
+    use crate::{EventorOptions, EventorSession};
+    use eventor_emvs::SessionDriver;
     use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 
     fn sequence() -> SyntheticSequence {
@@ -544,41 +351,19 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configs_are_rejected() {
-        let cam = CameraModel::davis240_ideal();
-        let bad = EmvsConfig {
-            num_depth_planes: 1,
-            ..Default::default()
-        };
-        assert!(CosimPipeline::new(cam, bad, AcceleratorConfig::default()).is_err());
-        let bad_range = EmvsConfig::default().with_depth_range(2.0, 1.0);
-        assert!(CosimPipeline::new(cam, bad_range, AcceleratorConfig::default()).is_err());
-    }
-
-    #[test]
-    fn empty_stream_is_an_error() {
-        let cam = CameraModel::davis240_ideal();
-        let mut cosim =
-            CosimPipeline::new(cam, EmvsConfig::default(), AcceleratorConfig::default()).unwrap();
-        let traj = Trajectory::linear(Pose::identity(), Pose::identity(), 0.0, 1.0, 2);
-        assert!(matches!(
-            cosim.reconstruct(&EventStream::new(), &traj),
-            Err(EmvsError::NoEvents)
-        ));
-    }
-
-    #[test]
     fn cosim_matches_the_software_quantized_pipeline_bit_exactly() {
         let seq = sequence();
-        let config = config_for(&seq);
-        let software =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .unwrap();
-        let mut cosim =
-            CosimPipeline::new(seq.camera, config, AcceleratorConfig::default()).unwrap();
-
-        let sw = software.reconstruct(&seq.events, &seq.trajectory).unwrap();
-        let hw = cosim.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let builder = || EventorSession::builder(seq.camera, config_for(&seq));
+        let sw = builder()
+            .software(EventorOptions::accelerator())
+            .reconstruct(&seq.events, &seq.trajectory)
+            .unwrap()
+            .output;
+        let hw = builder()
+            .cosim(AcceleratorConfig::default())
+            .reconstruct(&seq.events, &seq.trajectory)
+            .unwrap()
+            .output;
 
         assert_eq!(sw.keyframes.len(), hw.keyframes.len());
         for (s, h) in sw.keyframes.iter().zip(&hw.keyframes) {
@@ -595,11 +380,23 @@ mod tests {
     #[test]
     fn cosim_report_is_consistent_with_device_stats() {
         let seq = sequence();
-        let mut cosim =
-            CosimPipeline::new(seq.camera, config_for(&seq), AcceleratorConfig::default()).unwrap();
-        let out = cosim.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let config = config_for(&seq);
+        let backend = CosimBackend::new(
+            seq.camera,
+            &config,
+            AcceleratorConfig::default(),
+            ParallelConfig::sequential(),
+        )
+        .unwrap();
+        let mut driver = SessionDriver::new(seq.camera, config.clone(), backend)
+            .unwrap()
+            .with_max_pending_events(usize::MAX);
+        driver.push_trajectory(&seq.trajectory).unwrap();
+        driver.push_events(seq.events.as_slice()).unwrap();
+        let (out, cosim) = driver.finish_with_backend();
+        let out = out.unwrap();
         let report = cosim.report();
-        let stats = cosim.device_stats();
+        let stats = cosim.device().stats();
         assert_eq!(report.frames, stats.frames);
         assert_eq!(report.votes_applied, stats.votes_applied);
         assert_eq!(report.key_frames as usize, out.keyframes.len());
@@ -607,32 +404,14 @@ mod tests {
         assert!(report.mean_normal_frame_us > 0.0);
         assert!(report.mean_key_frame_us >= report.mean_normal_frame_us);
         assert_eq!(report.events_in, out.profile.events_processed);
-        assert!(cosim.accelerator_config().num_depth_planes == cosim.config().num_depth_planes);
+        assert_eq!(
+            cosim.device().config().num_depth_planes,
+            config.num_depth_planes
+        );
         // The activity-based energy accounting covers every executed frame.
         assert_eq!(report.energy.events, report.events_in);
         assert!(report.energy.total_j() > 0.0);
         assert!(report.energy.average_power_w() > 1.0 && report.energy.average_power_w() < 4.0);
         assert!((report.energy.seconds - report.accelerator_seconds).abs() < 1e-9);
-    }
-
-    #[test]
-    fn device_stats_survive_a_failed_reconstruction() {
-        let seq = sequence();
-        let mut cosim =
-            CosimPipeline::new(seq.camera, config_for(&seq), AcceleratorConfig::default()).unwrap();
-        cosim.reconstruct(&seq.events, &seq.trajectory).unwrap();
-        let frames_before = cosim.device_stats().frames;
-        assert!(frames_before > 0);
-        // A trajectory that ends before the events do: the run fails, but the
-        // device (and its lifetime statistics) must be recovered.
-        let short = Trajectory::linear(
-            Pose::identity(),
-            Pose::from_translation(eventor_geom::Vec3::new(0.1, 0.0, 0.0)),
-            -10.0,
-            -9.0,
-            4,
-        );
-        assert!(cosim.reconstruct(&seq.events, &short).is_err());
-        assert!(cosim.device_stats().frames >= frames_before);
     }
 }

@@ -6,10 +6,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`EventorPipeline`] — the hardware-friendly *reformulated* EMVS dataflow
+//! * [`EventorOptions`] — the hardware-friendly *reformulated* EMVS dataflow
 //!   (streaming distortion correction, pre-computed proportional
 //!   coefficients, nearest voting, Table 1 hybrid quantization), with each
-//!   approximation individually switchable through [`EventorOptions`],
+//!   approximation individually switchable; [`EventorOptions::exact`] is the
+//!   original EMVS,
 //! * [`QuantizedHomography`] / [`QuantizedCoefficients`] — the fixed-point
 //!   datapath executed by the `PE_Z0` / `PE_Zi` processing elements: thin
 //!   wrappers (raw-word storage) over the bit-true integer kernel in
@@ -26,20 +27,22 @@
 //!   pluggable [`ExecutionBackend`] — the one [`VotingEngine`] of
 //!   `eventor-emvs` (spelled [`SoftwareBackend`] at one shard,
 //!   [`ShardedBackend`] above) or the [`CosimBackend`] — with optional
-//!   incremental `eventor-map` fusion. The batch `reconstruct()` entry
-//!   points are thin wrappers over it.
+//!   incremental `eventor-map` fusion. [`SessionBuilder::reconstruct`] runs
+//!   a whole recording through one session: the batch entry point.
 //!
 //! ## Quick start
 //!
 //! ```no_run
-//! use eventor_core::{config_for_sequence, EventorOptions, EventorPipeline};
+//! use eventor_core::{config_for_sequence, EventorOptions, EventorSession};
 //! use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sequence = SyntheticSequence::generate(SequenceKind::ThreePlanes, &DatasetConfig::fast_test())?;
 //! let config = config_for_sequence(&sequence, 100);
-//! let pipeline = EventorPipeline::new(sequence.camera, config, EventorOptions::accelerator())?;
-//! let output = pipeline.reconstruct(&sequence.events, &sequence.trajectory)?;
+//! let output = EventorSession::builder(sequence.camera, config)
+//!     .software(EventorOptions::accelerator())
+//!     .reconstruct(&sequence.events, &sequence.trajectory)?
+//!     .output;
 //! let depth_map = &output.keyframes[0].depth_map;
 //! println!("estimated {} semi-dense pixels", depth_map.valid_count());
 //! # Ok(())
@@ -53,8 +56,6 @@ mod accel;
 mod checkpoint;
 mod compare;
 mod cosim;
-pub mod parallel;
-mod pipeline;
 mod quantized;
 mod session;
 
@@ -63,9 +64,7 @@ pub use checkpoint::SessionCheckpoint;
 pub use compare::{
     config_for_sequence, run_variant, run_variants, PipelineVariant, VariantAccuracy,
 };
-pub use cosim::{CosimBackend, CosimPipeline, CosimReport};
-pub use parallel::{parallel_map, ParallelConfig, QuantizedFrameParams};
-pub use pipeline::EventorPipeline;
+pub use cosim::{CosimBackend, CosimReport};
 pub use quantized::{
     quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, COORD_QUANTIZATION_ERROR,
 };
@@ -73,8 +72,8 @@ pub use session::{EventorSession, SessionBuilder, SessionOutput, ShardedBackend,
 // The session contract itself lives in `eventor-emvs`; re-export it so
 // downstream users of the session API need only this crate.
 pub use eventor_emvs::{
-    EventorOptions, ExecutionBackend, FrameWork, SessionDriver, SessionEvent, VotingEngine,
-    DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
+    EventorOptions, ExecutionBackend, FrameWork, ParallelConfig, QuantizedFrameParams,
+    SessionDriver, SessionEvent, VotingEngine, DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
 };
 
 #[cfg(test)]

@@ -241,4 +241,40 @@ mod tests {
         assert!((q.x_f64() - p.x).abs() <= COORD_QUANTIZATION_ERROR);
         assert!((q.y_f64() - p.y).abs() <= COORD_QUANTIZATION_ERROR);
     }
+
+    #[test]
+    fn hoisted_params_match_golden_model() {
+        use crate::QuantizedFrameParams;
+        use eventor_dsi::DepthPlanes;
+        use eventor_emvs::FrameGeometry;
+
+        let intrinsics = CameraIntrinsics::davis240_default();
+        let planes = DepthPlanes::uniform_inverse_depth(1.0, 5.0, 30).unwrap();
+        let geometry = FrameGeometry::compute(
+            &Pose::identity(),
+            &Pose::from_translation(Vec3::new(0.06, -0.03, 0.01)),
+            &intrinsics,
+            &planes,
+        )
+        .unwrap();
+        let params = QuantizedFrameParams::from_geometry(&geometry);
+        let qh = QuantizedHomography::from_homography(&geometry.homography);
+        let qphi = QuantizedCoefficients::from_coefficients(&geometry.coefficients);
+        assert_eq!(params.num_planes(), qphi.len());
+        // The hoisted block is the golden model's raw words, verbatim — the
+        // hoist copies storage, it no longer re-derives arithmetic.
+        assert_eq!(params.coefficients(), qphi.words());
+        for &(x, y) in &[(10.0, 10.0), (120.5, 90.25), (230.0, 170.0)] {
+            let coord = PackedCoord::from_f64(x, y);
+            let via_params = params.project(coord);
+            let via_golden = qh.project(coord);
+            assert_eq!(via_params, via_golden);
+            if let Some(c) = via_golden {
+                for (i, phi) in params.coefficients().iter().enumerate() {
+                    let golden = qphi.transfer_nearest(c, i, 240, 180);
+                    assert_eq!(kernel::transfer_nearest(phi, c, 240, 180), golden);
+                }
+            }
+        }
+    }
 }

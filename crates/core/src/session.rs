@@ -19,9 +19,10 @@
 //! the session, [`EventorSession::poll`] drains ready frames and yields
 //! [`SessionEvent`] lifecycle notifications, and
 //! [`EventorSession::finish`] flushes the trailing partial frame and returns
-//! the batch-shaped [`SessionOutput`]. For the quantized nearest-voting
-//! datapath the output is **bit-identical** to the batch `reconstruct()`
-//! golden path for every backend and for arbitrary packet boundaries
+//! the batch-shaped [`SessionOutput`]. [`SessionBuilder::reconstruct`] is
+//! the batch entry point: build, push the whole recording, finish. For the
+//! quantized nearest-voting datapath the output is **bit-identical** across
+//! every backend and arbitrary packet boundaries
 //! (`tests/session_equivalence.rs`).
 //!
 //! Finished key frames can optionally be fused incrementally into an
@@ -29,10 +30,10 @@
 //! [`SessionEvent::MapFused`] per key frame.
 
 use crate::cosim::{CosimBackend, CosimReport};
-use crate::parallel::ParallelConfig;
 use eventor_emvs::{
     EmvsConfig, EmvsError, EmvsOutput, EventorOptions, ExecutionBackend, KeyframeReconstruction,
-    SessionDriver, SessionEvent, StageProfile, VotingEngine, DEFAULT_MAX_PENDING_EVENTS,
+    ParallelConfig, SessionDriver, SessionEvent, StageProfile, VotingEngine,
+    DEFAULT_MAX_PENDING_EVENTS,
 };
 use eventor_events::{Event, EventStream};
 use eventor_geom::{CameraModel, Pose, Trajectory};
@@ -89,7 +90,7 @@ impl ShardedBackend {
 #[derive(Debug)]
 enum BackendChoice {
     Engine(EventorOptions, ParallelConfig),
-    Cosim(AcceleratorConfig, ParallelConfig),
+    Cosim(AcceleratorConfig),
     Custom(Box<dyn ExecutionBackend>),
 }
 
@@ -156,18 +157,7 @@ impl SessionBuilder {
     /// configuration is aligned with the EMVS configuration at build time
     /// (frame size, plane count, sensor resolution).
     pub fn cosim(mut self, accelerator: AcceleratorConfig) -> Self {
-        self.backend = BackendChoice::Cosim(accelerator, ParallelConfig::sequential());
-        self
-    }
-
-    /// Selects the co-simulated device with PS-side (firmware) stages
-    /// chunked over worker shards.
-    pub fn cosim_with_parallelism(
-        mut self,
-        accelerator: AcceleratorConfig,
-        parallel: ParallelConfig,
-    ) -> Self {
-        self.backend = BackendChoice::Cosim(accelerator, parallel);
+        self.backend = BackendChoice::Cosim(accelerator);
         self
     }
 
@@ -202,9 +192,12 @@ impl SessionBuilder {
             BackendChoice::Engine(options, parallel) => {
                 Box::new(VotingEngine::new(camera, config, options, parallel)?)
             }
-            BackendChoice::Cosim(accelerator, parallel) => {
-                Box::new(CosimBackend::new(camera, config, accelerator, parallel)?)
-            }
+            BackendChoice::Cosim(accelerator) => Box::new(CosimBackend::new(
+                camera,
+                config,
+                accelerator,
+                ParallelConfig::sequential(),
+            )?),
             BackendChoice::Custom(backend) => backend,
         })
     }
@@ -289,13 +282,33 @@ impl SessionBuilder {
             fused_keyframes: 0,
         })
     }
+
+    /// Builds the session and reconstructs a whole recorded stream in one
+    /// call: the batch entry point. The pending-event buffer is unbounded
+    /// (a [`Self::max_pending_events`] cap does not apply), the trajectory
+    /// and then every event are pushed, and the session is finished.
+    ///
+    /// # Errors
+    ///
+    /// The [`Self::build`] failure modes, then [`EmvsError::NoEvents`] for an
+    /// empty stream and the [`EventorSession::finish`] failure modes.
+    pub fn reconstruct(
+        self,
+        events: &EventStream,
+        trajectory: &Trajectory,
+    ) -> Result<SessionOutput, EmvsError> {
+        let mut session = self.max_pending_events(usize::MAX).build()?;
+        session.push_trajectory(trajectory)?;
+        session.push_events(events.as_slice())?;
+        session.finish()
+    }
 }
 
 /// Everything a finished session produced.
 #[derive(Debug)]
 pub struct SessionOutput {
-    /// The reconstruction, in the same shape the batch `reconstruct()` entry
-    /// points return.
+    /// The reconstruction: retired key frames, merged global map and stage
+    /// profile.
     pub output: EmvsOutput,
     /// Lifecycle events emitted by the final flush (key frames retired at
     /// `finish` time that were never polled).
@@ -581,6 +594,152 @@ mod tests {
 
     fn sequence() -> SyntheticSequence {
         SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test()).unwrap()
+    }
+
+    fn config_for(seq: &SyntheticSequence) -> EmvsConfig {
+        EmvsConfig::default()
+            .with_depth_range(seq.depth_range.0, seq.depth_range.1)
+            .with_depth_planes(60)
+    }
+
+    /// The batch reconstruction of `seq` on the one-shard engine.
+    fn software_output(seq: &SyntheticSequence, options: EventorOptions) -> EmvsOutput {
+        EventorSession::builder(seq.camera, config_for(seq))
+            .software(options)
+            .reconstruct(&seq.events, &seq.trajectory)
+            .unwrap()
+            .output
+    }
+
+    /// AbsRel of the primary key frame against the rendered ground truth.
+    fn primary_abs_rel(seq: &SyntheticSequence, output: &EmvsOutput) -> f64 {
+        let primary = output.primary().expect("at least one key frame");
+        let gt = seq.ground_truth_depth_at(&primary.reference_pose);
+        primary
+            .depth_map
+            .compare_to_ground_truth(gt.as_slice())
+            .unwrap()
+            .abs_rel
+    }
+
+    /// The three built-in backends, all on the accelerator datapath.
+    fn builtin_backends(
+        camera: CameraModel,
+        config: &EmvsConfig,
+    ) -> [(&'static str, SessionBuilder); 3] {
+        let builder = || EventorSession::builder(camera, config.clone());
+        [
+            (
+                "software",
+                builder().software(EventorOptions::accelerator()),
+            ),
+            (
+                "sharded",
+                builder().sharded(
+                    EventorOptions::accelerator(),
+                    ParallelConfig::with_shards(3),
+                ),
+            ),
+            ("cosim", builder().cosim(AcceleratorConfig::default())),
+        ]
+    }
+
+    #[test]
+    fn reconstruct_is_one_call_on_every_builtin_backend() {
+        let seq = sequence();
+        let config = config_for_sequence(&seq, 60);
+        let mut reference: Option<EmvsOutput> = None;
+        for (name, builder) in builtin_backends(seq.camera, &config) {
+            let finished = builder.reconstruct(&seq.events, &seq.trajectory).unwrap();
+            let output = finished.output;
+            assert!(!output.keyframes.is_empty(), "{name}");
+            match finished.cosim_report {
+                Some(report) => {
+                    assert_eq!(name, "cosim");
+                    assert_eq!(report.events_in, output.profile.events_processed);
+                }
+                None => assert_ne!(name, "cosim"),
+            }
+            match &reference {
+                None => reference = Some(output),
+                Some(r) => {
+                    assert_eq!(r.keyframes.len(), output.keyframes.len(), "{name}");
+                    for (a, b) in r.keyframes.iter().zip(&output.keyframes) {
+                        assert_eq!(a.votes_cast, b.votes_cast, "{name}");
+                        assert_eq!(a.depth_map.depth_data(), b.depth_map.depth_data(), "{name}");
+                    }
+                    assert_eq!(r.global_map.len(), output.global_map.len(), "{name}");
+                    assert_eq!(
+                        r.profile.events_processed, output.profile.events_processed,
+                        "{name}"
+                    );
+                }
+            }
+        }
+
+        let still = Trajectory::linear(Pose::identity(), Pose::identity(), 0.0, 1.0, 2);
+        for (name, builder) in builtin_backends(seq.camera, &config) {
+            assert!(
+                matches!(
+                    builder.reconstruct(&EventStream::new(), &still),
+                    Err(EmvsError::NoEvents)
+                ),
+                "{name}"
+            );
+        }
+        let bad = EmvsConfig {
+            num_depth_planes: 1,
+            ..config
+        };
+        for (name, builder) in builtin_backends(seq.camera, &bad) {
+            assert!(
+                matches!(
+                    builder.reconstruct(&seq.events, &seq.trajectory),
+                    Err(EmvsError::InvalidConfig { .. })
+                ),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn accelerator_pipeline_reconstructs_with_low_abs_rel() {
+        let seq = sequence();
+        let out = software_output(&seq, EventorOptions::accelerator());
+        assert!(out.primary().unwrap().depth_map.valid_count() > 50);
+        let abs_rel = primary_abs_rel(&seq, &out);
+        assert!(abs_rel < 0.12, "AbsRel {abs_rel:.4}");
+    }
+
+    #[test]
+    fn reformulated_accuracy_close_to_baseline() {
+        // The Fig. 7a claim: the fully reformulated datapath stays within a
+        // small AbsRel difference of the original EMVS.
+        let seq = sequence();
+        let baseline = primary_abs_rel(&seq, &software_output(&seq, EventorOptions::exact()));
+        let reformulated =
+            primary_abs_rel(&seq, &software_output(&seq, EventorOptions::accelerator()));
+        assert!(
+            (reformulated - baseline).abs() < 0.05,
+            "reformulated {reformulated:.4} vs baseline {baseline:.4}"
+        );
+    }
+
+    #[test]
+    fn quantized_only_and_nearest_only_both_work() {
+        let seq = sequence();
+        for options in [
+            EventorOptions::quantized_only(),
+            EventorOptions::nearest_only(),
+        ] {
+            let out = software_output(&seq, options);
+            let abs_rel = primary_abs_rel(&seq, &out);
+            assert!(abs_rel < 0.15, "{options:?}: AbsRel {abs_rel:.4}");
+            assert!(
+                out.primary().unwrap().depth_map.valid_count() > 30,
+                "{options:?}"
+            );
+        }
     }
 
     #[test]

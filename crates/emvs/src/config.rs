@@ -71,8 +71,8 @@ impl EventorOptions {
         }
     }
 
-    /// No approximation at all (matches the baseline mapper; useful for
-    /// validating the rescheduled dataflow in isolation).
+    /// No approximation at all: the baseline EMVS datapath (the paper's CPU
+    /// column and the "Original" bars of Fig. 4 and Fig. 7a).
     pub fn exact() -> Self {
         Self {
             voting: VotingMode::Bilinear,
@@ -81,8 +81,8 @@ impl EventorOptions {
     }
 }
 
-/// Configuration of the EMVS mapper (baseline and reformulated pipelines
-/// share this struct).
+/// Configuration of an EMVS reconstruction, shared by every datapath and
+/// backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmvsConfig {
     /// Events per aggregated frame (the paper uses 1024).
@@ -91,7 +91,9 @@ pub struct EmvsConfig {
     pub num_depth_planes: usize,
     /// Near and far limits of the DSI depth range, in metres.
     pub depth_range: (f64, f64),
-    /// DSI voting mode.
+    /// DSI voting mode recorded with the configuration. No backend reads it:
+    /// the datapath comes from [`EventorOptions`]. It is carried in session
+    /// checkpoints, so it stays part of the configuration's identity.
     pub voting: VotingMode,
     /// Scene-structure detection parameters.
     pub detection: DetectionConfig,
@@ -121,9 +123,8 @@ impl Default for EmvsConfig {
 impl EmvsConfig {
     /// Validates the configuration.
     ///
-    /// This is the single validation path shared by the session builder and
-    /// every legacy constructor (`EmvsMapper::new`, `EventorPipeline::new`,
-    /// `CosimPipeline::new`), which used to copy-paste these checks.
+    /// This is the single validation path: every backend constructor and
+    /// the session driver reach it through [`EmvsConfig::depth_planes`].
     ///
     /// # Errors
     ///
@@ -258,6 +259,24 @@ mod tests {
             .validate()
             .is_err());
         assert!(EmvsConfig::default().depth_planes().is_ok());
+    }
+
+    #[test]
+    fn options_presets() {
+        assert_eq!(EventorOptions::accelerator().voting, VotingMode::Nearest);
+        assert!(EventorOptions::accelerator().quantize);
+        assert!(!EventorOptions::nearest_only().quantize);
+        assert_eq!(
+            EventorOptions::quantized_only().voting,
+            VotingMode::Bilinear
+        );
+        assert_eq!(
+            EventorOptions::exact(),
+            EventorOptions {
+                voting: VotingMode::Bilinear,
+                quantize: false
+            }
+        );
     }
 
     #[test]

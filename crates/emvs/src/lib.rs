@@ -20,20 +20,24 @@
 //! pipeline: the [`ExecutionBackend`] contract, the push/poll
 //! [`SessionDriver`] and the one [`VotingEngine`], which runs every
 //! [`EventorOptions`] datapath — the baseline float one included — at any
-//! shard count. [`EmvsMapper::reconstruct`] is a thin batch wrapper over a
-//! session on that engine with quantization off.
+//! shard count. The baseline is [`EventorOptions::exact`]; `eventor-core`
+//! wraps the driver in `EventorSession`, whose `SessionBuilder::reconstruct`
+//! is the one batch entry point.
 //!
 //! ## Example
 //!
 //! ```no_run
-//! use eventor_emvs::{EmvsConfig, EmvsMapper};
+//! use eventor_emvs::{EmvsConfig, EventorOptions, ParallelConfig, SessionDriver, VotingEngine};
 //! use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sequence = SyntheticSequence::generate(SequenceKind::ThreePlanes, &DatasetConfig::fast_test())?;
 //! let config = EmvsConfig::default().with_depth_range(sequence.depth_range.0, sequence.depth_range.1);
-//! let mapper = EmvsMapper::new(sequence.camera, config)?;
-//! let output = mapper.reconstruct(&sequence.events, &sequence.trajectory)?;
+//! let engine = VotingEngine::new(sequence.camera, &config, EventorOptions::exact(), ParallelConfig::sequential())?;
+//! let mut driver = SessionDriver::new(sequence.camera, config, engine)?.with_max_pending_events(usize::MAX);
+//! driver.push_trajectory(&sequence.trajectory)?;
+//! driver.push_events(sequence.events.as_slice())?;
+//! let output = driver.finish()?;
 //! println!("reconstructed {} key frames", output.keyframes.len());
 //! # Ok(())
 //! # }
@@ -57,11 +61,10 @@ pub use config::{EmvsConfig, EventorOptions, VotingMode};
 pub use engine::{QuantizedFrameParams, VotingEngine, ENGINE_SPILL_EVENTS};
 pub use error::EmvsError;
 pub use keyframe::KeyframeSelector;
-pub use mapper::{EmvsMapper, EmvsOutput, KeyframeReconstruction};
+pub use mapper::{EmvsOutput, KeyframeReconstruction};
 pub use parallel::{run_sharded, ParallelConfig};
 pub use profile::{Stage, StageProfile};
 pub use session::{
-    finalize_volume, import_vote_volume, reconstruct_with_backend, BackendVoteState,
-    DriverCheckpoint, ExecutionBackend, FrameWork, SessionDriver, SessionEvent,
-    DEFAULT_MAX_PENDING_EVENTS,
+    finalize_volume, import_vote_volume, BackendVoteState, DriverCheckpoint, ExecutionBackend,
+    FrameWork, SessionDriver, SessionEvent, DEFAULT_MAX_PENDING_EVENTS,
 };

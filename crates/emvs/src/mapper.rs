@@ -1,26 +1,10 @@
-//! The full EMVS space-sweep mapper (baseline CPU implementation).
-//!
-//! This is the algorithm the paper's Intel i5 column of Table 3 measures:
-//! event aggregation, per-frame back-projection geometry, canonical and
-//! proportional event back-projection, DSI voting (bilinear by default),
-//! key-frame management, scene-structure detection and map merging — all in
-//! double/single-precision floating point.
-//!
-//! [`EmvsMapper::reconstruct`] is a thin batch wrapper over the session core
-//! ([`crate::SessionDriver`]) running the [`VotingEngine`] on the float
-//! datapath ([`EventorOptions`] with `quantize: false` and the configured
-//! voting mode): the same per-event arithmetic in the same order as the
-//! original in-line loop.
+//! Output types of an EMVS reconstruction: one [`KeyframeReconstruction`]
+//! per key reference view, gathered with the merged global map and the
+//! stage profile into an [`EmvsOutput`].
 
-use crate::config::{EmvsConfig, EventorOptions};
-use crate::engine::VotingEngine;
-use crate::parallel::ParallelConfig;
 use crate::profile::StageProfile;
-use crate::session::reconstruct_with_backend;
-use crate::EmvsError;
 use eventor_dsi::{DepthMap, PointCloud};
-use eventor_events::EventStream;
-use eventor_geom::{CameraModel, Pose, Trajectory};
+use eventor_geom::Pose;
 
 /// The reconstruction produced for one key reference view.
 #[derive(Debug, Clone)]
@@ -58,91 +42,14 @@ impl EmvsOutput {
     }
 }
 
-/// The baseline EMVS mapper.
-#[derive(Debug, Clone)]
-pub struct EmvsMapper {
-    camera: CameraModel,
-    config: EmvsConfig,
-    parallel: ParallelConfig,
-}
-
-impl EmvsMapper {
-    /// Creates a mapper for the given camera and configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations
-    /// (zero frame size, fewer than two depth planes, inverted depth range)
-    /// — the shared [`EmvsConfig::validate`] contract.
-    pub fn new(camera: CameraModel, config: EmvsConfig) -> Result<Self, EmvsError> {
-        config.validate()?;
-        Ok(Self {
-            camera,
-            config,
-            parallel: ParallelConfig::sequential(),
-        })
-    }
-
-    /// Sets the shard count of the [`VotingEngine`] for this mapper.
-    ///
-    /// With [`ParallelConfig::sequential`] (the default) every frame votes
-    /// on the calling thread. With more than one shard the DSI's depth
-    /// planes are split over worker shards. Either way the output is
-    /// bit-identical, bilinear voting included.
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// The camera model.
-    pub fn camera(&self) -> &CameraModel {
-        &self.camera
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EmvsConfig {
-        &self.config
-    }
-
-    /// The active parallelism configuration.
-    pub fn parallelism(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
-    /// Runs the full reconstruction on an event stream with a known
-    /// trajectory — the batch wrapper over a streaming session on the
-    /// [`VotingEngine`] with quantization off.
-    ///
-    /// # Errors
-    ///
-    /// * [`EmvsError::NoEvents`] when the stream is empty,
-    /// * [`EmvsError::Geometry`] when a frame pose cannot be interpolated or
-    ///   induces degenerate geometry,
-    /// * [`EmvsError::Dsi`] when the DSI cannot be allocated.
-    pub fn reconstruct(
-        &self,
-        events: &EventStream,
-        trajectory: &Trajectory,
-    ) -> Result<EmvsOutput, EmvsError> {
-        let options = EventorOptions {
-            voting: self.config.voting,
-            quantize: false,
-        };
-        let backend = VotingEngine::new(self.camera, &self.config, options, self.parallel)?;
-        reconstruct_with_backend(
-            self.camera,
-            self.config.clone(),
-            backend,
-            events,
-            trajectory,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The baseline EMVS (the paper's CPU column): the one-shard voting
+    //! engine on the float datapath.
+
     use super::*;
-    use crate::config::VotingMode;
+    use crate::session::reconstruct_with_backend;
+    use crate::{EmvsConfig, EventorOptions, ParallelConfig, VotingEngine};
     use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
 
     fn slider_sequence() -> SyntheticSequence {
@@ -155,43 +62,20 @@ mod tests {
             .with_depth_planes(60)
     }
 
-    #[test]
-    fn invalid_configurations_rejected() {
-        let cam = CameraModel::davis240_ideal();
-        let bad = EmvsConfig {
-            events_per_frame: 0,
-            ..Default::default()
-        };
-        assert!(EmvsMapper::new(cam, bad).is_err());
-        let bad = EmvsConfig {
-            num_depth_planes: 1,
-            ..Default::default()
-        };
-        assert!(EmvsMapper::new(cam, bad).is_err());
-        let bad = EmvsConfig {
-            depth_range: (2.0, 1.0),
-            ..Default::default()
-        };
-        assert!(EmvsMapper::new(cam, bad).is_err());
-        assert!(EmvsMapper::new(cam, EmvsConfig::default()).is_ok());
-    }
-
-    #[test]
-    fn empty_stream_is_an_error() {
-        let cam = CameraModel::davis240_ideal();
-        let mapper = EmvsMapper::new(cam, EmvsConfig::default()).unwrap();
-        let traj = Trajectory::linear(Pose::identity(), Pose::identity(), 0.0, 1.0, 2);
-        assert!(matches!(
-            mapper.reconstruct(&EventStream::new(), &traj),
-            Err(EmvsError::NoEvents)
-        ));
+    fn reconstruct(
+        seq: &SyntheticSequence,
+        config: EmvsConfig,
+        options: EventorOptions,
+    ) -> EmvsOutput {
+        let engine =
+            VotingEngine::new(seq.camera, &config, options, ParallelConfig::sequential()).unwrap();
+        reconstruct_with_backend(seq.camera, config, engine, &seq.events, &seq.trajectory).unwrap()
     }
 
     #[test]
     fn reconstructs_slider_scene_with_low_abs_rel() {
         let seq = slider_sequence();
-        let mapper = EmvsMapper::new(seq.camera, config_for(&seq)).unwrap();
-        let out = mapper.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let out = reconstruct(&seq, config_for(&seq), EventorOptions::exact());
         assert!(!out.keyframes.is_empty());
         let primary = out.primary().unwrap();
         assert!(
@@ -218,8 +102,7 @@ mod tests {
     #[test]
     fn profile_shows_backprojection_dominates() {
         let seq = slider_sequence();
-        let mapper = EmvsMapper::new(seq.camera, config_for(&seq)).unwrap();
-        let out = mapper.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let out = reconstruct(&seq, config_for(&seq), EventorOptions::exact());
         let p = &out.profile;
         assert!(p.frames_processed > 0);
         assert_eq!(p.events_processed as usize, seq.events.len());
@@ -238,14 +121,8 @@ mod tests {
     #[test]
     fn nearest_voting_accuracy_is_close_to_bilinear() {
         let seq = slider_sequence();
-        let bilinear = EmvsMapper::new(seq.camera, config_for(&seq)).unwrap();
-        let nearest = EmvsMapper::new(
-            seq.camera,
-            config_for(&seq).with_voting(VotingMode::Nearest),
-        )
-        .unwrap();
-        let out_b = bilinear.reconstruct(&seq.events, &seq.trajectory).unwrap();
-        let out_n = nearest.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let out_b = reconstruct(&seq, config_for(&seq), EventorOptions::exact());
+        let out_n = reconstruct(&seq, config_for(&seq), EventorOptions::nearest_only());
         let gt_b = seq.ground_truth_depth_at(&out_b.primary().unwrap().reference_pose);
         let gt_n = seq.ground_truth_depth_at(&out_n.primary().unwrap().reference_pose);
         let m_b = out_b
@@ -271,35 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mapper_matches_sequential_nearest_voting() {
-        let seq = slider_sequence();
-        let config = config_for(&seq).with_voting(VotingMode::Nearest);
-        let sequential = EmvsMapper::new(seq.camera, config.clone())
-            .unwrap()
-            .reconstruct(&seq.events, &seq.trajectory)
-            .unwrap();
-        let parallel = EmvsMapper::new(seq.camera, config)
-            .unwrap()
-            .with_parallelism(ParallelConfig::with_shards(4))
-            .reconstruct(&seq.events, &seq.trajectory)
-            .unwrap();
-        assert_eq!(sequential.keyframes.len(), parallel.keyframes.len());
-        for (s, p) in sequential.keyframes.iter().zip(&parallel.keyframes) {
-            assert_eq!(s.votes_cast, p.votes_cast);
-            assert_eq!(s.depth_map.depth_data(), p.depth_map.depth_data());
-        }
-        assert_eq!(
-            sequential.profile.events_processed,
-            parallel.profile.events_processed
-        );
-    }
-
-    #[test]
     fn long_trajectory_produces_multiple_keyframes() {
         let seq = slider_sequence();
         let config = config_for(&seq).with_keyframe_distance(0.02);
-        let mapper = EmvsMapper::new(seq.camera, config).unwrap();
-        let out = mapper.reconstruct(&seq.events, &seq.trajectory).unwrap();
+        let out = reconstruct(&seq, config, EventorOptions::exact());
         assert!(
             out.keyframes.len() >= 2,
             "expected multiple keyframes, got {}",

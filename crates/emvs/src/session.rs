@@ -335,10 +335,9 @@ impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
 
 /// The streaming session state machine, generic over the execution backend.
 ///
-/// `eventor-core` wraps this in the boxed-backend `EventorSession` façade;
-/// the batch `reconstruct()` entry points of all three legacy pipelines are
-/// thin wrappers that feed a driver the whole trajectory and stream at once
-/// (see [`reconstruct_with_backend`]).
+/// `eventor-core` wraps this in the boxed-backend `EventorSession` façade,
+/// whose `SessionBuilder::reconstruct` feeds a driver the whole trajectory
+/// and stream at once.
 #[derive(Debug)]
 pub struct SessionDriver<B: ExecutionBackend> {
     camera: CameraModel,
@@ -348,9 +347,9 @@ pub struct SessionDriver<B: ExecutionBackend> {
     trajectory: Trajectory,
     /// Buffered events not yet processed: the live region is
     /// `pending[cursor..]`. Frames are cut by advancing `cursor` (O(1)) and
-    /// the consumed prefix is compacted away amortizedly, so the batch
-    /// wrappers — which buffer the whole stream — stay O(events) instead of
-    /// the O(events²) a `drain(..n)` per frame would cost.
+    /// the consumed prefix is compacted away amortizedly, so a batch
+    /// reconstruction — which buffers the whole stream — stays O(events)
+    /// instead of the O(events²) a `drain(..n)` per frame would cost.
     pending: Vec<Event>,
     cursor: usize,
     max_pending_events: usize,
@@ -552,8 +551,7 @@ impl<B: ExecutionBackend> SessionDriver<B> {
     ///
     /// # Errors
     ///
-    /// Propagates pose-interpolation, geometry and backend errors — the same
-    /// failures the batch `reconstruct()` paths report.
+    /// Propagates pose-interpolation, geometry and backend errors.
     pub fn poll(&mut self) -> Result<Vec<SessionEvent>, EmvsError> {
         self.drain_ready()?;
         Ok(std::mem::take(&mut self.outbox))
@@ -606,8 +604,7 @@ impl<B: ExecutionBackend> SessionDriver<B> {
         Ok(())
     }
 
-    /// Flushes and consumes the session, returning the accumulated output in
-    /// the same shape as the batch `reconstruct()` entry points.
+    /// Flushes and consumes the session, returning the accumulated output.
     ///
     /// # Errors
     ///
@@ -966,14 +963,16 @@ pub fn finalize_volume<S: eventor_dsi::VoxelScore>(
     }
 }
 
-/// Runs a whole batch reconstruction through a session: the shared body of
-/// every legacy `reconstruct(&EventStream, &Trajectory)` entry point.
+/// Runs a whole recording through a session on `backend`: the batch
+/// reconstruction the unit tests of this crate compare against (the public
+/// spelling is `eventor_core::SessionBuilder::reconstruct`).
 ///
 /// # Errors
 ///
 /// [`EmvsError::NoEvents`] for an empty stream, otherwise the session's
-/// failure modes (which match the original batch loops).
-pub fn reconstruct_with_backend<B: ExecutionBackend>(
+/// failure modes.
+#[cfg(test)]
+pub(crate) fn reconstruct_with_backend<B: ExecutionBackend>(
     camera: CameraModel,
     config: EmvsConfig,
     backend: B,

@@ -2,11 +2,13 @@
 //! dispatch — lane-parallel integer MACs over pixels and planes.
 //!
 //! The scalar functions in [`kernel`](super) process one pixel and one
-//! plane at a time. The hot consumers (the software vote loop, the sharded
-//! fused packet kernels) stream thousands of events through ~100 planes per
-//! frame, which is a data-parallel shape: the same Q11.21×Q9.7 MAC applied
-//! independently per lane. This module provides batched entry points over
-//! slices, executed by one of two **dispatch tiers**:
+//! plane at a time. The voting engine streams thousands of events through
+//! ~100 planes per frame, which is a data-parallel shape: the same
+//! Q11.21×Q9.7 MAC applied independently per lane. This module provides
+//! the two batched faces it calls — the `PE_Z0` projection
+//! ([`project_z0_batch`]) and the `PE_Zi` per-plane transfer
+//! ([`transfer_nearest_batch`]) — executed by one of two **dispatch
+//! tiers**:
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
@@ -26,9 +28,9 @@
 //! Every tier produces **bytes identical to the scalar kernel** for every
 //! input: the same ties-away-from-zero rounding ([`super::round_acc`]), the
 //! same projection-missing judgement ([`super::normalize_q9p7`]), the same
-//! in-sensor judgement and `u8` voxel narrowing. This is the PR 3
-//! one-kernel-many-faces discipline extended to lanes: vectorization is a
-//! scheduling choice, never an arithmetic one. The proptests at the bottom
+//! in-sensor judgement. This is the one-kernel-many-faces discipline
+//! extended to lanes: vectorization is a scheduling choice, never an
+//! arithmetic one. The proptests at the bottom
 //! of this file pin the property across arbitrary batch sizes (0, 1,
 //! non-multiples of the lane width) for every tier the host supports.
 //!
@@ -62,10 +64,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use super::{PhiWords, ACC_FRAC, ACC_HALF};
-use crate::formats::{PackedCoord, PlaneCoord};
+use crate::formats::PackedCoord;
 
 /// The sentinel slab index of a transfer dropped by the in-sensor
-/// judgement — the batched spelling of [`PlaneCoord::Missing`].
+/// judgement — the batched spelling of
+/// [`PlaneCoord::Missing`](crate::formats::PlaneCoord::Missing).
 pub const MISS: u32 = u32::MAX;
 
 /// The environment variable that forces a dispatch tier for the whole
@@ -282,29 +285,6 @@ fn assert_supported(tier: Dispatch) {
 // Batched faces
 // ---------------------------------------------------------------------------
 
-/// Batched [`mat_vec_mac`](super::mat_vec_mac): the `PE_Z0` wide
-/// matrix-vector MAC over a slice of coordinates, one `[num_x, num_y, w]`
-/// accumulator triple per input. `out` is cleared and refilled.
-pub fn mat_vec_mac_batch(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-    mat_vec_mac_batch_with(active(), h, coords, out);
-}
-
-/// [`mat_vec_mac_batch`] with an explicit tier (panics if unsupported).
-pub fn mat_vec_mac_batch_with(
-    tier: Dispatch,
-    h: &[i32; 9],
-    coords: &[PackedCoord],
-    out: &mut Vec<[i64; 3]>,
-) {
-    assert_supported(tier);
-    out.clear();
-    out.reserve(coords.len());
-    match tier {
-        Dispatch::Scalar => out.extend(coords.iter().map(|&c| super::mat_vec_mac(h, c))),
-        Dispatch::Simd => simd::mat_vec(h, coords, out),
-    }
-}
-
 /// Batched [`project_z0`](super::project_z0): the complete `PE_Z0`
 /// operation over a slice of events, **keeping only the survivors** of the
 /// projection-missing judgement (in input order). `out` is cleared and
@@ -331,71 +311,6 @@ pub fn project_z0_batch_with(
     match tier {
         Dispatch::Scalar => out.extend(coords.iter().filter_map(|&c| super::project_z0(h, c))),
         Dispatch::Simd => simd::project(h, coords, out),
-    }
-}
-
-/// Batched [`plane_mac`](super::plane_mac): one `PE_Zi` axis over a slice
-/// of raw Q9.7 coordinate words, producing the `i64` wide accumulators at
-/// scale `2⁻²⁸`. `out` is cleared and refilled.
-pub fn plane_mac_batch(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-    plane_mac_batch_with(active(), scale, offset, cs, out);
-}
-
-/// [`plane_mac_batch`] with an explicit tier (panics if unsupported).
-pub fn plane_mac_batch_with(
-    tier: Dispatch,
-    scale: i32,
-    offset: i32,
-    cs: &[i16],
-    out: &mut Vec<i64>,
-) {
-    assert_supported(tier);
-    out.clear();
-    out.reserve(cs.len());
-    match tier {
-        Dispatch::Scalar => out.extend(cs.iter().map(|&c| super::plane_mac(scale, offset, c))),
-        Dispatch::Simd => simd::plane_mac(scale, offset, cs, out),
-    }
-}
-
-/// Batched [`nearest_voxel`](super::nearest_voxel): rounds paired wide
-/// accumulators and applies the in-sensor judgement, one [`PlaneCoord`]
-/// per input pair. `out` is cleared and refilled.
-///
-/// # Panics
-///
-/// When the accumulator slices differ in length.
-pub fn nearest_voxel_batch(
-    acc_x: &[i64],
-    acc_y: &[i64],
-    width: u32,
-    height: u32,
-    out: &mut Vec<PlaneCoord>,
-) {
-    nearest_voxel_batch_with(active(), acc_x, acc_y, width, height, out);
-}
-
-/// [`nearest_voxel_batch`] with an explicit tier (panics if unsupported).
-pub fn nearest_voxel_batch_with(
-    tier: Dispatch,
-    acc_x: &[i64],
-    acc_y: &[i64],
-    width: u32,
-    height: u32,
-    out: &mut Vec<PlaneCoord>,
-) {
-    assert_supported(tier);
-    assert_eq!(acc_x.len(), acc_y.len(), "accumulator slices must pair up");
-    out.clear();
-    out.reserve(acc_x.len());
-    match tier {
-        Dispatch::Scalar => out.extend(
-            acc_x
-                .iter()
-                .zip(acc_y)
-                .map(|(&ax, &ay)| super::nearest_voxel(ax, ay, width, height)),
-        ),
-        Dispatch::Simd => simd::nearest_voxel(acc_x, acc_y, width, height, out),
     }
 }
 
@@ -619,80 +534,6 @@ mod simd {
         }
     }
 
-    pub(super) fn plane_mac(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-        assert_avx2();
-        unsafe { plane_mac_avx2(scale, offset, cs, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn plane_mac_avx2(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-        let vscale = _mm256_set1_epi64x(scale as i64);
-        let voff = _mm256_set1_epi64x((offset as i64) << 7);
-        let mut iter = cs.chunks_exact(4);
-        for four in &mut iter {
-            let vc = load4_i16([four[0], four[1], four[2], four[3]]);
-            let acc = _mm256_add_epi64(_mm256_mul_epi32(vc, vscale), voff);
-            out.extend(store4(acc));
-        }
-        for &c in iter.remainder() {
-            out.push(super::super::plane_mac(scale, offset, c));
-        }
-    }
-
-    pub(super) fn mat_vec(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-        assert_avx2();
-        unsafe { mat_vec_avx2(h, coords, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn mat_vec_avx2(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-        let vh: [__m256i; 6] = [
-            _mm256_set1_epi64x(h[0] as i64),
-            _mm256_set1_epi64x(h[1] as i64),
-            _mm256_set1_epi64x(h[3] as i64),
-            _mm256_set1_epi64x(h[4] as i64),
-            _mm256_set1_epi64x(h[6] as i64),
-            _mm256_set1_epi64x(h[7] as i64),
-        ];
-        let vconst: [__m256i; 3] = [
-            _mm256_set1_epi64x((h[2] as i64) << 7),
-            _mm256_set1_epi64x((h[5] as i64) << 7),
-            _mm256_set1_epi64x((h[8] as i64) << 7),
-        ];
-        let mut iter = coords.chunks_exact(4);
-        for four in &mut iter {
-            let vx = load4_i16([
-                four[0].x.raw(),
-                four[1].x.raw(),
-                four[2].x.raw(),
-                four[3].x.raw(),
-            ]);
-            let vy = load4_i16([
-                four[0].y.raw(),
-                four[1].y.raw(),
-                four[2].y.raw(),
-                four[3].y.raw(),
-            ]);
-            let mut rows = [[0i64; 4]; 3];
-            for r in 0..3 {
-                let acc = _mm256_add_epi64(
-                    _mm256_add_epi64(
-                        _mm256_mul_epi32(vx, vh[2 * r]),
-                        _mm256_mul_epi32(vy, vh[2 * r + 1]),
-                    ),
-                    vconst[r],
-                );
-                rows[r] = store4(acc);
-            }
-            for ((&n0, &n1), &n2) in rows[0].iter().zip(&rows[1]).zip(&rows[2]) {
-                out.push([n0, n1, n2]);
-            }
-        }
-        for &c in iter.remainder() {
-            out.push(super::super::mat_vec_mac(h, c));
-        }
-    }
-
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
         assert_avx2();
         unsafe { project_avx2(h, coords, out) }
@@ -759,71 +600,17 @@ mod simd {
             }
         }
     }
-
-    pub(super) fn nearest_voxel(
-        acc_x: &[i64],
-        acc_y: &[i64],
-        width: u32,
-        height: u32,
-        out: &mut Vec<PlaneCoord>,
-    ) {
-        assert_avx2();
-        unsafe { nearest_voxel_avx2(acc_x, acc_y, width, height, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn nearest_voxel_avx2(
-        acc_x: &[i64],
-        acc_y: &[i64],
-        width: u32,
-        height: u32,
-        out: &mut Vec<PlaneCoord>,
-    ) {
-        let vhalf = _mm256_set1_epi64x(ACC_HALF);
-        let vzero = _mm256_setzero_si256();
-        let vneg1 = _mm256_set1_epi64x(-1);
-        let vw = _mm256_set1_epi64x(width as i64);
-        let vh = _mm256_set1_epi64x(height as i64);
-        let n = acc_x.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let ax = _mm256_loadu_si256(acc_x[i..].as_ptr() as *const __m256i);
-            let ay = _mm256_loadu_si256(acc_y[i..].as_ptr() as *const __m256i);
-            let xi = store4(round4(ax, vhalf, vzero));
-            let yi = store4(round4(ay, vhalf, vzero));
-            let inside = store4(_mm256_and_si256(
-                in_range4(round4(ax, vhalf, vzero), vw, vneg1),
-                in_range4(round4(ay, vhalf, vzero), vh, vneg1),
-            ));
-            for k in 0..4 {
-                out.push(if inside[k] != 0 {
-                    PlaneCoord::Inside {
-                        x: xi[k] as u8,
-                        y: yi[k] as u8,
-                    }
-                } else {
-                    PlaneCoord::Missing
-                });
-            }
-            i += 4;
-        }
-        for k in i..n {
-            out.push(super::super::nearest_voxel(
-                acc_x[k], acc_y[k], width, height,
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // SIMD tier — NEON (aarch64)
 // ---------------------------------------------------------------------------
 
-/// NEON: two `i64` lanes per operation on the per-plane faces (the
+/// NEON: two `i64` lanes per operation on the per-plane transfer (the
 /// widening `vmull_s32` is the exact 32×32→64 product; rounding and
-/// judgement mirror the AVX2 lane algebra). The matrix MAC, the projection
-/// and the standalone voxel finder run the scalar loops — at two lanes the
-/// shuffle overhead of a NEON row MAC costs more than it saves.
+/// judgement mirror the AVX2 lane algebra). The projection runs the scalar
+/// loop — at two lanes the shuffle overhead of a NEON row MAC costs more
+/// than it saves.
 ///
 /// Safety: wrappers assert `is_aarch64_feature_detected!("neon")` before
 /// entering any `#[target_feature(enable = "neon")]` function.
@@ -903,51 +690,11 @@ mod simd {
         }
     }
 
-    pub(super) fn plane_mac(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-        assert_neon();
-        unsafe { plane_mac_neon(scale, offset, cs, out) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn plane_mac_neon(scale: i32, offset: i32, cs: &[i16], out: &mut Vec<i64>) {
-        let scale2 = vdup_n_s32(scale);
-        let voff = vdupq_n_s64((offset as i64) << 7);
-        let mut iter = cs.chunks_exact(2);
-        for two in &mut iter {
-            let c = [two[0] as i32, two[1] as i32];
-            let acc = vaddq_s64(vmull_s32(vld1_s32(c.as_ptr()), scale2), voff);
-            out.push(vgetq_lane_s64::<0>(acc));
-            out.push(vgetq_lane_s64::<1>(acc));
-        }
-        for &c in iter.remainder() {
-            out.push(super::super::plane_mac(scale, offset, c));
-        }
-    }
-
-    pub(super) fn mat_vec(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<[i64; 3]>) {
-        out.extend(coords.iter().map(|&c| super::super::mat_vec_mac(h, c)));
-    }
-
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
         out.extend(
             coords
                 .iter()
                 .filter_map(|&c| super::super::project_z0(h, c)),
-        );
-    }
-
-    pub(super) fn nearest_voxel(
-        acc_x: &[i64],
-        acc_y: &[i64],
-        width: u32,
-        height: u32,
-        out: &mut Vec<PlaneCoord>,
-    ) {
-        out.extend(
-            acc_x
-                .iter()
-                .zip(acc_y)
-                .map(|(&ax, &ay)| super::super::nearest_voxel(ax, ay, width, height)),
         );
     }
 }
@@ -963,19 +710,7 @@ mod simd {
         unreachable!("SIMD tier is unsupported on this architecture");
     }
 
-    pub(super) fn plane_mac(_: i32, _: i32, _: &[i16], _: &mut Vec<i64>) {
-        unreachable!("SIMD tier is unsupported on this architecture");
-    }
-
-    pub(super) fn mat_vec(_: &[i32; 9], _: &[PackedCoord], _: &mut Vec<[i64; 3]>) {
-        unreachable!("SIMD tier is unsupported on this architecture");
-    }
-
     pub(super) fn project(_: &[i32; 9], _: &[PackedCoord], _: &mut Vec<PackedCoord>) {
-        unreachable!("SIMD tier is unsupported on this architecture");
-    }
-
-    pub(super) fn nearest_voxel(_: &[i64], _: &[i64], _: u32, _: u32, _: &mut Vec<PlaneCoord>) {
         unreachable!("SIMD tier is unsupported on this architecture");
     }
 }
@@ -1075,6 +810,13 @@ mod tests {
             (255, 128),
             (-32000, 31999),
         ]);
+        // φ = (1, 0, 0) on raw (64, −64) is an exact negative tie: y = −0.5
+        // rounds away to −1 (MISS) where half-up would give slab 1. From
+        // n = 8 on it runs through the 8-lane AVX2 body.
+        assert_eq!(
+            scalar_transfer_index(&phi_cases[0], pool[1], 240, 180),
+            MISS
+        );
         let h = {
             let one = crate::formats::Q11p21::one().raw();
             [one, 0, 0, 0, one, 0, 0, 0, one]
@@ -1180,79 +922,6 @@ mod proptests {
             let mut got = Vec::new();
             for tier in supported_tiers() {
                 project_z0_batch_with(tier, &h, &coords, &mut got);
-                prop_assert_eq!(&got, &expect, "tier {}", tier.name());
-            }
-        }
-
-        /// Batched matrix MAC reproduces the scalar wide accumulators
-        /// exactly — the AVX2 lane products are the same integers.
-        #[test]
-        fn mat_vec_batch_is_bit_identical_on_every_tier(
-            h_vec in collection::vec(i32::MIN..i32::MAX, 9..10),
-            raws in collection::vec((RAW16, RAW16), 0..19),
-        ) {
-            let h: [i32; 9] = h_vec.try_into().expect("nine entries");
-            let coords = coords_from_raw(&raws);
-            let expect: Vec<[i64; 3]> = coords
-                .iter()
-                .map(|&c| super::super::mat_vec_mac(&h, c))
-                .collect();
-            let mut got = Vec::new();
-            for tier in supported_tiers() {
-                mat_vec_mac_batch_with(tier, &h, &coords, &mut got);
-                prop_assert_eq!(&got, &expect, "tier {}", tier.name());
-            }
-        }
-
-        /// Batched plane MAC over raw Q9.7 words is exact on every tier,
-        /// including the lane remainders.
-        #[test]
-        fn plane_mac_batch_is_bit_identical_on_every_tier(
-            scale in i32::MIN..i32::MAX,
-            offset in i32::MIN..i32::MAX,
-            cs_raw in collection::vec(RAW16, 0..19),
-        ) {
-            let cs: Vec<i16> = cs_raw.iter().map(|&c| c as i16).collect();
-            let expect: Vec<i64> = cs
-                .iter()
-                .map(|&c| super::super::plane_mac(scale, offset, c))
-                .collect();
-            let mut got = Vec::new();
-            for tier in supported_tiers() {
-                plane_mac_batch_with(tier, scale, offset, &cs, &mut got);
-                prop_assert_eq!(&got, &expect, "tier {}", tier.name());
-            }
-        }
-
-        /// Batched voxel finding reproduces the scalar rounding and
-        /// judgement — including exact half ties on both signs — on every
-        /// tier.
-        #[test]
-        fn nearest_voxel_batch_is_bit_identical_on_every_tier(
-            accs in collection::vec(
-                (-(1i64 << 47)..(1i64 << 47), -(1i64 << 47)..(1i64 << 47)),
-                0..19,
-            ),
-            tie_lane in 0usize..19,
-            width in 1u32..257,
-            height in 1u32..257,
-        ) {
-            let mut acc_x: Vec<i64> = accs.iter().map(|&(x, _)| x).collect();
-            let acc_y: Vec<i64> = accs.iter().map(|&(_, y)| y).collect();
-            // Plant an exact negative tie somewhere: the case where a
-            // round-half-up implementation would diverge.
-            if !acc_x.is_empty() {
-                let k = tie_lane % acc_x.len();
-                acc_x[k] = -ACC_HALF;
-            }
-            let expect: Vec<PlaneCoord> = acc_x
-                .iter()
-                .zip(&acc_y)
-                .map(|(&ax, &ay)| super::super::nearest_voxel(ax, ay, width, height))
-                .collect();
-            let mut got = Vec::new();
-            for tier in supported_tiers() {
-                nearest_voxel_batch_with(tier, &acc_x, &acc_y, width, height, &mut got);
                 prop_assert_eq!(&got, &expect, "tier {}", tier.name());
             }
         }

@@ -9,8 +9,7 @@
 //! cargo run --release --example accelerator_pipeline
 //! ```
 
-use eventor::core::{config_for_sequence, AcceleratorRun};
-use eventor::emvs::EmvsMapper;
+use eventor::core::{config_for_sequence, AcceleratorRun, EventorOptions, EventorSession};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::hwsim::{AcceleratorConfig, INTEL_I5_POWER_W};
 use std::error::Error;
@@ -20,8 +19,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let sequence =
         SyntheticSequence::generate(SequenceKind::ThreeWalls, &DatasetConfig::fast_test())?;
     let config = config_for_sequence(&sequence, 100);
-    let mapper = EmvsMapper::new(sequence.camera, config.clone())?;
-    let output = mapper.reconstruct(&sequence.events, &sequence.trajectory)?;
+    let output = EventorSession::builder(sequence.camera, config.clone())
+        .software(EventorOptions::exact())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
     let cpu_profile = &output.profile;
     println!(
         "CPU baseline processed {} frames ({} key frames) in {:.2} ms of P+R time",

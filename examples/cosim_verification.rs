@@ -9,7 +9,10 @@
 //! cargo run --release --example cosim_verification
 //! ```
 
-use eventor::core::{config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline};
+use eventor::core::{
+    config_for_sequence, CosimBackend, EventorOptions, EventorSession, ParallelConfig,
+    SessionDriver,
+};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::hwsim::AcceleratorConfig;
 use std::error::Error;
@@ -27,18 +30,28 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.events_per_frame
     );
 
-    // 2. Software reference: the quantized, nearest-voting Eventor pipeline.
-    let software = EventorPipeline::new(
-        sequence.camera,
-        config.clone(),
-        EventorOptions::accelerator(),
-    )?;
-    let sw = software.reconstruct(&sequence.events, &sequence.trajectory)?;
+    // 2. Software reference: the quantized, nearest-voting Eventor datapath.
+    let sw = EventorSession::builder(sequence.camera, config.clone())
+        .software(EventorOptions::accelerator())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
 
     // 3. Device co-simulation: the same dataflow driven through the
-    //    register/DMA interface of the functional accelerator model.
-    let mut cosim = CosimPipeline::new(sequence.camera, config, AcceleratorConfig::default())?;
-    let hw = cosim.reconstruct(&sequence.events, &sequence.trajectory)?;
+    //    register/DMA interface of the functional accelerator model. The
+    //    session driver hands the backend back, so the device can be
+    //    inspected after the run.
+    let backend = CosimBackend::new(
+        sequence.camera,
+        &config,
+        AcceleratorConfig::default(),
+        ParallelConfig::sequential(),
+    )?;
+    let mut driver =
+        SessionDriver::new(sequence.camera, config, backend)?.with_max_pending_events(usize::MAX);
+    driver.push_trajectory(&sequence.trajectory)?;
+    driver.push_events(sequence.events.as_slice())?;
+    let (hw, cosim) = driver.finish_with_backend();
+    let hw = hw?;
 
     // 4. Co-verification: key-frame by key-frame agreement.
     println!("\n--- co-verification ---");

@@ -9,7 +9,7 @@
 //! cargo run --release --example custom_scene
 //! ```
 
-use eventor::core::{EventorOptions, EventorPipeline};
+use eventor::core::{EventorOptions, EventorSession};
 use eventor::emvs::EmvsConfig;
 use eventor::events::{EventCameraSimulator, PlanarPatch, Scene, SimulatorConfig, Texture};
 use eventor::geom::{
@@ -83,8 +83,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         .with_depth_range(0.8, 4.0)
         .with_depth_planes(100)
         .with_keyframe_distance(0.5);
-    let pipeline = EventorPipeline::new(camera, config, EventorOptions::accelerator())?;
-    let output = pipeline.reconstruct(&events, &trajectory)?;
+    let output = EventorSession::builder(camera, config)
+        .software(EventorOptions::accelerator())
+        .reconstruct(&events, &trajectory)?
+        .output;
 
     for (i, keyframe) in output.keyframes.iter().enumerate() {
         println!(

@@ -9,7 +9,7 @@
 //! cargo run --release --example global_mapping
 //! ```
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline};
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::map::{DepthFusion, FusionConfig, GlobalMap, GlobalMapConfig};
 use std::error::Error;
@@ -24,8 +24,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     // reference views to merge (the default spacing targets larger scenes).
     let keyframe_distance = (sequence.trajectory.path_length() / 4.0).max(1e-3);
     let config = config_for_sequence(&sequence, 80).with_keyframe_distance(keyframe_distance);
-    let pipeline = EventorPipeline::new(sequence.camera, config, EventorOptions::accelerator())?;
-    let output = pipeline.reconstruct(&sequence.events, &sequence.trajectory)?;
+    let output = EventorSession::builder(sequence.camera, config)
+        .software(EventorOptions::accelerator())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
     println!(
         "reconstructed `{}`: {} key frames, {} raw map points",
         sequence.name(),

@@ -8,8 +8,7 @@
 //! cargo run --release --example noise_robustness
 //! ```
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline};
-use eventor::emvs::EmvsMapper;
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::events::{
     rate_profile, DatasetConfig, NoiseConfig, NoiseInjector, SequenceKind, SyntheticSequence,
 };
@@ -37,17 +36,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         let (events, report) = injector.corrupt(&sequence.events);
         let peak = rate_profile(&events, 0.01).map_or(0.0, |p| p.peak_rate / 1e6);
 
-        let baseline = EmvsMapper::new(sequence.camera, config.clone())?;
-        let base_out = baseline.reconstruct(&events, &sequence.trajectory)?;
-        let base_abs_rel = abs_rel(&sequence, &base_out)?;
-
-        let eventor = EventorPipeline::new(
-            sequence.camera,
-            config.clone(),
-            EventorOptions::accelerator(),
-        )?;
-        let ev_out = eventor.reconstruct(&events, &sequence.trajectory)?;
-        let ev_abs_rel = abs_rel(&sequence, &ev_out)?;
+        let run = |options| {
+            EventorSession::builder(sequence.camera, config.clone())
+                .software(options)
+                .reconstruct(&events, &sequence.trajectory)
+        };
+        let base_abs_rel = abs_rel(&sequence, &run(EventorOptions::exact())?.output)?;
+        let ev_abs_rel = abs_rel(&sequence, &run(EventorOptions::accelerator())?.output)?;
 
         println!(
             "{:<10} {:>9} {:>9} {:>10.2} {:>11.2}% {:>11.2}%",

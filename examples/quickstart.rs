@@ -8,8 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline};
-use eventor::emvs::EmvsMapper;
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use std::error::Error;
 
@@ -28,17 +27,21 @@ fn main() -> Result<(), Box<dyn Error>> {
         sequence.stats.mean_event_rate / 1e6
     );
 
-    // 2. Configure the mapper from the sequence metadata (depth range,
-    //    key-frame spacing proportional to the scene depth).
+    // 2. Configure the reconstruction from the sequence metadata (depth
+    //    range, key-frame spacing proportional to the scene depth).
     let config = config_for_sequence(&sequence, 100);
 
     // 3. Baseline EMVS: bilinear voting, full floating point.
-    let baseline = EmvsMapper::new(sequence.camera, config.clone())?;
-    let baseline_output = baseline.reconstruct(&sequence.events, &sequence.trajectory)?;
+    let baseline_output = EventorSession::builder(sequence.camera, config.clone())
+        .software(EventorOptions::exact())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
 
     // 4. Eventor: rescheduled dataflow, nearest voting, Table 1 quantization.
-    let eventor = EventorPipeline::new(sequence.camera, config, EventorOptions::accelerator())?;
-    let eventor_output = eventor.reconstruct(&sequence.events, &sequence.trajectory)?;
+    let eventor_output = EventorSession::builder(sequence.camera, config)
+        .software(EventorOptions::accelerator())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
 
     // 5. Compare both against the rendered ground truth.
     for (name, output) in [

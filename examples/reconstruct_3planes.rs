@@ -9,7 +9,7 @@
 //!
 //! The point cloud is written to `results/example_3planes.ply`.
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline};
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::dsi::PointCloud;
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use std::error::Error;
@@ -27,8 +27,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let config = config_for_sequence(&sequence, 100);
-    let pipeline = EventorPipeline::new(sequence.camera, config, EventorOptions::accelerator())?;
-    let output = pipeline.reconstruct(&sequence.events, &sequence.trajectory)?;
+    let output = EventorSession::builder(sequence.camera, config)
+        .software(EventorOptions::accelerator())
+        .reconstruct(&sequence.events, &sequence.trajectory)?
+        .output;
 
     // Merge the per-key-frame clouds into a global map and drop isolated
     // outliers (the "map updating" step of the paper's workflow).

@@ -13,10 +13,10 @@
 //! | [`events`] | event streams, aggregation, textured scenes, the event-camera simulator, the four synthetic evaluation sequences |
 //! | [`fixed`] | the Table 1 fixed-point formats and quantization analysis |
 //! | [`dsi`] | the disparity space image, voting, scene-structure detection, depth maps, point clouds |
-//! | [`emvs`] | the baseline (original) EMVS space-sweep mapper and its profiler |
+//! | [`emvs`] | the EMVS space-sweep: the session driver, the one voting engine for every datapath (the original float one included) and its profiler |
 //! | [`map`] | global mapping: voxel-grid downsampling, depth-map fusion, the accumulated world map |
 //! | [`hwsim`] | the Zynq accelerator model: analytic timing/resources/power plus the functional register/DMA/datapath device |
-//! | [`core`] | the reformulated, quantized Eventor pipeline, the accelerator driver, hardware/software co-simulation and the accuracy-comparison harness |
+//! | [`core`] | the session API and its batch `reconstruct`, the quantized golden model, the accelerator driver, hardware/software co-simulation and the accuracy-comparison harness |
 //! | [`serve`] | the multi-session serving engine: many concurrent streaming sessions multiplexed over a bounded worker pool |
 //! | [`scenarios`] | the versioned scenario corpus: seeded synthetic worlds, reconstruction digests, the golden regression table |
 //! | [`net`] | the TCP serving front-end: the versioned `eventor-wire/1` protocol, server and client, over `std::net` |
@@ -59,12 +59,16 @@
 //!
 //! The streaming session accepts pluggable execution backends
 //! (`.software(..)`, `.sharded(..)`, `.cosim(..)` on the builder) with
-//! bit-identical nearest-voting output, and the legacy batch entry points
-//! (baseline mapper, reformulated pipeline, co-simulation) are thin
-//! wrappers over it. All three also still accept a
-//! [`core::ParallelConfig`] to spread the reconstruction hot path over
-//! worker shards — see [`emvs::VotingEngine`] and `docs/ARCHITECTURE.md`. To serve **many** concurrent streams over shared
-//! compute, admit the sessions into a [`serve::ServeEngine`]
+//! bit-identical nearest-voting output. The datapath is an
+//! [`core::EventorOptions`] preset — the original EMVS is
+//! `EventorOptions::exact()`, the accelerator `EventorOptions::accelerator()`
+//! — and `.sharded(..)` takes a [`core::ParallelConfig`] that splits the
+//! DSI's depth planes over worker shards (see [`emvs::VotingEngine`] and
+//! `docs/ARCHITECTURE.md`). A whole recording reconstructs in one call:
+//! `EventorSession::builder(camera, config).software(options).reconstruct(&events, &trajectory)`
+//! ([`core::SessionBuilder::reconstruct`]). To serve **many** concurrent
+//! streams over shared compute, admit the sessions into a
+//! [`serve::ServeEngine`]
 //! (`docs/SERVING.md`), or put that engine behind a TCP socket with
 //! [`net::WireServer`] and stream over the versioned `eventor-wire/1`
 //! protocol (`docs/WIRE.md`).

@@ -3,7 +3,11 @@
 //! must produce identical results for identical inputs, across all four
 //! evaluation sequences and for the architectural variants of the device.
 
-use eventor::core::{config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline};
+use eventor::core::{
+    config_for_sequence, CosimBackend, EventorOptions, EventorSession, ParallelConfig,
+    SessionDriver,
+};
+use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::hwsim::{
     status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind, HomographyRegisters, PhiEntry,
@@ -15,23 +19,40 @@ fn sequence(kind: SequenceKind) -> SyntheticSequence {
         .expect("fast_test sequences generate")
 }
 
+/// A batch cosim run that hands the backend back, so the device can be
+/// read after the run.
+fn cosim_run(
+    seq: &SyntheticSequence,
+    config: EmvsConfig,
+    accel: AcceleratorConfig,
+) -> (EmvsOutput, CosimBackend) {
+    let backend = CosimBackend::new(seq.camera, &config, accel, ParallelConfig::sequential())
+        .expect("valid config");
+    let mut driver = SessionDriver::new(seq.camera, config, backend)
+        .expect("valid config")
+        .with_max_pending_events(usize::MAX);
+    driver.push_trajectory(&seq.trajectory).expect("trajectory");
+    driver.push_events(seq.events.as_slice()).expect("events");
+    let (output, backend) = driver.finish_with_backend();
+    (output.expect("cosim run"), backend)
+}
+
 #[test]
 fn device_matches_software_pipeline_on_every_sequence() {
     for kind in SequenceKind::ALL {
         let seq = sequence(kind);
         let config = config_for_sequence(&seq, 50);
-        let software =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .expect("valid config");
-        let mut cosim = CosimPipeline::new(seq.camera, config, AcceleratorConfig::default())
-            .expect("valid config");
-
-        let sw = software
+        let builder = || EventorSession::builder(seq.camera, config.clone());
+        let sw = builder()
+            .software(EventorOptions::accelerator())
             .reconstruct(&seq.events, &seq.trajectory)
-            .expect("software run");
-        let hw = cosim
+            .expect("software run")
+            .output;
+        let hw = builder()
+            .cosim(AcceleratorConfig::default())
             .reconstruct(&seq.events, &seq.trajectory)
-            .expect("cosim run");
+            .expect("cosim run")
+            .output;
 
         assert_eq!(
             sw.keyframes.len(),
@@ -66,11 +87,7 @@ fn device_agreement_holds_for_different_pe_counts() {
     let mut reference: Option<Vec<u16>> = None;
     for n_pe in [1usize, 2, 4] {
         let accel = AcceleratorConfig::default().with_pe_zi(n_pe);
-        let mut cosim =
-            CosimPipeline::new(seq.camera, config.clone(), accel).expect("valid config");
-        let _ = cosim
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("cosim run");
+        let (_, cosim) = cosim_run(&seq, config.clone(), accel);
         let scores = cosim.device().dsi().scores().to_vec();
         match &reference {
             None => reference = Some(scores),
@@ -115,11 +132,7 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
 fn device_register_protocol_round_trips_through_the_driver() {
     let seq = sequence(SequenceKind::ThreePlanes);
     let config = config_for_sequence(&seq, 30);
-    let mut cosim =
-        CosimPipeline::new(seq.camera, config, AcceleratorConfig::default()).expect("valid config");
-    let out = cosim
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("cosim run");
+    let (out, cosim) = cosim_run(&seq, config, AcceleratorConfig::default());
     let device = cosim.device();
     // After the run the device reports done, not busy, and its lifetime
     // counters agree with the reconstruction output.

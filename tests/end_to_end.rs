@@ -3,11 +3,11 @@
 //! evaluation driven by a real workload.
 
 use eventor::core::{
-    config_for_sequence, run_variant, AcceleratorRun, EventorOptions, EventorPipeline,
+    config_for_sequence, run_variant, AcceleratorRun, EventorOptions, EventorSession,
     PipelineVariant,
 };
 use eventor::dsi::PointCloud;
-use eventor::emvs::{EmvsMapper, VotingMode};
+use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::hwsim::AcceleratorConfig;
 
@@ -16,15 +16,21 @@ fn sequence(kind: SequenceKind) -> SyntheticSequence {
         .expect("fast_test sequences generate")
 }
 
+/// A batch reconstruction of `seq` on the one-shard engine.
+fn reconstruct(seq: &SyntheticSequence, config: EmvsConfig, options: EventorOptions) -> EmvsOutput {
+    EventorSession::builder(seq.camera, config)
+        .software(options)
+        .reconstruct(&seq.events, &seq.trajectory)
+        .unwrap_or_else(|e| panic!("{options:?}: reconstruction failed: {e}"))
+        .output
+}
+
 #[test]
 fn baseline_reconstructs_every_sequence() {
     for kind in SequenceKind::ALL {
         let seq = sequence(kind);
         let config = config_for_sequence(&seq, 60);
-        let mapper = EmvsMapper::new(seq.camera, config).expect("valid config");
-        let output = mapper
-            .reconstruct(&seq.events, &seq.trajectory)
-            .unwrap_or_else(|e| panic!("{kind:?}: reconstruction failed: {e}"));
+        let output = reconstruct(&seq, config, EventorOptions::exact());
         assert!(!output.keyframes.is_empty(), "{kind:?}: no key frames");
         let primary = output.keyframes.first().expect("nonempty");
         assert!(
@@ -98,12 +104,11 @@ fn voting_and_quantization_ablations_are_small_perturbations() {
 #[test]
 fn nearest_voting_baseline_matches_dedicated_mapper() {
     // The OriginalNearest variant run through the comparison harness must
-    // agree with configuring the mapper by hand.
+    // agree with a session built by hand on the float nearest datapath.
     let seq = sequence(SequenceKind::SliderClose);
     let config = config_for_sequence(&seq, 50);
     let via_harness = run_variant(&seq, PipelineVariant::OriginalNearest, &config).unwrap();
-    let mapper = EmvsMapper::new(seq.camera, config.with_voting(VotingMode::Nearest)).unwrap();
-    let direct = mapper.reconstruct(&seq.events, &seq.trajectory).unwrap();
+    let direct = reconstruct(&seq, config, EventorOptions::nearest_only());
     let primary = direct.keyframes.first().unwrap();
     assert_eq!(
         via_harness.metrics.estimated_pixels,
@@ -115,8 +120,7 @@ fn nearest_voting_baseline_matches_dedicated_mapper() {
 fn accelerator_evaluation_from_real_workload() {
     let seq = sequence(SequenceKind::SliderFar);
     let config = config_for_sequence(&seq, 100);
-    let mapper = EmvsMapper::new(seq.camera, config.clone()).unwrap();
-    let output = mapper.reconstruct(&seq.events, &seq.trajectory).unwrap();
+    let output = reconstruct(&seq, config.clone(), EventorOptions::exact());
 
     let accel_config = AcceleratorConfig::default()
         .with_events_per_frame(config.events_per_frame)
@@ -145,8 +149,7 @@ fn global_map_accumulates_across_keyframes() {
     let seq = sequence(SequenceKind::ThreeWalls);
     // Force several key frames with a small key-frame distance.
     let config = config_for_sequence(&seq, 50).with_keyframe_distance(0.08);
-    let pipeline = EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).unwrap();
-    let output = pipeline.reconstruct(&seq.events, &seq.trajectory).unwrap();
+    let output = reconstruct(&seq, config, EventorOptions::accelerator());
     assert!(output.keyframes.len() >= 2, "expected several key frames");
     let merged: usize = output.keyframes.iter().map(|k| k.local_cloud.len()).sum();
     assert_eq!(output.global_map.len(), merged);
@@ -171,8 +174,7 @@ fn distorted_camera_pipeline_round_trip() {
     );
     let seq = SyntheticSequence::generate(SequenceKind::SliderClose, &dataset).unwrap();
     let config = config_for_sequence(&seq, 60);
-    let pipeline = EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).unwrap();
-    let output = pipeline.reconstruct(&seq.events, &seq.trajectory).unwrap();
+    let output = reconstruct(&seq, config, EventorOptions::accelerator());
     let primary = output.keyframes.first().unwrap();
     let gt = seq.ground_truth_depth_at(&primary.reference_pose);
     let metrics = primary

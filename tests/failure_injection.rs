@@ -3,10 +3,8 @@
 //! degrade gracefully (bounded error, explicit rejection) rather than panic
 //! or silently corrupt the reconstruction.
 
-use eventor::core::{
-    config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline, EventorSession,
-};
-use eventor::emvs::{EmvsConfig, EmvsError, EmvsMapper, SessionEvent};
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
+use eventor::emvs::{EmvsConfig, EmvsError, SessionEvent};
 use eventor::events::{
     DatasetConfig, Event, EventStream, NoiseConfig, NoiseInjector, Polarity, SequenceKind,
     SyntheticSequence,
@@ -29,11 +27,11 @@ fn stationary_trajectory_reconstructs_without_panicking() {
     let seq = sequence(SequenceKind::SliderClose);
     let config = config_for_sequence(&seq, 30);
     let stationary = Trajectory::linear(Pose::identity(), Pose::identity(), 0.0, 10.0, 8);
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &stationary)
-        .expect("must not fail");
+        .expect("must not fail")
+        .output;
     assert_eq!(
         output.keyframes.len(),
         1,
@@ -53,9 +51,9 @@ fn events_outside_the_trajectory_time_span_are_an_error_not_a_panic() {
         -9.0,
         4,
     );
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let result = pipeline.reconstruct(&seq.events, &short);
+    let result = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
+        .reconstruct(&seq.events, &short);
     assert!(
         result.is_err(),
         "out-of-span pose lookups must surface as an error"
@@ -73,17 +71,19 @@ fn empty_and_single_event_streams_are_handled() {
         1.0,
         4,
     );
-    let mapper = EmvsMapper::new(cam, config.clone()).expect("config");
+    let baseline =
+        || EventorSession::builder(cam, config.clone()).software(EventorOptions::exact());
     assert!(matches!(
-        mapper.reconstruct(&EventStream::new(), &trajectory),
+        baseline().reconstruct(&EventStream::new(), &trajectory),
         Err(EmvsError::NoEvents)
     ));
 
     // A single event still produces a (nearly empty) reconstruction.
     let one: EventStream = std::iter::once(Event::new(0.5, 120, 90, Polarity::Positive)).collect();
-    let output = mapper
+    let output = baseline()
         .reconstruct(&one, &trajectory)
-        .expect("single event is fine");
+        .expect("single event is fine")
+        .output;
     assert_eq!(output.keyframes.len(), 1);
     assert_eq!(output.profile.events_processed, 1);
 }
@@ -95,12 +95,13 @@ fn heavy_sensor_noise_degrades_accuracy_gracefully() {
     let width = seq.camera.intrinsics.width as u16;
     let height = seq.camera.intrinsics.height as u16;
 
-    let clean_pipeline =
-        EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-            .expect("config");
-    let clean = clean_pipeline
+    let accelerator = || {
+        EventorSession::builder(seq.camera, config.clone()).software(EventorOptions::accelerator())
+    };
+    let clean = accelerator()
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("clean run");
+        .expect("clean run")
+        .output;
     let clean_primary = clean.primary().expect("keyframe");
     let gt = seq.ground_truth_depth_at(&clean_primary.reference_pose);
     let clean_abs_rel = clean_primary
@@ -113,12 +114,10 @@ fn heavy_sensor_noise_degrades_accuracy_gracefully() {
         let injector = NoiseInjector::new(width, height, noise);
         let (noisy_events, report) = injector.corrupt(&seq.events);
         assert!(report.total_events() > 0);
-        let pipeline =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .expect("config");
-        let noisy = pipeline
+        let noisy = accelerator()
             .reconstruct(&noisy_events, &seq.trajectory)
-            .expect("noisy run");
+            .expect("noisy run")
+            .output;
         let primary = noisy.primary().expect("keyframe under noise");
         let gt = seq.ground_truth_depth_at(&primary.reference_pose);
         let metrics = primary
@@ -315,14 +314,17 @@ fn cosim_survives_a_noisy_stream_and_stays_consistent_with_software() {
     let (noisy, _) =
         NoiseInjector::new(width, height, NoiseConfig::moderate()).corrupt(&seq.events);
 
-    let software = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .expect("config");
-    let mut cosim =
-        CosimPipeline::new(seq.camera, config, AcceleratorConfig::default()).expect("config");
-    let sw = software
+    let builder = || EventorSession::builder(seq.camera, config.clone());
+    let sw = builder()
+        .software(EventorOptions::accelerator())
         .reconstruct(&noisy, &seq.trajectory)
-        .expect("software");
-    let hw = cosim.reconstruct(&noisy, &seq.trajectory).expect("cosim");
+        .expect("software")
+        .output;
+    let hw = builder()
+        .cosim(AcceleratorConfig::default())
+        .reconstruct(&noisy, &seq.trajectory)
+        .expect("cosim")
+        .output;
     assert_eq!(sw.keyframes.len(), hw.keyframes.len());
     for (s, h) in sw.keyframes.iter().zip(&hw.keyframes) {
         assert_eq!(s.votes_cast, h.votes_cast);

@@ -3,7 +3,7 @@
 //! tightens overlapping estimates, and the map statistics stay consistent
 //! with the reconstruction output.
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline};
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use eventor::map::{DepthFusion, FusionConfig, GlobalMap, GlobalMapConfig};
 
@@ -16,11 +16,11 @@ fn sequence(kind: SequenceKind) -> SyntheticSequence {
 fn pipeline_keyframes_populate_the_global_map() {
     let seq = sequence(SequenceKind::ThreePlanes);
     let config = config_for_sequence(&seq, 50);
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("run");
+        .expect("run")
+        .output;
 
     let mut map = GlobalMap::new(GlobalMapConfig::default()).expect("config");
     let mut raw_points = 0usize;
@@ -44,11 +44,11 @@ fn pipeline_keyframes_populate_the_global_map() {
 fn voxel_map_is_no_larger_than_naive_concatenation() {
     let seq = sequence(SequenceKind::SliderClose);
     let config = config_for_sequence(&seq, 50);
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("run");
+        .expect("run")
+        .output;
 
     let mut map = GlobalMap::new(GlobalMapConfig {
         voxel_resolution: 0.03,
@@ -68,11 +68,11 @@ fn voxel_map_is_no_larger_than_naive_concatenation() {
 fn fusing_keyframe_depth_maps_increases_or_preserves_coverage() {
     let seq = sequence(SequenceKind::SliderFar);
     let config = config_for_sequence(&seq, 50);
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("run");
+        .expect("run")
+        .output;
     let first = &output.keyframes[0].depth_map;
 
     let mut fusion =
@@ -91,11 +91,11 @@ fn fusing_keyframe_depth_maps_increases_or_preserves_coverage() {
 fn map_export_round_trips_through_ply_text() {
     let seq = sequence(SequenceKind::ThreeWalls);
     let config = config_for_sequence(&seq, 40);
-    let pipeline =
-        EventorPipeline::new(seq.camera, config, EventorOptions::accelerator()).expect("config");
-    let output = pipeline
+    let output = EventorSession::builder(seq.camera, config)
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .expect("run");
+        .expect("run")
+        .output;
 
     let mut map = GlobalMap::new(GlobalMapConfig::default()).expect("config");
     for kf in &output.keyframes {

@@ -7,15 +7,31 @@
 //! every shard count.
 
 use eventor::core::{
-    config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline, ParallelConfig,
+    config_for_sequence, CosimBackend, EventorOptions, EventorSession, ParallelConfig,
+    SessionOutput,
 };
-use eventor::emvs::{EmvsMapper, EmvsOutput, VotingMode};
+use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, Fnv64, SequenceKind, SyntheticSequence};
 use eventor::hwsim::AcceleratorConfig;
 
 fn three_planes() -> SyntheticSequence {
     SyntheticSequence::generate(SequenceKind::ThreePlanes, &DatasetConfig::fast_test())
         .expect("fast_test sequences generate")
+}
+
+/// A batch reconstruction of `seq` on the voting engine at `parallel`'s
+/// shard count.
+fn reconstruct(
+    seq: &SyntheticSequence,
+    config: &EmvsConfig,
+    options: EventorOptions,
+    parallel: ParallelConfig,
+) -> EmvsOutput {
+    EventorSession::builder(seq.camera, config.clone())
+        .sharded(options, parallel)
+        .reconstruct(&seq.events, &seq.trajectory)
+        .expect("run succeeds")
+        .output
 }
 
 fn assert_bit_identical(sequential: &EmvsOutput, parallel: &EmvsOutput, label: &str) {
@@ -72,20 +88,21 @@ fn assert_bit_identical(sequential: &EmvsOutput, parallel: &EmvsOutput, label: &
 fn accelerator_pipeline_is_bit_identical_across_shard_counts() {
     let seq = three_planes();
     let config = config_for_sequence(&seq, 50);
-    let sequential =
-        EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-            .expect("valid config")
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("sequential run");
+    let sequential = reconstruct(
+        &seq,
+        &config,
+        EventorOptions::accelerator(),
+        ParallelConfig::sequential(),
+    );
     assert!(!sequential.keyframes.is_empty());
 
     for shards in [2, 4, 8] {
-        let parallel =
-            EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-                .expect("valid config")
-                .with_parallelism(ParallelConfig::with_shards(shards))
-                .reconstruct(&seq.events, &seq.trajectory)
-                .expect("parallel run");
+        let parallel = reconstruct(
+            &seq,
+            &config,
+            EventorOptions::accelerator(),
+            ParallelConfig::with_shards(shards),
+        );
         assert_bit_identical(&sequential, &parallel, &format!("accelerator x{shards}"));
     }
 }
@@ -94,16 +111,18 @@ fn accelerator_pipeline_is_bit_identical_across_shard_counts() {
 fn float_nearest_ablation_is_bit_identical() {
     let seq = three_planes();
     let config = config_for_sequence(&seq, 50);
-    let sequential =
-        EventorPipeline::new(seq.camera, config.clone(), EventorOptions::nearest_only())
-            .expect("valid config")
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("sequential run");
-    let parallel = EventorPipeline::new(seq.camera, config, EventorOptions::nearest_only())
-        .expect("valid config")
-        .with_parallelism(ParallelConfig::with_shards(4))
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("parallel run");
+    let sequential = reconstruct(
+        &seq,
+        &config,
+        EventorOptions::nearest_only(),
+        ParallelConfig::sequential(),
+    );
+    let parallel = reconstruct(
+        &seq,
+        &config,
+        EventorOptions::nearest_only(),
+        ParallelConfig::with_shards(4),
+    );
     assert_bit_identical(&sequential, &parallel, "nearest_only x4");
 }
 
@@ -112,15 +131,8 @@ fn bilinear_ablations_are_deterministic_and_vote_exact() {
     let seq = three_planes();
     let config = config_for_sequence(&seq, 50);
     for options in [EventorOptions::exact(), EventorOptions::quantized_only()] {
-        let run = |parallel: ParallelConfig| {
-            EventorPipeline::new(seq.camera, config.clone(), options)
-                .expect("valid config")
-                .with_parallelism(parallel)
-                .reconstruct(&seq.events, &seq.trajectory)
-                .expect("run succeeds")
-        };
-        let sequential = run(ParallelConfig::sequential());
-        let parallel = run(ParallelConfig::with_shards(4));
+        let sequential = reconstruct(&seq, &config, options, ParallelConfig::sequential());
+        let parallel = reconstruct(&seq, &config, options, ParallelConfig::with_shards(4));
         // Each voxel's f32 sum is taken in stream order whatever the shard
         // count, so the depth maps match bit for bit.
         assert_bit_identical(&sequential, &parallel, &format!("{options:?} x4"));
@@ -130,17 +142,20 @@ fn bilinear_ablations_are_deterministic_and_vote_exact() {
 #[test]
 fn parallel_mapper_nearest_voting_matches_sequential() {
     let seq = three_planes();
-    let config = config_for_sequence(&seq, 50).with_voting(VotingMode::Nearest);
-    let sequential = EmvsMapper::new(seq.camera, config.clone())
-        .expect("valid config")
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("sequential run");
+    let config = config_for_sequence(&seq, 50);
+    let sequential = reconstruct(
+        &seq,
+        &config,
+        EventorOptions::nearest_only(),
+        ParallelConfig::sequential(),
+    );
     for shards in [2, 8] {
-        let parallel = EmvsMapper::new(seq.camera, config.clone())
-            .expect("valid config")
-            .with_parallelism(ParallelConfig::with_shards(shards))
-            .reconstruct(&seq.events, &seq.trajectory)
-            .expect("parallel run");
+        let parallel = reconstruct(
+            &seq,
+            &config,
+            EventorOptions::nearest_only(),
+            ParallelConfig::with_shards(shards),
+        );
         assert_bit_identical(&sequential, &parallel, &format!("mapper nearest x{shards}"));
     }
 }
@@ -178,43 +193,9 @@ fn every_datapath_is_pinned_at_one_and_four_shards() {
     ];
     for (options, pin) in pins {
         for shards in shard_counts {
-            let output = EventorPipeline::new(seq.camera, config.clone(), options)
-                .expect("valid config")
-                .with_parallelism(ParallelConfig::with_shards(shards))
-                .reconstruct(&seq.events, &seq.trajectory)
-                .expect("run succeeds");
+            let output = reconstruct(&seq, &config, options, ParallelConfig::with_shards(shards));
             let got = digest(&output);
             assert_eq!(got, pin, "{options:?} x{shards}: digest {got:#018x}");
-        }
-    }
-}
-
-#[test]
-fn mapper_equals_the_unquantized_pipeline_bit_for_bit() {
-    // The baseline mapper is the reformulated engine with quantization off:
-    // same votes in the same order, at one shard and sharded.
-    let seq = three_planes();
-    let config = config_for_sequence(&seq, 50);
-    for (voting, options) in [
-        (VotingMode::Bilinear, EventorOptions::exact()),
-        (VotingMode::Nearest, EventorOptions::nearest_only()),
-    ] {
-        for parallel in [ParallelConfig::sequential(), ParallelConfig::with_shards(3)] {
-            let mapper = EmvsMapper::new(seq.camera, config.clone().with_voting(voting))
-                .expect("valid config")
-                .with_parallelism(parallel)
-                .reconstruct(&seq.events, &seq.trajectory)
-                .expect("mapper run");
-            let pipeline = EventorPipeline::new(seq.camera, config.clone(), options)
-                .expect("valid config")
-                .with_parallelism(parallel)
-                .reconstruct(&seq.events, &seq.trajectory)
-                .expect("pipeline run");
-            assert_bit_identical(
-                &mapper,
-                &pipeline,
-                &format!("mapper {voting:?} x{}", parallel.shards()),
-            );
         }
     }
 }
@@ -223,26 +204,23 @@ fn mapper_equals_the_unquantized_pipeline_bit_for_bit() {
 fn parallel_cosim_is_bit_identical_to_sequential_cosim() {
     let seq = three_planes();
     let config = config_for_sequence(&seq, 40);
-    let mut sequential =
-        CosimPipeline::new(seq.camera, config.clone(), AcceleratorConfig::default())
-            .expect("valid config");
-    let mut parallel = CosimPipeline::new(seq.camera, config, AcceleratorConfig::default())
-        .expect("valid config")
-        .with_parallelism(ParallelConfig::with_shards(4));
+    let cosim = |parallel: ParallelConfig| -> SessionOutput {
+        let backend =
+            CosimBackend::new(seq.camera, &config, AcceleratorConfig::default(), parallel)
+                .expect("valid config");
+        EventorSession::builder(seq.camera, config.clone())
+            .custom_backend(Box::new(backend))
+            .reconstruct(&seq.events, &seq.trajectory)
+            .expect("cosim run")
+    };
 
-    let s = sequential
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("sequential cosim");
-    let p = parallel
-        .reconstruct(&seq.events, &seq.trajectory)
-        .expect("parallel cosim");
-    assert_bit_identical(&s, &p, "cosim x4");
-    assert_eq!(
-        sequential.report().votes_applied,
-        parallel.report().votes_applied
+    let s = cosim(ParallelConfig::sequential());
+    let p = cosim(ParallelConfig::with_shards(4));
+    assert_bit_identical(&s.output, &p.output, "cosim x4");
+    let (s, p) = (
+        s.cosim_report.expect("cosim report"),
+        p.cosim_report.expect("cosim report"),
     );
-    assert_eq!(
-        sequential.report().events_dropped,
-        parallel.report().events_dropped
-    );
+    assert_eq!(s.votes_applied, p.votes_applied);
+    assert_eq!(s.events_dropped, p.events_dropped);
 }

@@ -4,8 +4,8 @@
 //! (software, sharded, cosim) and for arbitrary packet boundaries.
 
 use eventor::core::{
-    config_for_sequence, CosimPipeline, EventorOptions, EventorPipeline, EventorSession,
-    ParallelConfig, SessionEvent, SessionOutput,
+    config_for_sequence, EventorOptions, EventorSession, ParallelConfig, SessionEvent,
+    SessionOutput,
 };
 use eventor::emvs::{EmvsConfig, EmvsError, EmvsOutput};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
@@ -66,10 +66,11 @@ fn run_session(
 fn software_session_is_bit_identical_to_batch_for_arbitrary_packets() {
     let seq = sequence();
     let config = config_for_sequence(&seq, 60);
-    let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .unwrap()
+    let batch = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
     for packet_size in [7usize, 333, 1024, 4096] {
         let session = EventorSession::builder(seq.camera, config.clone())
             .software(EventorOptions::accelerator())
@@ -88,10 +89,11 @@ fn software_session_is_bit_identical_to_batch_for_arbitrary_packets() {
 fn sharded_session_is_bit_identical_to_batch_sequential() {
     let seq = sequence();
     let config = config_for_sequence(&seq, 60);
-    let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .unwrap()
+    let batch = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
     for shards in [1usize, 2, 4, 8] {
         let session = EventorSession::builder(seq.camera, config.clone())
             .sharded(
@@ -114,10 +116,11 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
     let seq = sequence();
     assert!(seq.events.len() > eventor::core::ENGINE_SPILL_EVENTS);
     let config = config_for_sequence(&seq, 60).with_keyframe_distance(1e9);
-    let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .unwrap()
+    let batch = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
     assert_eq!(batch.keyframes.len(), 1);
     let session = EventorSession::builder(seq.camera, config)
         .sharded(
@@ -134,10 +137,11 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
 fn cosim_session_is_bit_identical_to_batch_software() {
     let seq = sequence();
     let config = config_for_sequence(&seq, 60);
-    let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .unwrap()
+    let batch = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
     let session = EventorSession::builder(seq.camera, config.clone())
         .cosim(AcceleratorConfig::default())
         .build()
@@ -148,12 +152,12 @@ fn cosim_session_is_bit_identical_to_batch_software() {
     assert_eq!(report.events_in, batch.profile.events_processed);
     assert!(report.accelerator_seconds > 0.0);
 
-    // And the streaming cosim agrees with the batch cosim façade.
-    let mut batch_cosim =
-        CosimPipeline::new(seq.camera, config, AcceleratorConfig::default()).unwrap();
-    let hw = batch_cosim
+    // And the streaming cosim agrees with the batch cosim reconstruction.
+    let hw = EventorSession::builder(seq.camera, config)
+        .cosim(AcceleratorConfig::default())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
     assert_bit_identical(&hw, &streamed.output, "cosim batch vs stream");
 }
 
@@ -164,10 +168,11 @@ fn interleaved_pose_and_event_pushes_match_batch() {
     // handling along the way.
     let seq = sequence();
     let config = config_for_sequence(&seq, 60);
-    let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-        .unwrap()
+    let batch = EventorSession::builder(seq.camera, config.clone())
+        .software(EventorOptions::accelerator())
         .reconstruct(&seq.events, &seq.trajectory)
-        .unwrap();
+        .unwrap()
+        .output;
 
     let mut session = EventorSession::builder(seq.camera, config)
         .software(EventorOptions::accelerator())

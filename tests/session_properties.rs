@@ -6,7 +6,7 @@
 //! sizes, from single events to multiple frames — exercising every frame
 //! boundary/packet boundary interaction the driver's aggregation can see.
 
-use eventor::core::{config_for_sequence, EventorOptions, EventorPipeline, EventorSession};
+use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
 use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
 use proptest::prelude::*;
@@ -25,10 +25,11 @@ fn fixture() -> &'static Fixture {
             SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test())
                 .expect("fast_test sequences generate");
         let config = config_for_sequence(&seq, 50);
-        let batch = EventorPipeline::new(seq.camera, config.clone(), EventorOptions::accelerator())
-            .expect("valid config")
+        let batch = EventorSession::builder(seq.camera, config.clone())
+            .software(EventorOptions::accelerator())
             .reconstruct(&seq.events, &seq.trajectory)
-            .expect("batch reconstruction runs");
+            .expect("batch reconstruction runs")
+            .output;
         Fixture { seq, config, batch }
     })
 }
