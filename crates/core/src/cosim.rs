@@ -4,10 +4,10 @@
 //!
 //! [`CosimBackend`] plays the role of the ARM firmware in the prototype
 //! behind the streaming session contract: it performs the PS-side per-frame
-//! stages (streaming distortion correction, Q9.7 transport encoding,
-//! register/BRAM parameter staging) and drives the PL-side stages (`𝒫{Z0}`,
-//! `𝒫{Z0;Zi}`, `𝒢`, `𝒱`) through the register/DMA interface of
-//! [`EventorDevice`]. A batch run is
+//! stages (streaming distortion correction through the camera's
+//! [`UndistortionLut`], Q9.7 transport encoding, register/BRAM parameter
+//! staging) and drives the PL-side stages (`𝒫{Z0}`, `𝒫{Z0;Zi}`, `𝒢`, `𝒱`)
+//! through the register/DMA interface of [`EventorDevice`]. A batch run is
 //! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
@@ -27,7 +27,8 @@ use eventor_emvs::{
     ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction, ParallelConfig, Stage,
     StageProfile,
 };
-use eventor_geom::{CameraModel, Pose, Vec2};
+use eventor_events::UndistortionLut;
+use eventor_geom::{CameraModel, Pose};
 use eventor_hwsim::{
     AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
     FrameKind, HomographyRegisters, PhiEntry,
@@ -69,6 +70,7 @@ pub struct CosimReport {
 #[derive(Debug)]
 pub struct CosimBackend {
     camera: CameraModel,
+    undistortion: UndistortionLut,
     detection: DetectionConfig,
     planes: DepthPlanes,
     parallel: ParallelConfig,
@@ -83,9 +85,10 @@ pub struct CosimBackend {
 impl CosimBackend {
     /// Creates a backend with a fresh device whose accelerator configuration
     /// is aligned with the EMVS configuration (frame size, plane count and
-    /// sensor resolution are taken from `config` / `camera`). `parallel`
-    /// chunks the PS-side per-event stages over worker shards; the device
-    /// itself stays serial, as it models a single accelerator.
+    /// sensor resolution are taken from `config` / `camera`), and builds the
+    /// camera's undistortion table. `parallel` chunks the PS-side per-event
+    /// stages over worker shards; the device itself stays serial, as it
+    /// models a single accelerator.
     ///
     /// # Errors
     ///
@@ -104,6 +107,7 @@ impl CosimBackend {
         accelerator.sensor_height = camera.intrinsics.height as usize;
         Ok(Self {
             camera,
+            undistortion: UndistortionLut::build(&camera),
             detection: config.detection,
             planes,
             parallel,
@@ -202,19 +206,18 @@ impl ExecutionBackend for CosimBackend {
         profile: &mut StageProfile,
     ) -> Result<(), EmvsError> {
         let fabric = self.device.config().fabric_clock;
-        // PS side: streaming distortion correction + Q9.7 transport encoding,
-        // chunked over the configured worker shards (bit-identical for any
-        // shard count — both stages are per-event pure maps). One shard is
-        // one job, run inline.
-        let camera = &self.camera;
+        // PS side: streaming distortion correction (one table read per
+        // event) + Q9.7 transport encoding, chunked over the configured
+        // worker shards (bit-identical for any shard count — both stages are
+        // per-event pure maps). One shard is one job, run inline.
+        let lut = &self.undistortion;
         let mut event_words = vec![0u32; work.events.len()];
         let chunk = work.events.len().div_ceil(self.parallel.shards()).max(1);
         run_sharded(
             work.events.chunks(chunk).zip(event_words.chunks_mut(chunk)),
             |(events, words)| {
                 for (word, e) in words.iter_mut().zip(events) {
-                    let p = camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
-                    *word = quantize_event_pixel(p).to_word();
+                    *word = quantize_event_pixel(lut.correct_event(e)).to_word();
                 }
             },
         );

@@ -11,7 +11,7 @@ use crate::session::{
 };
 use crate::EmvsError;
 use eventor_dsi::{DetectionConfig, DsiVolume, PlaneRange, VoteArena, VoxelScore};
-use eventor_events::Event;
+use eventor_events::UndistortionLut;
 use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
@@ -111,7 +111,7 @@ struct Buffer {
     geometries: Vec<FrameGeometry>,
     /// Scratch: the current frame's Q9.7-encoded events (quantized).
     transported: Vec<PackedCoord>,
-    /// Scratch: the current frame's distortion-corrected events (float).
+    /// Scratch: the current frame's distortion-corrected events.
     corrected: Vec<Vec2>,
     /// Scratch: the current frame's quantized canonical survivors.
     projected: Vec<PackedCoord>,
@@ -194,15 +194,16 @@ impl Buffer {
 /// | [`EventorOptions::exact`] | `f32` | `f64` geometry, bilinear vote — the baseline EMVS mapper |
 ///
 /// Every shard count runs one schedule. **Ingest** runs on the calling
-/// thread, once per frame: streaming distortion correction, Q9.7 transport
-/// encoding, the per-frame parameter hoist ([`QuantizedFrameParams`]) and
-/// the `PE_Z0` canonical projection, whose survivors are appended to a
-/// buffer. **Vote** splits the engine's one [`DsiVolume`] into
-/// `min(shards, planes)` contiguous plane ranges — the `PE_Zi` array's
-/// plane partition — and votes the whole buffer into every range on its own
-/// worker ([`run_sharded`]). One shard votes after every frame; more than
-/// one votes at [`ENGINE_SPILL_EVENTS`] buffered survivors, at retirement
-/// and at checkpoint export.
+/// thread, once per frame: streaming distortion correction (one read per
+/// event of the exact [`UndistortionLut`] built in [`new`](Self::new)),
+/// Q9.7 transport encoding, the per-frame parameter hoist
+/// ([`QuantizedFrameParams`]) and the `PE_Z0` canonical projection, whose
+/// survivors are appended to a buffer. **Vote** splits the engine's one
+/// [`DsiVolume`] into `min(shards, planes)` contiguous plane ranges — the
+/// `PE_Zi` array's plane partition — and votes the whole buffer into every
+/// range on its own worker ([`run_sharded`]). One shard votes after every
+/// frame; more than one votes at [`ENGINE_SPILL_EVENTS`] buffered
+/// survivors, at retirement and at checkpoint export.
 ///
 /// Each voxel has one writer, which sees its votes in stream order, so every
 /// datapath — `f32` bilinear sums included — is bit-identical to the
@@ -222,6 +223,7 @@ impl Buffer {
 #[derive(Debug)]
 pub struct VotingEngine {
     camera: CameraModel,
+    undistortion: UndistortionLut,
     options: EventorOptions,
     detection: DetectionConfig,
     parallel: ParallelConfig,
@@ -231,7 +233,8 @@ pub struct VotingEngine {
 }
 
 impl VotingEngine {
-    /// Creates the engine, allocating its one sensor-sized DSI.
+    /// Creates the engine, allocating its one sensor-sized DSI and building
+    /// the camera's undistortion table.
     ///
     /// # Errors
     ///
@@ -256,6 +259,7 @@ impl VotingEngine {
         };
         Ok(Self {
             camera,
+            undistortion: UndistortionLut::build(&camera),
             options,
             detection: config.detection,
             parallel,
@@ -305,20 +309,23 @@ impl ExecutionBackend for VotingEngine {
     ) -> Result<(), EmvsError> {
         let buffer = &mut self.buffer;
 
-        // ➊ Streaming distortion correction and, under quantization, Q9.7
-        //   transport encoding.
+        // ➊ Streaming distortion correction (one table read per event) and,
+        //   under quantization, Q9.7 transport encoding. The table reads run
+        //   as a pass of their own, so their cache misses overlap.
         let t = Instant::now();
-        let camera = &self.camera;
-        let undistort = |e: &Event| camera.undistort_pixel(Vec2::new(e.x as f64, e.y as f64));
+        let lut = &self.undistortion;
+        buffer.corrected.clear();
+        buffer
+            .corrected
+            .extend(work.events.iter().map(|e| lut.correct_event(e)));
         if self.options.quantize {
             buffer.transported.clear();
-            buffer.transported.extend(work.events.iter().map(|e| {
-                let p = undistort(e);
-                PackedCoord::from_f64(p.x, p.y)
-            }));
-        } else {
-            buffer.corrected.clear();
-            buffer.corrected.extend(work.events.iter().map(undistort));
+            buffer.transported.extend(
+                buffer
+                    .corrected
+                    .iter()
+                    .map(|p| PackedCoord::from_f64(p.x, p.y)),
+            );
         }
         profile.add(Stage::DistortionCorrection, t.elapsed());
 

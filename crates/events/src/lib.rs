@@ -366,15 +366,30 @@ mod slicing_proptests {
 
         #[test]
         fn undistortion_lut_agrees_with_exact_model_on_random_pixels(
-            xs in prop::collection::vec(0u16..240, 1..50),
-            ys in prop::collection::vec(0u16..180, 1..50),
+            xs in prop::collection::vec(0u16..260, 1..50),
+            ys in prop::collection::vec(0u16..200, 1..50),
+            far in (0u32..1 << 16, 0u32..1 << 16),
         ) {
-            let camera = eventor_geom::CameraModel::davis240_distorted();
-            let lut = UndistortionLut::build(&camera);
-            for (&x, &y) in xs.iter().zip(&ys) {
-                let exact = camera.undistort_pixel(eventor_geom::Vec2::new(x as f64, y as f64));
-                let table = lut.lookup(x, y);
-                prop_assert!((table - exact).norm() < 1e-3, "pixel ({}, {})", x, y);
+            // The DAVIS lens and the `shake_hotpixel` scenario's radial lens,
+            // on and just past the sensor and anywhere up to u16::MAX: the
+            // table equals the exact solve bit for bit, NaN included.
+            let davis = eventor_geom::CameraModel::davis240_distorted();
+            let shake = eventor_geom::CameraModel::new(
+                davis.intrinsics,
+                eventor_geom::DistortionModel::radial(-0.15, 0.04, 0.0),
+            );
+            let far = (far.0 as u16, far.1 as u16);
+            for camera in [davis, shake] {
+                let lut = UndistortionLut::build(&camera);
+                for (x, y) in xs.iter().copied().zip(ys.iter().copied()).chain([far]) {
+                    let exact = camera.undistort_pixel(eventor_geom::Vec2::new(x as f64, y as f64));
+                    let table = lut.lookup(x, y);
+                    prop_assert_eq!(
+                        (table.x.to_bits(), table.y.to_bits()),
+                        (exact.x.to_bits(), exact.y.to_bits()),
+                        "pixel ({}, {})", x, y
+                    );
+                }
             }
         }
     }

@@ -6,6 +6,7 @@
 
 use crate::image::Image;
 use crate::scene::Scene;
+use crate::undistort::UndistortionLut;
 use eventor_geom::{CameraModel, Pose, Vec2};
 
 /// Renders the scene's *log* intensity as seen by `camera` at `pose`.
@@ -13,16 +14,27 @@ use eventor_geom::{CameraModel, Pose, Vec2};
 /// Each pixel's viewing ray is cast through the scene; the returned image
 /// stores `ln(intensity + eps)` which is the quantity event cameras threshold.
 pub fn render_log_intensity(scene: &Scene, camera: &CameraModel, pose: &Pose) -> Image {
+    render_log_intensity_through(scene, &UndistortionLut::build(camera), pose)
+}
+
+/// [`render_log_intensity`] for the camera of `lut`, reading each pixel's
+/// lens correction from the table: the simulator renders many samples
+/// through one table.
+pub(crate) fn render_log_intensity_through(
+    scene: &Scene,
+    lut: &UndistortionLut,
+    pose: &Pose,
+) -> Image {
+    let camera = lut.camera();
     let w = camera.intrinsics.width as usize;
     let h = camera.intrinsics.height as usize;
     let mut img = Image::filled(w, h, 0.0);
     let eps = 1e-3;
     for y in 0..h {
         for x in 0..w {
-            let px = Vec2::new(x as f64, y as f64);
             // The sensor observes the *distorted* image; undistort the pixel
             // to find its true viewing direction.
-            let ideal = camera.undistort_pixel(px);
+            let ideal = lut.pixel(x, y);
             let bearing_cam = camera.pixel_to_bearing(ideal);
             let dir_world = pose.rotate(bearing_cam);
             let radiance = scene.radiance(pose.translation, dir_world);

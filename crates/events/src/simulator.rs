@@ -10,9 +10,10 @@
 //! events.
 
 use crate::event::{Event, Polarity};
-use crate::render::render_log_intensity;
+use crate::render::render_log_intensity_through;
 use crate::scene::Scene;
 use crate::stream::EventStream;
+use crate::undistort::UndistortionLut;
 use crate::EventError;
 use eventor_geom::{CameraModel, Trajectory};
 use rand::rngs::StdRng;
@@ -130,7 +131,9 @@ impl EventCameraSimulator {
             .map_err(|e| EventError::InvalidSimulation {
                 reason: e.to_string(),
             })?;
-        let first = render_log_intensity(scene, &self.camera, &pose0);
+        // One lens-correction table serves every rendered sample.
+        let lut = UndistortionLut::build(&self.camera);
+        let first = render_log_intensity_through(scene, &lut, &pose0);
 
         // Per-pixel state: reference level and time of the last emitted event.
         let mut reference: Vec<f64> = first.as_slice().to_vec();
@@ -148,7 +151,7 @@ impl EventCameraSimulator {
                     .map_err(|e| EventError::InvalidSimulation {
                         reason: e.to_string(),
                     })?;
-            let current = render_log_intensity(scene, &self.camera, &pose);
+            let current = render_log_intensity_through(scene, &lut, &pose);
             let cur = current.as_slice();
             let t_prev = t - dt;
 

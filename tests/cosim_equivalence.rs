@@ -8,11 +8,13 @@ use eventor::core::{
     SessionDriver,
 };
 use eventor::emvs::{EmvsConfig, EmvsOutput};
-use eventor::events::{DatasetConfig, SequenceKind, SyntheticSequence};
+use eventor::events::{DatasetConfig, Event, EventStream, SequenceKind, SyntheticSequence};
+use eventor::geom::{CameraModel, DistortionModel};
 use eventor::hwsim::{
     status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind, HomographyRegisters, PhiEntry,
     Register,
 };
+use eventor::scenarios::digest_output;
 
 fn sequence(kind: SequenceKind) -> SyntheticSequence {
     SyntheticSequence::generate(kind, &DatasetConfig::fast_test())
@@ -145,4 +147,73 @@ fn device_register_protocol_round_trips_through_the_driver() {
     let report = cosim.report();
     assert_eq!(report.frames, device.stats().frames);
     assert!(report.accelerator_seconds > 0.0);
+}
+
+#[test]
+fn out_of_sensor_events_on_a_distorted_lens_agree_and_are_pinned() {
+    // Sessions accept any u16 address. Mix addresses just past the 80x60
+    // sensor's edge, far outside it and (u16::MAX, u16::MAX) into a
+    // distorted-lens stream: every backend corrects them the same way, and
+    // the pins hold that correction (on the DAVIS lens the far addresses
+    // undistort to NaN, which the Q9.7 encoder maps to pixel (0, 0)).
+    let fast = DatasetConfig::fast_test();
+    let config = DatasetConfig {
+        camera: CameraModel::new(fast.camera.intrinsics, DistortionModel::davis240_default()),
+        ..fast
+    };
+    let seq = SyntheticSequence::generate(SequenceKind::ThreePlanes, &config)
+        .expect("distorted fast_test sequence generates");
+    let outside: [(u16, u16); 8] = [
+        (80, 30),
+        (40, 60),
+        (80, 60),
+        (81, 59),
+        (300, 20),
+        (20, 300),
+        (1000, 1000),
+        (u16::MAX, u16::MAX),
+    ];
+    let mut events: Vec<Event> = Vec::with_capacity(seq.events.len() * 9 / 8);
+    for (i, e) in seq.events.iter().enumerate() {
+        events.push(*e);
+        if i % 8 == 0 {
+            let (x, y) = outside[i / 8 % outside.len()];
+            events.push(Event::new(e.t, x, y, e.polarity));
+        }
+    }
+    let stream: EventStream = events.into_iter().collect();
+    let emvs = config_for_sequence(&seq, 40);
+    let builder = || EventorSession::builder(seq.camera, emvs.clone());
+    let run = |stream: &EventStream, options: EventorOptions, shards: usize| {
+        digest_output(
+            &builder()
+                .sharded(options, ParallelConfig::with_shards(shards))
+                .reconstruct(stream, &seq.trajectory)
+                .expect("engine run"),
+        )
+    };
+    let cosim = digest_output(
+        &builder()
+            .cosim(AcceleratorConfig::default())
+            .reconstruct(&stream, &seq.trajectory)
+            .expect("cosim run"),
+    );
+    let accelerator = EventorOptions::accelerator();
+    assert_eq!(
+        [
+            run(&stream, accelerator, 1),
+            run(&stream, accelerator, 3),
+            cosim
+        ],
+        [0x9713ad8ca72fe939; 3],
+        "software, sharded x3 and cosim"
+    );
+    let exact = EventorOptions::exact();
+    assert_eq!(
+        [run(&stream, exact, 1), run(&stream, exact, 3)],
+        [0x68fe68b317d1f7fc; 2],
+        "float datapath at one and three shards"
+    );
+    // The extra events reach the DSI: without them the digest differs.
+    assert_ne!(run(&seq.events, accelerator, 1), 0x9713ad8ca72fe939);
 }
