@@ -404,6 +404,41 @@ fn resume_of_a_forged_but_resealed_checkpoint_exits_7() {
 }
 
 #[test]
+fn resume_of_a_checkpoint_with_a_forged_cap_exits_7() {
+    let (path, bytes) = checkpoint_container("resume-forged-cap");
+
+    // Re-encode the checkpoint with more pending events than its buffer cap
+    // (which clamps to one frame) and seal it properly: the container is
+    // valid, the state is one no live session reaches, so `resume` must
+    // refuse it as a checkpoint error before pushing the rest of the stream.
+    let checkpoint = eventor_core::SessionCheckpoint::read_from(bytes.as_slice())
+        .expect("container reads")
+        .expect("payload decodes");
+    let (kind, origin) = (
+        checkpoint.backend_kind().to_string(),
+        checkpoint.origin().to_string(),
+    );
+    let mut driver = checkpoint.into_driver();
+    let t = driver.last_event_t.expect("events were pushed");
+    let event = eventor_events::Event::new(t, 0, 0, eventor_events::Polarity::Positive);
+    driver.pending = vec![event; driver.config.events_per_frame + 1];
+    driver.max_pending_events = 0;
+    let mut forged = Vec::new();
+    eventor_core::SessionCheckpoint::new(driver, &kind, &origin)
+        .write_to(&mut forged)
+        .expect("forged container writes");
+    std::fs::write(&path, &forged).expect("forged container saves");
+
+    let output = run(cli().args(["resume", "--in", path.to_str().unwrap()]));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(exit_code(&output), 7, "stderr: {stderr}");
+    assert!(
+        stderr.contains("cap"),
+        "stderr should name the cap: {stderr}"
+    );
+}
+
+#[test]
 fn resume_digest_mismatch_exits_2_and_record_containers_exit_4() {
     let (path, _) = checkpoint_container("resume-mismatch");
 

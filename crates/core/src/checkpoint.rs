@@ -17,7 +17,9 @@
 //! payload is carried as the single `CKPT` section of an `eventor-evtr/1`
 //! container, which contributes the magic, versioning (both the container
 //! version and [`CKPT_VERSION`](eventor_events::CKPT_VERSION)) and the
-//! trailing FNV-1a-64 checksum; see `docs/ARCHITECTURE.md` §3.
+//! trailing FNV-1a-64 checksum; see `docs/ARCHITECTURE.md` §8.1. The
+//! trajectory, the pending events and every pose use the shared record
+//! layouts of [`eventor_events::codec`], which reads the whole payload.
 //!
 //! ## Error domains
 //!
@@ -34,10 +36,11 @@
 use crate::session::EventorSession;
 use eventor_dsi::{DepthPlanes, DsiVolume, VoxelScore};
 use eventor_emvs::{BackendVoteState, DriverCheckpoint, EmvsConfig, EmvsError, VotingMode};
-use eventor_events::{Event, Polarity};
-use eventor_geom::{
-    CameraIntrinsics, CameraModel, DistortionModel, Pose, Trajectory, UnitQuaternion, Vec3,
+use eventor_events::codec::{
+    self, put_events, put_f64, put_pose, put_pose_samples, put_str, put_u64, CodecError, Reader,
+    POSE_LEN,
 };
+use eventor_geom::{CameraIntrinsics, CameraModel, DistortionModel, Trajectory};
 
 /// A durable mid-flight session checkpoint: the driver state plus resume
 /// provenance. Produced by [`EventorSession::snapshot`], consumed by
@@ -145,27 +148,9 @@ impl SessionCheckpoint {
         put_u64(&mut out, d.config.min_frames_per_keyframe as u64);
         put_u64(&mut out, d.max_pending_events as u64);
 
-        // Trajectory.
-        put_u64(&mut out, d.trajectory.len() as u64);
-        for sample in d.trajectory.iter() {
-            let t = sample.pose.translation;
-            let q = sample.pose.rotation;
-            for v in [sample.timestamp, t.x, t.y, t.z, q.x, q.y, q.z, q.w] {
-                put_f64(&mut out, v);
-            }
-        }
-
-        // Pending (unprocessed) events.
-        put_u64(&mut out, d.pending.len() as u64);
-        for e in &d.pending {
-            put_f64(&mut out, e.t);
-            out.extend_from_slice(&e.x.to_le_bytes());
-            out.extend_from_slice(&e.y.to_le_bytes());
-            out.push(match e.polarity {
-                Polarity::Positive => 1,
-                Polarity::Negative => 0,
-            });
-        }
+        // Trajectory and pending (unprocessed) events.
+        put_pose_samples(&mut out, d.trajectory.iter().map(|s| (s.timestamp, s.pose)));
+        put_events(&mut out, &d.pending);
 
         // Stream cursor and key-frame bookkeeping.
         match d.last_event_t {
@@ -231,9 +216,16 @@ impl SessionCheckpoint {
     /// [`EmvsError::Checkpoint`] for any structural violation: truncation,
     /// trailing bytes, invalid enum codes, non-finite timestamps, non-unit
     /// rotations, an empty vote state, or vote-state tiles that disagree
-    /// with their declared geometry or with each other.
+    /// with their declared geometry or with the camera's size.
     pub fn decode(bytes: &[u8]) -> Result<Self, EmvsError> {
-        let mut c = Reader { bytes, at: 0 };
+        codec::read_all(bytes, "checkpoint payload", Self::read).map_err(|e| {
+            EmvsError::Checkpoint {
+                reason: e.to_string(),
+            }
+        })
+    }
+
+    fn read(c: &mut Reader<'_>) -> Result<Self, CodecError> {
         let origin = c.string("origin")?;
         let backend_kind = c.string("backend kind")?;
 
@@ -277,39 +269,13 @@ impl SessionCheckpoint {
         };
         let max_pending_events = c.usize("max_pending_events")?;
 
-        let samples = c.usize("trajectory sample count")?;
-        c.reserve(samples, 64, "trajectory samples")?;
         let mut trajectory = Trajectory::new();
-        for i in 0..samples {
-            let what = format!("trajectory sample {i}");
-            let t = c.f64(&what)?;
-            let translation = Vec3::new(c.f64(&what)?, c.f64(&what)?, c.f64(&what)?);
-            let (qx, qy, qz, qw) = (c.f64(&what)?, c.f64(&what)?, c.f64(&what)?, c.f64(&what)?);
-            let rotation = UnitQuaternion::from_normalized(qw, qx, qy, qz, 1e-6)
-                .ok_or_else(|| corrupt(format!("{what}: rotation is not unit norm")))?;
+        for (t, pose) in c.pose_samples("trajectory")? {
             trajectory
-                .push(t, Pose::new(rotation, translation))
-                .map_err(|e| corrupt(format!("{what}: {e}")))?;
+                .push(t, pose)
+                .map_err(|e| corrupt(format!("trajectory: {e}")))?;
         }
-
-        let pending_count = c.usize("pending event count")?;
-        c.reserve(pending_count, 13, "pending events")?;
-        let mut pending = Vec::with_capacity(pending_count);
-        for i in 0..pending_count {
-            let what = format!("pending event {i}");
-            let t = c.f64(&what)?;
-            if !t.is_finite() {
-                return Err(corrupt(format!("{what}: non-finite timestamp")));
-            }
-            let x = c.u16(&what)?;
-            let y = c.u16(&what)?;
-            let polarity = match c.u8(&what)? {
-                1 => Polarity::Positive,
-                0 => Polarity::Negative,
-                other => return Err(corrupt(format!("{what}: invalid polarity byte {other}"))),
-            };
-            pending.push(Event::new(t, x, y, polarity));
-        }
+        let pending = c.events("pending events")?;
 
         let last_event_t = match c.u8("last_event_t flag")? {
             0 => None,
@@ -334,23 +300,22 @@ impl SessionCheckpoint {
         let events_in_keyframe = c.usize("events_in_keyframe")?;
 
         let keyframe_count = c.usize("keyframe count")?;
-        c.reserve(keyframe_count, 8 * 7 + 8 * 3 + 16, "keyframes")?;
+        c.reserve(keyframe_count, POSE_LEN + 8 * 3 + 16, "keyframes")?;
         let mut keyframes = Vec::with_capacity(keyframe_count);
-        for i in 0..keyframe_count {
-            let what = format!("keyframe {i}");
-            let reference_pose = c.pose(&what)?;
-            let frames_used = c.usize(&what)?;
-            let events_used = c.usize(&what)?;
-            let votes_cast = c.u64(&what)?;
-            let width = c.usize(&what)?;
-            let height = c.usize(&what)?;
+        for _ in 0..keyframe_count {
+            let reference_pose = c.pose("keyframe pose")?;
+            let frames_used = c.usize("keyframe frames")?;
+            let events_used = c.usize("keyframe events")?;
+            let votes_cast = c.u64("keyframe votes")?;
+            let width = c.usize("depth-map width")?;
+            let height = c.usize("depth-map height")?;
             c.reserve(width.saturating_mul(height), 16, "depth-map pixels")?;
             let mut depth_map = eventor_dsi::DepthMap::new(width, height)
-                .map_err(|e| corrupt(format!("{what}: {e}")))?;
+                .map_err(|e| corrupt(format!("keyframe depth map: {e}")))?;
             for y in 0..height {
                 for x in 0..width {
-                    let depth = c.f64(&what)?;
-                    let confidence = c.f64(&what)?;
+                    let depth = c.f64("depth-map pixel")?;
+                    let confidence = c.f64("depth-map pixel")?;
                     depth_map.set(x, y, depth, confidence);
                 }
             }
@@ -389,18 +354,12 @@ impl SessionCheckpoint {
         };
         let tile_count = c.usize("vote-state tile count")?;
         c.reserve(tile_count, 24, "vote-state tiles")?;
+        let sensor = &camera.intrinsics;
         let vote_state = if quantized {
-            BackendVoteState::Quantized(c.vote_volume(tile_count, &planes)?)
+            BackendVoteState::Quantized(vote_volume(c, tile_count, &planes, sensor)?)
         } else {
-            BackendVoteState::Float(c.vote_volume(tile_count, &planes)?)
+            BackendVoteState::Float(vote_volume(c, tile_count, &planes, sensor)?)
         };
-
-        if c.at != c.bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the checkpoint payload",
-                c.bytes.len() - c.at
-            )));
-        }
 
         Ok(Self {
             driver: DriverCheckpoint {
@@ -477,152 +436,41 @@ impl EventorSession {
     }
 }
 
-fn corrupt(reason: impl Into<String>) -> EmvsError {
-    EmvsError::Checkpoint {
-        reason: reason.into(),
-    }
+fn corrupt(reason: impl Into<String>) -> CodecError {
+    CodecError::invalid(reason)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_pose(out: &mut Vec<u8>, pose: &Pose) {
-    let t = pose.translation;
-    let q = pose.rotation;
-    for v in [t.x, t.y, t.z, q.x, q.y, q.z, q.w] {
-        put_f64(out, v);
-    }
-}
-
-/// Bounds-checked little-endian reader over the checkpoint payload; every
-/// failure names the field being read.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], EmvsError> {
-        let available = self.bytes.len() - self.at;
-        if available < n {
+/// Reads `tiles` vote-state tiles and merges them into one volume.
+/// Checkpoints written before the engine kept one DSI carry one tile per
+/// shard. Every tile must be sensor-sized, as every built-in backend's DSI
+/// and every legacy tile is, so the DSI a restore allocates is bounded by
+/// the vote-state bytes actually present.
+fn vote_volume<S: VoxelScore>(
+    c: &mut Reader<'_>,
+    tiles: usize,
+    planes: &DepthPlanes,
+    sensor: &CameraIntrinsics,
+) -> Result<DsiVolume<S>, CodecError> {
+    let mut volume: Option<DsiVolume<S>> = None;
+    for i in 0..tiles {
+        let width = c.usize("vote-state tile width")?;
+        let height = c.usize("vote-state tile height")?;
+        if (width as u64, height as u64) != (u64::from(sensor.width), u64::from(sensor.height)) {
             return Err(corrupt(format!(
-                "truncated while reading {what}: needed {n} bytes, {available} left"
+                "vote-state tile {i} is {width}x{height} but the camera is {}x{}",
+                sensor.width, sensor.height
             )));
         }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    /// Rejects declared element counts whose payload cannot possibly fit in
-    /// the remaining bytes, so a corrupted count fails fast instead of
-    /// attempting a huge allocation.
-    fn reserve(&self, count: usize, min_bytes_each: usize, what: &str) -> Result<(), EmvsError> {
-        let available = self.bytes.len() - self.at;
-        if count.saturating_mul(min_bytes_each) > available {
-            return Err(corrupt(format!(
-                "declared {count} {what} but only {available} payload bytes remain"
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, EmvsError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, EmvsError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(corrupt(format!("{what}: invalid boolean byte {other}"))),
+        let len = c.usize("vote-state tile length")?;
+        let payload = c.take(len, "vote-state tile")?;
+        let tile = DsiVolume::decode_vote_state(width, height, planes.clone(), payload)
+            .map_err(|e| corrupt(format!("vote-state tile {i}: {e}")))?;
+        match &mut volume {
+            None => volume = Some(tile),
+            Some(first) => first.merge_from(&tile),
         }
     }
-
-    fn u16(&mut self, what: &str) -> Result<u16, EmvsError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, EmvsError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, EmvsError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self, what: &str) -> Result<usize, EmvsError> {
-        let v = self.u64(what)?;
-        usize::try_from(v).map_err(|_| corrupt(format!("{what}: {v} overflows this host")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, EmvsError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, EmvsError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(format!("{what}: invalid UTF-8")))
-    }
-
-    fn pose(&mut self, what: &str) -> Result<Pose, EmvsError> {
-        let translation = Vec3::new(self.f64(what)?, self.f64(what)?, self.f64(what)?);
-        let (qx, qy, qz, qw) = (
-            self.f64(what)?,
-            self.f64(what)?,
-            self.f64(what)?,
-            self.f64(what)?,
-        );
-        let rotation = UnitQuaternion::from_normalized(qw, qx, qy, qz, 1e-6)
-            .ok_or_else(|| corrupt(format!("{what}: rotation is not unit norm")))?;
-        Ok(Pose::new(rotation, translation))
-    }
-
-    /// Reads `tiles` vote-state tiles and merges them into one volume.
-    /// Checkpoints written before the engine kept one DSI carry one tile per
-    /// shard; every tile must match the first one's dimensions before
-    /// [`DsiVolume::merge_from`] may see it.
-    fn vote_volume<S: VoxelScore>(
-        &mut self,
-        tiles: usize,
-        planes: &DepthPlanes,
-    ) -> Result<DsiVolume<S>, EmvsError> {
-        let mut volume: Option<DsiVolume<S>> = None;
-        for i in 0..tiles {
-            let what = format!("vote-state tile {i}");
-            let width = self.usize(&what)?;
-            let height = self.usize(&what)?;
-            let len = self.usize(&what)?;
-            let payload = self.take(len, &what)?;
-            let tile = DsiVolume::decode_vote_state(width, height, planes.clone(), payload)
-                .map_err(|e| corrupt(format!("{what}: {e}")))?;
-            match &mut volume {
-                None => volume = Some(tile),
-                Some(first) if (first.width(), first.height()) == (width, height) => {
-                    first.merge_from(&tile);
-                }
-                Some(first) => {
-                    return Err(corrupt(format!(
-                        "{what} is {width}x{height} but tile 0 is {}x{}",
-                        first.width(),
-                        first.height()
-                    )))
-                }
-            }
-        }
-        volume.ok_or_else(|| corrupt("vote state holds no tiles"))
-    }
+    volume.ok_or_else(|| corrupt("vote state holds no tiles"))
 }
 
 #[cfg(test)]

@@ -502,7 +502,11 @@ impl<B: ExecutionBackend> SessionDriver<B> {
         }
         let mut accepted = 0usize;
         while accepted < events.len() {
-            let mut free = self.max_pending_events - self.pending_events();
+            // A cap lowered below the buffered count is backpressure, not
+            // an underflow.
+            let mut free = self
+                .max_pending_events
+                .saturating_sub(self.pending_events());
             if free == 0 {
                 if let Err(e) = self.drain_ready() {
                     if accepted > 0 {
@@ -513,7 +517,9 @@ impl<B: ExecutionBackend> SessionDriver<B> {
                     }
                     return Err(e);
                 }
-                free = self.max_pending_events - self.pending_events();
+                free = self
+                    .max_pending_events
+                    .saturating_sub(self.pending_events());
             }
             if free == 0 {
                 if accepted == 0 {
@@ -736,6 +742,20 @@ impl<B: ExecutionBackend> SessionDriver<B> {
         }
         let mut driver =
             Self::new(camera, config, backend)?.with_max_pending_events(max_pending_events);
+        if pending.len() > driver.max_pending_events {
+            return Err(EmvsError::Checkpoint {
+                reason: format!(
+                    "inconsistent checkpoint: {} pending events exceed the buffer cap of {}",
+                    pending.len(),
+                    driver.max_pending_events
+                ),
+            });
+        }
+        if reference.is_none() && (frames_in_keyframe > 0 || events_in_keyframe > 0) {
+            return Err(EmvsError::Checkpoint {
+                reason: "inconsistent checkpoint: an open key frame has no reference pose".into(),
+            });
+        }
         driver
             .backend
             .import_vote_state(vote_state, &mut driver.profile)?;
@@ -1118,6 +1138,27 @@ mod tests {
     }
 
     #[test]
+    fn a_cap_lowered_below_the_buffer_is_backpressure() {
+        let seq = sequence();
+        let config = config_for(&seq);
+        let n = config.events_per_frame;
+        let events = seq.events.as_slice();
+        let mut driver = driver_for(&seq, &config).with_max_pending_events(3 * n);
+        assert_eq!(driver.push_events(&events[..3 * n]).unwrap(), 3 * n);
+        // The cap clamps to one frame, two frames under the buffered count.
+        let mut driver = driver.with_max_pending_events(0);
+        assert!(matches!(
+            driver.push_events(&events[3 * n..4 * n]),
+            Err(EmvsError::Backpressure { .. })
+        ));
+        assert_eq!(driver.pending_events(), 3 * n);
+        // Poses drain the buffer and the same events are accepted.
+        driver.push_trajectory(&seq.trajectory).unwrap();
+        driver.poll().unwrap();
+        assert_eq!(driver.push_events(&events[3 * n..4 * n]).unwrap(), n);
+    }
+
+    #[test]
     fn out_of_order_events_are_rejected() {
         let seq = sequence();
         let config = config_for(&seq);
@@ -1364,6 +1405,29 @@ mod tests {
             SessionDriver::restore(backend, bad),
             Err(EmvsError::Checkpoint { .. })
         ));
+
+        // More pending events than the buffer cap, which clamps to one
+        // frame: `push_events` would underflow computing its free space.
+        let mut bad = checkpoint.clone();
+        bad.max_pending_events = 0;
+        bad.pending = seq.events.as_slice()[..config.events_per_frame + 1].to_vec();
+        let backend = engine(&seq, &config, ParallelConfig::sequential());
+        let err = SessionDriver::restore(backend, bad).unwrap_err();
+        assert!(matches!(err, EmvsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("cap"), "{err}");
+
+        // An open key frame without a reference pose: `finish` would retire
+        // it with no pose to retire it at.
+        for (frames, events) in [(1, 0), (0, 1)] {
+            let mut bad = checkpoint.clone();
+            bad.reference = None;
+            bad.frames_in_keyframe = frames;
+            bad.events_in_keyframe = events;
+            let backend = engine(&seq, &config, ParallelConfig::sequential());
+            let err = SessionDriver::restore(backend, bad).unwrap_err();
+            assert!(matches!(err, EmvsError::Checkpoint { .. }), "{err}");
+            assert!(err.to_string().contains("reference pose"), "{err}");
+        }
 
         // Volume geometry that does not match the backend.
         let mut bad = checkpoint.clone();

@@ -27,6 +27,10 @@
 //!   `t tx ty tz qx qy qz qw`, eight `f64` bit patterns (64 bytes each).
 //! * `EVTS` — `count: u64`, then `count` events of
 //!   `t: f64, x: u16, y: u16, polarity: u8` (13 bytes each, packed).
+//!
+//!   Both are the shared record layouts of [`crate::codec`], which reads
+//!   and writes them for this container, the checkpoint payload and the
+//!   wire protocol alike.
 //! * `CKPT` — `version: u32` ([`CKPT_VERSION`]), then an opaque checkpoint
 //!   payload (a mid-flight session snapshot, encoded by `eventor-core`).
 //!   A checkpoint container holds exactly this one section
@@ -40,11 +44,11 @@
 //! [`EventError::InvalidRecord`], and re-validates the decoded stream and
 //! trajectory orderings through the normal constructors.
 
-use crate::event::{Event, Polarity};
+use crate::codec::{self, put_events, put_pose_samples, CodecError, Reader};
 use crate::fnv::fnv1a_64;
 use crate::stream::EventStream;
 use crate::EventError;
-use eventor_geom::{Pose, Trajectory, UnitQuaternion, Vec3};
+use eventor_geom::Trajectory;
 use std::io::{Read, Write};
 
 /// Magic bytes opening every `.evtr` file.
@@ -68,32 +72,9 @@ fn corrupt(reason: impl Into<String>) -> EventError {
     }
 }
 
-fn encode_trajectory(trajectory: &Trajectory) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + trajectory.len() * 64);
-    out.extend_from_slice(&(trajectory.len() as u64).to_le_bytes());
-    for sample in trajectory {
-        let t = sample.pose.translation;
-        let q = sample.pose.rotation;
-        for v in [sample.timestamp, t.x, t.y, t.z, q.x, q.y, q.z, q.w] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn encode_events(stream: &EventStream) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + stream.len() * 13);
-    out.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-    for e in stream {
-        out.extend_from_slice(&e.t.to_le_bytes());
-        out.extend_from_slice(&e.x.to_le_bytes());
-        out.extend_from_slice(&e.y.to_le_bytes());
-        out.push(match e.polarity {
-            Polarity::Positive => 1,
-            Polarity::Negative => 0,
-        });
-    }
-    out
+/// Maps the record codec's error into this container's one error domain.
+fn codec_error(e: CodecError) -> EventError {
+    corrupt(e.to_string())
 }
 
 /// Serializes a recorded run — an event stream plus the trajectory it was
@@ -107,15 +88,16 @@ pub fn write_evtr<W: Write>(
     trajectory: &Trajectory,
     mut writer: W,
 ) -> std::io::Result<()> {
+    let mut traj = Vec::new();
+    put_pose_samples(&mut traj, trajectory.iter().map(|s| (s.timestamp, s.pose)));
+    let mut evts = Vec::new();
+    put_events(&mut evts, stream.as_slice());
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&EVTR_MAGIC);
     bytes.extend_from_slice(&EVTR_VERSION.to_le_bytes());
     bytes.extend_from_slice(&2u32.to_le_bytes());
     bytes.extend_from_slice(&0u32.to_le_bytes());
-    for (tag, payload) in [
-        (TAG_TRAJ, encode_trajectory(trajectory)),
-        (TAG_EVTS, encode_events(stream)),
-    ] {
+    for (tag, payload) in [(TAG_TRAJ, traj), (TAG_EVTS, evts)] {
         bytes.extend_from_slice(&tag);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);
@@ -125,74 +107,9 @@ pub fn write_evtr<W: Write>(
     writer.write_all(&bytes)
 }
 
-/// A little-endian byte cursor with bounds-checked reads.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], EventError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| corrupt(format!("truncated while reading {what}")))?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, EventError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, EventError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, EventError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, EventError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-}
-
 fn decode_trajectory(payload: &[u8]) -> Result<Trajectory, EventError> {
-    let mut c = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let count = c.u64("trajectory sample count")? as usize;
-    // Checked arithmetic: a crafted count must yield InvalidRecord, never
-    // an overflow panic or a capacity-overflow abort.
-    if count
-        .checked_mul(64)
-        .and_then(|n| n.checked_add(8))
-        .is_none_or(|expected| payload.len() != expected)
-    {
-        return Err(corrupt(format!(
-            "TRAJ section declares {count} samples but holds {} payload bytes",
-            payload.len()
-        )));
-    }
-    let mut samples = Vec::with_capacity(count);
-    for i in 0..count {
-        let what = format!("trajectory sample {i}");
-        let t = c.f64(&what)?;
-        let translation = Vec3::new(c.f64(&what)?, c.f64(&what)?, c.f64(&what)?);
-        let (qx, qy, qz, qw) = (c.f64(&what)?, c.f64(&what)?, c.f64(&what)?, c.f64(&what)?);
-        if !t.is_finite() {
-            return Err(corrupt(format!("{what}: non-finite timestamp")));
-        }
-        // Bit-preserving: `UnitQuaternion::new` would renormalize and could
-        // perturb the stored rotation by a ULP, breaking bit-exact replay.
-        let rotation = UnitQuaternion::from_normalized(qw, qx, qy, qz, 1e-6)
-            .ok_or_else(|| corrupt(format!("{what}: rotation is not unit norm")))?;
-        samples.push((t, Pose::new(rotation, translation)));
-    }
+    let samples = codec::read_all(payload, "TRAJ section", |r| r.pose_samples("TRAJ section"))
+        .map_err(codec_error)?;
     if samples.is_empty() {
         return Ok(Trajectory::new());
     }
@@ -201,39 +118,8 @@ fn decode_trajectory(payload: &[u8]) -> Result<Trajectory, EventError> {
 }
 
 fn decode_events(payload: &[u8]) -> Result<EventStream, EventError> {
-    let mut c = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let count = c.u64("event count")? as usize;
-    if count
-        .checked_mul(13)
-        .and_then(|n| n.checked_add(8))
-        .is_none_or(|expected| payload.len() != expected)
-    {
-        return Err(corrupt(format!(
-            "EVTS section declares {count} events but holds {} payload bytes",
-            payload.len()
-        )));
-    }
-    let mut events = Vec::with_capacity(count);
-    for i in 0..count {
-        let what = format!("event {i}");
-        let t = c.f64(&what)?;
-        let x = c.u16(&what)?;
-        let y = c.u16(&what)?;
-        let polarity = match c.take(1, &what)?[0] {
-            1 => Polarity::Positive,
-            0 => Polarity::Negative,
-            other => {
-                return Err(corrupt(format!("{what}: invalid polarity byte {other}")));
-            }
-        };
-        if !t.is_finite() {
-            return Err(corrupt(format!("{what}: non-finite timestamp")));
-        }
-        events.push(Event::new(t, x, y, polarity));
-    }
+    let events = codec::read_all(payload, "EVTS section", |r| r.events("EVTS section"))
+        .map_err(codec_error)?;
     EventStream::from_events(events)
         .map_err(|e| corrupt(format!("EVTS section is not time-ordered: {e}")))
 }
@@ -270,43 +156,44 @@ fn read_sections<R: Read>(mut reader: R) -> Result<(Vec<u8>, Vec<Section>), Even
             "checksum mismatch: file declares {declared:#018x}, content hashes to {actual:#018x}"
         )));
     }
-    let body_len = body.len();
-    let mut c = Cursor { bytes: body, at: 0 };
-    let magic = c.take(4, "magic")?;
+    let sections =
+        codec::read_all(body, "declared sections", section_table).map_err(codec_error)?;
+    Ok((bytes, sections))
+}
+
+/// Reads the header and the section table of a checksummed container body.
+fn section_table(r: &mut Reader<'_>) -> Result<Vec<Section>, CodecError> {
+    let magic = r.take(4, "magic")?;
     if magic != EVTR_MAGIC {
-        return Err(corrupt(format!("bad magic {magic:?}, expected \"EVTR\"")));
+        return Err(CodecError::invalid(format!(
+            "bad magic {magic:?}, expected \"EVTR\""
+        )));
     }
-    let version = c.u32("version")?;
+    let version = r.u32("version")?;
     if version != EVTR_VERSION {
-        return Err(corrupt(format!(
+        return Err(CodecError::invalid(format!(
             "unsupported evtr version {version} (this reader speaks {EVTR_VERSION})"
         )));
     }
-    let section_count = c.u32("section count")?;
-    let reserved = c.u32("reserved header bytes")?;
+    let section_count = r.u32("section count")?;
+    let reserved = r.u32("reserved header bytes")?;
     if reserved != 0 {
-        return Err(corrupt(format!(
+        return Err(CodecError::invalid(format!(
             "reserved header bytes must be zero (got {reserved:#010x})"
         )));
     }
     let mut sections = Vec::new();
-    for i in 0..section_count {
-        let tag: [u8; 4] = c.take(4, "section tag")?.try_into().unwrap();
-        let len = c.u64("section length")? as usize;
-        let start = c.at;
-        c.take(len, &format!("section {i} payload"))?;
+    for _ in 0..section_count {
+        let tag = r.take(4, "section tag")?.try_into().unwrap();
+        let len = r.usize("section length")?;
+        let start = r.position();
+        r.take(len, "section payload")?;
         sections.push(Section {
             tag,
             payload: start..start + len,
         });
     }
-    if c.at != body_len {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the declared sections",
-            body_len - c.at
-        )));
-    }
-    Ok((bytes, sections))
+    Ok(sections)
 }
 
 /// Deserializes an `eventor-evtr/1` container back into the recorded event
@@ -418,13 +305,9 @@ pub fn read_ckpt<R: Read>(reader: R) -> Result<Vec<u8>, EventError> {
     }
     let payload = payload.ok_or_else(|| corrupt("missing CKPT section"))?;
     let body = &bytes[payload];
-    if body.len() < 4 {
-        return Err(corrupt(format!(
-            "CKPT section too short for its version word ({} bytes)",
-            body.len()
-        )));
-    }
-    let version = u32::from_le_bytes(body[..4].try_into().unwrap());
+    let version = Reader::new(body)
+        .u32("CKPT version word")
+        .map_err(codec_error)?;
     if version != CKPT_VERSION {
         return Err(corrupt(format!(
             "unsupported checkpoint version {version} (this reader speaks {CKPT_VERSION})"
@@ -436,7 +319,8 @@ pub fn read_ckpt<R: Read>(reader: R) -> Result<Vec<u8>, EventError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventor_geom::Vec3;
+    use crate::event::{Event, Polarity};
+    use eventor_geom::{Pose, UnitQuaternion, Vec3};
 
     fn sample_trajectory() -> Trajectory {
         Trajectory::linear(

@@ -15,7 +15,9 @@
 //! * the `eventor-evtr/1` binary record/replay container
 //!   ([`write_evtr`] / [`read_evtr`]): length-prefixed, checksummed,
 //!   bit-exact — a recorded run replays to identical reconstruction output
-//!   (`docs/SCENARIOS.md`).
+//!   (`docs/SCENARIOS.md`),
+//! * the one record [`codec`] behind every binary format: the bounded
+//!   little-endian reader and the event, pose and pose-sample layouts.
 //!
 //! ## Example
 //!
@@ -34,6 +36,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod codec;
 mod datasets;
 mod error;
 mod event;

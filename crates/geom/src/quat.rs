@@ -69,8 +69,8 @@ impl UnitQuaternion {
     /// [`UnitQuaternion::new`] divides by the computed norm, which can
     /// perturb even an already-normalized quaternion by one ULP per
     /// component; deserializers that must round-trip poses bit-exactly (the
-    /// `eventor-evtr/1` record/replay container) use this constructor
-    /// instead. Returns `None` when the components deviate from unit norm
+    /// record codec behind `eventor-evtr/1`, `CKPT` and `eventor-wire/1`)
+    /// use this constructor instead. Returns `None` when the components deviate from unit norm
     /// by more than `tolerance`.
     pub fn from_normalized(w: f64, x: f64, y: f64, z: f64, tolerance: f64) -> Option<Self> {
         let norm = (w * w + x * x + y * y + z * z).sqrt();

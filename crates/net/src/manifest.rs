@@ -11,6 +11,7 @@
 use crate::wire::{code, WireError};
 use eventor_core::EventorSession;
 use eventor_emvs::EmvsConfig;
+use eventor_events::codec::{self, put_str, CodecError};
 use eventor_geom::CameraModel;
 use eventor_scenarios::{find, session_for_profile, BackendKind, WorldSpec};
 
@@ -59,14 +60,12 @@ impl SessionManifest {
         match &self.source {
             ManifestSource::Scenario { name, seed } => {
                 out.push(SOURCE_SCENARIO);
-                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
+                put_str(&mut out, name);
                 out.extend_from_slice(&seed.to_le_bytes());
             }
             ManifestSource::Spec { text } => {
                 out.push(SOURCE_SPEC);
-                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
+                put_str(&mut out, text);
             }
         }
         out
@@ -82,43 +81,28 @@ impl SessionManifest {
     ///
     /// [`WireError::Malformed`] naming the structural violation.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let malformed = |reason: String| WireError::Malformed { reason };
-        let take = |at: &mut usize, n: usize, what: &str| -> Result<&[u8], WireError> {
-            let end = at
-                .checked_add(n)
-                .filter(|&end| end <= payload.len())
-                .ok_or_else(|| malformed(format!("manifest truncated reading {what}")))?;
-            let slice = &payload[*at..end];
-            *at = end;
-            Ok(slice)
-        };
-        let mut at = 0usize;
-        let backend = match take(&mut at, 1, "backend tag")?[0] {
-            BACKEND_SOFTWARE => BackendKind::Software,
-            BACKEND_SHARDED => BackendKind::Sharded,
-            BACKEND_COSIM => BackendKind::Cosim,
-            other => return Err(malformed(format!("unknown backend tag {other}"))),
-        };
-        let source_tag = take(&mut at, 1, "source tag")?[0];
-        let len = u32::from_le_bytes(take(&mut at, 4, "source length")?.try_into().unwrap());
-        let text = String::from_utf8(take(&mut at, len as usize, "source text")?.to_vec())
-            .map_err(|_| malformed("manifest source text is not valid UTF-8".into()))?;
-        let source = match source_tag {
-            SOURCE_SCENARIO => {
-                let seed =
-                    u64::from_le_bytes(take(&mut at, 8, "scenario seed")?.try_into().unwrap());
-                ManifestSource::Scenario { name: text, seed }
-            }
-            SOURCE_SPEC => ManifestSource::Spec { text },
-            other => return Err(malformed(format!("unknown source tag {other}"))),
-        };
-        if at != payload.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes after the manifest",
-                payload.len() - at
-            )));
-        }
-        Ok(Self { backend, source })
+        codec::read_all(payload, "manifest", |r| {
+            let backend = match r.u8("backend tag")? {
+                BACKEND_SOFTWARE => BackendKind::Software,
+                BACKEND_SHARDED => BackendKind::Sharded,
+                BACKEND_COSIM => BackendKind::Cosim,
+                other => return Err(CodecError::invalid(format!("unknown backend tag {other}"))),
+            };
+            let source_tag = r.u8("source tag")?;
+            let text = r.string("source text")?;
+            let source = match source_tag {
+                SOURCE_SCENARIO => ManifestSource::Scenario {
+                    name: text,
+                    seed: r.u64("scenario seed")?,
+                },
+                SOURCE_SPEC => ManifestSource::Spec { text },
+                other => return Err(CodecError::invalid(format!("unknown source tag {other}"))),
+            };
+            Ok(Self { backend, source })
+        })
+        .map_err(|e| WireError::Malformed {
+            reason: format!("manifest: {e}"),
+        })
     }
 
     /// The admission profile this manifest describes, **without**

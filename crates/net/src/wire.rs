@@ -17,7 +17,10 @@
 //! The layout deliberately follows the `eventor-evtr/1` container
 //! conventions (`crates/events/src/evtr.rs`): little-endian integers, a
 //! versioned header whose reserved bytes are zero-checked, length-prefixed
-//! variable parts, and a trailing shared [`Fnv64`] checksum. The decoder is
+//! variable parts, and a trailing shared [`Fnv64`] checksum. Headers and
+//! payloads are read with the shared record codec
+//! ([`eventor_events::codec`]), which also owns the `Poses` and `Events`
+//! record layouts; its errors map onto [`WireError`]. The decoder is
 //! *strict*: bad magic, version skew, nonzero reserved bytes, oversized or
 //! inexact lengths, checksum mismatches, unknown kinds and malformed
 //! payloads each map to a distinct [`WireError`] variant — never a panic,
@@ -25,8 +28,9 @@
 
 use crate::manifest::SessionManifest;
 use eventor_emvs::SessionEvent;
-use eventor_events::{Event, Fnv64, Polarity};
-use eventor_geom::{Pose, Trajectory, UnitQuaternion, Vec3};
+use eventor_events::codec::{put_events, put_pose_samples, put_str, CodecError, Reader};
+use eventor_events::{Event, Fnv64};
+use eventor_geom::{Pose, Trajectory};
 
 /// Magic bytes opening every `eventor-wire/1` frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"EWIR";
@@ -223,6 +227,21 @@ impl From<std::io::Error> for WireError {
         Self::Io {
             kind: e.kind(),
             detail: e.to_string(),
+        }
+    }
+}
+
+/// A short read is [`WireError::Truncated`] naming the field; every other
+/// record-codec refusal is [`WireError::Malformed`].
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { what, needed, left } => Self::Truncated {
+                what,
+                expected: needed,
+                found: left,
+            },
+            CodecError::Invalid { reason } => Self::Malformed { reason },
         }
     }
 }
@@ -551,30 +570,8 @@ impl WireFrame {
             | Self::Ok
             | Self::ByeOk => {}
             Self::Admit { manifest } => out = manifest.encode(),
-            Self::Poses { samples } => {
-                out.reserve(8 + samples.len() * 64);
-                out.extend_from_slice(&(samples.len() as u64).to_le_bytes());
-                for (timestamp, pose) in samples {
-                    let t = pose.translation;
-                    let q = pose.rotation;
-                    for v in [*timestamp, t.x, t.y, t.z, q.x, q.y, q.z, q.w] {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-            Self::Events { events } => {
-                out.reserve(8 + events.len() * 13);
-                out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-                for e in events {
-                    out.extend_from_slice(&e.t.to_le_bytes());
-                    out.extend_from_slice(&e.x.to_le_bytes());
-                    out.extend_from_slice(&e.y.to_le_bytes());
-                    out.push(match e.polarity {
-                        Polarity::Positive => 1,
-                        Polarity::Negative => 0,
-                    });
-                }
-            }
+            Self::Poses { samples } => put_pose_samples(&mut out, samples.iter().copied()),
+            Self::Events { events } => put_events(&mut out, events),
             Self::HelloOk {
                 max_payload,
                 queue_capacity,
@@ -590,8 +587,7 @@ impl WireFrame {
             }
             Self::Rejected { code, reason } | Self::Error { code, reason } => {
                 out.extend_from_slice(&code.to_le_bytes());
-                out.extend_from_slice(&(reason.len() as u32).to_le_bytes());
-                out.extend_from_slice(reason.as_bytes());
+                put_str(&mut out, reason);
             }
             Self::EventsAck { accepted, credits } => {
                 out.extend_from_slice(&accepted.to_le_bytes());
@@ -647,10 +643,7 @@ impl WireFrame {
                 out.extend_from_slice(&keyframes.to_le_bytes());
                 out.extend_from_slice(&events_processed.to_le_bytes());
             }
-            Self::MetricsReply { json } => {
-                out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-                out.extend_from_slice(json.as_bytes());
-            }
+            Self::MetricsReply { json } => put_str(&mut out, json),
         }
         out
     }
@@ -677,87 +670,6 @@ pub fn encode_frame(session: u64, frame: &WireFrame) -> Vec<u8> {
     out
 }
 
-/// A little-endian byte cursor with bounds-checked reads (the `evtr` reader
-/// idiom).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(WireError::Truncated {
-                what,
-                expected: n,
-                found: self.bytes.len().saturating_sub(self.at),
-            })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self, what: &'static str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    fn done(&self, what: &'static str) -> Result<(), WireError> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing bytes after the {what} payload",
-                self.bytes.len() - self.at
-            )))
-        }
-    }
-}
-
-/// Checks that a length-prefixed array's declared count fits the remaining
-/// payload exactly — with checked arithmetic, so a crafted count yields a
-/// typed error, never an overflow panic or a capacity abort.
-fn check_count(
-    count: u64,
-    elem_size: usize,
-    remaining: usize,
-    what: &'static str,
-) -> Result<usize, WireError> {
-    let count = usize::try_from(count)
-        .map_err(|_| malformed(format!("{what} count {count} does not fit this host")))?;
-    match count.checked_mul(elem_size) {
-        Some(bytes) if bytes == remaining => Ok(count),
-        _ => Err(malformed(format!(
-            "{what} declares {count} entries but holds {remaining} payload bytes"
-        ))),
-    }
-}
-
 fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
     let empty = |frame: WireFrame| -> Result<WireFrame, WireError> {
         if payload.is_empty() {
@@ -770,7 +682,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
             )))
         }
     };
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::new(payload);
     match kind {
         0x0001 => empty(WireFrame::Hello),
         0x0002 => {
@@ -778,46 +690,13 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
             Ok(WireFrame::Admit { manifest })
         }
         0x0003 => {
-            let count = c.u64("pose sample count")?;
-            let count = check_count(count, 64, payload.len() - 8, "Poses")?;
-            let mut samples = Vec::with_capacity(count);
-            for _ in 0..count {
-                let what = "pose sample";
-                let timestamp = c.f64(what)?;
-                let translation = Vec3::new(c.f64(what)?, c.f64(what)?, c.f64(what)?);
-                let (qx, qy, qz, qw) = (c.f64(what)?, c.f64(what)?, c.f64(what)?, c.f64(what)?);
-                if !timestamp.is_finite() {
-                    return Err(malformed("pose sample has a non-finite timestamp"));
-                }
-                // Bit-preserving, as in the evtr reader: renormalizing could
-                // perturb the rotation by a ULP and break bit-exact serving.
-                let rotation = UnitQuaternion::from_normalized(qw, qx, qy, qz, 1e-6)
-                    .ok_or_else(|| malformed("pose sample rotation is not unit norm"))?;
-                samples.push((timestamp, Pose::new(rotation, translation)));
-            }
+            let samples = c.pose_samples("Poses")?;
+            c.finish("Poses payload")?;
             Ok(WireFrame::Poses { samples })
         }
         0x0004 => {
-            let count = c.u64("event count")?;
-            let count = check_count(count, 13, payload.len() - 8, "Events")?;
-            let mut events = Vec::with_capacity(count);
-            for _ in 0..count {
-                let what = "event";
-                let t = c.f64(what)?;
-                let x = c.u16(what)?;
-                let y = c.u16(what)?;
-                let polarity = match c.take(1, what)?[0] {
-                    1 => Polarity::Positive,
-                    0 => Polarity::Negative,
-                    other => {
-                        return Err(malformed(format!("invalid polarity byte {other}")));
-                    }
-                };
-                if !t.is_finite() {
-                    return Err(malformed("event has a non-finite timestamp"));
-                }
-                events.push(Event::new(t, x, y, polarity));
-            }
+            let events = c.events("Events")?;
+            c.finish("Events payload")?;
             Ok(WireFrame::Events { events })
         }
         0x0005 => empty(WireFrame::Poll),
@@ -828,7 +707,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         0x000a => empty(WireFrame::Bye),
         0x000b | 0x000c => {
             let nonce = c.u64("keepalive nonce")?;
-            c.done("keepalive")?;
+            c.finish("keepalive payload")?;
             Ok(if kind == 0x000b {
                 WireFrame::Ping { nonce }
             } else {
@@ -838,7 +717,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         0x8001 => {
             let max_payload = c.u32("HelloOk max_payload")?;
             let queue_capacity = c.u64("HelloOk queue_capacity")?;
-            c.done("HelloOk")?;
+            c.finish("HelloOk payload")?;
             Ok(WireFrame::HelloOk {
                 max_payload,
                 queue_capacity,
@@ -846,13 +725,13 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         }
         0x8002 => {
             let credits = c.u64("Admitted credits")?;
-            c.done("Admitted")?;
+            c.finish("Admitted payload")?;
             Ok(WireFrame::Admitted { credits })
         }
         0x8003 | 0x800b => {
             let code = c.u16("reply code")?;
             let reason = c.string("reply reason")?;
-            c.done("reply")?;
+            c.finish("reply payload")?;
             Ok(if kind == 0x8003 {
                 WireFrame::Rejected { code, reason }
             } else {
@@ -863,12 +742,11 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         0x8005 => {
             let accepted = c.u64("EventsAck accepted")?;
             let credits = c.u64("EventsAck credits")?;
-            c.done("EventsAck")?;
+            c.finish("EventsAck payload")?;
             Ok(WireFrame::EventsAck { accepted, credits })
         }
         0x8006 => {
-            let count = c.u64("lifecycle event count")?;
-            let count = check_count(count, 25, payload.len() - 8, "Lifecycle")?;
+            let count = c.count(25, "Lifecycle")?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
                 let what = "lifecycle event";
@@ -901,6 +779,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
                     }
                 });
             }
+            c.finish("Lifecycle payload")?;
             Ok(WireFrame::Lifecycle { events })
         }
         0x8007 => {
@@ -909,12 +788,12 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
             let width = c.u64(what)?;
             let height = c.u64(what)?;
             let votes_cast = c.u64(what)?;
-            let count = c.u64("depth sample count")?;
-            let count = check_count(count, 8, payload.len() - 40, "DepthMap samples")?;
+            let count = c.count(8, "DepthMap samples")?;
             let mut depths = Vec::with_capacity(count);
             for _ in 0..count {
                 depths.push(c.u64("depth sample")?);
             }
+            c.finish("DepthMap payload")?;
             // Dimensions must cover the sample count (width × height with
             // checked arithmetic — a crafted pair must not overflow).
             match width.checked_mul(height) {
@@ -935,14 +814,14 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         }
         0x8008 => {
             let credits = c.u64("PollDone credits")?;
-            c.done("PollDone")?;
+            c.finish("PollDone payload")?;
             Ok(WireFrame::PollDone { credits })
         }
         0x8009 => {
             let digest = c.u64("Finished digest")?;
             let keyframes = c.u64("Finished keyframes")?;
             let events_processed = c.u64("Finished events_processed")?;
-            c.done("Finished")?;
+            c.finish("Finished payload")?;
             Ok(WireFrame::Finished {
                 digest,
                 keyframes,
@@ -951,7 +830,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
         }
         0x800a => {
             let json = c.string("metrics document")?;
-            c.done("MetricsReply")?;
+            c.finish("MetricsReply payload")?;
             Ok(WireFrame::MetricsReply { json })
         }
         0x800c => empty(WireFrame::ByeOk),
@@ -963,7 +842,7 @@ fn decode_payload(kind: u16, payload: &[u8]) -> Result<WireFrame, WireError> {
 /// payload_len)`. Used both by [`decode_frame`] and by the streaming reader
 /// (which must learn the payload length before the payload arrives).
 pub(crate) fn decode_header(header: &[u8], max_payload: u32) -> Result<(u16, u64, u32), WireError> {
-    let mut c = Cursor::new(header);
+    let mut c = Reader::new(header);
     let magic = c.take(4, "frame magic")?;
     if magic != WIRE_MAGIC {
         return Err(WireError::BadMagic {
@@ -1037,6 +916,8 @@ pub fn trajectory_samples(trajectory: &Trajectory) -> Vec<(f64, Pose)> {
 mod tests {
     use super::*;
     use crate::manifest::ManifestSource;
+    use eventor_events::Polarity;
+    use eventor_geom::{UnitQuaternion, Vec3};
     use eventor_scenarios::BackendKind;
 
     fn sample_frames() -> Vec<(u64, WireFrame)> {

@@ -364,8 +364,9 @@ fn legacy_multi_tile_vote_state_resumes_to_the_golden_digest() {
     }
 }
 
-/// Untrusted tile headers never reach the merge: a second tile of other
-/// dimensions, and an empty tile list, are typed checkpoint errors.
+/// Untrusted tile headers never reach the merge or size an allocation: a
+/// second tile of other dimensions, an empty tile list and a lone tile that
+/// is not the camera's size are typed checkpoint errors.
 #[test]
 fn forged_vote_tiles_are_typed_checkpoint_errors() {
     let world = world("orbit_dense");
@@ -379,6 +380,9 @@ fn forged_vote_tiles_are_typed_checkpoint_errors() {
             (width - 1, height, narrow.encode_vote_state()),
         ],
         Vec::new(),
+        // One well-formed tile that is not sensor-sized: restore would size
+        // the backend's DSI from the camera, not from the tile.
+        vec![(width - 1, height, narrow.encode_vote_state())],
     ];
     for tiles in forged {
         let payload = with_vote_tiles(&checkpoint, &volume, &tiles);
