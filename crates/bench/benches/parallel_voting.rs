@@ -5,8 +5,9 @@
 //! Rows:
 //!
 //! * `sequential_baseline` — the single-threaded golden path
-//!   (`ParallelConfig::sequential`): every frame voted as it is ingested,
-//! * `engine_{2,4,8}_shards` — buffered key frames voted into the one DSI
+//!   (`ParallelConfig::sequential`): every vote window voted on the calling
+//!   thread,
+//! * `engine_{2,4,8}_shards` — the same vote windows voted into the one DSI
 //!   split into 2/4/8 depth-plane ranges. On a multi-core host these rows
 //!   measure the thread scaling of the vote phase; on a single-core host,
 //!   the buffering and spawn overhead.

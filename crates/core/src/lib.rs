@@ -73,7 +73,7 @@ pub use session::{EventorSession, SessionBuilder, SessionOutput, ShardedBackend,
 // downstream users of the session API need only this crate.
 pub use eventor_emvs::{
     EventorOptions, ExecutionBackend, FrameWork, ParallelConfig, QuantizedFrameParams,
-    SessionDriver, SessionEvent, VotingEngine, DEFAULT_MAX_PENDING_EVENTS, ENGINE_SPILL_EVENTS,
+    SessionDriver, SessionEvent, VotingEngine, DEFAULT_MAX_PENDING_EVENTS, VOTE_WINDOW_EVENTS,
 };
 
 #[cfg(test)]

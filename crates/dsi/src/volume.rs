@@ -29,7 +29,7 @@ impl VoteArena {
 /// Canonical-coordinate block length of the cache-blocked vote loop: the
 /// block (4 B/coord) plus its index buffer (4 B/entry) stay L1-resident
 /// (16 KiB at 2048) while one plane slab (`width · height` scores, ~84 KiB
-/// for a 240×180 `u16` DSI) is the L2-resident write set.
+/// for a 240×180 `u16` DSI) is the write set of every frame of a window.
 const VOTE_BLOCK: usize = 2048;
 
 /// Score storage of a DSI voxel.
@@ -464,7 +464,8 @@ impl<S: VoxelScore> DsiVolume<S> {
         self.vote_all(|view| view.vote_bilinear(x, y, plane, weight));
     }
 
-    /// [`PlaneRange::vote_batch`] on the whole volume.
+    /// [`PlaneRange::vote_batch`] on the whole volume, for a window of one
+    /// frame.
     ///
     /// # Panics
     ///
@@ -480,7 +481,7 @@ impl<S: VoxelScore> DsiVolume<S> {
             coefficients.len() <= self.planes.len(),
             "more φ coefficient entries than depth planes"
         );
-        self.vote_all(|view| view.vote_batch(canon, coefficients, arena));
+        self.vote_all(|view| view.vote_batch(&[(canon, coefficients)], arena));
     }
 
     /// Deposits one unit vote at an exact integer voxel address — the
@@ -695,45 +696,47 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
         }
     }
 
-    /// The batched, cache-blocked spelling of the quantized nearest vote
-    /// loop: for every depth plane of the view that `coefficients` covers
-    /// (`coefficients[i]` belongs to plane `i` of the whole volume),
-    /// transfers every canonical coordinate through the batched `PE_Zi`
-    /// kernel ([`batch::transfer_nearest_batch`], vectorized per the
-    /// session's dispatch tier) and deposits one unit vote per in-sensor
-    /// address directly into the plane slab.
+    /// The batched, cache-blocked quantized nearest vote of a **window** of
+    /// frames, each given as its canonical coordinates and its per-plane
+    /// `φ` words (`coefficients[i]` belongs to plane `i` of the whole
+    /// volume), in stream order. For every depth plane of the view, every
+    /// frame whose coefficients cover that plane transfers its coordinates,
+    /// frame after frame, through the batched `PE_Zi` kernel
+    /// ([`batch::transfer_nearest_batch`], vectorized per the session's
+    /// dispatch tier) with its own `φ` words, and deposits one unit vote
+    /// per in-sensor address directly into the plane slab.
     ///
     /// **Bit-identical to the scalar loop** (`transfer_nearest` +
-    /// [`DsiVolume::vote_at`] per event and plane): unit votes accumulate by
-    /// saturating/exact addition, which is order-independent, so the
-    /// plane-major blocked order changes no byte of the score array.
-    /// In-sensor deposits count as cast; per-plane projection-missing
-    /// transfers are dropped without touching the missed counter (they are
-    /// per-plane outcomes, not lost events).
+    /// [`DsiVolume::vote_at`] per event and plane, frame after frame): each
+    /// voxel lies in one plane and still receives its votes in stream
+    /// order, and unit votes accumulate by saturating/exact addition, so
+    /// neither the plane-major order nor where a stream is cut into windows
+    /// changes a byte of the score array. In-sensor deposits count as cast;
+    /// per-plane projection-missing transfers are dropped without touching
+    /// the missed counter (they are per-plane outcomes, not lost events).
     ///
-    /// The loop is blocked for the cache hierarchy: canonical coordinates
-    /// stream in `VOTE_BLOCK`-sized chunks whose index buffer (reused
-    /// across calls via `arena`) stays L1-resident, while the current plane
-    /// slab is the only large write set.
-    pub fn vote_batch(
-        &mut self,
-        canon: &[PackedCoord],
-        coefficients: &[PhiWords],
-        arena: &mut VoteArena,
-    ) {
+    /// The loop is blocked for the cache hierarchy: each plane slab is
+    /// fetched once per window instead of once per frame, and canonical
+    /// coordinates stream through it in `VOTE_BLOCK`-sized chunks whose
+    /// index buffer (reused across calls via `arena`) stays L1-resident.
+    pub fn vote_batch(&mut self, frames: &[(&[PackedCoord], &[PhiWords])], arena: &mut VoteArena) {
         let (width, height) = (self.width as u32, self.height as u32);
         let slabs = self.data.chunks_exact_mut(self.width * self.height);
-        let phis = coefficients.get(self.planes.start..).unwrap_or_default();
         let mut cast = 0u64;
-        for (phi, slab) in phis.iter().zip(slabs) {
-            for block in canon.chunks(VOTE_BLOCK) {
-                batch::transfer_nearest_batch(phi, block, width, height, &mut arena.idx);
-                for &idx in &arena.idx {
-                    // `MISS` lies past every slab index, so the bounds check
-                    // also skips the projection-missing transfers.
-                    if let Some(score) = slab.get_mut(idx as usize) {
-                        score.add_unit();
-                        cast += 1;
+        for (plane, slab) in self.planes.clone().zip(slabs) {
+            for &(canon, coefficients) in frames {
+                let Some(phi) = coefficients.get(plane) else {
+                    continue;
+                };
+                for block in canon.chunks(VOTE_BLOCK) {
+                    batch::transfer_nearest_batch(phi, block, width, height, &mut arena.idx);
+                    for &idx in &arena.idx {
+                        // `MISS` lies past every slab index, so the bounds
+                        // check also skips the projection-missing transfers.
+                        if let Some(score) = slab.get_mut(idx as usize) {
+                            score.add_unit();
+                            cast += 1;
+                        }
                     }
                 }
             }
@@ -963,7 +966,7 @@ mod tests {
             split.add_votes(cast, missed);
             let mut cast_u16 = 0;
             for mut view in split_u16.plane_ranges_mut(shards) {
-                view.vote_batch(&canon, &coeffs, &mut VoteArena::new());
+                view.vote_batch(&[(&canon, &coeffs)], &mut VoteArena::new());
                 cast_u16 += view.votes_cast();
             }
             split_u16.add_votes(cast_u16, 0);
@@ -977,6 +980,83 @@ mod tests {
                 "shards = {shards}"
             );
             assert_eq!(split_u16, whole_u16, "u16 scores, shards = {shards}");
+        }
+    }
+
+    #[test]
+    fn vote_windows_are_equivalent_for_every_split() {
+        // K frames voted as consecutive windows, for every way of cutting
+        // the stream, must equal K one-frame calls bit for bit, counters
+        // included: u16 votes through the window kernel, and f32 bilinear
+        // votes plane by plane across each window's frames.
+        const K: usize = 5;
+        let frames: Vec<(Vec<PackedCoord>, Vec<PhiWords>)> = (0..K)
+            .map(|k| {
+                // Frame 3 is empty; frame 1 covers only three planes.
+                let events = if k == 3 { 0 } else { 40 + 17 * k };
+                let canon = (0..events)
+                    .map(|i| {
+                        let x = ((i * 37 + k * 11) % 200) as f64 * 0.1 - 1.0;
+                        let y = ((i * 53 + k * 7) % 150) as f64 * 0.1 - 1.0;
+                        PackedCoord::from_f64(x, y)
+                    })
+                    .collect();
+                let coeffs = (0..if k == 1 { 3 } else { 5 })
+                    .map(|p| {
+                        let (p, k) = (p as f64, k as f64);
+                        PhiWords::from_f64(0.8 + 0.1 * p, p - 2.0 + 0.3 * k, 0.5 * p - 0.2 * k)
+                    })
+                    .collect();
+                (canon, coeffs)
+            })
+            .collect();
+        let windows: Vec<(&[PackedCoord], &[PhiWords])> = frames
+            .iter()
+            .map(|(c, p)| (c.as_slice(), p.as_slice()))
+            .collect();
+        // Bilinear votes of frames `ks` on one view: plane by plane, then
+        // frame by frame in stream order.
+        let bilinear = |view: &mut PlaneRange<'_, f32>, ks: Range<usize>| {
+            for plane in view.planes() {
+                for (k, (canon, _)) in frames.iter().enumerate().take(ks.end).skip(ks.start) {
+                    for c in canon {
+                        let (x, y) = (c.x.to_f64(), c.y.to_f64());
+                        view.vote_bilinear(x + plane as f64 * 0.3, y - k as f64 * 0.2, plane, 0.7);
+                    }
+                }
+            }
+        };
+
+        let mut frame_u16 = DsiVolume::<u16>::new(16, 12, planes(5)).unwrap();
+        let mut frame_f32 = DsiVolume::<f32>::new(16, 12, planes(5)).unwrap();
+        let mut arena = VoteArena::new();
+        for (k, (canon, coeffs)) in frames.iter().enumerate() {
+            frame_u16.vote_batch(canon, coeffs, &mut arena);
+            frame_f32.vote_all(|view| bilinear(view, k..k + 1));
+        }
+        assert!(frame_u16.votes_cast() > 0);
+        assert!(frame_f32.votes_cast() > 0 && frame_f32.votes_missed() > 0);
+
+        // Bit `i` of `cuts` set: a window ends after frame `i`.
+        for cuts in 0..1u32 << (K - 1) {
+            let mut windowed_u16 = DsiVolume::<u16>::new(16, 12, planes(5)).unwrap();
+            let mut windowed_f32 = DsiVolume::<f32>::new(16, 12, planes(5)).unwrap();
+            let mut start = 0;
+            for end in (1..=K).filter(|&end| end == K || cuts & 1 << (end - 1) != 0) {
+                let window = &windows[start..end];
+                windowed_u16.vote_all(|view| view.vote_batch(window, &mut arena));
+                windowed_f32.vote_all(|view| bilinear(view, start..end));
+                start = end;
+            }
+            assert_eq!(windowed_u16, frame_u16, "u16, cuts {cuts:04b}");
+            let bits = |v: &DsiVolume<f32>| v.raw_scores().iter().map(|s| s.to_bits()).collect();
+            let (a, b): (Vec<u32>, Vec<u32>) = (bits(&windowed_f32), bits(&frame_f32));
+            assert_eq!(a, b, "f32 scores, cuts {cuts:04b}");
+            assert_eq!(
+                (windowed_f32.votes_cast(), windowed_f32.votes_missed()),
+                (frame_f32.votes_cast(), frame_f32.votes_missed()),
+                "f32 counters, cuts {cuts:04b}"
+            );
         }
     }
 

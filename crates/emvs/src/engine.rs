@@ -15,14 +15,21 @@ use eventor_events::UndistortionLut;
 use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
+use std::ops::Range;
 use std::time::Instant;
 
-/// Buffered canonical coordinates at which a sharded engine votes its open
-/// key frame's buffered frames into the DSI. Bounds engine memory for
-/// arbitrarily long key frames (e.g. a stationary camera that never triggers
-/// a key-frame switch) at roughly one spill window of events plus the one
+/// Buffered canonical survivors at which the engine votes its open key
+/// frame's buffered frames into the DSI, plane by plane: the vote window.
+///
+/// Each plane slab is then fetched once per window instead of once per
+/// frame. 8192 survivors are 32 KiB of Q9.7 words, about eight 1024-event
+/// frames. In a DAVIS-scale `davis_vote` sweep, windows of 4 K–16 K
+/// survivors read alike and 2 K and 32 K lower (`docs/BENCHMARKS.md`,
+/// "Vote window"). The window also bounds engine memory for arbitrarily
+/// long key frames (e.g. a stationary camera that never triggers a
+/// key-frame switch) at one window plus one frame of survivors and the one
 /// DSI.
-pub const ENGINE_SPILL_EVENTS: usize = 1 << 16;
+pub const VOTE_WINDOW_EVENTS: usize = 1 << 13;
 
 /// Per-frame quantized datapath parameters hoisted out of the per-event
 /// loop as **raw fixed-point words**: the nine Q11.21 `Buf_H` words of
@@ -96,7 +103,7 @@ struct Lane {
 
 /// The open key frame's ingested, not yet voted frames: canonical-plane
 /// survivors of `PE_Z0` plus the parameters the `PE_Zi` array transfers
-/// them with. One shard votes after every frame, so it holds one frame.
+/// them with — at most one vote window plus the frame that filled it.
 #[derive(Debug, Default)]
 struct Buffer {
     /// Canonical survivors per buffered frame.
@@ -130,40 +137,55 @@ impl Buffer {
         self.geometries.clear();
     }
 
+    /// Each buffered frame's index and survivor range, in stream order.
+    fn frames(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let ranges = self.frame_lens.iter().scan(0, |end, &len| {
+            *end += len;
+            Some(*end - len..*end)
+        });
+        ranges.enumerate()
+    }
+
     /// `PE_Zi` → Nearest Voxel Finder → vote: transfers every buffered
-    /// canonical coordinate to the view's depth planes and votes it, frame
-    /// by frame and event by event in stream order, so each voxel of the
-    /// view accumulates its votes in the order a one-shard pass would.
+    /// canonical coordinate to the view's depth planes and votes it, plane
+    /// by plane and, within a plane, frame by frame and event by event in
+    /// stream order, so each voxel of the view accumulates its votes in the
+    /// order a frame-by-frame pass would while each plane slab stays
+    /// cache-resident for the whole window.
     ///
-    /// The accelerator datapath votes plane-major through the cache-blocked
-    /// [`PlaneRange::vote_batch`] (raw words in, slab indices out, no `f64`
-    /// in the loop); the other datapaths vote event-major.
+    /// The accelerator datapath votes through the cache-blocked window
+    /// kernel [`PlaneRange::vote_batch`] (raw words in, slab indices out,
+    /// no `f64` in the loop).
     fn vote<S: VoxelScore>(
         &self,
         view: &mut PlaneRange<'_, S>,
         voting: VotingMode,
         arena: &mut VoteArena,
     ) {
-        let mut start = 0;
-        for (frame, &len) in self.frame_lens.iter().enumerate() {
-            let range = start..start + len;
-            start += len;
-            match (self.params.get(frame), voting) {
-                (Some(params), VotingMode::Nearest) => {
-                    view.vote_batch(&self.canon[range], params.coefficients(), arena);
-                }
-                (Some(params), VotingMode::Bilinear) => {
-                    for &c in &self.canon[range] {
-                        for i in view.planes() {
-                            let (x, y) = kernel::transfer_subpixel(&params.coefficients[i], c);
+        match (self.params.is_empty(), voting) {
+            (false, VotingMode::Nearest) => {
+                let frames: Vec<_> = self
+                    .frames()
+                    .map(|(frame, range)| (&self.canon[range], self.params[frame].coefficients()))
+                    .collect();
+                view.vote_batch(&frames, arena);
+            }
+            (false, VotingMode::Bilinear) => {
+                for i in view.planes() {
+                    for (frame, range) in self.frames() {
+                        let phi = &self.params[frame].coefficients[i];
+                        for &c in &self.canon[range] {
+                            let (x, y) = kernel::transfer_subpixel(phi, c);
                             view.vote_bilinear(x, y, i, 1.0);
                         }
                     }
                 }
-                (None, voting) => {
-                    let geometry = &self.geometries[frame];
-                    for &c in &self.canon_float[range] {
-                        for i in view.planes() {
+            }
+            (true, voting) => {
+                for i in view.planes() {
+                    for (frame, range) in self.frames() {
+                        let geometry = &self.geometries[frame];
+                        for &c in &self.canon_float[range] {
                             let p = geometry.transfer(c, i);
                             match voting {
                                 VotingMode::Bilinear => view.vote_bilinear(p.x, p.y, i, 1.0),
@@ -201,9 +223,9 @@ impl Buffer {
 /// survivors are appended to a buffer. **Vote** splits the engine's one
 /// [`DsiVolume`] into `min(shards, planes)` contiguous plane ranges — the
 /// `PE_Zi` array's plane partition — and votes the whole buffer into every
-/// range on its own worker ([`run_sharded`]). One shard votes after every
-/// frame; more than one votes at [`ENGINE_SPILL_EVENTS`] buffered
-/// survivors, at retirement and at checkpoint export.
+/// range on its own worker ([`run_sharded`]), plane by plane. It runs once
+/// the buffer holds [`VOTE_WINDOW_EVENTS`] survivors, at retirement and at
+/// checkpoint export.
 ///
 /// Each voxel has one writer, which sees its votes in stream order, so every
 /// datapath — `f32` bilinear sums included — is bit-identical to the
@@ -368,8 +390,8 @@ impl ExecutionBackend for VotingEngine {
         buffer.frame_lens.push(buffer.events() - before);
         profile.add(Stage::CanonicalProjection, t.elapsed());
 
-        // ➍ PE_Zi and the vote, per plane range.
-        if !self.parallel.is_parallel() || buffer.events() >= ENGINE_SPILL_EVENTS {
+        // ➍ PE_Zi and the vote, per plane range, once a window is full.
+        if buffer.events() >= VOTE_WINDOW_EVENTS {
             self.vote_buffered(profile);
         }
         Ok(())

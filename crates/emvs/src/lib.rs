@@ -58,7 +58,7 @@ mod session;
 
 pub use backproject::FrameGeometry;
 pub use config::{EmvsConfig, EventorOptions, VotingMode};
-pub use engine::{QuantizedFrameParams, VotingEngine, ENGINE_SPILL_EVENTS};
+pub use engine::{QuantizedFrameParams, VotingEngine, VOTE_WINDOW_EVENTS};
 pub use error::EmvsError;
 pub use keyframe::KeyframeSelector;
 pub use mapper::{EmvsOutput, KeyframeReconstruction};

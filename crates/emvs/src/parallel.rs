@@ -9,6 +9,8 @@
 //! stream order, so the output is **bit-identical to the one-shard path for
 //! every shard count and every datapath**, `f32` bilinear sums included.
 
+use std::sync::OnceLock;
+
 /// Degree of parallelism of the voting engine.
 ///
 /// The default is [`ParallelConfig::sequential`], the single-threaded golden
@@ -36,8 +38,8 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Single-shard configuration: the golden path, every frame voted
-    /// on the calling thread as soon as it is ingested.
+    /// Single-shard configuration: the golden path, every vote window
+    /// voted on the calling thread.
     pub fn sequential() -> Self {
         Self { shards: 1 }
     }
@@ -81,10 +83,16 @@ impl ParallelConfig {
     }
 }
 
+/// The host's hardware thread count, read once per process: on Linux the
+/// query reads cgroup files, and the engine and the serve pump ask for it
+/// on every [`run_sharded`] call.
 fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `work` on every job, on at most `min(jobs, available hardware
@@ -105,12 +113,7 @@ where
     F: Fn(I::Item) + Sync,
 {
     let mut jobs = jobs.into_iter();
-    // A single job (the one-shard engine, every frame) never asks the host
-    // for its thread count: on Linux that query reads cgroup files.
-    let threads = match jobs.len() {
-        0 | 1 => 1,
-        n => n.min(available_threads()),
-    };
+    let threads = jobs.len().min(available_threads());
     if threads <= 1 {
         jobs.for_each(work);
         return;

@@ -38,14 +38,14 @@
 //! In-flight memory is bounded: at most `max_pending_events` events are
 //! buffered (frames leave the buffer as soon as the trajectory covers their
 //! mid-point timestamp), and each backend holds fixed-size DSI state plus at
-//! most [`ENGINE_SPILL_EVENTS`](crate::ENGINE_SPILL_EVENTS) buffered
-//! key-frame events (a sharded engine votes its buffer into the DSI past
-//! that threshold, so even a key frame that never retires cannot grow
-//! without bound). When the buffer is full, [`SessionDriver::push_events`]
-//! first tries to drain ready frames and then reports
-//! [`EmvsError::Backpressure`] instead of growing without bound;
-//! [`SessionDriver::discard_pending`] is the explicit escape hatch for
-//! events whose poses can never arrive.
+//! most one vote window ([`VOTE_WINDOW_EVENTS`](crate::VOTE_WINDOW_EVENTS))
+//! and one frame of buffered key-frame survivors (the engine votes its
+//! buffer into the DSI once a window is full, so even a key frame that
+//! never retires cannot grow without bound). When the buffer is full,
+//! [`SessionDriver::push_events`] first tries to drain ready frames and
+//! then reports [`EmvsError::Backpressure`] instead of growing without
+//! bound; [`SessionDriver::discard_pending`] is the explicit escape hatch
+//! for events whose poses can never arrive.
 
 use crate::backproject::FrameGeometry;
 use crate::config::EmvsConfig;
@@ -249,9 +249,9 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Exports the open key frame's partial DSI vote state for a session
     /// checkpoint.
     ///
-    /// Backends that buffer key-frame work (a sharded engine) first vote
-    /// their buffers into the DSI — equivalent to a spill boundary, which is
-    /// safe at any point of a key frame — so the exported volume alone
+    /// Backends that buffer key-frame work (the voting engine) first vote
+    /// their buffers into the DSI — equivalent to a window boundary, which
+    /// is safe at any point of a key frame — so the exported volume alone
     /// determines the key frame's remaining evolution. The
     /// backend stays fully usable afterwards: exporting is observation, not
     /// retirement.
@@ -1012,7 +1012,7 @@ pub(crate) fn reconstruct_with_backend<B: ExecutionBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventorOptions, ParallelConfig, VotingEngine, VotingMode, ENGINE_SPILL_EVENTS};
+    use crate::{EventorOptions, ParallelConfig, VotingEngine, VotingMode, VOTE_WINDOW_EVENTS};
     use eventor_events::{DatasetConfig, Polarity, SequenceKind, SyntheticSequence};
     use eventor_geom::Vec3;
 
@@ -1225,11 +1225,10 @@ mod tests {
 
     #[test]
     fn sharded_spill_keeps_a_giant_single_keyframe_bit_identical() {
-        // One key frame holding the whole stream (more events than
-        // ENGINE_SPILL_EVENTS), so the engine must vote its buffer into the
-        // DSI mid-key-frame — and stay bit-identical to sequential.
+        // One key frame holding the whole stream, so the engine must vote
+        // several windows into the DSI mid-key-frame — and stay
+        // bit-identical to sequential.
         let seq = sequence();
-        assert!(seq.events.len() > ENGINE_SPILL_EVENTS);
         let config = config_for(&seq)
             .with_voting(VotingMode::Nearest)
             .with_keyframe_distance(1e9);
@@ -1247,6 +1246,10 @@ mod tests {
         let sharded = run(ParallelConfig::with_shards(4));
         assert_eq!(sequential.keyframes.len(), 1);
         assert_eq!(sharded.keyframes.len(), 1);
+        // A survivor casts at most one vote per plane, so more votes than
+        // this means more than two full windows before the retire.
+        let windows = (2 * VOTE_WINDOW_EVENTS * config.num_depth_planes) as u64;
+        assert!(sequential.keyframes[0].votes_cast > windows);
         assert_eq!(
             sequential.keyframes[0].votes_cast,
             sharded.keyframes[0].votes_cast

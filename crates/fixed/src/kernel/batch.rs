@@ -354,13 +354,11 @@ pub fn transfer_nearest_batch_with(
         width as u64 * height as u64 <= u32::MAX as u64,
         "slab index would collide with the MISS sentinel"
     );
-    // Size once, write by index: every tier fills all `canon.len()` slots,
-    // so a reused arena of the right length skips the refill entirely and
-    // the hot per-plane loop never pays a `push` capacity check.
-    if out.len() != canon.len() {
-        out.clear();
-        out.resize(canon.len(), MISS);
-    }
+    // Size, then write by index: every tier overwrites all `canon.len()`
+    // slots, so a reused arena is never refilled (only slots past its old
+    // length are initialised) and the hot per-plane loop never pays a
+    // `push` capacity check.
+    out.resize(canon.len(), MISS);
     let dst = out.as_mut_slice();
     match tier {
         Dispatch::Scalar => {
@@ -841,6 +839,32 @@ mod tests {
                         .collect();
                     assert_eq!(got, expect, "tier {} n {}", tier.name(), n);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_arena_matches_scalar_as_blocks_shrink_and_grow() {
+        // One arena over blocks of length 9, 3 and 17: a resize keeps the
+        // previous block's indices, so every tier must overwrite each slot.
+        let pool: Vec<PackedCoord> = (0..17i16)
+            .map(|i| PackedCoord {
+                x: Q9p7::from_raw(i * 1931 - 16000),
+                y: Q9p7::from_raw(12000 - i * 1499),
+            })
+            .collect();
+        let phi = PhiWords::from_f64(0.8371, 120.0, 90.0);
+        for tier in supported_tiers() {
+            let mut idx = Vec::new();
+            for n in [9, 3, 17] {
+                let block = &pool[pool.len() - n..];
+                transfer_nearest_batch_with(tier, &phi, block, 240, 180, &mut idx);
+                let expect: Vec<u32> = block
+                    .iter()
+                    .map(|&c| scalar_transfer_index(&phi, c, 240, 180))
+                    .collect();
+                assert!(expect.iter().any(|&i| i != MISS), "n {n}");
+                assert_eq!(idx, expect, "tier {} n {n}", tier.name());
             }
         }
     }

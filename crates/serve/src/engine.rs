@@ -11,9 +11,9 @@ use eventor_geom::{Pose, Trajectory};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Default per-session ingest-queue capacity, in events: one engine spill
-/// window, so a session's total in-flight memory (queue + pending buffer +
-/// backend spill buffer) stays within a few windows.
+/// Default per-session ingest-queue capacity, in events, so a session's
+/// total in-flight memory (queue + pending buffer + the engine's vote
+/// window) stays within a few of these.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1 << 16;
 
 /// Default pump quantum, in events: how many queued events one session may
@@ -76,11 +76,8 @@ impl ServeConfig {
     /// One worker per available hardware thread,
     /// [`DEFAULT_QUEUE_CAPACITY`], [`DEFAULT_QUANTUM_EVENTS`].
     pub fn new() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Self {
-            workers,
+            workers: ParallelConfig::auto().shards(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             quantum_events: DEFAULT_QUANTUM_EVENTS,
         }
@@ -814,6 +811,9 @@ impl ServeEngine {
             let lane = slot.id % workers;
             lanes[lane].push(slot);
         }
+        // Empty lanes would only add threads: sessions share nothing, so
+        // leaving them out changes no output.
+        lanes.retain(|lane| !lane.is_empty());
         run_sharded(&mut lanes, |lane| {
             for slot in lane.iter_mut() {
                 pump_slot(slot, quantum);

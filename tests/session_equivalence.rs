@@ -110,11 +110,10 @@ fn sharded_session_is_bit_identical_to_batch_sequential() {
 #[test]
 fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
     // A key-frame distance that never triggers a switch: the whole stream is
-    // one key frame, larger than ENGINE_SPILL_EVENTS, so the sharded backend
-    // must spill buffered votes into its tiles mid-key-frame — and stay
-    // bit-identical to the sequential software path.
+    // one key frame spanning several vote windows, so both engines must
+    // vote buffered windows into the DSI mid-key-frame — and the sharded one
+    // stay bit-identical to the sequential software path.
     let seq = sequence();
-    assert!(seq.events.len() > eventor::core::ENGINE_SPILL_EVENTS);
     let config = config_for_sequence(&seq, 60).with_keyframe_distance(1e9);
     let batch = EventorSession::builder(seq.camera, config.clone())
         .software(EventorOptions::accelerator())
@@ -122,6 +121,10 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
         .unwrap()
         .output;
     assert_eq!(batch.keyframes.len(), 1);
+    // A survivor casts at most one vote per plane, so more votes than this
+    // means more than two full windows before the retire.
+    let windows = 2 * eventor::core::VOTE_WINDOW_EVENTS * config.num_depth_planes;
+    assert!(batch.keyframes[0].votes_cast > windows as u64);
     let session = EventorSession::builder(seq.camera, config)
         .sharded(
             EventorOptions::accelerator(),
@@ -130,7 +133,7 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
         .build()
         .unwrap();
     let streamed = run_session(session, &seq, 1024);
-    assert_bit_identical(&batch, &streamed.output, "sharded spill");
+    assert_bit_identical(&batch, &streamed.output, "sharded vote windows");
 }
 
 #[test]
