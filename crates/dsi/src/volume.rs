@@ -481,7 +481,7 @@ impl<S: VoxelScore> DsiVolume<S> {
             coefficients.len() <= self.planes.len(),
             "more φ coefficient entries than depth planes"
         );
-        self.vote_all(|view| view.vote_batch(&[(canon, coefficients)], arena));
+        self.vote_all(|view| view.vote_batch([(canon, coefficients)], arena));
     }
 
     /// Deposits one unit vote at an exact integer voxel address — the
@@ -719,12 +719,18 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
     /// fetched once per window instead of once per frame, and canonical
     /// coordinates stream through it in `VOTE_BLOCK`-sized chunks whose
     /// index buffer (reused across calls via `arena`) stays L1-resident.
-    pub fn vote_batch(&mut self, frames: &[(&[PackedCoord], &[PhiWords])], arena: &mut VoteArena) {
+    /// `frames` is walked once per plane, so it is any cloneable iterable
+    /// (a slice's `iter().copied()`, or a map over the caller's buffer), and
+    /// the kernel allocates nothing once the arena has grown.
+    pub fn vote_batch<'f, F>(&mut self, frames: F, arena: &mut VoteArena)
+    where
+        F: IntoIterator<Item = (&'f [PackedCoord], &'f [PhiWords])> + Clone,
+    {
         let (width, height) = (self.width as u32, self.height as u32);
         let slabs = self.data.chunks_exact_mut(self.width * self.height);
         let mut cast = 0u64;
         for (plane, slab) in self.planes.clone().zip(slabs) {
-            for &(canon, coefficients) in frames {
+            for (canon, coefficients) in frames.clone() {
                 let Some(phi) = coefficients.get(plane) else {
                     continue;
                 };
@@ -966,7 +972,7 @@ mod tests {
             split.add_votes(cast, missed);
             let mut cast_u16 = 0;
             for mut view in split_u16.plane_ranges_mut(shards) {
-                view.vote_batch(&[(&canon, &coeffs)], &mut VoteArena::new());
+                view.vote_batch([(&canon[..], &coeffs[..])], &mut VoteArena::new());
                 cast_u16 += view.votes_cast();
             }
             split_u16.add_votes(cast_u16, 0);
@@ -1044,7 +1050,7 @@ mod tests {
             let mut start = 0;
             for end in (1..=K).filter(|&end| end == K || cuts & 1 << (end - 1) != 0) {
                 let window = &windows[start..end];
-                windowed_u16.vote_all(|view| view.vote_batch(window, &mut arena));
+                windowed_u16.vote_all(|view| view.vote_batch(window.iter().copied(), &mut arena));
                 windowed_f32.vote_all(|view| bilinear(view, start..end));
                 start = end;
             }

@@ -18,16 +18,22 @@ use eventor_geom::{CameraModel, Pose, Vec2};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Buffered canonical survivors at which the engine votes its open key
-/// frame's buffered frames into the DSI, plane by plane: the vote window.
+/// Buffered load at which the engine votes its open key frame's buffered
+/// frames into the DSI: the vote window. The load counts each buffered
+/// canonical survivor and each buffered frame's per-plane parameter entry
+/// (its `φ` words), so the window bounds both.
 ///
-/// Each plane slab is then fetched once per window instead of once per
-/// frame. 8192 survivors are 32 KiB of Q9.7 words, about eight 1024-event
-/// frames. In a DAVIS-scale `davis_vote` sweep, windows of 4 K–16 K
-/// survivors read alike and 2 K and 32 K lower (`docs/BENCHMARKS.md`,
-/// "Vote window"). The window also bounds engine memory for arbitrarily
-/// long key frames (e.g. a stationary camera that never triggers a
-/// key-frame switch) at one window plus one frame of survivors and the one
+/// The window is voted plane by plane, so each plane slab is fetched once
+/// per window instead of once per frame. At 100 planes a 1024-event frame
+/// adds about 1.1 K, so the eighth frame fills the window: about 32 KiB of
+/// Q9.7 survivors and 9 KiB of `φ` words. In a DAVIS-scale `davis_vote`
+/// sweep (of a window that counted survivors only), windows of 4 K–16 K
+/// read alike and 2 K and 32 K lower (`docs/BENCHMARKS.md`, "Vote
+/// window"). Above one shard the window also amortizes the workers'
+/// spawn. It bounds engine memory for arbitrarily long key frames (a
+/// stationary or purely rotating camera never triggers a key-frame
+/// switch): a frame without canonical survivors is not buffered at all,
+/// so the buffer holds at most one window plus one frame beside the one
 /// DSI.
 pub const VOTE_WINDOW_EVENTS: usize = 1 << 13;
 
@@ -101,13 +107,14 @@ struct Lane {
     votes: (u64, u64),
 }
 
-/// The open key frame's ingested, not yet voted frames: canonical-plane
-/// survivors of `PE_Z0` plus the parameters the `PE_Zi` array transfers
-/// them with — at most one vote window plus the frame that filled it.
+/// The open key frame's ingested, not yet voted frames that have canonical
+/// survivors: the survivors of `PE_Z0` plus the parameters the `PE_Zi`
+/// array transfers them with — at most one vote window plus the frame that
+/// filled it.
 #[derive(Debug, Default)]
 struct Buffer {
-    /// Canonical survivors per buffered frame.
-    frame_lens: Vec<usize>,
+    /// End of each buffered frame's survivors in `canon` or `canon_float`.
+    frame_ends: Vec<usize>,
     /// Survivors of the quantized canonical projection, as raw Q9.7 words.
     canon: Vec<PackedCoord>,
     /// Survivors of the float canonical projection.
@@ -129,21 +136,24 @@ impl Buffer {
         self.canon.len() + self.canon_float.len()
     }
 
+    /// What the vote window bounds: buffered survivors plus one parameter
+    /// entry per buffered frame and depth plane.
+    fn load(&self, planes: usize) -> usize {
+        self.events() + self.frame_ends.len() * planes
+    }
+
     fn clear(&mut self) {
-        self.frame_lens.clear();
+        self.frame_ends.clear();
         self.canon.clear();
         self.canon_float.clear();
         self.params.clear();
         self.geometries.clear();
     }
 
-    /// Each buffered frame's index and survivor range, in stream order.
-    fn frames(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let ranges = self.frame_lens.iter().scan(0, |end, &len| {
-            *end += len;
-            Some(*end - len..*end)
-        });
-        ranges.enumerate()
+    /// Buffered frame `frame`'s survivor range.
+    fn survivors(&self, frame: usize) -> Range<usize> {
+        let start = frame.checked_sub(1).map_or(0, |f| self.frame_ends[f]);
+        start..self.frame_ends[frame]
     }
 
     /// `PE_Zi` → Nearest Voxel Finder → vote: transfers every buffered
@@ -162,19 +172,20 @@ impl Buffer {
         voting: VotingMode,
         arena: &mut VoteArena,
     ) {
+        let frames = 0..self.frame_ends.len();
         match (self.params.is_empty(), voting) {
             (false, VotingMode::Nearest) => {
-                let frames: Vec<_> = self
-                    .frames()
-                    .map(|(frame, range)| (&self.canon[range], self.params[frame].coefficients()))
-                    .collect();
-                view.vote_batch(&frames, arena);
+                let frames = frames.map(|frame| {
+                    let canon = &self.canon[self.survivors(frame)];
+                    (canon, self.params[frame].coefficients())
+                });
+                view.vote_batch(frames, arena);
             }
             (false, VotingMode::Bilinear) => {
                 for i in view.planes() {
-                    for (frame, range) in self.frames() {
+                    for frame in frames.clone() {
                         let phi = &self.params[frame].coefficients[i];
-                        for &c in &self.canon[range] {
+                        for &c in &self.canon[self.survivors(frame)] {
                             let (x, y) = kernel::transfer_subpixel(phi, c);
                             view.vote_bilinear(x, y, i, 1.0);
                         }
@@ -183,9 +194,9 @@ impl Buffer {
             }
             (true, voting) => {
                 for i in view.planes() {
-                    for (frame, range) in self.frames() {
+                    for frame in frames.clone() {
                         let geometry = &self.geometries[frame];
-                        for &c in &self.canon_float[range] {
+                        for &c in &self.canon_float[self.survivors(frame)] {
                             let p = geometry.transfer(c, i);
                             match voting {
                                 VotingMode::Bilinear => view.vote_bilinear(p.x, p.y, i, 1.0),
@@ -220,11 +231,12 @@ impl Buffer {
 /// event of the exact [`UndistortionLut`] built in [`new`](Self::new)),
 /// Q9.7 transport encoding, the per-frame parameter hoist
 /// ([`QuantizedFrameParams`]) and the `PE_Z0` canonical projection, whose
-/// survivors are appended to a buffer. **Vote** splits the engine's one
+/// survivors are appended to a buffer (a frame without survivors casts no
+/// vote and is not buffered). **Vote** splits the engine's one
 /// [`DsiVolume`] into `min(shards, planes)` contiguous plane ranges — the
 /// `PE_Zi` array's plane partition — and votes the whole buffer into every
 /// range on its own worker ([`run_sharded`]), plane by plane. It runs once
-/// the buffer holds [`VOTE_WINDOW_EVENTS`] survivors, at retirement and at
+/// the buffer's load reaches [`VOTE_WINDOW_EVENTS`], at retirement and at
 /// checkpoint export.
 ///
 /// Each voxel has one writer, which sees its votes in stream order, so every
@@ -294,7 +306,7 @@ impl VotingEngine {
     /// Votes every buffered frame into the DSI, one plane range per lane,
     /// and clears the buffer.
     fn vote_buffered(&mut self, profile: &mut StageProfile) {
-        if self.buffer.frame_lens.is_empty() {
+        if self.buffer.frame_ends.is_empty() {
             return;
         }
         let t = Instant::now();
@@ -312,6 +324,15 @@ impl VotingEngine {
         });
         self.buffer.clear();
         profile.add(Stage::ProportionalProjection, t.elapsed());
+    }
+}
+
+#[cfg(test)]
+impl VotingEngine {
+    /// The buffer's load, as the vote window counts it.
+    pub(crate) fn buffered_load(&self) -> usize {
+        let planes = on_dsi!(&self.dsi, dsi => dsi.planes().len());
+        self.buffer.load(planes)
     }
 }
 
@@ -352,23 +373,21 @@ impl ExecutionBackend for VotingEngine {
         profile.add(Stage::DistortionCorrection, t.elapsed());
 
         // ➋ Hoist the quantized H_Z0 / φ words (rescheduled: before the
-        //   canonical projection), or keep the float geometry.
+        //   canonical projection).
         let t = Instant::now();
-        if self.options.quantize {
-            buffer
-                .params
-                .push(QuantizedFrameParams::from_geometry(work.geometry));
-        } else {
-            buffer.geometries.push(work.geometry.clone());
-        }
+        let params = self
+            .options
+            .quantize
+            .then(|| QuantizedFrameParams::from_geometry(work.geometry));
         profile.add(Stage::ComputeCoefficients, t.elapsed());
 
         // ➌ PE_Z0: the canonical projection, keeping the survivors of the
         //   projection-missing judgement in stream order. The quantized face
-        //   runs lane-parallel per the kernel's dispatch tier.
+        //   runs lane-parallel per the kernel's dispatch tier. A frame
+        //   without survivors casts no vote, so nothing of it is buffered.
         let t = Instant::now();
         let before = buffer.events();
-        match buffer.params.last() {
+        match &params {
             Some(params) => {
                 batch::project_z0_batch(
                     &params.homography,
@@ -387,11 +406,18 @@ impl ExecutionBackend for VotingEngine {
                 );
             }
         }
-        buffer.frame_lens.push(buffer.events() - before);
+        if buffer.events() > before {
+            buffer.frame_ends.push(buffer.events());
+            match params {
+                Some(params) => buffer.params.push(params),
+                None => buffer.geometries.push(work.geometry.clone()),
+            }
+        }
         profile.add(Stage::CanonicalProjection, t.elapsed());
 
         // ➍ PE_Zi and the vote, per plane range, once a window is full.
-        if buffer.events() >= VOTE_WINDOW_EVENTS {
+        let planes = on_dsi!(&self.dsi, dsi => dsi.planes().len());
+        if self.buffer.load(planes) >= VOTE_WINDOW_EVENTS {
             self.vote_buffered(profile);
         }
         Ok(())

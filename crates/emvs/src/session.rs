@@ -38,10 +38,13 @@
 //! In-flight memory is bounded: at most `max_pending_events` events are
 //! buffered (frames leave the buffer as soon as the trajectory covers their
 //! mid-point timestamp), and each backend holds fixed-size DSI state plus at
-//! most one vote window ([`VOTE_WINDOW_EVENTS`](crate::VOTE_WINDOW_EVENTS))
-//! and one frame of buffered key-frame survivors (the engine votes its
-//! buffer into the DSI once a window is full, so even a key frame that
-//! never retires cannot grow without bound). When the buffer is full,
+//! most one vote window's load
+//! ([`VOTE_WINDOW_EVENTS`](crate::VOTE_WINDOW_EVENTS) buffered survivors and
+//! per-plane `φ` entries) and one frame. The engine votes its buffer into
+//! the DSI once a window is full and buffers nothing of a frame without
+//! canonical survivors, so even a key frame that never retires (a
+//! stationary or purely rotating camera) cannot grow without bound. When
+//! the buffer is full,
 //! [`SessionDriver::push_events`] first tries to drain ready frames and
 //! then reports [`EmvsError::Backpressure`] instead of growing without
 //! bound; [`SessionDriver::discard_pending`] is the explicit escape hatch
@@ -1013,8 +1016,8 @@ pub(crate) fn reconstruct_with_backend<B: ExecutionBackend>(
 mod tests {
     use super::*;
     use crate::{EventorOptions, ParallelConfig, VotingEngine, VotingMode, VOTE_WINDOW_EVENTS};
-    use eventor_events::{DatasetConfig, Polarity, SequenceKind, SyntheticSequence};
-    use eventor_geom::Vec3;
+    use eventor_events::{DatasetConfig, Fnv64, Polarity, SequenceKind, SyntheticSequence};
+    use eventor_geom::{UnitQuaternion, Vec3};
 
     fn sequence() -> SyntheticSequence {
         SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test()).unwrap()
@@ -1258,6 +1261,84 @@ mod tests {
             sequential.keyframes[0].depth_map.depth_data(),
             sharded.keyframes[0].depth_map.depth_data()
         );
+    }
+
+    /// A purely rotating DAVIS-class camera: in a quarter of a second it
+    /// turns 75° about its y axis, then holds. The key frame never switches
+    /// (the switch is on translation), and once the turn passes about 45°
+    /// the quantized `PE_Z0` maps every event past the ±256 px Q9.7 range.
+    fn rotation_only_stream() -> (CameraModel, Vec<Event>, Trajectory) {
+        let n = 96_000u32;
+        let events = (0..n)
+            .map(|i| {
+                let (x, y) = ((i * 97) % 240, (i * 89 / 7) % 180);
+                let polarity = if i % 3 == 0 {
+                    Polarity::Negative
+                } else {
+                    Polarity::Positive
+                };
+                Event::new(f64::from(i) / f64::from(n), x as u16, y as u16, polarity)
+            })
+            .collect();
+        let samples = (0..=100)
+            .map(|i| {
+                let t = f64::from(i) / 100.0;
+                let angle = 75f64.to_radians() * (t / 0.25).min(1.0);
+                let rotation = UnitQuaternion::from_axis_angle(Vec3::new(0.0, 1.0, 0.0), angle);
+                (t, Pose::new(rotation, Vec3::ZERO))
+            })
+            .collect();
+        let trajectory = Trajectory::from_samples(samples).unwrap();
+        (CameraModel::davis240_ideal(), events, trajectory)
+    }
+
+    #[test]
+    fn frames_without_canonical_survivors_leave_the_buffer_unchanged() {
+        // Every frame past the turn misses: it casts no vote, so it must add
+        // nothing to the engine's buffer — else a key frame that never
+        // retires grows the buffer without bound. The output is pinned to
+        // the engine before the vote window, which voted every frame at one
+        // shard.
+        let (camera, events, trajectory) = rotation_only_stream();
+        let mut config = EmvsConfig::default().with_depth_range(1.0, 4.0);
+        config.events_per_frame = 256;
+        let planes = config.num_depth_planes;
+        let pins = [
+            (EventorOptions::accelerator(), 1, 0x735a_b767_79fc_83ff),
+            (EventorOptions::accelerator(), 3, 0x735a_b767_79fc_83ff),
+            (EventorOptions::quantized_only(), 1, 0xbe64_db54_5a00_256e),
+        ];
+        for (options, shards, pin) in pins {
+            let config = config.clone().with_voting(options.voting);
+            let parallel = ParallelConfig::with_shards(shards);
+            let engine = VotingEngine::new(camera, &config, options, parallel).unwrap();
+            let mut driver = SessionDriver::new(camera, config.clone(), engine).unwrap();
+            driver.push_trajectory(&trajectory).unwrap();
+            let mut loads = Vec::new();
+            for packet in events.chunks(config.events_per_frame) {
+                driver.push_events(packet).unwrap();
+                driver.poll().unwrap();
+                loads.push(driver.backend().buffered_load());
+            }
+            let label = format!("{options:?} x{shards}");
+            assert!(
+                loads.iter().all(|&load| load < VOTE_WINDOW_EVENTS),
+                "{label}"
+            );
+            // Buffering the second half's frames would overflow a window.
+            let tail = &loads[loads.len() / 2..];
+            assert!(tail.len() * planes > VOTE_WINDOW_EVENTS);
+            assert!(tail.iter().all(|&load| load == tail[0]), "{label}");
+            let output = driver.finish().unwrap();
+            assert_eq!(output.keyframes.len(), 1, "{label}");
+            assert!(output.keyframes[0].votes_cast > 0, "{label}");
+            let mut h = Fnv64::new();
+            h.update_u64(output.keyframes[0].votes_cast);
+            for &d in output.keyframes[0].depth_map.depth_data() {
+                h.update_u64(d.to_bits());
+            }
+            assert_eq!(h.finish(), pin, "{label}: {:#x}", h.finish());
+        }
     }
 
     #[test]
