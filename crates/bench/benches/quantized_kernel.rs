@@ -143,9 +143,11 @@ fn kernel_frame_votes(h: &[i32; 9], phi: &[PhiWords], events: &[PackedCoord]) ->
 /// One frame of the vectorized hot loop (the shape of
 /// `DsiVolume::vote_batch` fed by `project_z0_batch`, minus the slab
 /// writes): batched canonical projection once, then one batched per-plane
-/// transfer over the survivors, counting in-sensor deposits. `canon` and
-/// `idx` are reused across iterations exactly like the engine's
-/// `VoteArena`, so the measurement excludes steady-state-free allocation.
+/// transfer over the survivors, counting in-sensor deposits (the transfer
+/// writes only those, so each plane's count is the output's length).
+/// `canon` and `idx` are reused across iterations exactly like the
+/// engine's `VoteArena`, so the measurement excludes steady-state-free
+/// allocation.
 fn batched_frame_votes(
     h: &[i32; 9],
     phi: &[PhiWords],
@@ -157,7 +159,7 @@ fn batched_frame_votes(
     let mut votes = 0u64;
     for w in phi {
         batch::transfer_nearest_batch(w, canon, SENSOR_W, SENSOR_H, idx);
-        votes += idx.iter().filter(|&&i| i != batch::MISS).count() as u64;
+        votes += idx.len() as u64;
     }
     votes
 }

@@ -24,8 +24,8 @@ use crate::quantized::quantize_event_pixel;
 use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume};
 use eventor_emvs::{
     finalize_volume, import_vote_volume, run_sharded, BackendVoteState, EmvsConfig, EmvsError,
-    ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction, ParallelConfig, Stage,
-    StageProfile,
+    EventorOptions, ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction,
+    ParallelConfig, Stage, StageProfile,
 };
 use eventor_events::UndistortionLut;
 use eventor_geom::{CameraModel, Pose};
@@ -92,13 +92,16 @@ impl CosimBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations.
+    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations,
+    /// among them a sensor wider or taller than the accelerator datapath
+    /// addresses ([`EventorOptions::check_sensor`]).
     pub fn new(
         camera: CameraModel,
         config: &EmvsConfig,
         accelerator: AcceleratorConfig,
         parallel: ParallelConfig,
     ) -> Result<Self, EmvsError> {
+        EventorOptions::accelerator().check_sensor(&camera.intrinsics)?;
         let planes = config.depth_planes()?;
         let mut accelerator = accelerator;
         accelerator.events_per_frame = config.events_per_frame;
@@ -351,6 +354,31 @@ mod tests {
         EmvsConfig::default()
             .with_depth_range(seq.depth_range.0, seq.depth_range.1)
             .with_depth_planes(60)
+    }
+
+    #[test]
+    fn sensors_past_256_pixels_are_rejected() {
+        // The device runs the quantized datapath: 8-bit plane addresses.
+        let config = EmvsConfig::default().with_depth_planes(4);
+        let camera = |width, height| {
+            let intrinsics =
+                eventor_geom::CameraIntrinsics::new(200.0, 200.0, 128.0, 120.0, width, height)
+                    .unwrap();
+            CameraModel::new(intrinsics, eventor_geom::DistortionModel::none())
+        };
+        let new = |camera| {
+            CosimBackend::new(
+                camera,
+                &config,
+                AcceleratorConfig::default(),
+                ParallelConfig::sequential(),
+            )
+        };
+        assert!(matches!(
+            new(camera(320, 240)),
+            Err(EmvsError::InvalidConfig { .. })
+        ));
+        assert!(new(camera(256, 256)).is_ok());
     }
 
     #[test]

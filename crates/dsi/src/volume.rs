@@ -8,12 +8,14 @@ use eventor_fixed::kernel::PhiWords;
 use eventor_fixed::PackedCoord;
 use std::ops::Range;
 
-/// Reusable scratch for [`PlaneRange::vote_batch`]: the packed slab-index
-/// buffer the batched transfer writes and the vote deposit reads.
+/// Reusable scratch for [`PlaneRange::vote_batch`]: the slab-index buffer
+/// the batched transfer fills with one block's in-sensor indices and the
+/// vote deposit reads whole.
 ///
 /// Owning the buffer outside the volume lets the voting engine carry one
 /// arena per plane range across every vote pass instead of reallocating per
-/// call; a fresh (empty) arena is always valid input.
+/// call; a fresh (empty) arena is always valid input. Its capacity stays
+/// at one block of coordinates (`VOTE_BLOCK`, 8 KiB), whatever it held.
 #[derive(Debug, Default)]
 pub struct VoteArena {
     idx: Vec<u32>,
@@ -703,8 +705,9 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
     /// frame whose coefficients cover that plane transfers its coordinates,
     /// frame after frame, through the batched `PE_Zi` kernel
     /// ([`batch::transfer_nearest_batch`], vectorized per the session's
-    /// dispatch tier) with its own `φ` words, and deposits one unit vote
-    /// per in-sensor address directly into the plane slab.
+    /// dispatch tier) with its own `φ` words. The kernel returns only the
+    /// in-sensor slab indices, so the deposit adds one unit vote at each of
+    /// them and counts them all as cast, with no test on an index.
     ///
     /// **Bit-identical to the scalar loop** (`transfer_nearest` +
     /// [`DsiVolume::vote_at`] per event and plane, frame after frame): each
@@ -719,17 +722,32 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
     /// fetched once per window instead of once per frame, and canonical
     /// coordinates stream through it in `VOTE_BLOCK`-sized chunks whose
     /// index buffer (reused across calls via `arena`) stays L1-resident.
-    /// `frames` is walked once per plane, so it is any cloneable iterable
-    /// (a slice's `iter().copied()`, or a map over the caller's buffer), and
-    /// the kernel allocates nothing once the arena has grown.
+    /// While a plane is voted, each block also hints its share of the next
+    /// plane slab of the view into L2 ([`batch::prefetch_l2`]), so the
+    /// next plane's deposits find their lines there instead of in memory.
+    /// `frames` is walked once per plane, and once more to size the hint,
+    /// so it is any cloneable iterable (a slice's `iter().copied()`, or a
+    /// map over the caller's buffer), and the kernel allocates nothing once
+    /// the arena has grown.
     pub fn vote_batch<'f, F>(&mut self, frames: F, arena: &mut VoteArena)
     where
         F: IntoIterator<Item = (&'f [PackedCoord], &'f [PhiWords])> + Clone,
     {
         let (width, height) = (self.width as u32, self.height as u32);
-        let slabs = self.data.chunks_exact_mut(self.width * self.height);
+        let slab_len = self.width * self.height;
+        let mut rest = &mut *self.data;
         let mut cast = 0u64;
-        for (plane, slab) in self.planes.clone().zip(slabs) {
+        for plane in self.planes.clone() {
+            let (slab, tail) = std::mem::take(&mut rest).split_at_mut(slab_len);
+            rest = tail;
+            let next = &rest[..rest.len().min(slab_len)];
+            let transfers: usize = frames
+                .clone()
+                .into_iter()
+                .filter(|(_, coefficients)| coefficients.len() > plane)
+                .map(|(canon, _)| canon.len())
+                .sum();
+            let (mut done, mut hinted) = (0, 0);
             for (canon, coefficients) in frames.clone() {
                 let Some(phi) = coefficients.get(plane) else {
                     continue;
@@ -737,13 +755,15 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
                 for block in canon.chunks(VOTE_BLOCK) {
                     batch::transfer_nearest_batch(phi, block, width, height, &mut arena.idx);
                     for &idx in &arena.idx {
-                        // `MISS` lies past every slab index, so the bounds
-                        // check also skips the projection-missing transfers.
-                        if let Some(score) = slab.get_mut(idx as usize) {
-                            score.add_unit();
-                            cast += 1;
-                        }
+                        slab[idx as usize].add_unit();
                     }
+                    cast += arena.idx.len() as u64;
+                    // Spread the next slab's lines over the plane's blocks
+                    // in proportion to the transfers voted so far.
+                    done += block.len();
+                    let upto = next.len() * done / transfers;
+                    batch::prefetch_l2(&next[hinted..upto]);
+                    hinted = upto;
                 }
             }
         }

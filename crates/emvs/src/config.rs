@@ -3,6 +3,8 @@
 use crate::EmvsError;
 use eventor_dsi::{DepthPlanes, DetectionConfig};
 use eventor_events::DEFAULT_EVENTS_PER_FRAME;
+use eventor_fixed::PlaneCoord;
+use eventor_geom::CameraIntrinsics;
 
 /// DSI voting mode.
 ///
@@ -78,6 +80,29 @@ impl EventorOptions {
             voting: VotingMode::Bilinear,
             quantize: false,
         }
+    }
+
+    /// Checks that the datapath can address every pixel of `camera`'s
+    /// sensor. The float datapaths take any size; the quantized ones
+    /// (Table 1) address at most [`PlaneCoord::MAX_SENSOR_SIDE`] pixels a
+    /// side.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmvsError::InvalidConfig`] when `quantize` is set and the
+    /// sensor is wider or taller than that.
+    pub fn check_sensor(&self, camera: &CameraIntrinsics) -> Result<(), EmvsError> {
+        let max = PlaneCoord::MAX_SENSOR_SIDE;
+        if self.quantize && (camera.width > max || camera.height > max) {
+            return Err(EmvsError::InvalidConfig {
+                reason: format!(
+                    "a {}x{} sensor exceeds the quantized datapath's {max}x{max} pixels \
+                     (Q9.7 coordinates, 8-bit plane addresses)",
+                    camera.width, camera.height
+                ),
+            });
+        }
+        Ok(())
     }
 }
 

@@ -272,14 +272,17 @@ impl VotingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations and
-    /// [`EmvsError::Dsi`] when the DSI cannot be allocated.
+    /// Returns [`EmvsError::InvalidConfig`] for unusable configurations,
+    /// among them a quantized datapath on a sensor wider or taller than it
+    /// addresses ([`EventorOptions::check_sensor`]), and [`EmvsError::Dsi`]
+    /// when the DSI cannot be allocated.
     pub fn new(
         camera: CameraModel,
         config: &EmvsConfig,
         options: EventorOptions,
         parallel: ParallelConfig,
     ) -> Result<Self, EmvsError> {
+        options.check_sensor(&camera.intrinsics)?;
         let planes = config.depth_planes()?;
         let (width, height) = (
             camera.intrinsics.width as usize,
@@ -493,6 +496,46 @@ mod tests {
     use crate::session::reconstruct_with_backend;
     use eventor_events::{DatasetConfig, SequenceKind, SyntheticSequence};
     use std::time::Duration;
+
+    #[test]
+    fn quantized_datapaths_reject_sensors_past_256_pixels() {
+        // Q9.7 coordinates stop at 255.99 px and plane addresses are 8-bit:
+        // a 320×240 sensor would drop or clamp every event past x = 255.
+        let camera = |width, height| {
+            let intrinsics = eventor_geom::CameraIntrinsics::new(
+                200.0,
+                200.0,
+                width as f64 / 2.0,
+                height as f64 / 2.0,
+                width,
+                height,
+            )
+            .unwrap();
+            CameraModel::new(intrinsics, eventor_geom::DistortionModel::none())
+        };
+        let config = EmvsConfig::default().with_depth_planes(4);
+        let new = |camera, options| {
+            VotingEngine::new(camera, &config, options, ParallelConfig::sequential())
+        };
+        for options in [
+            EventorOptions::accelerator(),
+            EventorOptions::quantized_only(),
+        ] {
+            for (width, height) in [(320, 240), (240, 320), (257, 180)] {
+                assert!(
+                    matches!(
+                        new(camera(width, height), options),
+                        Err(EmvsError::InvalidConfig { .. })
+                    ),
+                    "{options:?} on {width}x{height}"
+                );
+            }
+            assert!(new(camera(256, 256), options).is_ok(), "{options:?}");
+        }
+        for options in [EventorOptions::exact(), EventorOptions::nearest_only()] {
+            assert!(new(camera(320, 240), options).is_ok(), "{options:?}");
+        }
+    }
 
     #[test]
     fn profile_attributes_measured_stages_only() {

@@ -132,6 +132,12 @@ pub enum PlaneCoord {
 }
 
 impl PlaneCoord {
+    /// The widest and tallest sensor, in pixels, the quantized datapaths
+    /// address: a plane coordinate is 8 bits (pixels 0–255), and the Q9.7
+    /// transport tops out at [`Q9p7::MAX_MAGNITUDE`] (255.99 px), so an
+    /// event past pixel 255 would be dropped or clamped instead of voted.
+    pub const MAX_SENSOR_SIDE: u32 = 256;
+
     /// Rounds a floating-point plane projection to the nearest voxel, mapping
     /// out-of-sensor projections to [`PlaneCoord::Missing`].
     #[inline]

@@ -12,7 +12,7 @@
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
-//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, 4×/2× `i64` lanes, runtime-detected |
+//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration in two 4 × `i64` halves and compacts them with one permutation; NEON runs the transfer MACs two `i64` lanes at a time |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
 //! The tier is selected **once per session** ([`active`]): the
@@ -28,15 +28,20 @@
 //! Every tier produces **bytes identical to the scalar kernel** for every
 //! input: the same ties-away-from-zero rounding ([`super::round_acc`]), the
 //! same projection-missing judgement ([`super::normalize_q9p7`]), the same
-//! in-sensor judgement. This is the one-kernel-many-faces discipline
-//! extended to lanes: vectorization is a scheduling choice, never an
-//! arithmetic one. The proptests at the bottom
+//! in-sensor judgement ([`super::transfer_nearest`]). This is the
+//! one-kernel-many-faces discipline extended to lanes: vectorization is a
+//! scheduling choice, never an arithmetic one. The proptests at the bottom
 //! of this file pin the property across arbitrary batch sizes (0, 1,
 //! non-multiples of the lane width) for every tier the host supports.
 //!
-//! The ties-away rounding is carried branchlessly in the wide tiers as
-//! `sign ⊕ ((|acc| + half) >> frac)`: plain add-half-and-shift would round
-//! half-up and differ from the scalar kernel at exact negative ties.
+//! The transfer folds the Nearest Voxel Finder's half pixel into the MAC
+//! constant: `t = scale·c + ((offset << 7) + half)`, pixel `t >> 28` as a
+//! logical shift. For `t > 0` that is the ties-away rounding of `t − half`
+//! (a value in `(−half, 0)` rounds to pixel 0). `t == 0` is exactly −0.5 px,
+//! which rounds away from zero to −1, and a negative `t` shifts to at least
+//! 2³⁵. So a transfer is in the sensor exactly when both pixels are below
+//! their bound and neither `t` is 0: one shift and two compares an axis,
+//! with no sign handling and no lower-bound compare.
 //!
 //! ## Example
 //!
@@ -46,16 +51,19 @@
 //! use eventor_fixed::PackedCoord;
 //!
 //! let phi = PhiWords::from_f64(0.75, 3.5, -1.25);
-//! let canon = vec![PackedCoord::from_f64(10.0, 20.0); 7];
+//! let canon: Vec<PackedCoord> = (0..7)
+//!     .map(|i| PackedCoord::from_f64(30.0 * i as f64, 40.0 * i as f64))
+//!     .collect();
 //! let mut idx = Vec::new();
 //! batch::transfer_nearest_batch(&phi, &canon, 240, 180, &mut idx);
-//! for (&i, &c) in idx.iter().zip(&canon) {
-//!     let scalar = kernel::transfer_nearest(&phi, c, 240, 180);
-//!     match scalar.address() {
-//!         Some((x, y)) => assert_eq!(i, y as u32 * 240 + x as u32),
-//!         None => assert_eq!(i, batch::MISS),
-//!     }
-//! }
+//! // Only the in-sensor transfers are written, in input order.
+//! let inside: Vec<u32> = canon
+//!     .iter()
+//!     .filter_map(|&c| kernel::transfer_nearest(&phi, c, 240, 180).address())
+//!     .map(|(x, y)| y as u32 * 240 + x as u32)
+//!     .collect();
+//! assert_eq!(idx, inside);
+//! assert!(idx.len() < canon.len());
 //! # let _ = Dispatch::ALL;
 //! ```
 
@@ -64,11 +72,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use super::{PhiWords, ACC_FRAC, ACC_HALF};
-use crate::formats::PackedCoord;
+use crate::formats::{PackedCoord, Q9p7};
 
-/// The sentinel slab index of a transfer dropped by the in-sensor
-/// judgement — the batched spelling of
+/// A slab index no sensor reaches (`width · height ≤ u32::MAX`), the old
+/// batched spelling of
 /// [`PlaneCoord::Missing`](crate::formats::PlaneCoord::Missing).
+/// [`transfer_nearest_batch`] writes only in-sensor indices, so it never
+/// writes this value; it stays public for callers that still filter on it.
 pub const MISS: u32 = u32::MAX;
 
 /// The environment variable that forces a dispatch tier for the whole
@@ -82,9 +92,9 @@ pub enum Dispatch {
     /// The scalar kernel in a loop — always available, and the reference
     /// the SIMD tier must match byte for byte.
     Scalar,
-    /// `core::arch` intrinsics: AVX2 on `x86_64` (4 × `i64` lanes), NEON on
-    /// `aarch64` (2 × `i64` lanes). Supported only where runtime detection
-    /// finds the feature.
+    /// `core::arch` intrinsics: AVX2 (with POPCNT, which every AVX2 CPU
+    /// has) on `x86_64`, 4 × `i64` lanes; NEON on `aarch64`, 2 × `i64`
+    /// lanes. Supported only where runtime detection finds the features.
     Simd,
 }
 
@@ -177,7 +187,7 @@ impl std::error::Error for DispatchError {}
 fn simd_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
     }
     #[cfg(target_arch = "aarch64")]
     {
@@ -316,19 +326,27 @@ pub fn project_z0_batch_with(
 
 /// The fused batched `PE_Zi` operation: both axis MACs, the ties-away
 /// rounding and the in-sensor judgement for one depth plane over a slice
-/// of canonical coordinates, producing **plane-slab indices**
-/// (`y · width + x`) with [`MISS`] marking dropped transfers. `out` is
-/// resized to `canon.len()` and every element overwritten (stale
-/// contents of a reused arena are never read).
+/// of canonical coordinates, **keeping only the in-sensor transfers**:
+/// `out` ends up holding exactly their plane-slab indices
+/// (`y · width + x`) in input order, so its length is the number of votes
+/// the plane receives. It equals
+/// [`transfer_nearest`](super::transfer_nearest)'s in-sensor addresses
+/// as slab indices, for every `width, height ≤ 256` (the 8-bit
+/// [`PlaneCoord`](crate::formats::PlaneCoord) domain).
 ///
 /// Indices rather than `(x, y)` pairs because the consumer is the
-/// cache-blocked DSI vote deposit, which adds a unit at `slab[idx]`; the
-/// multiply by `width` vectorizes here, the deposit does not (no scatter
-/// on AVX2 worth its latency for `u16` lanes).
+/// cache-blocked DSI vote deposit, which adds a unit at `slab[idx]` for
+/// every element with no further test; the multiply by `width` vectorizes
+/// here, the deposit does not (no scatter on AVX2 worth its latency for
+/// `u16` lanes). Every tier writes each transfer's index at the current
+/// end and advances the end only on a hit, so no tier branches on the
+/// judgement.
 ///
 /// `width · height` must not exceed `u32::MAX` (debug-asserted) so every
-/// in-sensor index stays below the [`MISS`] sentinel; callers pass
-/// sensor/DSI dimensions, far inside the bound.
+/// slab index fits a `u32`; callers pass sensor/DSI dimensions, far
+/// inside the bound. A reused `out` is resized without being refilled:
+/// only slots past its previous length are initialised, and it is
+/// truncated to the hit count.
 pub fn transfer_nearest_batch(
     phi: &PhiWords,
     canon: &[PackedCoord],
@@ -352,38 +370,91 @@ pub fn transfer_nearest_batch_with(
     assert_supported(tier);
     debug_assert!(
         width as u64 * height as u64 <= u32::MAX as u64,
-        "slab index would collide with the MISS sentinel"
+        "slab index would not fit a u32"
     );
-    // Size, then write by index: every tier overwrites all `canon.len()`
-    // slots, so a reused arena is never refilled (only slots past its old
-    // length are initialised) and the hot per-plane loop never pays a
-    // `push` capacity check.
-    out.resize(canon.len(), MISS);
-    let dst = out.as_mut_slice();
-    match tier {
+    // Every tier writes a slot for each transfer at or below its index in
+    // `canon` (the AVX2 tier eight slots at a time), so `canon.len()` slots
+    // hold every write.
+    out.resize(canon.len(), 0);
+    let hits = match tier {
         Dispatch::Scalar => {
-            for (d, &c) in dst.iter_mut().zip(canon) {
-                *d = scalar_transfer_index(phi, c, width, height);
+            let mut len = 0;
+            for &c in canon {
+                len = append(phi, c, width, height, out, len);
             }
+            len
         }
-        Dispatch::Simd => simd::transfer(phi, canon, width, height, dst),
-    }
+        Dispatch::Simd => simd::transfer(phi, canon, width, height, out),
+    };
+    out.truncate(hits);
 }
 
-/// One scalar transfer producing a slab index — the definition the wide
-/// tiers must match. Identical to
-/// [`transfer_nearest`](super::transfer_nearest) + `address()` for the
-/// in-contract `width, height ≤ 256` domain (the `u8` narrowing there is
-/// lossless inside the judgement).
+/// The `PE_Zi` MAC constant of one axis with the Nearest Voxel Finder's
+/// half pixel folded in: `t = scale·c + folded_offset(offset)`.
 #[inline]
-fn scalar_transfer_index(phi: &PhiWords, c: PackedCoord, width: u32, height: u32) -> u32 {
-    let xi = super::round_acc(super::plane_mac(phi.scale, phi.offset_x, c.x.raw()));
-    let yi = super::round_acc(super::plane_mac(phi.scale, phi.offset_y, c.y.raw()));
-    if xi >= 0 && yi >= 0 && xi < width as i64 && yi < height as i64 {
-        yi as u32 * width + xi as u32
-    } else {
-        MISS
+fn folded_offset(offset: i32) -> i64 {
+    ((offset as i64) << Q9p7::frac_bits()) + ACC_HALF
+}
+
+/// Appends one folded transfer to the compacted output: writes its slab
+/// index at `dst[len]` and returns the new length, `len + 1` when the
+/// transfer is in the sensor and `len` otherwise — the definition the wide
+/// tiers' lanes follow, and the tail loop of every tier.
+#[inline]
+fn append(
+    phi: &PhiWords,
+    c: PackedCoord,
+    width: u32,
+    height: u32,
+    dst: &mut [u32],
+    len: usize,
+) -> usize {
+    let tx = super::plane_mac(phi.scale, phi.offset_x, c.x.raw()) + ACC_HALF;
+    let ty = super::plane_mac(phi.scale, phi.offset_y, c.y.raw()) + ACC_HALF;
+    append_folded(tx, ty, width, height, dst, len)
+}
+
+/// [`append`] on the two folded accumulators.
+#[inline]
+fn append_folded(tx: i64, ty: i64, width: u32, height: u32, dst: &mut [u32], len: usize) -> usize {
+    let (px, py) = ((tx as u64) >> ACC_FRAC, (ty as u64) >> ACC_FRAC);
+    let hit = (px < width as u64) & (py < height as u64) & (tx != 0) & (ty != 0);
+    // Exact for a hit; a miss's value is overwritten or truncated away.
+    dst[len] = (py as u32).wrapping_mul(width).wrapping_add(px as u32);
+    len + usize::from(hit)
+}
+
+/// Hints the cache hierarchy to fetch every 64-byte line `data` touches
+/// into L2 (`prefetcht1` on x86-64); a no-op on other architectures.
+///
+/// The window vote calls it to have the next plane slab on its way while
+/// the current one is voted. A prefetch dereferences nothing and cannot
+/// fault, so the hint is safe on any slice; it changes only how soon a
+/// later access finds its line, never a value.
+#[inline]
+pub fn prefetch_l2<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        const LINE: usize = 64;
+        let bytes = std::mem::size_of_val(data);
+        if bytes == 0 {
+            return;
+        }
+        let base = data.as_ptr().cast::<i8>();
+        let misalign = base as usize % LINE;
+        let first = base.wrapping_sub(misalign);
+        for offset in (0..misalign + bytes).step_by(LINE) {
+            // A hint on a line `data` touches (the prefetch is a safe
+            // function on newer toolchains, `unsafe` on older ones).
+            #[allow(unused_unsafe)]
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T1>(first.wrapping_add(offset))
+            };
+        }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
 }
 
 // ---------------------------------------------------------------------------
@@ -392,15 +463,18 @@ fn scalar_transfer_index(phi: &PhiWords, c: PackedCoord, width: u32, height: u32
 
 /// AVX2: four `i64` lanes per operation. Products come from
 /// `_mm256_mul_epi32` (signed 32×32→64 on the low halves — exact, both
-/// operands are sign-extended 32-bit values); the ties-away rounding is
-/// the branchless sign/magnitude form per lane (`_mm256_srli_epi64` on the
-/// non-negative magnitude equals the arithmetic shift); the in-sensor
-/// judgement is two signed 64-bit compares per axis blended against the
-/// [`MISS`] sentinel. Remainders shorter than four lanes run the scalar
-/// definitions, which the proptests pin as bit-identical.
+/// operands are sign-extended 32-bit values). The transfer's pixel is the
+/// logical `_mm256_srli_epi64` of the folded accumulator, and the
+/// in-sensor judgement two signed 64-bit compares against the bounds (a
+/// negative accumulator shifts to at least 2³⁵, far above them) and two
+/// compares against 0. The eight results of an iteration are compacted
+/// through their hit mask with one `_mm256_permutevar8x32_epi32`, stored
+/// whole at the output's end, and the end advances by the mask's
+/// popcount. Remainders shorter than a vector run the scalar definitions,
+/// which the tests pin as bit-identical.
 ///
 /// Safety: every `#[target_feature(enable = "avx2")]` function is reached
-/// only through a wrapper that asserts `is_x86_feature_detected!("avx2")`
+/// only through a wrapper that asserts AVX2 and POPCNT are detected
 /// (dispatch refuses the tier otherwise, but the assertion keeps the
 /// module locally sound).
 #[cfg(target_arch = "x86_64")]
@@ -411,8 +485,8 @@ mod simd {
     #[inline]
     fn assert_avx2() {
         assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "SIMD dispatch tier reached without AVX2 support"
+            simd_supported(),
+            "SIMD dispatch tier reached without AVX2 and POPCNT support"
         );
     }
 
@@ -428,26 +502,6 @@ mod simd {
         ))
     }
 
-    /// Branchless ties-away-from-zero rounding, four lanes at once.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn round4(acc: __m256i, half: __m256i, zero: __m256i) -> __m256i {
-        let sign = _mm256_cmpgt_epi64(zero, acc);
-        let mag = _mm256_sub_epi64(_mm256_xor_si256(acc, sign), sign);
-        let r = _mm256_srli_epi64::<{ ACC_FRAC as i32 }>(_mm256_add_epi64(mag, half));
-        _mm256_sub_epi64(_mm256_xor_si256(r, sign), sign)
-    }
-
-    /// All-ones per 64-bit lane where `0 <= v < bound`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn in_range4(v: __m256i, bound: __m256i, minus_one: __m256i) -> __m256i {
-        _mm256_and_si256(
-            _mm256_cmpgt_epi64(bound, v),
-            _mm256_cmpgt_epi64(v, minus_one),
-        )
-    }
-
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn store4(v: __m256i) -> [i64; 4] {
@@ -456,14 +510,52 @@ mod simd {
         lanes
     }
 
+    /// For each 8-bit hit mask, the lanes it keeps in ascending order (the
+    /// remaining entries are never read back): the
+    /// `_mm256_permutevar8x32_epi32` index vector that moves the kept
+    /// lanes to the front.
+    const COMPACT: [[u8; 8]; 256] = {
+        let mut table = [[0u8; 8]; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut lane, mut kept) = (0, 0);
+            while lane < 8 {
+                if mask & (1 << lane) != 0 {
+                    table[mask][kept] = lane as u8;
+                    kept += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    /// The folded transfer of four lanes: the slab indices, in the low
+    /// half of each 64-bit lane, and the all-ones in-sensor mask.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn judge4(tx: __m256i, ty: __m256i, vw: __m256i, vh: __m256i) -> (__m256i, __m256i) {
+        let px = _mm256_srli_epi64::<{ ACC_FRAC as i32 }>(tx);
+        let py = _mm256_srli_epi64::<{ ACC_FRAC as i32 }>(ty);
+        let inside = _mm256_and_si256(_mm256_cmpgt_epi64(vw, px), _mm256_cmpgt_epi64(vh, py));
+        let zero = _mm256_setzero_si256();
+        let tie = _mm256_or_si256(_mm256_cmpeq_epi64(tx, zero), _mm256_cmpeq_epi64(ty, zero));
+        // In hit lanes py, width < 2^16, so the unsigned low-32 product is
+        // exact; a miss's index is never kept.
+        let idx = _mm256_add_epi64(_mm256_mul_epu32(py, vw), px);
+        (idx, _mm256_andnot_si256(tie, inside))
+    }
+
     pub(super) fn transfer(
         phi: &PhiWords,
         canon: &[PackedCoord],
         width: u32,
         height: u32,
         out: &mut [u32],
-    ) {
+    ) -> usize {
         assert_avx2();
+        assert_eq!(canon.len(), out.len());
         unsafe { transfer_avx2(phi, canon, width, height, out) }
     }
 
@@ -472,64 +564,63 @@ mod simd {
     /// each 32-bit lane on little-endian — the `to_word` layout);
     /// `_mm256_mul_epi32` reads the low 32 bits of each 64-bit lane, so the
     /// even-index coords multiply in place and the odd-index coords after a
-    /// 32-bit lane shift, and the two result vectors re-interleave into
-    /// input order with a single blend before one 256-bit store.
-    #[target_feature(enable = "avx2")]
+    /// 32-bit lane shift, and one blend each re-interleaves the indices
+    /// and the masks into input order before the compacting store.
+    ///
+    /// The store writes eight slots at the current length `len`; `len`
+    /// never exceeds the iteration's start `i`, and `i + 8 <= n`, so every
+    /// store stays inside `out` (asserted equal in length to `canon`).
+    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn transfer_avx2(
         phi: &PhiWords,
         canon: &[PackedCoord],
         width: u32,
         height: u32,
         out: &mut [u32],
-    ) {
-        debug_assert_eq!(canon.len(), out.len());
+    ) -> usize {
         let vscale = _mm256_set1_epi64x(phi.scale as i64);
-        let voffx = _mm256_set1_epi64x((phi.offset_x as i64) << 7);
-        let voffy = _mm256_set1_epi64x((phi.offset_y as i64) << 7);
-        let vhalf = _mm256_set1_epi64x(ACC_HALF);
-        let vzero = _mm256_setzero_si256();
-        let vneg1 = _mm256_set1_epi64x(-1);
+        let voffx = _mm256_set1_epi64x(folded_offset(phi.offset_x));
+        let voffy = _mm256_set1_epi64x(folded_offset(phi.offset_y));
         let vw = _mm256_set1_epi64x(width as i64);
         let vh = _mm256_set1_epi64x(height as i64);
-        let vmiss = _mm256_set1_epi64x(MISS as i64);
         let n = canon.len();
+        let mut len = 0;
         let mut i = 0;
         while i + 8 <= n {
             let v = _mm256_loadu_si256(canon.as_ptr().add(i) as *const __m256i);
             let x32 = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(v));
             let y32 = _mm256_srai_epi32::<16>(v);
-            let xe = _mm256_add_epi64(_mm256_mul_epi32(x32, vscale), voffx);
-            let xo = _mm256_add_epi64(
+            let txe = _mm256_add_epi64(_mm256_mul_epi32(x32, vscale), voffx);
+            let txo = _mm256_add_epi64(
                 _mm256_mul_epi32(_mm256_srli_epi64::<32>(x32), vscale),
                 voffx,
             );
-            let ye = _mm256_add_epi64(_mm256_mul_epi32(y32, vscale), voffy);
-            let yo = _mm256_add_epi64(
+            let tye = _mm256_add_epi64(_mm256_mul_epi32(y32, vscale), voffy);
+            let tyo = _mm256_add_epi64(
                 _mm256_mul_epi32(_mm256_srli_epi64::<32>(y32), vscale),
                 voffy,
             );
-            let xie = round4(xe, vhalf, vzero);
-            let xio = round4(xo, vhalf, vzero);
-            let yie = round4(ye, vhalf, vzero);
-            let yio = round4(yo, vhalf, vzero);
-            let ine = _mm256_and_si256(in_range4(xie, vw, vneg1), in_range4(yie, vh, vneg1));
-            let ino = _mm256_and_si256(in_range4(xio, vw, vneg1), in_range4(yio, vh, vneg1));
-            // In valid lanes yi, width < 2^16, so the unsigned low-32
-            // product is exact; garbage in masked lanes is blended away.
-            let idxe = _mm256_add_epi64(_mm256_mul_epu32(yie, vw), xie);
-            let idxo = _mm256_add_epi64(_mm256_mul_epu32(yio, vw), xio);
-            let sele = _mm256_blendv_epi8(vmiss, idxe, ine);
-            let selo = _mm256_blendv_epi8(vmiss, idxo, ino);
-            // Every selected value fits `u32`; the odd results shift into
-            // the high half of each 64-bit lane and the blend restores the
-            // original coordinate order as eight packed `u32`s.
-            let packed = _mm256_blend_epi32::<0b10101010>(sele, _mm256_slli_epi64::<32>(selo));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, packed);
+            let (idxe, hite) = judge4(txe, tye, vw, vh);
+            let (idxo, hito) = judge4(txo, tyo, vw, vh);
+            // Even lanes keep their low halves, odd lanes move into the
+            // high halves: eight `u32` indices and masks in input order.
+            let idx = _mm256_blend_epi32::<0b10101010>(idxe, _mm256_slli_epi64::<32>(idxo));
+            let hit = _mm256_blend_epi32::<0b10101010>(hite, hito);
+            let mask = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as usize;
+            let perm =
+                _mm256_cvtepu8_epi32(_mm_loadl_epi64(COMPACT[mask].as_ptr() as *const __m128i));
+            debug_assert!(len + 8 <= out.len());
+            _mm256_storeu_si256(
+                out.as_mut_ptr().add(len) as *mut __m256i,
+                _mm256_permutevar8x32_epi32(idx, perm),
+            );
+            len += mask.count_ones() as usize;
             i += 8;
         }
-        for k in i..n {
-            out[k] = scalar_transfer_index(phi, canon[k], width, height);
+        for &c in &canon[i..] {
+            len = append(phi, c, width, height, out, len);
         }
+        len
     }
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
@@ -605,8 +696,9 @@ mod simd {
 // ---------------------------------------------------------------------------
 
 /// NEON: two `i64` lanes per operation on the per-plane transfer (the
-/// widening `vmull_s32` is the exact 32×32→64 product; rounding and
-/// judgement mirror the AVX2 lane algebra). The projection runs the scalar
+/// widening `vmull_s32` is the exact 32×32→64 product, the half pixel
+/// folded into the added constant as on AVX2); each lane's judgement and
+/// append is the scalar [`append_folded`]. The projection runs the scalar
 /// loop — at two lanes the shuffle overhead of a NEON row MAC costs more
 /// than it saves.
 ///
@@ -625,23 +717,13 @@ mod simd {
         );
     }
 
-    /// Branchless ties-away-from-zero rounding, two lanes at once.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn round2(acc: int64x2_t, half: int64x2_t) -> int64x2_t {
-        let sign = vshrq_n_s64::<63>(acc);
-        let mag = vsubq_s64(veorq_s64(acc, sign), sign);
-        let r = vshrq_n_s64::<{ ACC_FRAC as i32 }>(vaddq_s64(mag, half));
-        vsubq_s64(veorq_s64(r, sign), sign)
-    }
-
     pub(super) fn transfer(
         phi: &PhiWords,
         canon: &[PackedCoord],
         width: u32,
         height: u32,
         out: &mut [u32],
-    ) {
+    ) -> usize {
         assert_neon();
         unsafe { transfer_neon(phi, canon, width, height, out) }
     }
@@ -653,39 +735,38 @@ mod simd {
         width: u32,
         height: u32,
         out: &mut [u32],
-    ) {
-        debug_assert_eq!(canon.len(), out.len());
+    ) -> usize {
         let scale2 = vdup_n_s32(phi.scale);
-        let voffx = vdupq_n_s64((phi.offset_x as i64) << 7);
-        let voffy = vdupq_n_s64((phi.offset_y as i64) << 7);
-        let vhalf = vdupq_n_s64(ACC_HALF);
-        let (w, h) = (width as u64, height as u64);
-        let n = canon.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            let two = &canon[i..i + 2];
+        let voffx = vdupq_n_s64(folded_offset(phi.offset_x));
+        let voffy = vdupq_n_s64(folded_offset(phi.offset_y));
+        let mut len = 0;
+        let mut pairs = canon.chunks_exact(2);
+        for two in &mut pairs {
             let xs = [two[0].x.raw() as i32, two[1].x.raw() as i32];
             let ys = [two[0].y.raw() as i32, two[1].y.raw() as i32];
-            let accx = vaddq_s64(vmull_s32(vld1_s32(xs.as_ptr()), scale2), voffx);
-            let accy = vaddq_s64(vmull_s32(vld1_s32(ys.as_ptr()), scale2), voffy);
-            let xi = round2(accx, vhalf);
-            let yi = round2(accy, vhalf);
-            for k in 0..2 {
-                let (x, y) = match k {
-                    0 => (vgetq_lane_s64::<0>(xi), vgetq_lane_s64::<0>(yi)),
-                    _ => (vgetq_lane_s64::<1>(xi), vgetq_lane_s64::<1>(yi)),
-                };
-                out[i + k] = if (x as u64) < w && (y as u64) < h {
-                    y as u32 * width + x as u32
-                } else {
-                    MISS
-                };
-            }
-            i += 2;
+            let tx = vaddq_s64(vmull_s32(vld1_s32(xs.as_ptr()), scale2), voffx);
+            let ty = vaddq_s64(vmull_s32(vld1_s32(ys.as_ptr()), scale2), voffy);
+            len = append_folded(
+                vgetq_lane_s64::<0>(tx),
+                vgetq_lane_s64::<0>(ty),
+                width,
+                height,
+                out,
+                len,
+            );
+            len = append_folded(
+                vgetq_lane_s64::<1>(tx),
+                vgetq_lane_s64::<1>(ty),
+                width,
+                height,
+                out,
+                len,
+            );
         }
-        for k in i..n {
-            out[k] = scalar_transfer_index(phi, canon[k], width, height);
+        for &c in pairs.remainder() {
+            len = append(phi, c, width, height, out, len);
         }
+        len
     }
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
@@ -704,7 +785,13 @@ mod simd {
 mod simd {
     use super::*;
 
-    pub(super) fn transfer(_: &PhiWords, _: &[PackedCoord], _: u32, _: u32, _: &mut [u32]) {
+    pub(super) fn transfer(
+        _: &PhiWords,
+        _: &[PackedCoord],
+        _: u32,
+        _: u32,
+        _: &mut [u32],
+    ) -> usize {
         unreachable!("SIMD tier is unsupported on this architecture");
     }
 
@@ -783,10 +870,25 @@ mod tests {
         assert!(try_active().is_ok());
     }
 
+    /// The contract every tier is held to: `kernel::transfer_nearest`'s
+    /// in-sensor addresses as slab indices, in input order.
+    fn in_sensor(phi: &PhiWords, canon: &[PackedCoord], width: u32, height: u32) -> Vec<u32> {
+        canon
+            .iter()
+            .filter_map(|&c| super::super::transfer_nearest(phi, c, width, height).address())
+            .map(|(x, y)| y as u32 * width + x as u32)
+            .collect()
+    }
+
+    fn pixel(x: f64, y: f64) -> PackedCoord {
+        PackedCoord::from_f64(x, y)
+    }
+
     #[test]
     fn every_tier_matches_scalar_on_directed_cases() {
         // Exact ties (±half), judgement edges, saturated words, remainders
-        // of every length 0..=9 against 4-lane AVX2 / 2-lane NEON packing.
+        // of every length 0..=9 against the 8-transfer AVX2 and 2-lane
+        // NEON bodies.
         let phi_cases = [
             PhiWords::from_f64(1.0, 0.0, 0.0),
             PhiWords::from_f64(0.8371, -3.25, 17.0625),
@@ -809,11 +911,10 @@ mod tests {
             (-32000, 31999),
         ]);
         // φ = (1, 0, 0) on raw (64, −64) is an exact negative tie: y = −0.5
-        // rounds away to −1 (MISS) where half-up would give slab 1. From
-        // n = 8 on it runs through the 8-lane AVX2 body.
+        // rounds away to −1 (a miss) where half-up would give slab 1.
         assert_eq!(
-            scalar_transfer_index(&phi_cases[0], pool[1], 240, 180),
-            MISS
+            super::super::transfer_nearest(&phi_cases[0], pool[1], 240, 180),
+            crate::formats::PlaneCoord::Missing
         );
         let h = {
             let one = crate::formats::Q11p21::one().raw();
@@ -825,11 +926,13 @@ mod tests {
                     let batch = &pool[..n];
                     let mut idx = Vec::new();
                     transfer_nearest_batch_with(tier, phi, batch, 240, 180, &mut idx);
-                    let expect: Vec<u32> = batch
-                        .iter()
-                        .map(|&c| scalar_transfer_index(phi, c, 240, 180))
-                        .collect();
-                    assert_eq!(idx, expect, "tier {} n {}", tier.name(), n);
+                    assert_eq!(
+                        idx,
+                        in_sensor(phi, batch, 240, 180),
+                        "tier {} n {}",
+                        tier.name(),
+                        n
+                    );
 
                     let mut got = Vec::new();
                     project_z0_batch_with(tier, &h, batch, &mut got);
@@ -844,29 +947,123 @@ mod tests {
     }
 
     #[test]
+    fn every_hit_pattern_compacts_in_order_on_every_tier() {
+        // Lane k of a pattern is in the sensor iff bit k is set; the misses
+        // take turns leaving the sensor left, below and at the −0.5 px tie.
+        let lane = |k: usize, hit: bool| match (hit, k % 3) {
+            (true, _) => pixel(10.0 + 20.0 * k as f64, 7.25 * k as f64),
+            (false, 0) => pixel(-3.0, 20.0),
+            (false, 1) => pixel(20.0, 180.0),
+            (false, _) => pixel(-0.5, 20.0),
+        };
+        let block = |mask: u32, lanes: usize| -> Vec<PackedCoord> {
+            (0..lanes).map(|k| lane(k, mask >> k & 1 == 1)).collect()
+        };
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        for tier in supported_tiers() {
+            let mut idx = Vec::new();
+            // Tails alone, every pattern of 1–7 lanes: no vector iteration.
+            for lanes in 1..8 {
+                for mask in 0..1u32 << lanes {
+                    let canon = block(mask, lanes);
+                    transfer_nearest_batch_with(tier, &phi, &canon, 240, 180, &mut idx);
+                    assert_eq!(idx.len(), mask.count_ones() as usize);
+                    assert_eq!(idx, in_sensor(&phi, &canon, 240, 180), "{mask:#b}");
+                }
+            }
+            // All 256 eight-lane patterns, each followed by its complement
+            // (the second store starts at the first's hit count) and a
+            // tail of 0–7 lanes.
+            for mask in 0..256u32 {
+                for tail in 0..8 {
+                    let mut canon = block(mask, 8);
+                    canon.extend(block(!mask, 8));
+                    canon.extend(block(mask.rotate_right(3), tail));
+                    transfer_nearest_batch_with(tier, &phi, &canon, 240, 180, &mut idx);
+                    let expect = in_sensor(&phi, &canon, 240, 180);
+                    assert_eq!(
+                        expect.len(),
+                        8 + (mask.rotate_right(3) & ((1 << tail) - 1)).count_ones() as usize
+                    );
+                    assert_eq!(
+                        idx,
+                        expect,
+                        "tier {} mask {mask:#010b} tail {tail}",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ties_round_away_from_zero_at_every_lane() {
+        // φ = (1, 0, 0): raw 64 is exactly +0.5 px, raw −64 exactly −0.5.
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        let inside = PackedCoord {
+            x: Q9p7::from_raw(5 << 7),
+            y: Q9p7::from_raw(5 << 7),
+        };
+        for tier in supported_tiers() {
+            let mut idx = Vec::new();
+            for n in [8, 9, 16] {
+                for at in 0..8 {
+                    let mut canon = vec![inside; n];
+                    // (0.5, −0.5): the negative tie rounds to −1 and misses.
+                    canon[at] = coords(&[(64, -64)])[0];
+                    transfer_nearest_batch_with(tier, &phi, &canon, 240, 180, &mut idx);
+                    assert_eq!(
+                        idx,
+                        vec![5 * 240 + 5; n - 1],
+                        "tier {} at {at}",
+                        tier.name()
+                    );
+                    // (3.5, 4.5): positive ties round up to (4, 5).
+                    canon[at] = coords(&[(7 * 64, 9 * 64)])[0];
+                    transfer_nearest_batch_with(tier, &phi, &canon, 240, 180, &mut idx);
+                    let mut expect = vec![5 * 240 + 5; n];
+                    expect[at] = 5 * 240 + 4;
+                    assert_eq!(idx, expect, "tier {} at {at}", tier.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_reused_arena_matches_scalar_as_blocks_shrink_and_grow() {
-        // One arena over blocks of length 9, 3 and 17: a resize keeps the
-        // previous block's indices, so every tier must overwrite each slot.
+        // One arena over blocks of length 9, 3 and 17, every block with hits
+        // and misses (even coordinates leave the sensor through the top):
+        // a shorter block must leave no stale tail of the longer one's
+        // indices, and a longer one must overwrite every slot it keeps.
         let pool: Vec<PackedCoord> = (0..17i16)
             .map(|i| PackedCoord {
                 x: Q9p7::from_raw(i * 1931 - 16000),
-                y: Q9p7::from_raw(12000 - i * 1499),
+                y: Q9p7::from_raw(if i % 2 == 0 { -8000 } else { 12000 }),
             })
             .collect();
-        let phi = PhiWords::from_f64(0.8371, 120.0, 90.0);
+        let phi = PhiWords::from_f64(0.8371, 120.0, 20.0);
         for tier in supported_tiers() {
             let mut idx = Vec::new();
             for n in [9, 3, 17] {
                 let block = &pool[pool.len() - n..];
                 transfer_nearest_batch_with(tier, &phi, block, 240, 180, &mut idx);
-                let expect: Vec<u32> = block
-                    .iter()
-                    .map(|&c| scalar_transfer_index(&phi, c, 240, 180))
-                    .collect();
-                assert!(expect.iter().any(|&i| i != MISS), "n {n}");
+                let expect = in_sensor(&phi, block, 240, 180);
+                assert!(!expect.is_empty() && expect.len() < n, "n {n}");
                 assert_eq!(idx, expect, "tier {} n {n}", tier.name());
             }
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn prefetch_accepts_any_slice() {
+        // A hint: it must neither fault nor change a byte, aligned or not.
+        let data: Vec<u16> = (0..1000).collect();
+        for range in [0..0, 0..1000, 3..997, 999..1000] {
+            prefetch_l2(&data[range]);
+        }
+        prefetch_l2::<u64>(&[]);
+        assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
     }
 
     #[test]
@@ -905,23 +1102,25 @@ mod proptests {
     const RAW16: std::ops::Range<i32> = i16::MIN as i32..i16::MAX as i32 + 1;
 
     proptest! {
-        /// Batched transfer is byte-identical to the scalar kernel on every
-        /// supported tier, for arbitrary raw words, arbitrary batch sizes
-        /// (0, 1, lane remainders) and arbitrary sensor judgement bounds.
+        /// Batched transfer writes exactly the scalar kernel's in-sensor
+        /// addresses, as slab indices in input order, on every supported
+        /// tier, for arbitrary raw words, arbitrary batch sizes (0, 1, lane
+        /// remainders) and every sensor size of the 8-bit plane domain.
         #[test]
         fn transfer_batch_is_bit_identical_on_every_tier(
             scale in i32::MIN..i32::MAX,
             offset_x in i32::MIN..i32::MAX,
             offset_y in i32::MIN..i32::MAX,
             raws in collection::vec((RAW16, RAW16), 0..19),
-            width in 1u32..512,
-            height in 1u32..512,
+            width in 1u32..257,
+            height in 1u32..257,
         ) {
             let phi = PhiWords { scale, offset_x, offset_y };
             let canon = coords_from_raw(&raws);
             let expect: Vec<u32> = canon
                 .iter()
-                .map(|&c| scalar_transfer_index(&phi, c, width, height))
+                .filter_map(|&c| super::super::transfer_nearest(&phi, c, width, height).address())
+                .map(|(x, y)| y as u32 * width + x as u32)
                 .collect();
             let mut idx = Vec::new();
             for tier in supported_tiers() {
