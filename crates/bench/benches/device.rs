@@ -1,13 +1,13 @@
-//! Benchmarks of the functional device model: the bit-accurate `PE_Z0` /
-//! `PE_Zi` datapaths, the Vote Execute Unit's DRAM read-modify-write path,
-//! the DMA descriptor engine and a complete frame executed through the
-//! register interface.
+//! Benchmarks of the functional device model: the bit-accurate `PE_Z0`
+//! projection, the plane-by-plane frame pass of the `PE_Zi` array and the
+//! Vote Execute Unit (whole, and its DSI deposit alone), the DMA descriptor
+//! engine and a complete frame executed through the register interface.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use eventor_fixed::PackedCoord;
+use eventor_fixed::{kernel, PackedCoord};
 use eventor_hwsim::{
-    AcceleratorConfig, AxiHpInterconnect, DmaEngine, DsiDram, EventorDevice, FrameJob, FrameKind,
-    HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry, VoteExecuteDatapath,
+    AcceleratorConfig, DmaEngine, DsiDram, EventorDevice, FrameJob, FrameKind, HomographyRegisters,
+    PeZ0Datapath, PeZiArrayDatapath, PhiEntry,
 };
 use std::hint::black_box;
 
@@ -34,42 +34,61 @@ fn phi_words(planes: usize) -> Vec<PhiEntry> {
         .collect()
 }
 
+/// The `Buf_I` bank of a 1024-event frame under the near-identity
+/// homography.
+fn canonical_survivors(n: usize) -> Vec<PackedCoord> {
+    let mut survivors = Vec::new();
+    PeZ0Datapath::new().project_frame(&near_identity_homography(), &event_words(n), &mut survivors);
+    survivors
+}
+
 fn bench_device(c: &mut Criterion) {
     let mut group = c.benchmark_group("device");
 
     group.bench_function("pe_z0_project_1024_events", |b| {
         let h = near_identity_homography();
         let words = event_words(1024);
+        let mut survivors = Vec::with_capacity(words.len());
         b.iter(|| {
             let mut pe = PeZ0Datapath::new();
-            black_box(pe.project_frame(&h, &words))
+            pe.project_frame(&h, &words, &mut survivors);
+            black_box(survivors.len())
         })
     });
 
-    group.bench_function("pe_zi_generate_votes_1024x100", |b| {
-        let h = near_identity_homography();
-        let words = event_words(1024);
-        let mut pe_z0 = PeZ0Datapath::new();
-        let canonical = pe_z0.project_frame(&h, &words);
+    // The frame pass: every survivor transferred to each of 100 planes and
+    // its in-sensor vote deposited, into one DSI that keeps its scores.
+    group.bench_function("pe_zi_vote_frame_1024x100", |b| {
+        let canonical = canonical_survivors(1024);
         let phi = phi_words(100);
+        let mut dram = DsiDram::new(240, 180, 100);
         b.iter(|| {
             let mut array = PeZiArrayDatapath::new(phi.clone(), 2, 240, 180);
-            black_box(array.generate_frame_votes(&canonical))
+            black_box(array.vote_frame(&canonical, &mut dram))
         })
     });
 
-    group.bench_function("vote_execute_102400_votes", |b| {
-        let h = near_identity_homography();
-        let words = event_words(1024);
-        let mut pe_z0 = PeZ0Datapath::new();
-        let canonical = pe_z0.project_frame(&h, &words);
-        let mut array = PeZiArrayDatapath::new(phi_words(100), 2, 240, 180);
-        let votes = array.generate_frame_votes(&canonical);
+    // The Vote Execute Unit's share of the frame pass: the same frame's
+    // votes, transferred beforehand, deposited plane by plane.
+    group.bench_function("dsi_vote_plane_102400_votes", |b| {
+        let canonical = canonical_survivors(1024);
+        let planes: Vec<Vec<(u16, u16)>> = phi_words(100)
+            .iter()
+            .map(|phi| {
+                canonical
+                    .iter()
+                    .filter_map(|&c| kernel::transfer_nearest(&phi.words(), c, 240, 180).address())
+                    .collect()
+            })
+            .collect();
+        let mut dram = DsiDram::new(240, 180, 100);
         b.iter(|| {
-            let mut dram = DsiDram::new(240, 180, 100);
-            let mut axi = AxiHpInterconnect::new(2);
-            let mut unit = VoteExecuteDatapath::new();
-            black_box(unit.execute(&votes, &mut dram, &mut axi))
+            let applied: u64 = planes
+                .iter()
+                .enumerate()
+                .map(|(plane, votes)| dram.vote_plane(plane, votes.iter().copied()))
+                .sum();
+            black_box(applied)
         })
     });
 

@@ -1,19 +1,18 @@
 //! Transaction-level model of the AXI interconnect between the programmable
 //! logic and the PS memory system.
 //!
-//! Two kinds of ports are modelled, matching the Zynq-7000 fabric:
-//!
-//! * the **AXI-GP/DMA path** used to stream event frames and per-frame
-//!   parameters into the on-chip buffers (`Buf_E`, `Buf_P`, `Buf_H`), and
-//! * the **AXI-HP ports** used by the Vote Execute Unit for the DSI
-//!   read-modify-write traffic against DDR3.
+//! An [`AxiPort`] models one master port of the Zynq-7000 fabric: the
+//! **AXI-GP/DMA path** that streams event frames and per-frame parameters
+//! into the on-chip buffers (`Buf_E`, `Buf_P`, `Buf_H`) through the
+//! [`crate::DmaEngine`], or an **AXI-HP port** into the DDR3 controller.
 //!
 //! The model is transaction-level, not signal-level: a burst is charged an
 //! issue latency plus a payload time derived from the port's sustainable
-//! bandwidth, and an interconnect distributes bursts over the available HP
-//! ports round-robin. The counters it accumulates (bytes, transactions, busy
-//! cycles) are what the energy model and the Table 3 runtime breakdown
-//! consume.
+//! bandwidth. Its counters (bytes, transactions, busy cycles) feed the DMA
+//! engine's statistics only. The energy model and the Table 3 runtime
+//! breakdown read the device's [`crate::FrameExecution`] records, and the
+//! Vote Execute Unit's DSI traffic is counted in [`crate::DramStats`] and
+//! timed by [`crate::AcceleratorConfig::votes_per_cycle`].
 
 use crate::timing::Cycles;
 
@@ -175,81 +174,6 @@ impl AxiPort {
     }
 }
 
-/// The set of AXI-HP ports available to the Vote Execute Unit, with
-/// round-robin distribution of bursts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AxiHpInterconnect {
-    ports: Vec<AxiPort>,
-    next: usize,
-}
-
-impl AxiHpInterconnect {
-    /// Creates an interconnect with `num_ports` default HP ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_ports` is zero.
-    pub fn new(num_ports: usize) -> Self {
-        assert!(num_ports > 0, "need at least one AXI-HP port");
-        Self {
-            ports: (0..num_ports).map(AxiPort::hp_default).collect(),
-            next: 0,
-        }
-    }
-
-    /// Number of ports.
-    pub fn num_ports(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Issues a burst on the next port in round-robin order.
-    ///
-    /// Returns the index of the port used and the cycles the burst occupied
-    /// it. Because the ports operate concurrently, the *pipeline* cost of a
-    /// stream of bursts is roughly `busy_cycles / num_ports`; the caller
-    /// decides how to fold that into its schedule.
-    pub fn issue(&mut self, burst: AxiBurst) -> (usize, Cycles) {
-        let index = self.next;
-        self.next = (self.next + 1) % self.ports.len();
-        let cycles = self.ports[index].issue(burst);
-        (index, cycles)
-    }
-
-    /// The ports of the interconnect.
-    pub fn ports(&self) -> &[AxiPort] {
-        &self.ports
-    }
-
-    /// Aggregate statistics over all ports.
-    pub fn aggregate_stats(&self) -> AxiPortStats {
-        let mut total = AxiPortStats::default();
-        for p in &self.ports {
-            let s = p.stats();
-            total.read_transactions += s.read_transactions;
-            total.write_transactions += s.write_transactions;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.busy_cycles += s.busy_cycles;
-        }
-        total
-    }
-
-    /// Effective cycles a stream of bursts occupies the interconnect, given
-    /// that the ports work in parallel.
-    pub fn parallel_cycles(&self) -> Cycles {
-        let busy = self.aggregate_stats().busy_cycles;
-        busy.div_ceil(self.ports.len() as Cycles)
-    }
-
-    /// Clears all port counters.
-    pub fn clear_stats(&mut self) {
-        for p in &mut self.ports {
-            p.clear_stats();
-        }
-        self.next = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,30 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn interconnect_round_robins_over_ports() {
-        let mut ic = AxiHpInterconnect::new(2);
-        let (p0, _) = ic.issue(AxiBurst::read(0, 1, 8));
-        let (p1, _) = ic.issue(AxiBurst::read(8, 1, 8));
-        let (p2, _) = ic.issue(AxiBurst::read(16, 1, 8));
-        assert_eq!((p0, p1, p2), (0, 1, 0));
-        assert_eq!(ic.num_ports(), 2);
-        assert_eq!(ic.aggregate_stats().read_transactions, 3);
-    }
-
-    #[test]
-    fn parallel_cycles_divide_busy_time_across_ports() {
-        let mut one = AxiHpInterconnect::new(1);
-        let mut two = AxiHpInterconnect::new(2);
-        for i in 0..8 {
-            one.issue(AxiBurst::write(i * 64, 8, 8));
-            two.issue(AxiBurst::write(i * 64, 8, 8));
-        }
-        assert_eq!(one.parallel_cycles(), two.parallel_cycles() * 2);
-        two.clear_stats();
-        assert_eq!(two.parallel_cycles(), 0);
-    }
-
-    #[test]
     fn utilization_of_idle_port_is_zero() {
         let port = AxiPort::hp_default(1);
         assert_eq!(port.utilization(0), 0.0);
@@ -327,11 +227,5 @@ mod tests {
     #[should_panic]
     fn zero_bandwidth_port_panics() {
         let _ = AxiPort::new("bad", 1, 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_interconnect_panics() {
-        let _ = AxiHpInterconnect::new(0);
     }
 }

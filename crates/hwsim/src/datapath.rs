@@ -8,10 +8,8 @@
 //!   and the matrix-vector MAC + normalization of `PE_Z0` (`𝒫{Z0}`),
 //! * [`PhiEntry`] / [`PeZiArrayDatapath`] — the `Buf_P` contents and the
 //!   scalar MAC + Nearest Voxel Finder + Vote Address Generator of the
-//!   `PE_Zi` array (`𝒫{Z0;Zi}` and `𝒢`),
-//! * [`VoteExecuteDatapath`] — the DSI read-modify-write of the Vote Execute
-//!   Unit (`𝒱`) against [`crate::DsiDram`], issuing transaction-level AXI
-//!   bursts.
+//!   `PE_Zi` array (`𝒫{Z0;Zi}` and `𝒢`), whose frame pass also applies
+//!   the votes to [`crate::DsiDram`] as the Vote Execute Unit does (`𝒱`).
 //!
 //! These models are the register/FSM face of the datapath; the arithmetic
 //! itself — wide MAC, normalization, saturation judgement, nearest-voxel
@@ -21,7 +19,6 @@
 //! property of construction; the workspace integration tests
 //! (`tests/cosim_equivalence.rs`) assert it end to end.
 
-use crate::axi::{AxiBurst, AxiHpInterconnect};
 use crate::dram::DsiDram;
 use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::{PackedCoord, Q11p21};
@@ -95,33 +92,33 @@ impl PeZ0Datapath {
     /// Returns the canonical projection in the Q9.7 transport format, or
     /// `None` when the projection-missing judgement drops the event.
     pub fn project(&mut self, h: &HomographyRegisters, event_word: u32) -> Option<PackedCoord> {
-        self.project_words(&h.raw_words(), event_word)
-    }
-
-    /// [`Self::project`] on pre-hoisted raw register words — the per-event
-    /// body of [`Self::project_frame`], which reads the register bank once
-    /// per frame instead of once per event.
-    #[inline]
-    fn project_words(&mut self, words: &[i32; 9], event_word: u32) -> Option<PackedCoord> {
         self.events_processed += 1;
-        let out = kernel::project_z0(words, PackedCoord::from_word(event_word));
+        let out = kernel::project_z0(&h.raw_words(), PackedCoord::from_word(event_word));
         if out.is_none() {
             self.events_dropped += 1;
         }
         out
     }
 
-    /// Processes a whole `Buf_E` bank, producing the `Buf_I` contents.
+    /// Processes a whole `Buf_E` bank into `Buf_I`: replaces the contents
+    /// of `survivors` with the canonical projections of the events the
+    /// judgement keeps, in input order. The counters are charged once per
+    /// bank.
     pub fn project_frame(
         &mut self,
         h: &HomographyRegisters,
         event_words: &[u32],
-    ) -> Vec<Option<PackedCoord>> {
+        survivors: &mut Vec<PackedCoord>,
+    ) {
         let words = h.raw_words();
-        event_words
-            .iter()
-            .map(|&w| self.project_words(&words, w))
-            .collect()
+        survivors.clear();
+        survivors.extend(
+            event_words
+                .iter()
+                .filter_map(|&w| kernel::project_z0(&words, PackedCoord::from_word(w))),
+        );
+        self.events_processed += event_words.len() as u64;
+        self.events_dropped += (event_words.len() - survivors.len()) as u64;
     }
 
     /// Events processed since construction.
@@ -282,14 +279,43 @@ impl PeZiArrayDatapath {
         votes
     }
 
-    /// Processes a whole `Buf_I` bank (dropped events are skipped), returning
-    /// the concatenated vote addresses of the frame.
-    pub fn generate_frame_votes(&mut self, canonical: &[Option<PackedCoord>]) -> Vec<VoteAddress> {
-        let mut votes = Vec::new();
-        for c in canonical.iter().flatten() {
-            votes.extend(self.generate_votes(*c));
+    /// The frame pass of the array and the Vote Execute Unit: plane by
+    /// plane, transfers every canonical point of a `Buf_I` bank and applies
+    /// each in-sensor vote to that plane of `dram`
+    /// ([`DsiDram::vote_plane`]), in the vote order of
+    /// [`Self::generate_votes`] within each plane. Statistics are charged
+    /// once per plane; the frame's own are returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dram` is narrower, shorter or shallower than the array's
+    /// sensor and `Buf_P`.
+    pub fn vote_frame(&mut self, canonical: &[PackedCoord], dram: &mut DsiDram) -> PeZiStats {
+        let (width, height) = (self.sensor_width, self.sensor_height);
+        assert!(
+            width as usize <= dram.width()
+                && height as usize <= dram.height()
+                && self.phi.len() <= dram.planes(),
+            "the DSI must hold every vote address the array generates"
+        );
+        let transfers = canonical.len() as u64;
+        let mut frame = PeZiStats::default();
+        for (plane, phi) in self.phi.iter().enumerate() {
+            let votes = dram.vote_plane(
+                plane,
+                canonical
+                    .iter()
+                    .filter_map(|&c| kernel::transfer_nearest(phi, c, width, height).address()),
+            );
+            self.per_pe_transfers[plane % self.num_pe] += transfers;
+            frame.transfers += transfers;
+            frame.votes_generated += votes;
+            frame.transfers_missed += transfers - votes;
         }
-        votes
+        self.stats.transfers += frame.transfers;
+        self.stats.votes_generated += frame.votes_generated;
+        self.stats.transfers_missed += frame.transfers_missed;
+        frame
     }
 
     /// Execution statistics since construction.
@@ -300,66 +326,6 @@ impl PeZiArrayDatapath {
     /// Plane-transfer count per physical PE (load-balance view).
     pub fn per_pe_transfers(&self) -> &[u64] {
         &self.per_pe_transfers
-    }
-}
-
-/// Per-frame execution statistics of the Vote Execute Unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VoteExecuteStats {
-    /// Votes applied to the DSI.
-    pub votes_applied: u64,
-    /// Votes whose address faulted (should be zero for a correct datapath).
-    pub address_faults: u64,
-    /// AXI bursts issued.
-    pub bursts: u64,
-}
-
-/// Functional model of the Vote Execute Unit: applies vote addresses to the
-/// DSI in DRAM as saturating read-modify-write operations, issuing
-/// transaction-level AXI traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VoteExecuteDatapath {
-    stats: VoteExecuteStats,
-}
-
-impl VoteExecuteDatapath {
-    /// Creates an idle unit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies a batch of votes (one `Buf_V` drain) to the DSI.
-    ///
-    /// Each vote is a 2-byte read plus a 2-byte write on one of the AXI-HP
-    /// ports; votes are interleaved over the ports round-robin.
-    pub fn execute(
-        &mut self,
-        votes: &[VoteAddress],
-        dram: &mut DsiDram,
-        axi: &mut AxiHpInterconnect,
-    ) -> VoteExecuteStats {
-        let width = dram.width();
-        let height = dram.height();
-        let mut batch = VoteExecuteStats::default();
-        for vote in votes {
-            let addr = vote.linear(width, height);
-            axi.issue(AxiBurst::read(addr * 2, 1, 2));
-            axi.issue(AxiBurst::write(addr * 2, 1, 2));
-            batch.bursts += 2;
-            match dram.vote(addr) {
-                Some(_) => batch.votes_applied += 1,
-                None => batch.address_faults += 1,
-            }
-        }
-        self.stats.votes_applied += batch.votes_applied;
-        self.stats.address_faults += batch.address_faults;
-        self.stats.bursts += batch.bursts;
-        batch
-    }
-
-    /// Statistics accumulated over all batches.
-    pub fn stats(&self) -> VoteExecuteStats {
-        self.stats
     }
 }
 
@@ -429,10 +395,13 @@ mod tests {
         let words: Vec<u32> = (0..16)
             .map(|i| PackedCoord::from_f64(i as f64 * 10.0, 5.0).to_word())
             .collect();
-        let out = pe.project_frame(&h, &words);
+        // The bank replaces whatever the buffer held.
+        let mut out = vec![PackedCoord::from_f64(1.0, 1.0); 40];
+        pe.project_frame(&h, &words, &mut out);
         assert_eq!(out.len(), 16);
-        assert!(out.iter().all(Option::is_some));
-        assert_eq!(out[3].unwrap().x_f64(), 30.0);
+        assert_eq!(out[3].x_f64(), 30.0);
+        assert_eq!(pe.events_processed(), 16);
+        assert_eq!(pe.events_dropped(), 0);
     }
 
     #[test]
@@ -472,17 +441,54 @@ mod tests {
 
     #[test]
     fn frame_votes_skip_dropped_events() {
+        // Scaling by 2 throws (200, 10) out of the Q9.7 range.
+        let h =
+            HomographyRegisters::from_matrix(&[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]);
+        let words = [(1.0, 1.0), (200.0, 10.0), (2.0, 2.0)]
+            .map(|(x, y)| PackedCoord::from_f64(x, y).to_word());
+        let mut pe_z0 = PeZ0Datapath::new();
+        let mut canonical = Vec::new();
+        pe_z0.project_frame(&h, &words, &mut canonical);
+        assert_eq!(pe_z0.events_dropped(), 1);
+        assert_eq!(canonical.len(), 2);
+
         let phi = vec![PhiEntry::from_f64(1.0, 0.0, 0.0); 3];
         let mut array = PeZiArrayDatapath::new(phi, 1, 240, 180);
-        let canonical = vec![
-            Some(PackedCoord::from_f64(1.0, 1.0)),
-            None,
-            Some(PackedCoord::from_f64(2.0, 2.0)),
-        ];
-        let votes = array.generate_frame_votes(&canonical);
-        assert_eq!(votes.len(), 6);
+        let mut dram = DsiDram::new(240, 180, 3);
+        let frame = array.vote_frame(&canonical, &mut dram);
+        assert_eq!(frame.votes_generated, 6);
+        assert_eq!(dram.score(4, 4, 2), Some(1));
         assert_eq!(array.num_planes(), 3);
         assert_eq!(array.num_pe(), 1);
+    }
+
+    #[test]
+    fn frame_pass_charges_what_generate_votes_charges() {
+        // Canonical points inside, straddling and beyond the sensor under
+        // seven planes of growing epipole offset.
+        let phi: Vec<PhiEntry> = (0..7)
+            .map(|i| PhiEntry::from_f64(1.0 - 0.05 * i as f64, 12.0 * i as f64, -7.5 * i as f64))
+            .collect();
+        let canonical: Vec<PackedCoord> = (0..40)
+            .map(|i| PackedCoord::from_f64(i as f64 * 7.3 - 20.0, i as f64 * 5.1 - 10.0))
+            .collect();
+        for num_pe in [1, 2, 4] {
+            let mut reference = PeZiArrayDatapath::new(phi.clone(), num_pe, 240, 180);
+            let mut reference_dram = DsiDram::new(240, 180, 7);
+            for &c in &canonical {
+                for v in reference.generate_votes(c) {
+                    reference_dram.vote(v.linear(240, 180));
+                }
+            }
+            let mut array = PeZiArrayDatapath::new(phi.clone(), num_pe, 240, 180);
+            let mut dram = DsiDram::new(240, 180, 7);
+            assert_eq!(array.vote_frame(&canonical, &mut dram), reference.stats());
+            assert_eq!(array.stats(), reference.stats());
+            assert_eq!(array.per_pe_transfers(), reference.per_pe_transfers());
+            assert_eq!(dram, reference_dram);
+            let stats = array.stats();
+            assert!(stats.transfers_missed > 0 && stats.votes_generated > 0);
+        }
     }
 
     #[test]
@@ -498,35 +504,29 @@ mod tests {
 
     #[test]
     fn vote_execute_applies_and_counts() {
+        let phi = vec![PhiEntry::from_f64(1.0, 0.0, 0.0); 4];
+        let mut array = PeZiArrayDatapath::new(phi, 2, 16, 16);
         let mut dram = DsiDram::new(16, 16, 4);
-        let mut axi = AxiHpInterconnect::new(2);
-        let mut unit = VoteExecuteDatapath::new();
-        let votes = vec![
-            VoteAddress {
-                x: 1,
-                y: 1,
-                plane: 0,
-            },
-            VoteAddress {
-                x: 1,
-                y: 1,
-                plane: 0,
-            },
-            VoteAddress {
-                x: 5,
-                y: 3,
-                plane: 2,
-            },
-        ];
-        let batch = unit.execute(&votes, &mut dram, &mut axi);
-        assert_eq!(batch.votes_applied, 3);
-        assert_eq!(batch.address_faults, 0);
-        assert_eq!(batch.bursts, 6);
+        let canonical =
+            [(1.0, 1.0), (1.0, 1.0), (5.0, 3.0)].map(|(x, y)| PackedCoord::from_f64(x, y));
+        let frame = array.vote_frame(&canonical, &mut dram);
+        assert_eq!(frame.votes_generated, 12);
+        assert_eq!(frame.transfers_missed, 0);
         assert_eq!(dram.score(1, 1, 0), Some(2));
         assert_eq!(dram.score(5, 3, 2), Some(1));
-        assert_eq!(unit.stats().votes_applied, 3);
-        assert_eq!(axi.aggregate_stats().transactions(), 6);
-        assert_eq!(axi.aggregate_stats().total_bytes(), 12);
+        let stats = dram.stats();
+        assert_eq!(stats.vote_rmw_ops, 12);
+        assert_eq!(stats.address_faults, 0);
+        assert_eq!(stats.score_bytes(), 48);
+        assert_eq!(array.per_pe_transfers(), &[6, 6]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn frame_pass_rejects_a_dsi_smaller_than_the_sensor() {
+        let mut array =
+            PeZiArrayDatapath::new(vec![PhiEntry::from_f64(1.0, 0.0, 0.0)], 1, 240, 180);
+        array.vote_frame(&[], &mut DsiDram::new(240, 179, 1));
     }
 
     #[test]

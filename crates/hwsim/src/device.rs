@@ -9,9 +9,10 @@
 //!    and per-plane `φ` words) and the DMA streams it into the double
 //!    buffers,
 //! 2. the driver writes the control register to start the frame,
-//! 3. `PE_Z0` produces the canonical projections into `Buf_I`, the `PE_Zi`
-//!    array generates vote addresses into `Buf_V`, and the Vote Execute Unit
-//!    applies them to the DSI in DRAM over the AXI-HP ports,
+//! 3. `PE_Z0` writes the canonical projections of the surviving events into
+//!    `Buf_I`; then, plane by plane, the `PE_Zi` array transfers every
+//!    survivor and the Vote Execute Unit applies each in-sensor vote to that
+//!    plane of the DSI in DRAM,
 //! 4. the driver polls the status register, reads back the result counters
 //!    and (at key-frame boundaries) reads the DSI out of DRAM.
 //!
@@ -20,12 +21,12 @@
 //! sensor), using the same per-unit throughput assumptions as the analytic
 //! model in [`crate::schedule`]; the two agree on full frames by
 //! construction, and the device model additionally reflects dropped events
-//! and out-of-sensor transfers.
+//! and out-of-sensor transfers. Every counter — the DRAM access statistics,
+//! the `PE_Zi` statistics, the [`FrameExecution`] record, the lifetime
+//! [`DeviceStats`] and the result registers — is charged from counts once
+//! per plane or once per frame, never per vote.
 
-use crate::axi::AxiHpInterconnect;
-use crate::datapath::{
-    HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry, VoteExecuteDatapath,
-};
+use crate::datapath::{HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry};
 use crate::dma::{DmaDescriptor, DmaEngine, DmaTarget};
 use crate::dram::DsiDram;
 use crate::fsm::{CanonicalState, ProportionalState};
@@ -33,6 +34,7 @@ use crate::memory::{BufferInventory, DramDsiModel};
 use crate::registers::{ctrl, status, Register, RegisterFile};
 use crate::schedule::FrameKind;
 use crate::timing::{AcceleratorConfig, Cycles};
+use eventor_fixed::PackedCoord;
 
 /// The per-frame input set staged by the host driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,9 +114,10 @@ pub struct EventorDevice {
     registers: RegisterFile,
     buffers: BufferInventory,
     dma: DmaEngine,
-    axi_hp: AxiHpInterconnect,
     dram: DsiDram,
-    vote_unit: VoteExecuteDatapath,
+    /// The `Buf_I` contents of the frame in flight, kept between frames
+    /// (always empty there) so that a frame allocates no survivor buffer.
+    survivors: Vec<PackedCoord>,
     staged: Option<FrameJob>,
     canonical_state: CanonicalState,
     proportional_state: ProportionalState,
@@ -132,8 +135,7 @@ impl EventorDevice {
             dram: DsiDram::for_config(&config),
             buffers: BufferInventory::new(&config),
             dma: DmaEngine::new(&config),
-            axi_hp: AxiHpInterconnect::new(config.axi_hp_ports.max(1)),
-            vote_unit: VoteExecuteDatapath::new(),
+            survivors: Vec::new(),
             registers,
             staged: None,
             canonical_state: CanonicalState::Idle,
@@ -298,18 +300,22 @@ impl EventorDevice {
             0
         };
 
-        // PE_Z0: canonical projection over the active Buf_E bank.
+        // PE_Z0: canonical projection of the active Buf_E bank into Buf_I.
         self.canonical_state = CanonicalState::Project;
         let h = HomographyRegisters::from_raw_words(job.homography_words);
         let mut pe_z0 = PeZ0Datapath::new();
-        let canonical = pe_z0.project_frame(&h, &job.event_words);
+        pe_z0.project_frame(&h, &job.event_words, &mut self.survivors);
         let canonical_cycles =
             job.event_words.len() as Cycles + self.config.pe_z0_pipeline_overhead;
-        let _ = self.buffers.buf_i[0].fill_bank().fill(canonical.len() * 4);
+        let _ = self.buffers.buf_i[0]
+            .fill_bank()
+            .fill(self.survivors.len() * 4);
         self.buffers.buf_i[0].swap();
         self.canonical_state = CanonicalState::SyncWait;
 
-        // PE_Zi array: proportional projection and vote-address generation.
+        // PE_Zi array and Vote Execute Unit, plane by plane: every survivor
+        // is transferred to the plane and its in-sensor vote applied to the
+        // plane's DSI slab.
         self.proportional_state = ProportionalState::TransferAndVote;
         let phi: Vec<PhiEntry> = job
             .phi_words
@@ -317,23 +323,20 @@ impl EventorDevice {
             .map(|&w| PhiEntry::from_raw_words(w))
             .collect();
         let mut pe_zi = PeZiArrayDatapath::new(phi, self.config.num_pe_zi, width, height);
-        let votes = pe_zi.generate_frame_votes(&canonical);
+        let pass = pe_zi.vote_frame(&self.survivors, &mut self.dram);
         let planes_per_pe = self.config.num_depth_planes.div_ceil(self.config.num_pe_zi);
-        let surviving_events = canonical.iter().flatten().count();
         let address_cycles =
-            (surviving_events * planes_per_pe) as Cycles + self.config.pe_zi_pipeline_overhead;
+            (self.survivors.len() * planes_per_pe) as Cycles + self.config.pe_zi_pipeline_overhead;
+        self.survivors.clear();
 
-        // Vote Execute Unit: DSI read-modify-write over the AXI-HP ports.
         let _ = self
             .buffers
             .buf_v
             .fill_bank()
-            .fill(votes.len().min(4096) * 4);
+            .fill(pass.votes_generated.min(4096) as usize * 4);
         self.buffers.buf_v.swap();
-        let vote_stats = self
-            .vote_unit
-            .execute(&votes, &mut self.dram, &mut self.axi_hp);
-        let vote_cycles = (votes.len() as f64 / self.config.votes_per_cycle()).ceil() as Cycles;
+        let vote_cycles =
+            (pass.votes_generated as f64 / self.config.votes_per_cycle()).ceil() as Cycles;
 
         // The PE array and the Vote Execute Unit stream through Buf_V and
         // overlap; the slower one bounds the proportional-module time.
@@ -341,14 +344,9 @@ impl EventorDevice {
         self.proportional_state = ProportionalState::Idle;
         self.canonical_state = CanonicalState::Idle;
 
-        let dma_cycles = self.dma.stats().busy_cycles; // cumulative; per-frame recomputed below
-        let _ = dma_cycles;
-        let frame_dma_cycles = {
-            // Recompute just this frame's transfer time from its payload.
-            let payload = job.payload_bytes() as f64;
-            self.config.dma_setup_cycles
-                + (payload / self.config.dma_bytes_per_cycle).ceil() as Cycles
-        };
+        // This frame's transfer time, from its payload.
+        let frame_dma_cycles = self.config.dma_setup_cycles
+            + (job.payload_bytes() as f64 / self.config.dma_bytes_per_cycle).ceil() as Cycles;
         let exposed_dma = if self.config.double_buffering {
             0
         } else {
@@ -367,8 +365,8 @@ impl EventorDevice {
             kind: job.kind,
             events_in: job.event_words.len() as u64,
             events_dropped: pe_z0.events_dropped(),
-            transfers_missed: pe_zi.stats().transfers_missed,
-            votes_applied: vote_stats.votes_applied,
+            transfers_missed: pass.transfers_missed,
+            votes_applied: pass.votes_generated,
             dma_cycles: frame_dma_cycles,
             canonical_cycles,
             proportional_cycles,
@@ -381,7 +379,7 @@ impl EventorDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventor_fixed::PackedCoord;
+    use eventor_fixed::kernel::{self, PhiWords};
 
     fn identity_job(events: usize, planes: usize, kind: FrameKind) -> FrameJob {
         let identity =
@@ -531,6 +529,162 @@ mod tests {
         assert_eq!(device.dsi().total_score(), 0);
         assert_eq!(device.canonical_state(), CanonicalState::Idle);
         assert_eq!(device.proportional_state(), ProportionalState::Idle);
+    }
+
+    /// The per-vote path the frame pass replaced: each event through
+    /// `kernel::project_z0`, each survivor through `kernel::transfer_nearest`
+    /// on every plane, each in-sensor vote applied alone with
+    /// `DsiDram::vote`, and the frame record costed from those counts.
+    fn reference_frame(
+        config: &AcceleratorConfig,
+        dram: &mut DsiDram,
+        job: &FrameJob,
+    ) -> FrameExecution {
+        let (width, height) = (config.sensor_width as u32, config.sensor_height as u32);
+        if job.kind == FrameKind::Key {
+            dram.reset();
+        }
+        let (mut survivors, mut votes, mut missed) = (0u64, 0u64, 0u64);
+        for &word in &job.event_words {
+            let Some(c) = kernel::project_z0(&job.homography_words, PackedCoord::from_word(word))
+            else {
+                continue;
+            };
+            survivors += 1;
+            for (plane, &phi) in job.phi_words.iter().enumerate() {
+                let phi = PhiWords::from_raw_words(phi);
+                match kernel::transfer_nearest(&phi, c, width, height).address() {
+                    Some((x, y)) => {
+                        let addr = dram.linear_address(x as usize, y as usize, plane);
+                        dram.vote(addr.expect("in-sensor voxel"))
+                            .expect("in the DSI");
+                        votes += 1;
+                    }
+                    None => missed += 1,
+                }
+            }
+        }
+        let events_in = job.event_words.len() as u64;
+        let canonical_cycles = events_in + config.pe_z0_pipeline_overhead;
+        let planes_per_pe = config.num_depth_planes.div_ceil(config.num_pe_zi) as u64;
+        let address_cycles = survivors * planes_per_pe + config.pe_zi_pipeline_overhead;
+        let vote_cycles = (votes as f64 / config.votes_per_cycle()).ceil() as Cycles;
+        let proportional_cycles = address_cycles.max(vote_cycles);
+        let dma_cycles = config.dma_setup_cycles
+            + (job.payload_bytes() as f64 / config.dma_bytes_per_cycle).ceil() as Cycles;
+        let exposed_dma = if config.double_buffering {
+            0
+        } else {
+            dma_cycles
+        };
+        let (reset_cycles, total_cycles) = match job.kind {
+            FrameKind::Normal => (0, proportional_cycles + exposed_dma),
+            FrameKind::Key => (
+                DramDsiModel::reset_cycles(config),
+                canonical_cycles + proportional_cycles + exposed_dma,
+            ),
+        };
+        FrameExecution {
+            kind: job.kind,
+            events_in,
+            events_dropped: events_in - survivors,
+            transfers_missed: missed,
+            votes_applied: votes,
+            dma_cycles,
+            canonical_cycles,
+            proportional_cycles,
+            reset_cycles,
+            total_cycles,
+        }
+    }
+
+    #[test]
+    fn frame_pass_matches_the_per_vote_reference() {
+        const PLANES: usize = 6;
+        let job =
+            |kind, h: [[f64; 3]; 3], phi: &dyn Fn(usize) -> PhiEntry, events: Vec<(f64, f64)>| {
+                FrameJob {
+                    event_words: events
+                        .into_iter()
+                        .map(|(x, y)| PackedCoord::from_f64(x, y).to_word())
+                        .collect(),
+                    homography_words: HomographyRegisters::from_matrix(&h).raw_words(),
+                    phi_words: (0..PLANES).map(|i| phi(i).raw_words()).collect(),
+                    kind,
+                }
+            };
+        let identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
+        let spread: Vec<(f64, f64)> = (0..200)
+            .map(|i| ((i % 40) as f64 + 0.25, ((i * 7) % 30) as f64 - 0.5))
+            .collect();
+        // Voxel (3, 4) of every plane receives 33 000 votes a frame, so the
+        // second such frame drives it 465 votes past u16::MAX.
+        let pile: Vec<(f64, f64)> = (0..36_000)
+            .map(|i| if i % 12 == 0 { (7.0, 8.0) } else { (3.0, 4.0) })
+            .collect();
+        let jobs = [
+            // Scaling by 8 drops every event at x >= 32 (past the Q9.7
+            // range); a scale of 1/8 brings the survivors back on the sensor.
+            job(
+                FrameKind::Key,
+                [[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]],
+                &|_| PhiEntry::from_f64(0.125, 0.0, 0.0),
+                spread.clone(),
+            ),
+            // Growing epipole offsets push more of each plane off the sensor.
+            job(
+                FrameKind::Normal,
+                identity,
+                &|i| {
+                    PhiEntry::from_f64(
+                        1.0 - 0.05 * i as f64,
+                        9.0 * i as f64 - 10.0,
+                        -4.0 * i as f64,
+                    )
+                },
+                spread,
+            ),
+            job(
+                FrameKind::Normal,
+                identity,
+                &|_| PhiEntry::from_f64(1.0, 0.0, 0.0),
+                pile.clone(),
+            ),
+            job(
+                FrameKind::Normal,
+                identity,
+                &|_| PhiEntry::from_f64(1.0, 0.0, 0.0),
+                pile,
+            ),
+        ];
+        for num_pe in [1, 2, 4] {
+            let mut config = AcceleratorConfig::default()
+                .with_pe_zi(num_pe)
+                .with_depth_planes(PLANES)
+                .with_double_buffering(num_pe != 4);
+            config.sensor_width = 40;
+            config.sensor_height = 30;
+            let mut device = EventorDevice::new(config.clone());
+            let mut reference = DsiDram::for_config(&config);
+            let execs = jobs.each_ref().map(|job| {
+                let exec = device.run_frame(job.clone()).expect("a valid job");
+                assert_eq!(exec, reference_frame(&config, &mut reference, job));
+                assert_eq!(
+                    device.dsi(),
+                    &reference,
+                    "DSI bytes or DRAM statistics diverged"
+                );
+                exec
+            });
+            assert!(execs[0].events_dropped > 0);
+            assert!(execs[1].transfers_missed > 0 && execs[1].votes_applied > 0);
+            assert_eq!(
+                device.dsi().stats().saturated_votes,
+                PLANES as u64 * (66_000 - u16::MAX as u64)
+            );
+            assert_eq!(device.dsi().score(3, 4, PLANES - 1), Some(u16::MAX));
+            assert_eq!(device.dsi().score(7, 8, 0), Some(6_000));
+        }
     }
 
     #[test]

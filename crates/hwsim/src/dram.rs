@@ -6,8 +6,8 @@
 //! logic through the AXI-HP ports. This module models that memory at the
 //! *data* level: a flat array of 16-bit scores addressed exactly the way the
 //! Vote Address Generator addresses it (`plane * W * H + y * W + x`), with
-//! read/write/read-modify-write accounting so the transaction-level AXI and
-//! energy models can be fed from real traffic instead of analytic estimates.
+//! read/write/read-modify-write accounting of the traffic the device
+//! actually issues.
 
 use crate::timing::AcceleratorConfig;
 
@@ -181,6 +181,47 @@ impl DsiDram {
         Some(*slot)
     }
 
+    /// Applies one depth plane's votes in order: [`Self::vote`] at each
+    /// voxel `(x, y)` of `plane`, with the statistics charged once for the
+    /// whole plane. A voxel outside the plane is an address fault, as in
+    /// [`Self::vote`].
+    ///
+    /// Returns the number of votes applied, saturated ones included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range.
+    pub fn vote_plane(
+        &mut self,
+        plane: usize,
+        voxels: impl IntoIterator<Item = (u16, u16)>,
+    ) -> u64 {
+        assert!(plane < self.planes, "plane {plane} out of range");
+        let (width, height) = (self.width, self.height);
+        let stride = width * height;
+        let slab = &mut self.scores[plane * stride..(plane + 1) * stride];
+        let (mut applied, mut saturated, mut faults) = (0u64, 0u64, 0u64);
+        // `for_each` folds a filtering producer into one loop with a
+        // conditional body, where a `for` loop nests a search loop in it.
+        voxels.into_iter().for_each(|(x, y)| {
+            let (x, y) = (x as usize, y as usize);
+            if x >= width || y >= height {
+                faults += 1;
+                return;
+            }
+            let score = &mut slab[y * width + x];
+            applied += 1;
+            saturated += u64::from(*score == u16::MAX);
+            *score = score.saturating_add(1);
+        });
+        self.stats.score_reads += applied;
+        self.stats.score_writes += applied;
+        self.stats.vote_rmw_ops += applied;
+        self.stats.saturated_votes += saturated;
+        self.stats.address_faults += faults;
+        applied
+    }
+
     /// The score of voxel `(x, y, plane)` without touching the statistics
     /// (a debug/readback view, not a hardware access).
     pub fn score(&self, x: usize, y: usize, plane: usize) -> Option<u16> {
@@ -300,6 +341,11 @@ mod tests {
         dram.write(addr, u16::MAX);
         assert_eq!(dram.vote(addr), Some(u16::MAX));
         assert_eq!(dram.stats().saturated_votes, 1);
+        assert_eq!(dram.vote_plane(0, [(0, 0), (1, 0), (0, 0)]), 3);
+        assert_eq!(dram.score(0, 0, 0), Some(u16::MAX));
+        assert_eq!(dram.score(1, 0, 0), Some(1));
+        assert_eq!(dram.stats().saturated_votes, 3);
+        assert_eq!(dram.stats().vote_rmw_ops, 4);
     }
 
     #[test]
@@ -308,7 +354,9 @@ mod tests {
         assert_eq!(dram.read(1_000_000), None);
         assert!(!dram.write(1_000_000, 1));
         assert_eq!(dram.vote(1_000_000), None);
-        assert_eq!(dram.stats().address_faults, 3);
+        assert_eq!(dram.vote_plane(0, [(4, 0), (0, 4), (3, 3)]), 1);
+        assert_eq!(dram.stats().address_faults, 5);
+        assert_eq!(dram.total_score(), 1);
     }
 
     #[test]

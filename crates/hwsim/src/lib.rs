@@ -49,10 +49,9 @@ mod schedule;
 mod timing;
 
 pub use activity::{ActivityEnergyModel, EnergyBreakdown};
-pub use axi::{AxiBurst, AxiDirection, AxiHpInterconnect, AxiPort, AxiPortStats};
+pub use axi::{AxiBurst, AxiDirection, AxiPort, AxiPortStats};
 pub use datapath::{
     HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PeZiStats, PhiEntry, VoteAddress,
-    VoteExecuteDatapath, VoteExecuteStats,
 };
 pub use device::{DeviceStats, EventorDevice, FrameExecution, FrameJob};
 pub use dma::{DmaDescriptor, DmaEngine, DmaStats, DmaTarget};

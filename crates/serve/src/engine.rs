@@ -429,6 +429,7 @@ fn pump_slot(slot: &mut Slot, quantum: usize) {
                 }
                 if slot.error.is_none() {
                     let session = slot.session.take().expect("checked above");
+                    slot.queue.release();
                     slot.final_processed = session.profile().events_processed;
                     match session.finish() {
                         Ok(output) => {
@@ -688,9 +689,7 @@ impl ServeEngine {
         if slot.output.is_some() || slot.output_taken {
             return Ok(());
         }
-        slot.queue.discard_events();
-        slot.queue.poses.clear();
-        slot.queue.close();
+        slot.queue.release();
         if let Some(session) = slot.session.take() {
             slot.final_processed = session.profile().events_processed;
             slot.final_keyframes = session.keyframes().len();
@@ -1474,6 +1473,31 @@ mod tests {
         assert!(!out.output.keyframes.is_empty());
         engine.abort(finished, reason).unwrap();
         assert_eq!(engine.status(finished).unwrap(), SessionStatus::Finished);
+    }
+
+    #[test]
+    fn terminal_sessions_release_their_queue_storage() {
+        let seq = sequence();
+        let events = seq.events.as_slice();
+        let mut engine = ServeEngine::new(ServeConfig::new().with_workers(1));
+        let holds_storage = |engine: &ServeEngine, id: SessionId| {
+            let queue = &engine.slots[id.0].queue;
+            queue.events.capacity() > 0 || queue.poses.capacity() > 0
+        };
+        let finished = engine.admit(session_for(&seq));
+        let aborted = engine.admit(session_for(&seq));
+        for id in [finished, aborted] {
+            engine.enqueue_trajectory(id, &seq.trajectory).unwrap();
+            engine.enqueue_events(id, events).unwrap();
+            assert!(holds_storage(&engine, id));
+        }
+        engine.finish_session(finished).unwrap();
+        assert!(!holds_storage(&engine, finished));
+        let reason = EmvsError::InvalidConfig {
+            reason: "client went away".into(),
+        };
+        engine.abort(aborted, reason).unwrap();
+        assert!(!holds_storage(&engine, aborted));
     }
 
     #[test]

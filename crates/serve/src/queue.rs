@@ -105,6 +105,16 @@ impl IngestQueue {
         self.events.clear();
         dropped
     }
+
+    /// Closes the queue for good, drops everything still queued and frees
+    /// both lanes' storage (`clear` keeps it). Every terminal path of a
+    /// session calls this, so a server's memory does not grow with the
+    /// number of sessions it has served.
+    pub(crate) fn release(&mut self) {
+        self.events = VecDeque::new();
+        self.poses = VecDeque::new();
+        self.closed = true;
+    }
 }
 
 #[cfg(test)]

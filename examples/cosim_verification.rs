@@ -1,7 +1,7 @@
 //! Hardware/software co-simulation: run the quantized software pipeline and
 //! the functional register/DMA/datapath device model on the same sequence and
 //! verify that they agree bit-exactly, then report the accelerator activity
-//! the device observed (frames, votes, modelled latency, AXI traffic).
+//! the device observed (frames, votes, modelled latency, DSI DRAM traffic).
 //!
 //! Run with:
 //!
