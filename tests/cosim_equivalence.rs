@@ -11,8 +11,8 @@ use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, Event, EventStream, SequenceKind, SyntheticSequence};
 use eventor::geom::{CameraModel, DistortionModel};
 use eventor::hwsim::{
-    status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind, HomographyRegisters, PhiEntry,
-    Register,
+    frame_timing, status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind,
+    HomographyRegisters, PhiEntry, Register,
 };
 use eventor::scenarios::digest_output;
 
@@ -100,16 +100,14 @@ fn device_agreement_holds_for_different_pe_counts() {
 
 #[test]
 fn cosim_report_matches_paper_scale_accelerator_model() {
-    // Full 1024-event frames over 100 planes: the modelled per-frame latency
-    // read back through the register interface must match the Table 3 shape
-    // (canonical time hidden for normal frames, ~24x less power handled in
-    // the energy model).
-    let config = AcceleratorConfig::default();
-    let mut device = EventorDevice::new(config.clone());
+    // Full 1024-event frames over 100 planes, every event surviving and
+    // every transfer voting: the cycles read back through the register
+    // interface are exactly the analytic schedule's (Table 3's Eventor
+    // column), normal and key frames alike.
     let identity =
         HomographyRegisters::from_matrix(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
     let phi = PhiEntry::from_f64(1.0, 0.0, 0.0).raw_words();
-    let job = FrameJob {
+    let job = |kind| FrameJob {
         event_words: (0..1024)
             .map(|i| {
                 eventor::fixed::PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word()
@@ -117,17 +115,32 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
             .collect(),
         homography_words: identity.raw_words(),
         phi_words: vec![phi; 100],
-        kind: FrameKind::Normal,
+        kind,
     };
-    let exec = device.run_frame(job).expect("frame accepted");
+    for num_pe in [1, 2, 4] {
+        let config = AcceleratorConfig::default().with_pe_zi(num_pe);
+        let mut device = EventorDevice::new(config.clone());
+        for kind in [FrameKind::Normal, FrameKind::Key] {
+            let exec = device.run_frame(job(kind)).expect("frame accepted");
+            let analytic = frame_timing(&config, kind);
+            assert_eq!(exec.canonical_cycles, analytic.canonical_cycles);
+            assert_eq!(exec.proportional_cycles, analytic.proportional_cycles);
+            assert_eq!(exec.total_cycles, analytic.total_cycles);
+            assert_eq!(device.registers().cycle_result(), analytic.total_cycles);
+            assert!(device.registers().status_is(status::DONE));
+            assert_eq!(
+                device.registers().peek(Register::VotesApplied) as u64,
+                exec.votes_applied
+            );
+            assert_eq!(exec.votes_applied, 1024 * 100);
+        }
+    }
+    let config = AcceleratorConfig::default();
+    let exec = EventorDevice::new(config.clone())
+        .run_frame(job(FrameKind::Normal))
+        .expect("frame accepted");
     let us = exec.total_us(&config);
     assert!((us - 551.58).abs() < 30.0, "normal frame latency {us} us");
-    assert!(device.registers().status_is(status::DONE));
-    assert_eq!(
-        device.registers().peek(Register::VotesApplied) as u64,
-        exec.votes_applied
-    );
-    assert_eq!(exec.votes_applied, 1024 * 100);
 }
 
 #[test]
