@@ -1,12 +1,12 @@
 //! Benchmarks of the functional device model: the bit-accurate `PE_Z0`
 //! projection, the plane-by-plane frame pass of the `PE_Zi` array and the
-//! Vote Execute Unit (whole, and its DSI deposit alone), the DMA descriptor
-//! engine and a complete frame executed through the register interface.
+//! Vote Execute Unit (whole, and its DSI deposit alone) and a complete frame
+//! executed through the register interface.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eventor_fixed::{kernel, PackedCoord};
 use eventor_hwsim::{
-    AcceleratorConfig, DmaEngine, DsiDram, EventorDevice, FrameJob, FrameKind, HomographyRegisters,
+    AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind, HomographyRegisters,
     PeZ0Datapath, PeZiArrayDatapath, PhiEntry,
 };
 use std::hint::black_box;
@@ -89,15 +89,6 @@ fn bench_device(c: &mut Criterion) {
                 .map(|(plane, votes)| dram.vote_plane(plane, votes.iter().copied()))
                 .sum();
             black_box(applied)
-        })
-    });
-
-    group.bench_function("dma_frame_chain", |b| {
-        let config = AcceleratorConfig::default();
-        let chain = DmaEngine::frame_descriptors(&config);
-        b.iter(|| {
-            let mut dma = DmaEngine::new(&config);
-            black_box(dma.execute_chain(&chain))
         })
     });
 

@@ -7,7 +7,7 @@
 //! stages (streaming distortion correction through the camera's
 //! [`UndistortionLut`], Q9.7 transport encoding, register/BRAM parameter
 //! staging) and drives the PL-side stages (`𝒫{Z0}`, `𝒫{Z0;Zi}`, `𝒢`, `𝒱`)
-//! through the register/DMA interface of [`EventorDevice`]. A batch run is
+//! through the register interface of [`EventorDevice`]. A batch run is
 //! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!

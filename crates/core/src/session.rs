@@ -10,7 +10,7 @@
 //!   as it is ingested) or [`ShardedBackend`] (the DSI's depth planes split
 //!   over worker shards, bit-identical to one shard),
 //! * [`CosimBackend`] — the functional
-//!   `eventor-hwsim` device driven through its register/DMA interface,
+//!   `eventor-hwsim` device driven through its register interface,
 //! * any user type implementing [`ExecutionBackend`]
 //!   (`eventor-backend/1`, `docs/ARCHITECTURE.md` §6).
 //!

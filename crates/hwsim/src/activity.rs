@@ -14,6 +14,7 @@
 //! planes are reduced or frames shrink.
 
 use crate::device::FrameExecution;
+use crate::schedule::payload_bytes;
 use crate::timing::AcceleratorConfig;
 
 /// Per-operation energy constants of the activity model, in picojoules, plus
@@ -132,8 +133,7 @@ impl ActivityEnergyModel {
             .cycles_to_seconds(execution.total_cycles);
 
         // Input payload: packed events, per-plane phi and the homography.
-        let dma_bytes =
-            (execution.events_in as usize * 4 + config.num_depth_planes * 12 + 36) as f64;
+        let dma_bytes = payload_bytes(execution.events_in as usize, config.num_depth_planes) as f64;
         // Buffer traffic: each event word is written and read once in Buf_E,
         // each surviving canonical projection is written and read once in
         // Buf_I, each vote address is written and read once in Buf_V.

@@ -1,8 +1,8 @@
 //! Bit-accurate functional models of the Eventor processing elements.
 //!
-//! Where [`crate::pe`] models *how long* the processing elements take, this
-//! module models *what they compute*, at the precision of the Table 1
-//! fixed-point formats:
+//! Where the frame cost of [`crate::schedule`] says *how long* the
+//! processing elements take, this module models *what they compute*, at the
+//! precision of the Table 1 fixed-point formats:
 //!
 //! * [`HomographyRegisters`] / [`PeZ0Datapath`] — the `Buf_H` register bank
 //!   and the matrix-vector MAC + normalization of `PE_Z0` (`𝒫{Z0}`),

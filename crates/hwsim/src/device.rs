@@ -1,6 +1,6 @@
-//! The full functional device model: register file, DMA, on-chip buffers,
-//! processing-element datapaths, Vote Execute Unit and DDR3-backed DSI,
-//! assembled the way Fig. 5 assembles the prototype.
+//! The full functional device model: register file, processing-element
+//! datapaths, Vote Execute Unit and DDR3-backed DSI, assembled the way
+//! Fig. 5 assembles the prototype.
 //!
 //! [`EventorDevice`] is what the host driver in `eventor-core` talks to. A
 //! frame is processed the same way the ARM PS drives the PL:
@@ -16,23 +16,20 @@
 //! 4. the driver polls the status register, reads back the result counters
 //!    and (at key-frame boundaries) reads the DSI out of DRAM.
 //!
-//! Cycle accounting is derived from the *actual* work performed (events
-//! surviving the projection-missing judgement, votes that landed inside the
-//! sensor), using the same per-unit throughput assumptions as the analytic
-//! model in [`crate::schedule`]; the two agree on full frames by
-//! construction, and the device model additionally reflects dropped events
-//! and out-of-sensor transfers. Every counter — the DRAM access statistics,
-//! the `PE_Zi` statistics, the [`FrameExecution`] record, the lifetime
-//! [`DeviceStats`] and the result registers — is charged from counts once
-//! per plane or once per frame, never per vote.
+//! A frame's cycles are the frame cost of [`crate::schedule`] charged with
+//! the *actual* work performed (events surviving the projection-missing
+//! judgement, votes that landed inside the sensor, the payload moved). The
+//! analytic schedule is the same cost at full-frame counts, so the two agree
+//! on full frames by construction, and the device model additionally
+//! reflects dropped events and out-of-sensor transfers. Every counter — the
+//! DRAM access statistics, the `PE_Zi` statistics, the [`FrameExecution`]
+//! record, the lifetime [`DeviceStats`] and the result registers — is
+//! charged from counts once per plane or once per frame, never per vote.
 
 use crate::datapath::{HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry};
-use crate::dma::{DmaDescriptor, DmaEngine, DmaTarget};
 use crate::dram::DsiDram;
-use crate::fsm::{CanonicalState, ProportionalState};
-use crate::memory::{BufferInventory, DramDsiModel};
 use crate::registers::{ctrl, status, Register, RegisterFile};
-use crate::schedule::FrameKind;
+use crate::schedule::{dma_cycles, frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
 use eventor_fixed::PackedCoord;
 
@@ -54,7 +51,7 @@ pub struct FrameJob {
 impl FrameJob {
     /// Payload bytes the DMA must move for this frame.
     pub fn payload_bytes(&self) -> usize {
-        self.event_words.len() * 4 + self.phi_words.len() * 12 + 36
+        payload_bytes(self.event_words.len(), self.phi_words.len())
     }
 }
 
@@ -112,15 +109,11 @@ pub struct DeviceStats {
 pub struct EventorDevice {
     config: AcceleratorConfig,
     registers: RegisterFile,
-    buffers: BufferInventory,
-    dma: DmaEngine,
     dram: DsiDram,
     /// The `Buf_I` contents of the frame in flight, kept between frames
     /// (always empty there) so that a frame allocates no survivor buffer.
     survivors: Vec<PackedCoord>,
     staged: Option<FrameJob>,
-    canonical_state: CanonicalState,
-    proportional_state: ProportionalState,
     stats: DeviceStats,
 }
 
@@ -133,13 +126,9 @@ impl EventorDevice {
         registers.write(Register::SensorHeight, config.sensor_height as u32);
         Self {
             dram: DsiDram::for_config(&config),
-            buffers: BufferInventory::new(&config),
-            dma: DmaEngine::new(&config),
             survivors: Vec::new(),
             registers,
             staged: None,
-            canonical_state: CanonicalState::Idle,
-            proportional_state: ProportionalState::Idle,
             stats: DeviceStats::default(),
             config,
         }
@@ -170,16 +159,6 @@ impl EventorDevice {
         self.stats
     }
 
-    /// Current state of the Canonical Projection Controller.
-    pub fn canonical_state(&self) -> CanonicalState {
-        self.canonical_state
-    }
-
-    /// Current state of the Proportional Projection Controller.
-    pub fn proportional_state(&self) -> ProportionalState {
-        self.proportional_state
-    }
-
     /// Zeroes the DSI region (the host-initiated reset outside frame
     /// processing).
     pub fn reset_dsi(&mut self) {
@@ -198,7 +177,8 @@ impl EventorDevice {
     }
 
     /// Stages a frame job and performs the DMA transfer into the input
-    /// buffers, returning the transfer cycles.
+    /// buffers, returning the transfer cycles (the frame record's
+    /// [`FrameExecution::dma_cycles`]).
     ///
     /// The transfer is rejected (status `ERROR` raised, `None` returned) when
     /// the frame is empty or its plane count disagrees with the configured
@@ -209,22 +189,7 @@ impl EventorDevice {
             return None;
         }
         self.registers.clear_status(status::ERROR | status::DONE);
-        self.canonical_state = CanonicalState::WaitDma;
-
-        let event_bytes = job.event_words.len() * 4;
-        let phi_bytes = job.phi_words.len() * 12;
-        let descriptors = [
-            DmaDescriptor::new(0x0000_0000, event_bytes, DmaTarget::BufE),
-            DmaDescriptor::new(0x0010_0000, phi_bytes, DmaTarget::BufP),
-            DmaDescriptor::new(0x0020_0000, 36, DmaTarget::BufH),
-        ];
-        let cycles = self.dma.execute_chain(&descriptors);
-
-        // Fill the ping-pong banks; the datapath consumes them after a swap.
-        let _ = self.buffers.buf_e.fill_bank().fill(event_bytes);
-        let _ = self.buffers.buf_p.fill_bank().fill(phi_bytes);
-        self.buffers.buf_e.swap();
-        self.buffers.buf_p.swap();
+        let cycles = dma_cycles(&self.config, job.payload_bytes());
         self.registers
             .write(Register::NumEvents, job.event_words.len() as u32);
         self.registers.write(
@@ -236,7 +201,6 @@ impl EventorDevice {
         );
         self.registers.clear_status(status::BUF_E_READY);
         self.staged = Some(job);
-        self.canonical_state = CanonicalState::Idle;
         Some(cycles)
     }
 
@@ -292,31 +256,18 @@ impl EventorDevice {
         let height = self.config.sensor_height as u32;
 
         // Key frames reset the DSI before voting restarts.
-        let reset_cycles = if job.kind == FrameKind::Key {
-            self.proportional_state = ProportionalState::ResetDsi;
+        if job.kind == FrameKind::Key {
             self.dram.reset();
-            DramDsiModel::reset_cycles(&self.config)
-        } else {
-            0
-        };
+        }
 
-        // PE_Z0: canonical projection of the active Buf_E bank into Buf_I.
-        self.canonical_state = CanonicalState::Project;
+        // PE_Z0: canonical projection of the Buf_E payload into Buf_I.
         let h = HomographyRegisters::from_raw_words(job.homography_words);
         let mut pe_z0 = PeZ0Datapath::new();
         pe_z0.project_frame(&h, &job.event_words, &mut self.survivors);
-        let canonical_cycles =
-            job.event_words.len() as Cycles + self.config.pe_z0_pipeline_overhead;
-        let _ = self.buffers.buf_i[0]
-            .fill_bank()
-            .fill(self.survivors.len() * 4);
-        self.buffers.buf_i[0].swap();
-        self.canonical_state = CanonicalState::SyncWait;
 
         // PE_Zi array and Vote Execute Unit, plane by plane: every survivor
         // is transferred to the plane and its in-sensor vote applied to the
         // plane's DSI slab.
-        self.proportional_state = ProportionalState::TransferAndVote;
         let phi: Vec<PhiEntry> = job
             .phi_words
             .iter()
@@ -324,54 +275,28 @@ impl EventorDevice {
             .collect();
         let mut pe_zi = PeZiArrayDatapath::new(phi, self.config.num_pe_zi, width, height);
         let pass = pe_zi.vote_frame(&self.survivors, &mut self.dram);
-        let planes_per_pe = self.config.num_depth_planes.div_ceil(self.config.num_pe_zi);
-        let address_cycles =
-            (self.survivors.len() * planes_per_pe) as Cycles + self.config.pe_zi_pipeline_overhead;
+        let events_in = job.event_words.len() as u64;
+        let timing = frame_cost(
+            &self.config,
+            job.kind,
+            events_in,
+            self.survivors.len() as u64,
+            pass.votes_generated,
+            job.payload_bytes(),
+        );
         self.survivors.clear();
-
-        let _ = self
-            .buffers
-            .buf_v
-            .fill_bank()
-            .fill(pass.votes_generated.min(4096) as usize * 4);
-        self.buffers.buf_v.swap();
-        let vote_cycles =
-            (pass.votes_generated as f64 / self.config.votes_per_cycle()).ceil() as Cycles;
-
-        // The PE array and the Vote Execute Unit stream through Buf_V and
-        // overlap; the slower one bounds the proportional-module time.
-        let proportional_cycles = address_cycles.max(vote_cycles);
-        self.proportional_state = ProportionalState::Idle;
-        self.canonical_state = CanonicalState::Idle;
-
-        // This frame's transfer time, from its payload.
-        let frame_dma_cycles = self.config.dma_setup_cycles
-            + (job.payload_bytes() as f64 / self.config.dma_bytes_per_cycle).ceil() as Cycles;
-        let exposed_dma = if self.config.double_buffering {
-            0
-        } else {
-            frame_dma_cycles
-        };
-
-        // The DSI reset of a key frame is issued as background DRAM write
-        // traffic and is not part of the paper's key-frame latency (Table 3);
-        // it is reported separately in `reset_cycles`.
-        let total_cycles = match job.kind {
-            FrameKind::Normal => proportional_cycles + exposed_dma,
-            FrameKind::Key => canonical_cycles + proportional_cycles + exposed_dma,
-        };
 
         FrameExecution {
             kind: job.kind,
-            events_in: job.event_words.len() as u64,
+            events_in,
             events_dropped: pe_z0.events_dropped(),
             transfers_missed: pass.transfers_missed,
             votes_applied: pass.votes_generated,
-            dma_cycles: frame_dma_cycles,
-            canonical_cycles,
-            proportional_cycles,
-            reset_cycles,
-            total_cycles,
+            dma_cycles: timing.dma_cycles,
+            canonical_cycles: timing.canonical_cycles,
+            proportional_cycles: timing.proportional_cycles,
+            reset_cycles: timing.reset_cycles,
+            total_cycles: timing.total_cycles,
         }
     }
 }
@@ -472,16 +397,32 @@ mod tests {
     #[test]
     fn paper_scale_frame_latency_matches_analytic_schedule() {
         // A full frame, in which every event survives and every transfer
-        // votes, costs exactly what the analytic schedule charges.
+        // votes, costs exactly what the analytic schedule charges, and the
+        // DMA cycles of its transfer are the ones its record reports.
         for num_pe in [1, 2, 4] {
             let config = AcceleratorConfig::default().with_pe_zi(num_pe);
             let mut device = EventorDevice::new(config.clone());
             for kind in [FrameKind::Normal, FrameKind::Key] {
-                let exec = device.run_frame(identity_job(1024, 100, kind)).unwrap();
+                let dma = device.load_frame(identity_job(1024, 100, kind)).unwrap();
+                let exec = device.start_frame().unwrap();
                 let analytic = crate::schedule::frame_timing(&config, kind);
-                assert_eq!(exec.canonical_cycles, analytic.canonical_cycles);
-                assert_eq!(exec.proportional_cycles, analytic.proportional_cycles);
-                assert_eq!(exec.total_cycles, analytic.total_cycles);
+                assert_eq!(dma, exec.dma_cycles);
+                assert_eq!(
+                    [
+                        exec.canonical_cycles,
+                        exec.proportional_cycles,
+                        exec.dma_cycles,
+                        exec.reset_cycles,
+                        exec.total_cycles
+                    ],
+                    [
+                        analytic.canonical_cycles,
+                        analytic.proportional_cycles,
+                        analytic.dma_cycles,
+                        analytic.reset_cycles,
+                        analytic.total_cycles
+                    ]
+                );
             }
         }
         let config = AcceleratorConfig::default();
@@ -529,8 +470,6 @@ mod tests {
         assert!(stats.busy_cycles > 0);
         device.reset_dsi();
         assert_eq!(device.dsi().total_score(), 0);
-        assert_eq!(device.canonical_state(), CanonicalState::Idle);
-        assert_eq!(device.proportional_state(), ProportionalState::Idle);
     }
 
     /// The per-vote path the frame pass replaced: each event through
@@ -581,10 +520,17 @@ mod tests {
         };
         let (reset_cycles, total_cycles) = match job.kind {
             FrameKind::Normal => (0, proportional_cycles + exposed_dma),
-            FrameKind::Key => (
-                DramDsiModel::reset_cycles(config),
-                canonical_cycles + proportional_cycles + exposed_dma,
-            ),
+            FrameKind::Key => {
+                let dsi_bytes =
+                    (config.sensor_width * config.sensor_height * config.num_depth_planes * 2)
+                        as f64;
+                let bytes_per_cycle = config.dram_peak_bandwidth() * config.dram_efficiency * 2.0
+                    / config.fabric_clock.frequency_hz;
+                (
+                    (dsi_bytes / bytes_per_cycle).ceil() as Cycles,
+                    canonical_cycles + proportional_cycles + exposed_dma,
+                )
+            }
         };
         FrameExecution {
             kind: job.kind,

@@ -6,9 +6,12 @@
 //!
 //! * [`AcceleratorConfig`] — the architectural knobs (number of `PE_Zi`,
 //!   frame size, depth planes, double buffering, AXI-HP ports),
-//! * [`PeZ0`], [`PeZiArray`], [`VoteExecuteUnit`] — per-module timing,
+//! * [`EventorDevice`] — the functional device the co-simulation drives:
+//!   register file, bit-accurate `PE_Z0` / `PE_Zi` datapaths and the
+//!   DDR3-backed DSI,
 //! * [`frame_timing`] / [`performance`] — the frame-pipelined schedule of
-//!   Fig. 6 and the Table 3 performance numbers,
+//!   Fig. 6 and the Table 3 performance numbers: the frame cost the device
+//!   charges with each frame's own counts, evaluated at full-frame counts,
 //! * [`estimate_resources`] — the Table 2 LUT/FF/BRAM utilization,
 //! * [`PowerModel`] / [`EnergyComparison`] — the Table 3 power row and the
 //!   24× energy-efficiency headline.
@@ -34,34 +37,26 @@
 #![warn(missing_debug_implementations)]
 
 mod activity;
-mod axi;
 mod datapath;
 mod device;
-mod dma;
 mod dram;
 mod energy;
-mod fsm;
 mod memory;
-mod pe;
 mod registers;
 mod resources;
 mod schedule;
 mod timing;
 
 pub use activity::{ActivityEnergyModel, EnergyBreakdown};
-pub use axi::{AxiBurst, AxiDirection, AxiPort, AxiPortStats};
 pub use datapath::{
     HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PeZiStats, PhiEntry, VoteAddress,
 };
 pub use device::{DeviceStats, EventorDevice, FrameExecution, FrameJob};
-pub use dma::{DmaDescriptor, DmaEngine, DmaStats, DmaTarget};
 pub use dram::{DramStats, DsiDram, VoxelAddress};
 pub use energy::{EnergyComparison, PowerModel, INTEL_I5_POWER_W};
-pub use fsm::{CanonicalState, FrameTrace, PipelineSimulator, PipelineTrace, ProportionalState};
-pub use memory::{Bram, BufferInventory, DmaModel, DoubleBuffer, DramDsiModel};
-pub use pe::{proportional_module_cycles, PeZ0, PeZiArray, VoteExecuteUnit};
+pub use memory::{BufferInventory, DoubleBuffer};
 pub use registers::{ctrl, status, Register, RegisterFile, REGISTER_COUNT};
-pub use resources::{estimate_resources, ComponentCost, DevceCapacity, ResourceReport, XC7Z020};
+pub use resources::{estimate_resources, ComponentCost, DeviceCapacity, ResourceReport, XC7Z020};
 pub use schedule::{
     frame_timing, performance, sequence_runtime_seconds, AcceleratorPerformance, FrameKind,
     FrameTiming,

@@ -1,161 +1,26 @@
-//! On-chip buffer and external-memory models: the double-buffered BRAMs of
-//! the projection modules, the DMA input path and the DDR3 DSI storage.
+//! On-chip buffer inventory: the double-buffered BRAMs of the projection
+//! modules, sized for a configuration (Table 2's BRAM). The time the DMA
+//! input path and the DDR3 DSI traffic take is part of the frame cost in
+//! [`crate::schedule`].
 
-use crate::timing::{AcceleratorConfig, Cycles};
+use crate::timing::AcceleratorConfig;
 
-/// A single on-chip buffer (BRAM) with a fixed capacity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Bram {
-    name: String,
-    capacity_bytes: usize,
-    used_bytes: usize,
-}
-
-impl Bram {
-    /// Creates a buffer of the given capacity.
-    pub fn new(name: impl Into<String>, capacity_bytes: usize) -> Self {
-        Self {
-            name: name.into(),
-            capacity_bytes,
-            used_bytes: 0,
-        }
-    }
-
-    /// The buffer's name (e.g. `Buf_E`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Bytes currently stored.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Stores `bytes` into the buffer.
-    ///
-    /// Returns `false` (and stores nothing) when the write would overflow the
-    /// capacity — the controller must split the transfer.
-    pub fn fill(&mut self, bytes: usize) -> bool {
-        if self.used_bytes + bytes > self.capacity_bytes {
-            return false;
-        }
-        self.used_bytes += bytes;
-        true
-    }
-
-    /// Empties the buffer.
-    pub fn clear(&mut self) {
-        self.used_bytes = 0;
-    }
-
-    /// Fraction of the capacity in use.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            return 0.0;
-        }
-        self.used_bytes as f64 / self.capacity_bytes as f64
-    }
-}
-
-/// A ping-pong pair of identical BRAMs.
+/// A ping-pong pair of identical BRAM banks.
 ///
 /// While the datapath consumes one bank, the DMA fills the other; the banks
 /// are swapped at frame boundaries under control of the module FSMs. This is
 /// the mechanism that lets Eventor overlap data transfer with processing.
-#[derive(Debug, Clone, PartialEq)]
+/// The model keeps the bank size, which the resource estimate counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoubleBuffer {
-    banks: [Bram; 2],
-    active: usize,
-    swaps: u64,
+    /// Capacity of each bank, in bytes.
+    pub bank_bytes: usize,
 }
 
 impl DoubleBuffer {
-    /// Creates a double buffer of two banks with the given per-bank capacity.
-    pub fn new(name: &str, capacity_bytes: usize) -> Self {
-        Self {
-            banks: [
-                Bram::new(format!("{name}[0]"), capacity_bytes),
-                Bram::new(format!("{name}[1]"), capacity_bytes),
-            ],
-            active: 0,
-            swaps: 0,
-        }
-    }
-
-    /// The bank currently being consumed by the datapath.
-    pub fn active_bank(&self) -> &Bram {
-        &self.banks[self.active]
-    }
-
-    /// The bank currently being filled by the DMA.
-    pub fn fill_bank(&mut self) -> &mut Bram {
-        &mut self.banks[1 - self.active]
-    }
-
-    /// Swaps the banks (processing moves to the freshly filled bank, the old
-    /// active bank is cleared for the next transfer).
-    pub fn swap(&mut self) {
-        self.banks[self.active].clear();
-        self.active = 1 - self.active;
-        self.swaps += 1;
-    }
-
-    /// Number of swaps performed.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
-    }
-
     /// Total BRAM bytes of both banks.
     pub fn total_bytes(&self) -> usize {
-        self.banks[0].capacity_bytes() + self.banks[1].capacity_bytes()
-    }
-}
-
-/// The DMA input path from DRAM into `Buf_E` / `Buf_P` / `Buf_H`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DmaModel;
-
-impl DmaModel {
-    /// Cycles needed to transfer one event frame's input data
-    /// (packed event coordinates plus the per-frame parameters).
-    pub fn frame_transfer_cycles(config: &AcceleratorConfig) -> Cycles {
-        // 4 bytes per event (two packed Q9.7 coordinates), the 3x3 homography
-        // and 3 Q11.21 coefficients per depth plane.
-        let event_bytes = config.events_per_frame * 4;
-        let param_bytes = 9 * 4 + config.num_depth_planes * 3 * 4;
-        let payload = (event_bytes + param_bytes) as f64;
-        config.dma_setup_cycles + (payload / config.dma_bytes_per_cycle).ceil() as Cycles
-    }
-}
-
-/// The DSI image stored in external DDR3 memory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramDsiModel;
-
-impl DramDsiModel {
-    /// Size of the DSI score array in bytes for 16-bit scores.
-    pub fn dsi_bytes(config: &AcceleratorConfig) -> usize {
-        config.sensor_width * config.sensor_height * config.num_depth_planes * 2
-    }
-
-    /// Cycles the Vote Execute Unit needs to apply all votes of one frame
-    /// (read-modify-write of 16-bit scores over the AXI-HP ports).
-    pub fn vote_cycles(config: &AcceleratorConfig) -> Cycles {
-        (config.votes_per_frame() as f64 / config.votes_per_cycle()).ceil() as Cycles
-    }
-
-    /// Cycles needed to reset (zero) the whole DSI when a new key frame is
-    /// selected, limited by DRAM write bandwidth.
-    pub fn reset_cycles(config: &AcceleratorConfig) -> Cycles {
-        let bytes = Self::dsi_bytes(config) as f64;
-        let bw_bytes_per_cycle = config.dram_peak_bandwidth() * config.dram_efficiency * 2.0
-            / config.fabric_clock.frequency_hz;
-        (bytes / bw_bytes_per_cycle).ceil() as Cycles
+        2 * self.bank_bytes
     }
 }
 
@@ -176,20 +41,16 @@ impl BufferInventory {
     /// Builds the buffer inventory for a configuration.
     pub fn new(config: &AcceleratorConfig) -> Self {
         // Bank capacities are rounded up to whole BRAM18 primitives (2 KB).
-        let granule = 2 * 1024;
-        let event_bytes = (config.events_per_frame * 4).next_multiple_of(granule);
-        let canonical_bytes = (config.events_per_frame * 4).next_multiple_of(granule);
-        let phi_bytes = (config.num_depth_planes * 3 * 4).next_multiple_of(granule);
-        // Vote addresses are produced in batches; the buffer holds one batch
-        // of per-plane addresses for a block of events.
-        let vote_batch_bytes = 16 * 1024;
+        let bank = |bytes: usize| DoubleBuffer {
+            bank_bytes: bytes.next_multiple_of(2 * 1024),
+        };
         Self {
-            buf_e: DoubleBuffer::new("Buf_E", event_bytes),
-            buf_i: (0..config.num_pe_zi)
-                .map(|i| DoubleBuffer::new(&format!("Buf_I{i}"), canonical_bytes))
-                .collect(),
-            buf_p: DoubleBuffer::new("Buf_P", phi_bytes),
-            buf_v: DoubleBuffer::new("Buf_V", vote_batch_bytes),
+            buf_e: bank(config.events_per_frame * 4),
+            buf_i: vec![bank(config.events_per_frame * 4); config.num_pe_zi],
+            buf_p: bank(config.num_depth_planes * 3 * 4),
+            // Vote addresses are produced in batches; the buffer holds one
+            // batch of per-plane addresses for a block of events.
+            buf_v: bank(16 * 1024),
         }
     }
 
@@ -209,45 +70,29 @@ impl BufferInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bram_fill_and_overflow() {
-        let mut b = Bram::new("Buf_E", 16);
-        assert!(b.fill(10));
-        assert!(!b.fill(10), "overflow must be rejected");
-        assert_eq!(b.used_bytes(), 10);
-        assert!((b.occupancy() - 10.0 / 16.0).abs() < 1e-12);
-        b.clear();
-        assert_eq!(b.used_bytes(), 0);
-        assert_eq!(b.name(), "Buf_E");
-    }
-
-    #[test]
-    fn double_buffer_swap_semantics() {
-        let mut db = DoubleBuffer::new("Buf_E", 64);
-        assert!(db.fill_bank().fill(32));
-        assert_eq!(db.active_bank().used_bytes(), 0);
-        db.swap();
-        assert_eq!(db.active_bank().used_bytes(), 32);
-        assert_eq!(db.swaps(), 1);
-        assert_eq!(db.total_bytes(), 128);
-    }
+    use crate::dram::DsiDram;
+    use crate::schedule::{frame_timing, FrameKind};
 
     #[test]
     fn dma_transfer_scales_with_frame_size() {
         let base = AcceleratorConfig::default();
         let small = AcceleratorConfig::default().with_events_per_frame(256);
-        assert!(DmaModel::frame_transfer_cycles(&base) > DmaModel::frame_transfer_cycles(&small));
-        assert!(DmaModel::frame_transfer_cycles(&small) > base.dma_setup_cycles);
+        let dma = |config| frame_timing(config, FrameKind::Normal).dma_cycles;
+        assert!(dma(&base) > dma(&small));
+        assert!(dma(&small) > base.dma_setup_cycles);
     }
 
     #[test]
     fn dsi_footprint_matches_quantized_size() {
         let config = AcceleratorConfig::default();
         // 240 x 180 x 100 voxels x 2 bytes = 8.64 MB.
-        assert_eq!(DramDsiModel::dsi_bytes(&config), 240 * 180 * 100 * 2);
-        assert!(DramDsiModel::vote_cycles(&config) > 0);
-        assert!(DramDsiModel::reset_cycles(&config) > 0);
+        assert_eq!(
+            DsiDram::for_config(&config).footprint_bytes(),
+            240 * 180 * 100 * 2
+        );
+        let key = frame_timing(&config, FrameKind::Key);
+        assert!(key.vote_cycles > 0);
+        assert!(key.reset_cycles > 0);
     }
 
     #[test]
@@ -257,8 +102,8 @@ mod tests {
             dram_efficiency: fast.dram_efficiency / 2.0,
             ..fast.clone()
         };
-        let c_fast = DramDsiModel::vote_cycles(&fast);
-        let c_slow = DramDsiModel::vote_cycles(&slow);
+        let c_fast = frame_timing(&fast, FrameKind::Normal).vote_cycles;
+        let c_slow = frame_timing(&slow, FrameKind::Normal).vote_cycles;
         assert!(c_slow > c_fast);
         assert!((c_slow as f64 / c_fast as f64 - 2.0).abs() < 0.01);
     }

@@ -14,7 +14,7 @@ use crate::timing::AcceleratorConfig;
 
 /// Total resources of the Xilinx Zynq XC7Z020 programmable logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DevceCapacity {
+pub struct DeviceCapacity {
     /// Look-up tables.
     pub luts: u64,
     /// Flip-flops.
@@ -24,7 +24,7 @@ pub struct DevceCapacity {
 }
 
 /// The XC7Z020 device used by the paper's prototype.
-pub const XC7Z020: DevceCapacity = DevceCapacity {
+pub const XC7Z020: DeviceCapacity = DeviceCapacity {
     luts: 53_200,
     flip_flops: 106_400,
     // 4.9 Mb of block RAM ≈ 560 KB usable (the divisor that reproduces the
@@ -51,7 +51,7 @@ pub struct ResourceReport {
     /// Per-component breakdown.
     pub components: Vec<ComponentCost>,
     /// Device capacity used for the percentage columns.
-    pub device: DevceCapacity,
+    pub device: DeviceCapacity,
 }
 
 impl ResourceReport {

@@ -1,5 +1,6 @@
-//! Frame-level pipeline schedule of the accelerator (Fig. 6 of the paper)
-//! and the resulting performance figures (Table 3, Eventor column).
+//! Frame-level pipeline schedule of the accelerator (Fig. 6 of the paper):
+//! the one cost function of an event frame, and the Table 3 performance
+//! figures (Eventor column), which are that cost at full-frame counts.
 //!
 //! For a **normal** frame the Canonical Projection Module runs concurrently
 //! with the Proportional Projection Module working on the previous frame's
@@ -7,9 +8,10 @@
 //! Module's time alone (`𝒫{Z0}` is hidden). For a **key** frame the DSI is
 //! reset and the pipeline drains: the canonical projection of the key frame
 //! cannot be overlapped, so its latency adds to the frame time.
+//!
+//! Every unit is fully pipelined with an initiation interval of one, so its
+//! time for a frame is `work_items + pipeline_overhead` cycles.
 
-use crate::memory::DmaModel;
-use crate::pe::{proportional_module_cycles, PeZ0};
 use crate::timing::{AcceleratorConfig, Cycles};
 
 /// Frame type within the pipeline schedule.
@@ -24,37 +26,105 @@ pub enum FrameKind {
 /// Latency breakdown of a single event frame on the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameTiming {
-    /// Cycles spent in the Canonical Projection Module (`𝒫{Z0}`).
+    /// Cycles spent in the Canonical Projection Module (`𝒫{Z0}`): `PE_Z0`
+    /// projects one event per cycle.
     pub canonical_cycles: Cycles,
+    /// Cycles the `PE_Zi` array needs to generate the vote addresses: each
+    /// surviving event visits every depth plane, and the planes are divided
+    /// evenly among the `PE_Zi`.
+    pub address_cycles: Cycles,
+    /// Cycles the Vote Execute Unit needs to apply the in-sensor votes
+    /// (read-modify-write of 16-bit scores over the AXI-HP ports).
+    pub vote_cycles: Cycles,
     /// Cycles spent in the Proportional Projection Module (`𝒫{Z0;Zi}` + `ℛ`).
     pub proportional_cycles: Cycles,
+    /// Cycles the DMA needs to move the frame's input set into the buffers.
+    pub dma_cycles: Cycles,
     /// Cycles of DMA input transfer that are *not* hidden by double
     /// buffering (zero when double buffering is enabled).
     pub exposed_dma_cycles: Cycles,
+    /// Cycles spent resetting the DSI (key frames only).
+    pub reset_cycles: Cycles,
     /// Total frame latency in cycles as seen by the pipeline.
     pub total_cycles: Cycles,
 }
 
-/// Computes the latency of one frame of the given kind.
-pub fn frame_timing(config: &AcceleratorConfig, kind: FrameKind) -> FrameTiming {
-    let canonical = PeZ0::frame_cycles(config);
-    let proportional = proportional_module_cycles(config);
-    let dma = DmaModel::frame_transfer_cycles(config);
+/// Bytes of a frame's input set: 4 per event (two packed Q9.7
+/// coordinates), 12 per depth plane (three Q11.21 `φ` words) and the nine
+/// Q11.21 words of `H_{Z0}`.
+pub(crate) fn payload_bytes(events: usize, planes: usize) -> usize {
+    events * 4 + planes * 12 + 36
+}
+
+/// DMA cycles to stream `payload_bytes` into the input buffers: a per-frame
+/// setup plus the payload at the DMA's bandwidth.
+pub(crate) fn dma_cycles(config: &AcceleratorConfig, payload_bytes: usize) -> Cycles {
+    config.dma_setup_cycles + (payload_bytes as f64 / config.dma_bytes_per_cycle).ceil() as Cycles
+}
+
+/// The cost of one frame from its counts: `events_in` events shipped,
+/// `survivors` of them kept by the projection-missing judgement of `PE_Z0`,
+/// `votes` in-sensor votes applied and `payload_bytes` moved by the DMA.
+pub(crate) fn frame_cost(
+    config: &AcceleratorConfig,
+    kind: FrameKind,
+    events_in: u64,
+    survivors: u64,
+    votes: u64,
+    payload_bytes: usize,
+) -> FrameTiming {
+    let canonical = events_in + config.pe_z0_pipeline_overhead;
+    let planes_per_pe = config.num_depth_planes.div_ceil(config.num_pe_zi) as Cycles;
+    let address = survivors * planes_per_pe + config.pe_zi_pipeline_overhead;
+    let vote = (votes as f64 / config.votes_per_cycle()).ceil() as Cycles;
+    // The PE array and the Vote Execute Unit stream through Buf_V and
+    // overlap, so the slower one bounds the proportional-module time.
+    let proportional = address.max(vote);
+    let dma = dma_cycles(config, payload_bytes);
     let exposed_dma = if config.double_buffering { 0 } else { dma };
-    let total = match kind {
+    let (reset, total) = match kind {
         // P{Z0} of frame N overlaps with P{Z0;Zi}+R of frame N-1 (and P{Z0}
         // is shorter), so only the proportional module time is exposed.
-        FrameKind::Normal => proportional + exposed_dma,
+        FrameKind::Normal => (0, proportional + exposed_dma),
         // A key frame flushes the pipeline: the canonical projection runs
-        // first, then the proportional module.
-        FrameKind::Key => canonical + proportional + exposed_dma,
+        // first, then the proportional module. Its DSI reset zeroes the
+        // 16-bit score volume at the DRAM write bandwidth as background
+        // traffic, which the paper's key-frame latency (Table 3) does not
+        // include.
+        FrameKind::Key => {
+            let dsi_bytes =
+                (config.sensor_width * config.sensor_height * config.num_depth_planes * 2) as f64;
+            let bytes_per_cycle = config.dram_peak_bandwidth() * config.dram_efficiency * 2.0
+                / config.fabric_clock.frequency_hz;
+            let reset = (dsi_bytes / bytes_per_cycle).ceil() as Cycles;
+            (reset, canonical + proportional + exposed_dma)
+        }
     };
     FrameTiming {
         canonical_cycles: canonical,
+        address_cycles: address,
+        vote_cycles: vote,
         proportional_cycles: proportional,
+        dma_cycles: dma,
         exposed_dma_cycles: exposed_dma,
+        reset_cycles: reset,
         total_cycles: total,
     }
+}
+
+/// Computes the latency of one full frame of the given kind: the cost of a
+/// frame of the configured size in which every event survives and every
+/// plane transfer votes.
+pub fn frame_timing(config: &AcceleratorConfig, kind: FrameKind) -> FrameTiming {
+    let events = config.events_per_frame;
+    frame_cost(
+        config,
+        kind,
+        events as u64,
+        events as u64,
+        config.votes_per_frame(),
+        payload_bytes(events, config.num_depth_planes),
+    )
 }
 
 /// The accelerator-side performance summary reported in Table 3.
@@ -180,5 +250,40 @@ mod tests {
         let full = performance(&AcceleratorConfig::default());
         let half = performance(&AcceleratorConfig::default().with_depth_planes(50));
         assert!(half.event_rate_normal > full.event_rate_normal);
+    }
+
+    fn normal(config: &AcceleratorConfig) -> FrameTiming {
+        frame_timing(config, FrameKind::Normal)
+    }
+
+    #[test]
+    fn vote_unit_is_the_bottleneck_in_default_config() {
+        let t = normal(&AcceleratorConfig::default());
+        assert!(t.vote_cycles > t.address_cycles);
+    }
+
+    #[test]
+    fn more_pe_zi_reduces_address_generation_time() {
+        let two = normal(&AcceleratorConfig::default());
+        let four = normal(&AcceleratorConfig::default().with_pe_zi(4));
+        assert!(four.address_cycles < two.address_cycles);
+        // But the overall proportional module time saturates once the vote
+        // unit dominates.
+        assert_eq!(four.proportional_cycles, four.vote_cycles);
+    }
+
+    #[test]
+    fn single_pe_zi_makes_address_generation_dominate() {
+        let one = normal(&AcceleratorConfig::default().with_pe_zi(1));
+        assert!(one.address_cycles > one.vote_cycles);
+        assert_eq!(one.proportional_cycles, one.address_cycles);
+    }
+
+    #[test]
+    fn fewer_planes_scale_both_units_down() {
+        let full = normal(&AcceleratorConfig::default());
+        let half = normal(&AcceleratorConfig::default().with_depth_planes(50));
+        assert!(half.address_cycles < full.address_cycles);
+        assert!(half.vote_cycles < full.vote_cycles);
     }
 }

@@ -1,5 +1,5 @@
 //! Hardware/software co-simulation: run the quantized software pipeline and
-//! the functional register/DMA/datapath device model on the same sequence and
+//! the functional register/datapath device model on the same sequence and
 //! verify that they agree bit-exactly, then report the accelerator activity
 //! the device observed (frames, votes, modelled latency, DSI DRAM traffic).
 //!
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .output;
 
     // 3. Device co-simulation: the same dataflow driven through the
-    //    register/DMA interface of the functional accelerator model. The
+    //    register interface of the functional accelerator model. The
     //    session driver hands the backend back, so the device can be
     //    inspected after the run.
     let backend = CosimBackend::new(
