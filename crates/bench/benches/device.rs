@@ -1,14 +1,13 @@
-//! Benchmarks of the functional device model: the bit-accurate `PE_Z0`
-//! projection, the plane-by-plane frame pass of the `PE_Zi` array and the
-//! Vote Execute Unit (whole, and its DSI deposit alone) and a complete frame
-//! executed through the register interface.
+//! Benchmarks of the functional device model: the frame pass (the `PE_Z0`
+//! projection, then plane by plane the `PE_Zi` transfers and the Vote
+//! Execute Unit's deposits) on a device that keeps its DSI, that pass's DSI
+//! deposit alone, and a complete frame on a fresh device through the
+//! register interface.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use eventor_fixed::{kernel, PackedCoord};
-use eventor_hwsim::{
-    AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind, HomographyRegisters,
-    PeZ0Datapath, PeZiArrayDatapath, PhiEntry,
-};
+use eventor_fixed::kernel::{self, PhiWords};
+use eventor_fixed::PackedCoord;
+use eventor_hwsim::{AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind};
 use std::hint::black_box;
 
 fn event_words(n: usize) -> Vec<u32> {
@@ -17,67 +16,65 @@ fn event_words(n: usize) -> Vec<u32> {
         .collect()
 }
 
-fn near_identity_homography() -> HomographyRegisters {
-    HomographyRegisters::from_matrix(&[
+fn near_identity_homography() -> [i32; 9] {
+    kernel::quantize_homography(&[
         [1.001, 0.0002, -0.4],
         [-0.0001, 0.999, 0.3],
         [1e-5, -2e-5, 1.0],
     ])
 }
 
-fn phi_words(planes: usize) -> Vec<PhiEntry> {
+fn phi_words(planes: usize) -> Vec<PhiWords> {
     (0..planes)
         .map(|i| {
             let r = 1.0 - 0.002 * i as f64;
-            PhiEntry::from_f64(r, (1.0 - r) * 120.0, (1.0 - r) * 90.0)
+            PhiWords::from_f64(r, (1.0 - r) * 120.0, (1.0 - r) * 90.0)
         })
         .collect()
 }
 
-/// The `Buf_I` bank of a 1024-event frame under the near-identity
-/// homography.
-fn canonical_survivors(n: usize) -> Vec<PackedCoord> {
-    let mut survivors = Vec::new();
-    PeZ0Datapath::new().project_frame(&near_identity_homography(), &event_words(n), &mut survivors);
-    survivors
+/// A normal 1024-event, 100-plane frame under the near-identity homography.
+fn normal_frame() -> FrameJob {
+    FrameJob {
+        event_words: event_words(1024),
+        homography_words: near_identity_homography(),
+        phi_words: phi_words(100).iter().map(PhiWords::raw_words).collect(),
+        kind: FrameKind::Normal,
+    }
 }
 
 fn bench_device(c: &mut Criterion) {
     let mut group = c.benchmark_group("device");
 
-    group.bench_function("pe_z0_project_1024_events", |b| {
-        let h = near_identity_homography();
-        let words = event_words(1024);
-        let mut survivors = Vec::with_capacity(words.len());
-        b.iter(|| {
-            let mut pe = PeZ0Datapath::new();
-            pe.project_frame(&h, &words, &mut survivors);
-            black_box(survivors.len())
-        })
-    });
-
-    // The frame pass: every survivor transferred to each of 100 planes and
-    // its in-sensor vote deposited, into one DSI that keeps its scores.
-    group.bench_function("pe_zi_vote_frame_1024x100", |b| {
-        let canonical = canonical_survivors(1024);
-        let phi = phi_words(100);
-        let mut dram = DsiDram::new(240, 180, 100);
-        b.iter(|| {
-            let mut array = PeZiArrayDatapath::new(phi.clone(), 2, 240, 180);
-            black_box(array.vote_frame(&canonical, &mut dram))
-        })
+    // The frame pass: every event projected, every survivor transferred to
+    // each of 100 planes and its in-sensor vote deposited, into one DSI
+    // that keeps its scores. One untimed frame first faults the DSI's pages
+    // in, so the row times the pass alone.
+    group.bench_function("frame_pass_1024x100", |b| {
+        let job = normal_frame();
+        let mut device = EventorDevice::new(AcceleratorConfig::default());
+        device.run_frame(job.clone()).expect("a valid job");
+        b.iter_batched(
+            || job.clone(),
+            |job| black_box(device.run_frame(job)),
+            BatchSize::SmallInput,
+        )
     });
 
     // The Vote Execute Unit's share of the frame pass: the same frame's
     // votes, transferred beforehand, deposited plane by plane.
     group.bench_function("dsi_vote_plane_102400_votes", |b| {
-        let canonical = canonical_survivors(1024);
+        let h = near_identity_homography();
+        let canonical: Vec<PackedCoord> = event_words(1024)
+            .into_iter()
+            .filter_map(|w| kernel::project_z0(&h, PackedCoord::from_word(w)))
+            .collect();
         let planes: Vec<Vec<(u16, u16)>> = phi_words(100)
             .iter()
             .map(|phi| {
                 canonical
                     .iter()
-                    .filter_map(|&c| kernel::transfer_nearest(&phi.words(), c, 240, 180).address())
+                    .filter_map(|&c| kernel::transfer_nearest(phi, c, 240, 180).address())
                     .collect()
             })
             .collect();
@@ -94,12 +91,7 @@ fn bench_device(c: &mut Criterion) {
 
     group.bench_function("full_frame_through_register_interface", |b| {
         let config = AcceleratorConfig::default();
-        let job = FrameJob {
-            event_words: event_words(1024),
-            homography_words: near_identity_homography().raw_words(),
-            phi_words: phi_words(100).iter().map(PhiEntry::raw_words).collect(),
-            kind: FrameKind::Normal,
-        };
+        let job = normal_frame();
         b.iter_batched(
             || EventorDevice::new(config.clone()),
             |mut device| black_box(device.run_frame(job.clone())),

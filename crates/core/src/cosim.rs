@@ -11,10 +11,10 @@
 //! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
-//! The device datapath and the software datapath of the
-//! [`VotingEngine`](crate::VotingEngine) are both thin wrappers over the
-//! **bit-true integer kernel** in [`eventor_fixed::kernel`] — same raw
-//! fixed-point words, same wide-MAC/normalization/judgement functions — so
+//! The device's frame pass and the software datapath of the
+//! [`VotingEngine`](crate::VotingEngine) both run the **bit-true integer
+//! kernel** in [`eventor_fixed::kernel`] — same raw fixed-point words, same
+//! wide-MAC/normalization/judgement functions — so
 //! the two produce **identical DSI volumes** for identical inputs *by
 //! construction*; the workspace integration tests assert this bit-exact
 //! agreement, which is the co-verification argument of the accelerator
@@ -28,10 +28,11 @@ use eventor_emvs::{
     ParallelConfig, Stage, StageProfile,
 };
 use eventor_events::UndistortionLut;
+use eventor_fixed::kernel::{self, PhiWords};
 use eventor_geom::{CameraModel, Pose};
 use eventor_hwsim::{
     AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
-    FrameKind, HomographyRegisters, PhiEntry,
+    FrameKind,
 };
 use std::time::{Duration, Instant};
 
@@ -146,17 +147,18 @@ impl CosimBackend {
     }
 
     /// Builds the per-frame job shipped to the device: the frame's Q9.7
-    /// event words plus the quantized `H_{Z0}` and `φ` parameter payloads.
+    /// event words plus the quantized `H_{Z0}` and `φ` parameter payloads,
+    /// encoded by the kernel's quantizers, as the golden model and the
+    /// engine's `QuantizedFrameParams` encode them.
     fn frame_job(
         geometry: &FrameGeometry,
         event_words: Vec<u32>,
         kind: FrameKind,
     ) -> eventor_hwsim::FrameJob {
-        let homography_words =
-            HomographyRegisters::from_matrix(&geometry.homography.h.m).raw_words();
+        let homography_words = kernel::quantize_homography(&geometry.homography.h.m);
         let phi = &geometry.coefficients;
         let phi_words: Vec<[i32; 3]> = (0..phi.len())
-            .map(|i| PhiEntry::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]).raw_words())
+            .map(|i| PhiWords::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]).raw_words())
             .collect();
         eventor_hwsim::FrameJob {
             event_words,

@@ -14,8 +14,9 @@
 //! * [`QuantizedHomography`] / [`QuantizedCoefficients`] — the fixed-point
 //!   datapath executed by the `PE_Z0` / `PE_Zi` processing elements: thin
 //!   wrappers (raw-word storage) over the bit-true integer kernel in
-//!   `eventor_fixed::kernel`, which the `eventor-hwsim` device model wraps
-//!   too — co-simulation agreement holds by construction,
+//!   `eventor_fixed::kernel`, whose functions the `eventor-hwsim` device's
+//!   frame pass calls on the same words — co-simulation agreement holds by
+//!   construction,
 //! * [`AcceleratorRun`] — binding a reconstruction workload to the
 //!   `eventor-hwsim` hardware model to obtain Table 3 runtimes, event rates,
 //!   power and the energy-efficiency comparison against the Intel i5
@@ -79,15 +80,16 @@ pub use eventor_emvs::{
 #[cfg(test)]
 mod cosim_proptests {
     //! Golden-model-versus-device properties: the software quantized datapath
-    //! (this crate) and the functional hardware datapath (`eventor-hwsim`)
-    //! must agree operation by operation, not just end to end.
+    //! (this crate) and the functional device (`eventor-hwsim`) must agree
+    //! on each event's projection-missing judgement and on each plane's
+    //! vote, not just end to end.
 
     use super::*;
     use eventor_fixed::PackedCoord;
     use eventor_geom::{
         CameraIntrinsics, CanonicalHomography, Pose, ProportionalCoefficients, Vec3,
     };
-    use eventor_hwsim::{HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry};
+    use eventor_hwsim::{AcceleratorConfig, EventorDevice, FrameExecution, FrameJob, FrameKind};
     use proptest::prelude::*;
 
     fn geometry(
@@ -112,6 +114,27 @@ mod cosim_proptests {
         Some((h, phi, depths))
     }
 
+    /// Runs one event at `(px, py)` through a 240×180 device as a key
+    /// frame, shipping the golden model's own `Buf_H` / `Buf_P` words.
+    fn one_event_frame(
+        golden_h: &QuantizedHomography,
+        golden_phi: &QuantizedCoefficients,
+        px: f64,
+        py: f64,
+    ) -> (EventorDevice, FrameExecution) {
+        let mut device =
+            EventorDevice::new(AcceleratorConfig::default().with_depth_planes(golden_phi.len()));
+        let exec = device
+            .run_frame(FrameJob {
+                event_words: vec![PackedCoord::from_f64(px, py).to_word()],
+                homography_words: golden_h.raw_words(),
+                phi_words: golden_phi.words().iter().map(|w| w.raw_words()).collect(),
+                kind: FrameKind::Key,
+            })
+            .expect("a one-event frame is a valid job");
+        (device, exec)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -123,14 +146,16 @@ mod cosim_proptests {
             px in 0.0..239.0f64,
             py in 0.0..179.0f64,
         ) {
-            let Some((h, _, _)) = geometry(tx, ty, tz, 20) else { return Ok(()) };
+            let Some((h, phi, _)) = geometry(tx, ty, tz, 20) else { return Ok(()) };
             let golden = QuantizedHomography::from_homography(&h);
-            let registers = HomographyRegisters::from_matrix(&h.h.m);
-            let mut device = PeZ0Datapath::new();
-            let coord = PackedCoord::from_f64(px, py);
-            let sw = golden.project(coord);
-            let hw = device.project(&registers, coord.to_word());
-            prop_assert_eq!(sw, hw, "canonical projection diverged at ({}, {})", px, py);
+            let golden_phi = QuantizedCoefficients::from_coefficients(&phi);
+            let (_, exec) = one_event_frame(&golden, &golden_phi, px, py);
+            let sw_dropped = golden.project(PackedCoord::from_f64(px, py)).is_none();
+            prop_assert_eq!(
+                exec.events_dropped,
+                u64::from(sw_dropped),
+                "projection-missing judgement diverged at ({}, {})", px, py
+            );
         }
 
         #[test]
@@ -148,40 +173,26 @@ mod cosim_proptests {
                 return Ok(());
             };
 
-            let entries: Vec<PhiEntry> = (0..phi.len())
-                .map(|i| PhiEntry::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]))
-                .collect();
-            let mut array = PeZiArrayDatapath::new(entries, 2, 240, 180);
-            let votes = array.generate_votes(canonical);
+            let (device, exec) = one_event_frame(&golden_h, &golden_phi, px, py);
+            prop_assert_eq!(exec.events_dropped, 0);
 
-            // The device's vote list must be exactly the in-sensor subset the
-            // golden model produces, in plane order.
-            let mut expected = Vec::new();
+            // Each plane of the device's DSI must hold exactly the one vote
+            // the golden model's Nearest Voxel Finder produces, or none when
+            // the transfer leaves the sensor.
             for i in 0..golden_phi.len() {
-                if let Some((x, y)) = golden_phi.transfer_nearest(canonical, i, 240, 180).address() {
-                    expected.push((x, y, i as u16));
-                }
-            }
-            let got: Vec<(u16, u16, u16)> = votes.iter().map(|v| (v.x, v.y, v.plane)).collect();
-            prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn homography_register_quantization_matches_golden_entries(
-            tx in -0.2..0.2f64,
-            ty in -0.2..0.2f64,
-            tz in -0.05..0.05f64,
-        ) {
-            let Some((h, _, _)) = geometry(tx, ty, tz, 10) else { return Ok(()) };
-            let golden = QuantizedHomography::from_homography(&h);
-            let registers = HomographyRegisters::from_matrix(&h.h.m);
-            for row in 0..3 {
-                for col in 0..3 {
-                    prop_assert!(
-                        (golden.entry(row, col) - registers.entry(row, col)).abs() < 1e-12,
-                        "H[{}][{}] quantized differently", row, col
-                    );
-                }
+                let voted: Vec<(u16, u16, u16)> = device
+                    .dsi()
+                    .plane_scores(i)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &score)| score > 0)
+                    .map(|(k, &score)| ((k % 240) as u16, (k / 240) as u16, score))
+                    .collect();
+                let expected = golden_phi
+                    .transfer_nearest(canonical, i, 240, 180)
+                    .address()
+                    .map(|(x, y)| (x, y, 1));
+                prop_assert_eq!(voted, Vec::from_iter(expected), "plane {}", i);
             }
         }
     }

@@ -493,7 +493,9 @@ impl<S: VoxelScore> DsiVolume<S> {
     ///
     /// The caller has already performed the in-sensor judgement; addresses
     /// outside the volume are counted as missed, like
-    /// [`Self::vote_nearest`].
+    /// [`Self::vote_nearest`]. Bit-identical to
+    /// `vote_nearest(x as f64, y as f64, plane, 1.0)` for in-range
+    /// addresses.
     #[inline]
     pub fn vote_at(&mut self, x: u16, y: u16, plane: usize) {
         if plane >= self.planes.len() || x as usize >= self.width || y as usize >= self.height {
@@ -502,26 +504,6 @@ impl<S: VoxelScore> DsiVolume<S> {
         }
         let idx = self.index(x as usize, y as usize, plane);
         self.data[idx].add_unit();
-        self.votes_cast += 1;
-    }
-
-    /// Deposits one unit vote at an integer voxel address — the
-    /// bounds-checked single-vote entry point for producers whose addresses
-    /// are already rounded (e.g. a Nearest Voxel Finder that performed the
-    /// projection-missing judgement upstream).
-    ///
-    /// Bit-identical to `vote_nearest(x as f64, y as f64, plane, 1.0)` for
-    /// in-range addresses; out-of-range addresses are counted as missed, like
-    /// the float entry points do.
-    #[inline]
-    pub fn vote_unit_at(&mut self, x: u16, y: u16, plane: usize) {
-        let (x, y) = (x as usize, y as usize);
-        if x >= self.width || y >= self.height || plane >= self.planes.len() {
-            self.votes_missed += 1;
-            return;
-        }
-        let idx = self.index(x, y, plane);
-        self.data[idx].add_vote(1.0);
         self.votes_cast += 1;
     }
 
@@ -885,14 +867,14 @@ mod tests {
     }
 
     #[test]
-    fn vote_unit_at_matches_vote_nearest() {
+    fn vote_at_matches_vote_nearest() {
         let mut a = DsiVolume::<u16>::new(16, 12, planes(3)).unwrap();
         let mut b = DsiVolume::<u16>::new(16, 12, planes(3)).unwrap();
         for (x, y, p) in [(0u16, 0u16, 0usize), (15, 11, 2), (7, 3, 1), (7, 3, 1)] {
-            a.vote_unit_at(x, y, p);
+            a.vote_at(x, y, p);
             b.vote_nearest(x as f64, y as f64, p, 1.0);
         }
-        a.vote_unit_at(16, 0, 0); // out of range -> missed
+        a.vote_at(16, 0, 0); // out of range -> missed
         b.vote_nearest(16.0, 0.0, 0, 1.0);
         assert_eq!(a, b);
         assert_eq!(a.votes_cast(), 4);
@@ -903,9 +885,9 @@ mod tests {
     fn merge_from_adds_scores_and_counters() {
         let mut a = DsiVolume::<u16>::new(8, 8, planes(2)).unwrap();
         let mut b = DsiVolume::<u16>::new(8, 8, planes(2)).unwrap();
-        a.vote_unit_at(1, 1, 0);
-        b.vote_unit_at(1, 1, 0);
-        b.vote_unit_at(2, 3, 1);
+        a.vote_at(1, 1, 0);
+        b.vote_at(1, 1, 0);
+        b.vote_at(2, 3, 1);
         b.vote_nearest(-1.0, 0.0, 0, 1.0); // missed
         a.merge_from(&b);
         assert_eq!(a.score(1, 1, 0), 2.0);
@@ -933,8 +915,8 @@ mod tests {
         let mut merged = DsiVolume::<u16>::new(4, 4, planes(2)).unwrap();
         let mut other = DsiVolume::<u16>::new(4, 4, planes(2)).unwrap();
         for _ in 0..35_000 {
-            merged.vote_unit_at(1, 1, 0);
-            other.vote_unit_at(1, 1, 0);
+            merged.vote_at(1, 1, 0);
+            other.vote_at(1, 1, 0);
         }
         merged.merge_from(&other);
         assert_eq!(merged.score(1, 1, 0), sequential.score(1, 1, 0));

@@ -1,9 +1,9 @@
 //! The **bit-true integer datapath kernel**: the one implementation of the
-//! Table 1 arithmetic that every Eventor datapath wraps.
+//! Table 1 arithmetic that every Eventor datapath runs.
 //!
 //! The reproduction used to model the quantized arithmetic twice — once in
 //! `eventor-core::quantized` (the golden model) and once in
-//! `eventor-hwsim::datapath` (the device model) — and both copies carried the
+//! `eventor-hwsim` (the device model) — and both copies carried the
 //! intermediate MACs in `f64`, which merely *upper-bounded* the precision of
 //! the RTL's wide accumulators. This module is the replacement: the
 //! matrix-vector MAC of `PE_Z0`, the normalization divider, the Q9.7

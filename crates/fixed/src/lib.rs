@@ -17,10 +17,10 @@
 //! The [`kernel`] module is the **bit-true integer datapath kernel**: the
 //! single implementation of the Table 1 arithmetic (wide-MAC canonical
 //! projection, normalization with the projection-missing judgement,
-//! per-plane scalar MAC, Nearest Voxel Finder) that both the software
-//! golden model (`eventor-core::quantized`) and the functional device model
-//! (`eventor-hwsim::datapath`) wrap — integer end to end, no `f64` between
-//! quantization points.
+//! per-plane scalar MAC, Nearest Voxel Finder) that the software golden
+//! model (`eventor-core::quantized`) wraps and the functional device model
+//! (`eventor-hwsim`'s `EventorDevice`) calls directly — integer end to end,
+//! no `f64` between quantization points.
 //!
 //! ## Example
 //!

@@ -172,22 +172,22 @@ impl ActivityEnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datapath::{HomographyRegisters, PhiEntry};
     use crate::device::{EventorDevice, FrameJob};
     use crate::schedule::FrameKind;
+    use eventor_fixed::kernel::{self, PhiWords};
     use eventor_fixed::PackedCoord;
+
+    const IDENTITY: [[f64; 3]; 3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
 
     fn paper_scale_execution() -> (FrameExecution, AcceleratorConfig) {
         let config = AcceleratorConfig::default();
         let mut device = EventorDevice::new(config.clone());
-        let identity =
-            HomographyRegisters::from_matrix(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
-        let phi = PhiEntry::from_f64(1.0, 0.0, 0.0).raw_words();
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
         let job = FrameJob {
             event_words: (0..1024)
                 .map(|i| PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word())
                 .collect(),
-            homography_words: identity.raw_words(),
+            homography_words: kernel::quantize_homography(&IDENTITY),
             phi_words: vec![phi; 100],
             kind: FrameKind::Normal,
         };
@@ -229,17 +229,12 @@ mod tests {
 
         let run = |config: &AcceleratorConfig| {
             let mut device = EventorDevice::new(config.clone());
-            let identity = HomographyRegisters::from_matrix(&[
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ]);
-            let phi = PhiEntry::from_f64(1.0, 0.0, 0.0).raw_words();
+            let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
             let job = FrameJob {
                 event_words: (0..512)
                     .map(|i| PackedCoord::from_f64((i % 200) as f64, (i % 150) as f64).to_word())
                     .collect(),
-                homography_words: identity.raw_words(),
+                homography_words: kernel::quantize_homography(&IDENTITY),
                 phi_words: vec![phi; config.num_depth_planes],
                 kind: FrameKind::Normal,
             };

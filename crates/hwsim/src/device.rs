@@ -1,6 +1,6 @@
-//! The full functional device model: register file, processing-element
-//! datapaths, Vote Execute Unit and DDR3-backed DSI, assembled the way
-//! Fig. 5 assembles the prototype.
+//! The full functional device model: register file, the `PE_Z0` /
+//! `PE_Zi` frame pass, Vote Execute Unit and DDR3-backed DSI, assembled the
+//! way Fig. 5 assembles the prototype.
 //!
 //! [`EventorDevice`] is what the host driver in `eventor-core` talks to. A
 //! frame is processed the same way the ARM PS drives the PL:
@@ -16,21 +16,28 @@
 //! 4. the driver polls the status register, reads back the result counters
 //!    and (at key-frame boundaries) reads the DSI out of DRAM.
 //!
+//! Step 3 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
+//! the words the job shipped: [`kernel::project_z0`] on the `Buf_H` words,
+//! [`kernel::transfer_nearest`] on each plane's `Buf_P` words. These are the
+//! functions the software golden model in `eventor-core` calls, so device ↔
+//! golden-model agreement holds by construction; `tests/cosim_equivalence.rs`
+//! asserts it end to end.
+//!
 //! A frame's cycles are the frame cost of [`crate::schedule`] charged with
 //! the *actual* work performed (events surviving the projection-missing
 //! judgement, votes that landed inside the sensor, the payload moved). The
 //! analytic schedule is the same cost at full-frame counts, so the two agree
 //! on full frames by construction, and the device model additionally
 //! reflects dropped events and out-of-sensor transfers. Every counter — the
-//! DRAM access statistics, the `PE_Zi` statistics, the [`FrameExecution`]
-//! record, the lifetime [`DeviceStats`] and the result registers — is
-//! charged from counts once per plane or once per frame, never per vote.
+//! DRAM access statistics, the [`FrameExecution`] record, the lifetime
+//! [`DeviceStats`] and the result registers — is charged from counts once
+//! per plane or once per frame, never per vote.
 
-use crate::datapath::{HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PhiEntry};
 use crate::dram::DsiDram;
 use crate::registers::{ctrl, status, Register, RegisterFile};
 use crate::schedule::{dma_cycles, frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
+use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::PackedCoord;
 
 /// The per-frame input set staged by the host driver.
@@ -207,6 +214,13 @@ impl EventorDevice {
     /// Starts the staged frame by writing the control register, runs it to
     /// completion and returns its execution record.
     ///
+    /// The frame pass runs the kernel on the staged words. A key frame first
+    /// resets the DSI. `PE_Z0` ([`kernel::project_z0`]) writes the survivors
+    /// of the projection-missing judgement into `Buf_I`. Then, plane by
+    /// plane, the `PE_Zi` array ([`kernel::transfer_nearest`]) transfers
+    /// every survivor and the Vote Execute Unit applies each in-sensor vote
+    /// to the plane's DSI slab ([`DsiDram::vote_plane`]).
+    ///
     /// Returns `None` (with status `ERROR`) when no frame is staged.
     pub fn start_frame(&mut self) -> Option<FrameExecution> {
         let Some(job) = self.staged.take() else {
@@ -221,7 +235,51 @@ impl EventorDevice {
         self.registers.set_status(status::BUSY);
         self.registers.clear_status(status::DONE);
 
-        let execution = self.execute(&job);
+        if job.kind == FrameKind::Key {
+            self.dram.reset();
+        }
+        self.survivors.extend(
+            job.event_words.iter().filter_map(|&w| {
+                kernel::project_z0(&job.homography_words, PackedCoord::from_word(w))
+            }),
+        );
+        let (width, height) = (
+            self.config.sensor_width as u32,
+            self.config.sensor_height as u32,
+        );
+        let mut votes = 0;
+        for (plane, &words) in job.phi_words.iter().enumerate() {
+            let phi = PhiWords::from_raw_words(words);
+            votes += self.dram.vote_plane(
+                plane,
+                self.survivors
+                    .iter()
+                    .filter_map(|&c| kernel::transfer_nearest(&phi, c, width, height).address()),
+            );
+        }
+        let events_in = job.event_words.len() as u64;
+        let survivors = self.survivors.len() as u64;
+        self.survivors.clear();
+        let timing = frame_cost(
+            &self.config,
+            job.kind,
+            events_in,
+            survivors,
+            votes,
+            job.payload_bytes(),
+        );
+        let execution = FrameExecution {
+            kind: job.kind,
+            events_in,
+            events_dropped: events_in - survivors,
+            transfers_missed: survivors * job.phi_words.len() as u64 - votes,
+            votes_applied: votes,
+            dma_cycles: timing.dma_cycles,
+            canonical_cycles: timing.canonical_cycles,
+            proportional_cycles: timing.proportional_cycles,
+            reset_cycles: timing.reset_cycles,
+            total_cycles: timing.total_cycles,
+        };
 
         self.registers.clear_status(status::BUSY);
         self.registers
@@ -250,71 +308,23 @@ impl EventorDevice {
         self.load_frame(job)?;
         self.start_frame()
     }
-
-    fn execute(&mut self, job: &FrameJob) -> FrameExecution {
-        let width = self.config.sensor_width as u32;
-        let height = self.config.sensor_height as u32;
-
-        // Key frames reset the DSI before voting restarts.
-        if job.kind == FrameKind::Key {
-            self.dram.reset();
-        }
-
-        // PE_Z0: canonical projection of the Buf_E payload into Buf_I.
-        let h = HomographyRegisters::from_raw_words(job.homography_words);
-        let mut pe_z0 = PeZ0Datapath::new();
-        pe_z0.project_frame(&h, &job.event_words, &mut self.survivors);
-
-        // PE_Zi array and Vote Execute Unit, plane by plane: every survivor
-        // is transferred to the plane and its in-sensor vote applied to the
-        // plane's DSI slab.
-        let phi: Vec<PhiEntry> = job
-            .phi_words
-            .iter()
-            .map(|&w| PhiEntry::from_raw_words(w))
-            .collect();
-        let mut pe_zi = PeZiArrayDatapath::new(phi, self.config.num_pe_zi, width, height);
-        let pass = pe_zi.vote_frame(&self.survivors, &mut self.dram);
-        let events_in = job.event_words.len() as u64;
-        let timing = frame_cost(
-            &self.config,
-            job.kind,
-            events_in,
-            self.survivors.len() as u64,
-            pass.votes_generated,
-            job.payload_bytes(),
-        );
-        self.survivors.clear();
-
-        FrameExecution {
-            kind: job.kind,
-            events_in,
-            events_dropped: pe_z0.events_dropped(),
-            transfers_missed: pass.transfers_missed,
-            votes_applied: pass.votes_generated,
-            dma_cycles: timing.dma_cycles,
-            canonical_cycles: timing.canonical_cycles,
-            proportional_cycles: timing.proportional_cycles,
-            reset_cycles: timing.reset_cycles,
-            total_cycles: timing.total_cycles,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventor_fixed::kernel::{self, PhiWords};
 
     fn identity_job(events: usize, planes: usize, kind: FrameKind) -> FrameJob {
-        let identity =
-            HomographyRegisters::from_matrix(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
-        let phi = PhiEntry::from_f64(1.0, 0.0, 0.0).raw_words();
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
         FrameJob {
             event_words: (0..events)
                 .map(|i| PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word())
                 .collect(),
-            homography_words: identity.raw_words(),
+            homography_words: kernel::quantize_homography(&[
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0],
+            ]),
             phi_words: vec![phi; planes],
             kind,
         }
@@ -437,10 +447,9 @@ mod tests {
         let config = small_config();
         let mut device = EventorDevice::new(config);
         // A scaling homography throws most events out of the Q9.7 range.
-        let h =
-            HomographyRegisters::from_matrix(&[[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]]);
         let mut job = identity_job(64, 10, FrameKind::Normal);
-        job.homography_words = h.raw_words();
+        job.homography_words =
+            kernel::quantize_homography(&[[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]]);
         let exec = device.run_frame(job).unwrap();
         assert!(exec.events_dropped > 0);
         assert!(exec.votes_applied < 64 * 10);
@@ -550,13 +559,13 @@ mod tests {
     fn frame_pass_matches_the_per_vote_reference() {
         const PLANES: usize = 6;
         let job =
-            |kind, h: [[f64; 3]; 3], phi: &dyn Fn(usize) -> PhiEntry, events: Vec<(f64, f64)>| {
+            |kind, h: [[f64; 3]; 3], phi: &dyn Fn(usize) -> PhiWords, events: Vec<(f64, f64)>| {
                 FrameJob {
                     event_words: events
                         .into_iter()
                         .map(|(x, y)| PackedCoord::from_f64(x, y).to_word())
                         .collect(),
-                    homography_words: HomographyRegisters::from_matrix(&h).raw_words(),
+                    homography_words: kernel::quantize_homography(&h),
                     phi_words: (0..PLANES).map(|i| phi(i).raw_words()).collect(),
                     kind,
                 }
@@ -576,7 +585,7 @@ mod tests {
             job(
                 FrameKind::Key,
                 [[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]],
-                &|_| PhiEntry::from_f64(0.125, 0.0, 0.0),
+                &|_| PhiWords::from_f64(0.125, 0.0, 0.0),
                 spread.clone(),
             ),
             // Growing epipole offsets push more of each plane off the sensor.
@@ -584,7 +593,7 @@ mod tests {
                 FrameKind::Normal,
                 identity,
                 &|i| {
-                    PhiEntry::from_f64(
+                    PhiWords::from_f64(
                         1.0 - 0.05 * i as f64,
                         9.0 * i as f64 - 10.0,
                         -4.0 * i as f64,
@@ -595,13 +604,13 @@ mod tests {
             job(
                 FrameKind::Normal,
                 identity,
-                &|_| PhiEntry::from_f64(1.0, 0.0, 0.0),
+                &|_| PhiWords::from_f64(1.0, 0.0, 0.0),
                 pile.clone(),
             ),
             job(
                 FrameKind::Normal,
                 identity,
-                &|_| PhiEntry::from_f64(1.0, 0.0, 0.0),
+                &|_| PhiWords::from_f64(1.0, 0.0, 0.0),
                 pile,
             ),
         ];

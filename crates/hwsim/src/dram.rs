@@ -6,8 +6,7 @@
 //! logic through the AXI-HP ports. This module models that memory at the
 //! *data* level: a flat array of 16-bit scores addressed exactly the way the
 //! Vote Address Generator addresses it (`plane * W * H + y * W + x`), with
-//! read/write/read-modify-write accounting of the traffic the device
-//! actually issues.
+//! read-modify-write accounting of the votes the device actually applies.
 
 use crate::timing::AcceleratorConfig;
 
@@ -126,39 +125,6 @@ impl DsiDram {
             return None;
         }
         Some(((plane * self.height + y) * self.width + x) as VoxelAddress)
-    }
-
-    /// Reads the score stored at a linear address.
-    ///
-    /// Out-of-range addresses are counted as address faults and return `None`.
-    pub fn read(&mut self, addr: VoxelAddress) -> Option<u16> {
-        match self.scores.get(addr as usize) {
-            Some(&s) => {
-                self.stats.score_reads += 1;
-                Some(s)
-            }
-            None => {
-                self.stats.address_faults += 1;
-                None
-            }
-        }
-    }
-
-    /// Writes a score to a linear address.
-    ///
-    /// Out-of-range addresses are counted as address faults and ignored.
-    pub fn write(&mut self, addr: VoxelAddress, value: u16) -> bool {
-        match self.scores.get_mut(addr as usize) {
-            Some(s) => {
-                *s = value;
-                self.stats.score_writes += 1;
-                true
-            }
-            None => {
-                self.stats.address_faults += 1;
-                false
-            }
-        }
     }
 
     /// Applies one vote to a linear address: the saturating read-modify-write
@@ -283,11 +249,6 @@ impl DsiDram {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
-
-    /// Clears the access statistics (the score contents are untouched).
-    pub fn clear_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -337,8 +298,10 @@ mod tests {
     #[test]
     fn votes_saturate_instead_of_wrapping() {
         let mut dram = DsiDram::new(4, 4, 1);
+        let mut image = [0; 16];
+        image[0] = u16::MAX;
+        dram.load_scores(&image);
         let addr = dram.linear_address(0, 0, 0).unwrap();
-        dram.write(addr, u16::MAX);
         assert_eq!(dram.vote(addr), Some(u16::MAX));
         assert_eq!(dram.stats().saturated_votes, 1);
         assert_eq!(dram.vote_plane(0, [(0, 0), (1, 0), (0, 0)]), 3);
@@ -351,11 +314,9 @@ mod tests {
     #[test]
     fn out_of_range_accesses_fault_instead_of_panicking() {
         let mut dram = DsiDram::new(4, 4, 1);
-        assert_eq!(dram.read(1_000_000), None);
-        assert!(!dram.write(1_000_000, 1));
         assert_eq!(dram.vote(1_000_000), None);
         assert_eq!(dram.vote_plane(0, [(4, 0), (0, 4), (3, 3)]), 1);
-        assert_eq!(dram.stats().address_faults, 5);
+        assert_eq!(dram.stats().address_faults, 3);
         assert_eq!(dram.total_score(), 1);
     }
 
@@ -390,15 +351,5 @@ mod tests {
     fn load_scores_rejects_wrong_length() {
         let mut dram = DsiDram::new(4, 4, 2);
         dram.load_scores(&[0; 3]);
-    }
-
-    #[test]
-    fn clear_stats_keeps_scores() {
-        let mut dram = DsiDram::new(4, 4, 1);
-        let addr = dram.linear_address(2, 2, 0).unwrap();
-        dram.vote(addr);
-        dram.clear_stats();
-        assert_eq!(dram.stats(), DramStats::default());
-        assert_eq!(dram.score(2, 2, 0), Some(1));
     }
 }

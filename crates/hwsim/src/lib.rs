@@ -7,7 +7,8 @@
 //! * [`AcceleratorConfig`] — the architectural knobs (number of `PE_Zi`,
 //!   frame size, depth planes, double buffering, AXI-HP ports),
 //! * [`EventorDevice`] — the functional device the co-simulation drives:
-//!   register file, bit-accurate `PE_Z0` / `PE_Zi` datapaths and the
+//!   register file, a `PE_Z0` / `PE_Zi` frame pass that runs the bit-true
+//!   kernel of `eventor_fixed::kernel` on the shipped words, and the
 //!   DDR3-backed DSI,
 //! * [`frame_timing`] / [`performance`] — the frame-pipelined schedule of
 //!   Fig. 6 and the Table 3 performance numbers: the frame cost the device
@@ -20,8 +21,8 @@
 //! against the paper's published prototype figures; scaling experiments
 //! (more PEs, different plane counts, no double buffering) extrapolate from
 //! that calibration. See `docs/ARCHITECTURE.md` (section 4) for the
-//! golden-model-versus-device co-simulation lifecycle this crate's
-//! functional datapath participates in.
+//! golden-model-versus-device co-simulation lifecycle this crate's device
+//! participates in.
 //!
 //! ## Example
 //!
@@ -37,7 +38,6 @@
 #![warn(missing_debug_implementations)]
 
 mod activity;
-mod datapath;
 mod device;
 mod dram;
 mod energy;
@@ -48,9 +48,6 @@ mod schedule;
 mod timing;
 
 pub use activity::{ActivityEnergyModel, EnergyBreakdown};
-pub use datapath::{
-    HomographyRegisters, PeZ0Datapath, PeZiArrayDatapath, PeZiStats, PhiEntry, VoteAddress,
-};
 pub use device::{DeviceStats, EventorDevice, FrameExecution, FrameJob};
 pub use dram::{DramStats, DsiDram, VoxelAddress};
 pub use energy::{EnergyComparison, PowerModel, INTEL_I5_POWER_W};

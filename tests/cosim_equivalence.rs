@@ -9,10 +9,10 @@ use eventor::core::{
 };
 use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, Event, EventStream, SequenceKind, SyntheticSequence};
+use eventor::fixed::kernel::{self, PhiWords};
 use eventor::geom::{CameraModel, DistortionModel};
 use eventor::hwsim::{
-    frame_timing, status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind,
-    HomographyRegisters, PhiEntry, Register,
+    frame_timing, status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind, Register,
 };
 use eventor::scenarios::digest_output;
 
@@ -105,15 +105,15 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
     // interface are exactly the analytic schedule's (Table 3's Eventor
     // column), normal and key frames alike.
     let identity =
-        HomographyRegisters::from_matrix(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
-    let phi = PhiEntry::from_f64(1.0, 0.0, 0.0).raw_words();
+        kernel::quantize_homography(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
+    let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
     let job = |kind| FrameJob {
         event_words: (0..1024)
             .map(|i| {
                 eventor::fixed::PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word()
             })
             .collect(),
-        homography_words: identity.raw_words(),
+        homography_words: identity,
         phi_words: vec![phi; 100],
         kind,
     };

@@ -6,11 +6,11 @@
 //! refactor of the model that moves any figure by one cycle or one ulp fails
 //! here, by case and line. A deliberate change to the model re-pins.
 
+use eventor::fixed::kernel::{self, PhiWords};
 use eventor::fixed::PackedCoord;
 use eventor::hwsim::{
     estimate_resources, frame_timing, performance, sequence_runtime_seconds, AcceleratorConfig,
-    DeviceStats, DramStats, EventorDevice, FrameExecution, FrameJob, FrameKind,
-    HomographyRegisters, PhiEntry, PowerModel,
+    DeviceStats, DramStats, EventorDevice, FrameExecution, FrameJob, FrameKind, PowerModel,
 };
 
 /// Compares `actual` with `expected` line by line, naming the first line
@@ -290,19 +290,19 @@ fn resource_report_and_power_are_pinned() {
 fn device_jobs() -> Vec<FrameJob> {
     const PLANES: usize = 6;
     let job =
-        |kind, h: [[f64; 3]; 3], phi: &dyn Fn(usize) -> PhiEntry, events: &[(f64, f64)]| FrameJob {
+        |kind, h: [[f64; 3]; 3], phi: &dyn Fn(usize) -> PhiWords, events: &[(f64, f64)]| FrameJob {
             event_words: events
                 .iter()
                 .map(|&(x, y)| PackedCoord::from_f64(x, y).to_word())
                 .collect(),
-            homography_words: HomographyRegisters::from_matrix(&h).raw_words(),
+            homography_words: kernel::quantize_homography(&h),
             phi_words: (0..PLANES).map(|i| phi(i).raw_words()).collect(),
             kind,
         };
     let identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
-    let unit = |_| PhiEntry::from_f64(1.0, 0.0, 0.0);
+    let unit = |_| PhiWords::from_f64(1.0, 0.0, 0.0);
     let offsets = |i: usize| {
-        PhiEntry::from_f64(
+        PhiWords::from_f64(
             1.0 - 0.05 * i as f64,
             9.0 * i as f64 - 10.0,
             -4.0 * i as f64,
@@ -315,7 +315,7 @@ fn device_jobs() -> Vec<FrameJob> {
         job(
             FrameKind::Key,
             [[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]],
-            &|_| PhiEntry::from_f64(0.125, 0.0, 0.0),
+            &|_| PhiWords::from_f64(0.125, 0.0, 0.0),
             &spread,
         ),
         job(FrameKind::Normal, identity, &offsets, &spread),
