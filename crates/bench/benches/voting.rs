@@ -1,8 +1,11 @@
 //! Micro-benchmarks of DSI voting: bilinear versus nearest (the paper's
-//! approximate-computing ablation) and f32 versus quantized u16 scores.
+//! approximate-computing ablation) and f32 versus quantized u16 scores;
+//! and of structure detection, which retires every key frame's DSI.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use eventor_dsi::{DepthPlanes, DsiVolume};
+use eventor_dsi::{
+    confidence_map, detect_structure, DepthPlanes, DetectionConfig, DsiVolume, VoxelScore,
+};
 use std::hint::black_box;
 
 fn targets(n: usize) -> Vec<(f64, f64, usize)> {
@@ -66,5 +69,54 @@ fn bench_voting(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_voting);
+/// A deterministic voted DSI in the shape a key frame leaves: scattered
+/// single votes on every fourth voxel, and on every fourth column a
+/// slanted surface that gathers 20 votes a pixel.
+fn voted<S: VoxelScore>(width: usize, height: usize, planes: usize) -> DsiVolume<S> {
+    let depths = DepthPlanes::uniform_inverse_depth(0.6, 6.0, planes).unwrap();
+    let mut dsi = DsiVolume::<S>::new(width, height, depths).unwrap();
+    for i in 0..width * height * planes / 4 {
+        let (x, y, p) = (i * 37 % width, i * 53 % height, i * 101 % planes);
+        dsi.vote_nearest(x as f64, y as f64, p, 1.0);
+    }
+    for y in 0..height {
+        for x in (0..width).step_by(4) {
+            let p = (x + y) * planes / (width + height);
+            for _ in 0..20 {
+                dsi.vote_nearest(x as f64, y as f64, p, 1.0);
+            }
+        }
+    }
+    dsi
+}
+
+fn bench_detection(c: &mut Criterion) {
+    let config = DetectionConfig::default();
+    let mut group = c.benchmark_group("detection");
+    group.sample_size(20);
+
+    let small = voted::<u16>(80, 60, 50);
+    let large = voted::<u16>(240, 180, 100);
+    let large_f32 = voted::<f32>(240, 180, 100);
+
+    group.throughput(Throughput::Elements(large.voxel_count() as u64));
+    group.bench_function("confidence_map_u16_240x180x100", |b| {
+        b.iter(|| black_box(confidence_map(black_box(&large))))
+    });
+    group.throughput(Throughput::Elements(small.voxel_count() as u64));
+    group.bench_function("detect_structure_u16_80x60x50", |b| {
+        b.iter(|| black_box(detect_structure(black_box(&small), &config)))
+    });
+    group.throughput(Throughput::Elements(large.voxel_count() as u64));
+    group.bench_function("detect_structure_u16_240x180x100", |b| {
+        b.iter(|| black_box(detect_structure(black_box(&large), &config)))
+    });
+    group.bench_function("detect_structure_f32_240x180x100", |b| {
+        b.iter(|| black_box(detect_structure(black_box(&large_f32), &config)))
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_voting, bench_detection);
 criterion_main!(benches);

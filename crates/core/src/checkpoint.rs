@@ -559,6 +559,31 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_carrying_an_even_median_filter_is_refused() {
+        // A CKPT whose configuration asks for a 4-pixel median filter must
+        // fail to restore with a typed error, not decode and then panic at
+        // the resumed session's first retirement.
+        let (seq, checkpoint) = checkpoint_fixture();
+        let mut driver = checkpoint.into_driver();
+        driver.config.detection.median_filter_size = 4;
+        let forged = SessionCheckpoint::new(driver, "software", "forged");
+        let mut container = Vec::new();
+        forged.write_to(&mut container).unwrap();
+        let err = SessionCheckpoint::read_from(container.as_slice())
+            .expect("intact container")
+            .unwrap_err();
+        assert!(matches!(err, EmvsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("median_filter_size"), "{err}");
+        // Restoring the in-memory checkpoint fails the same way.
+        let config = forged.config().clone();
+        let err = EventorSession::builder(seq.camera, config)
+            .software(EventorOptions::accelerator())
+            .restore(forged)
+            .unwrap_err();
+        assert!(matches!(err, EmvsError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
     fn fusion_sessions_refuse_to_snapshot() {
         let seq =
             SyntheticSequence::generate(SequenceKind::SliderClose, &DatasetConfig::fast_test())

@@ -757,6 +757,36 @@ mod tests {
     }
 
     #[test]
+    fn builder_refuses_detection_parameters_that_would_panic_at_retirement() {
+        // Each of these used to build and then panic at the first key
+        // frame: in the median filter, or allocating the blur kernel.
+        let cam = CameraModel::davis240_ideal();
+        let detections = [
+            (4, 4.0),
+            (5, f64::INFINITY),
+            (5, 1e18),
+            (5, -1.0),
+            (513, 4.0),
+        ]
+        .map(
+            |(median_filter_size, adaptive_sigma)| eventor_dsi::DetectionConfig {
+                median_filter_size,
+                adaptive_sigma,
+                ..Default::default()
+            },
+        );
+        for detection in detections {
+            let config = EmvsConfig::default().with_detection(detection);
+            for (name, builder) in builtin_backends(cam, &config) {
+                assert!(
+                    matches!(builder.build(), Err(EmvsError::InvalidConfig { .. })),
+                    "{name}: {detection:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn all_builtin_backends_build() {
         let cam = CameraModel::davis240_ideal();
         let config = EmvsConfig::default();

@@ -75,9 +75,27 @@ pub trait VoxelScore:
 }
 
 mod private {
-    pub trait Sealed {}
+    use super::{batch, DsiVolume, VoxelScore};
+    use crate::detection::{self, ConfidenceMap};
+
+    pub trait Sealed: Sized {
+        /// The depth collapse behind [`detection::confidence_map`]: by
+        /// default the tiled plane-major pass in `f64`.
+        fn confidence_map(dsi: &DsiVolume<Self>) -> ConfidenceMap
+        where
+            Self: VoxelScore,
+        {
+            detection::collapse_ordered(dsi)
+        }
+    }
+
     impl Sealed for f32 {}
-    impl Sealed for u16 {}
+
+    impl Sealed for u16 {
+        fn confidence_map(dsi: &DsiVolume<Self>) -> ConfidenceMap {
+            detection::collapse_u16(dsi, batch::active())
+        }
+    }
 }
 
 impl VoxelScore for f32 {
@@ -143,8 +161,8 @@ impl VoxelScore for u16 {
 /// of `width × height` pixels and [`DepthPlanes::len`] depth slices.
 ///
 /// Voxels are stored plane-major (`[plane][row][col]`): the vote stage writes
-/// one plane at a time, and the detection stage strides across planes per
-/// pixel.
+/// one plane at a time, and the detection stage reads them plane by plane
+/// too, a tile of pixels at a time.
 ///
 /// # Examples
 ///

@@ -154,8 +154,12 @@ impl EmvsConfig {
     /// # Errors
     ///
     /// Returns [`EmvsError::InvalidConfig`] when the frame size is zero,
-    /// fewer than two depth planes are requested, or the depth range is
-    /// non-positive or inverted.
+    /// fewer than two depth planes are requested, the depth range is
+    /// non-positive or inverted, or the detection parameters would fail at
+    /// the first key frame: an even median filter size above 1, a
+    /// non-finite or negative `adaptive_sigma`, or a blur radius `⌈3σ⌉` or
+    /// median half-width past [`DetectionConfig::MAX_BLUR_RADIUS`] /
+    /// [`DetectionConfig::MAX_MEDIAN_HALF_WIDTH`].
     pub fn validate(&self) -> Result<(), EmvsError> {
         if self.events_per_frame == 0 {
             return Err(EmvsError::InvalidConfig {
@@ -174,6 +178,29 @@ impl EmvsConfig {
         {
             return Err(EmvsError::InvalidConfig {
                 reason: format!("invalid depth range {:?}", self.depth_range),
+            });
+        }
+        let median = self.detection.median_filter_size;
+        if median > 1
+            && (median.is_multiple_of(2) || median / 2 > DetectionConfig::MAX_MEDIAN_HALF_WIDTH)
+        {
+            return Err(EmvsError::InvalidConfig {
+                reason: format!(
+                    "median_filter_size {median} must be 0, 1, or odd with a half-width of at \
+                     most {} px",
+                    DetectionConfig::MAX_MEDIAN_HALF_WIDTH
+                ),
+            });
+        }
+        // Also false for NaN and for an infinite sigma, whose radius is infinite.
+        let sigma = self.detection.adaptive_sigma;
+        if !(sigma >= 0.0 && (3.0 * sigma).ceil() <= DetectionConfig::MAX_BLUR_RADIUS as f64) {
+            return Err(EmvsError::InvalidConfig {
+                reason: format!(
+                    "adaptive_sigma {sigma} must be non-negative with a blur radius of at most \
+                     {} px",
+                    DetectionConfig::MAX_BLUR_RADIUS
+                ),
             });
         }
         Ok(())
@@ -284,6 +311,39 @@ mod tests {
             .validate()
             .is_err());
         assert!(EmvsConfig::default().depth_planes().is_ok());
+    }
+
+    #[test]
+    fn validate_bounds_the_detection_parameters() {
+        let with = |median_filter_size: usize, adaptive_sigma: f64| {
+            EmvsConfig::default()
+                .with_detection(DetectionConfig {
+                    median_filter_size,
+                    adaptive_sigma,
+                    ..Default::default()
+                })
+                .validate()
+        };
+        // Off switches and the largest accepted values.
+        for (median, sigma) in [(0, 0.0), (1, -0.0), (5, 4.0), (511, 85.0)] {
+            assert!(with(median, sigma).is_ok(), "{median} {sigma}");
+        }
+        // Even sizes, non-finite or negative sigmas, past the 255 px caps.
+        for (median, sigma) in [
+            (2, 4.0),
+            (4, 4.0),
+            (513, 4.0),
+            (5, f64::INFINITY),
+            (5, f64::NAN),
+            (5, -1.0),
+            (5, 1e18),
+            (5, 85.01),
+        ] {
+            assert!(
+                matches!(with(median, sigma), Err(EmvsError::InvalidConfig { .. })),
+                "{median} {sigma}"
+            );
+        }
     }
 
     #[test]

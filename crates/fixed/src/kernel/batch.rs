@@ -7,12 +7,14 @@
 //! Q11.21×Q9.7 MAC applied independently per lane. This module provides
 //! the two batched faces it calls — the `PE_Z0` projection
 //! ([`project_z0_batch`]) and the `PE_Zi` per-plane transfer
-//! ([`transfer_nearest_batch`]) — executed by one of two **dispatch
-//! tiers**:
+//! ([`transfer_nearest_batch`]) — and the face structure detection
+//! retires a `u16` DSI with ([`depth_collapse_u16`]: per pixel, the peak
+//! score along depth, its first plane and the exact score sum), each
+//! executed by one of two **dispatch tiers**:
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
-//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration in two 4 × `i64` halves and compacts them with one permutation; NEON runs the transfer MACs two `i64` lanes at a time |
+//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration in two 4 × `i64` halves and compacts them with one permutation, and compiles the depth collapse for eight `i32` lanes a register; NEON runs the transfer MACs two `i64` lanes at a time |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
 //! The tier is selected **once per session** ([`active`]): the
@@ -28,7 +30,8 @@
 //! Every tier produces **bytes identical to the scalar kernel** for every
 //! input: the same ties-away-from-zero rounding ([`super::round_acc`]), the
 //! same projection-missing judgement ([`super::normalize_q9p7`]), the same
-//! in-sensor judgement ([`super::transfer_nearest`]). This is the
+//! in-sensor judgement ([`super::transfer_nearest`]), the same first
+//! maximum and exact integer sum of a depth collapse. This is the
 //! one-kernel-many-faces discipline extended to lanes: vectorization is a
 //! scheduling choice, never an arithmetic one. The proptests at the bottom
 //! of this file pin the property across arbitrary batch sizes (0, 1,
@@ -457,6 +460,139 @@ pub fn prefetch_l2<T>(data: &[T]) {
     let _ = data;
 }
 
+/// The largest plane count [`depth_collapse_u16`] takes: its per-pixel sums
+/// are `u32`, and `65 537 × u16::MAX` is exactly `u32::MAX`.
+pub const DEPTH_COLLAPSE_MAX_PLANES: usize = 65_537;
+
+/// Pixels a tile of [`depth_collapse_u16`] reduces at once: its three
+/// `i32` accumulator arrays (12 KiB) stay in L1 while the tile's run of
+/// every plane streams through them.
+const COLLAPSE_TILE: usize = 1024;
+
+/// One pixel's column of `u16` scores collapsed along depth: what
+/// structure detection reads of a DSI before it thresholds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct DepthPeak {
+    /// The largest score along depth.
+    pub peak: u16,
+    /// The first plane, in plane order, whose score is `peak`.
+    pub plane: u32,
+    /// The exact sum of the pixel's scores.
+    pub sum: u32,
+}
+
+/// Batched depth collapse of a plane-major `u16` score array (one run of
+/// `pixels` scores per plane, the DSI layout): `out` is cleared and refilled
+/// with one [`DepthPeak`] per pixel — the peak score, the first plane that
+/// reaches it (a later plane must score strictly higher to win) and the
+/// exact integer sum.
+///
+/// The array is walked once, plane-major, in tiles of pixels whose
+/// accumulators stay in L1. Every tier folds each pixel's planes in plane
+/// order with integer arithmetic, so the output does not depend on the
+/// tier. An all-zero column collapses to peak 0 at plane 0.
+///
+/// # Panics
+///
+/// When `scores` is not a whole number of `pixels`-long planes, or holds
+/// more than [`DEPTH_COLLAPSE_MAX_PLANES`] of them.
+pub fn depth_collapse_u16(scores: &[u16], pixels: usize, out: &mut Vec<DepthPeak>) {
+    depth_collapse_u16_with(active(), scores, pixels, out);
+}
+
+/// [`depth_collapse_u16`] with an explicit tier (panics if unsupported).
+pub fn depth_collapse_u16_with(
+    tier: Dispatch,
+    scores: &[u16],
+    pixels: usize,
+    out: &mut Vec<DepthPeak>,
+) {
+    assert_supported(tier);
+    let planes = scores.len().checked_div(pixels).unwrap_or(0);
+    assert_eq!(
+        scores.len(),
+        planes * pixels,
+        "score array is not a whole number of {pixels}-pixel planes"
+    );
+    assert!(
+        planes <= DEPTH_COLLAPSE_MAX_PLANES,
+        "{planes} planes would overflow a u32 score sum"
+    );
+    out.clear();
+    out.resize(pixels, DepthPeak::default());
+    match tier {
+        Dispatch::Scalar => collapse(scores, pixels, planes, out),
+        Dispatch::Simd => simd::collapse(scores, pixels, planes, out),
+    }
+}
+
+/// The body of every tier of [`depth_collapse_u16`], inlined into the
+/// SIMD tier's `target_feature` function so the compiler vectorizes the
+/// same source for wider registers. The accumulators are `i32` lanes: the
+/// scores and plane indices fit, a signed compare and maximum vectorize
+/// on every x86-64 level, and the sum is a wrapping add whose bits are
+/// the `u32` sum's (which cannot overflow below the plane cap).
+#[inline(always)]
+fn collapse(scores: &[u16], pixels: usize, planes: usize, out: &mut [DepthPeak]) {
+    let mut peak = [0i32; COLLAPSE_TILE];
+    let mut first = [0i32; COLLAPSE_TILE];
+    let mut sum = [0i32; COLLAPSE_TILE];
+    for (start, out) in (0..pixels)
+        .step_by(COLLAPSE_TILE)
+        .zip(out.chunks_mut(COLLAPSE_TILE))
+    {
+        let n = out.len();
+        let (peak, first, sum) = (&mut peak[..n], &mut first[..n], &mut sum[..n]);
+        peak.fill(0);
+        first.fill(0);
+        sum.fill(0);
+        let row = |plane: usize| &scores[plane * pixels + start..][..n];
+        // Four planes per pass over the accumulators, then the rest one
+        // at a time: each pixel still sees its planes in order.
+        let mut plane = 0;
+        while plane + 4 <= planes {
+            let rows = [row(plane), row(plane + 1), row(plane + 2), row(plane + 3)];
+            fold_planes(rows, plane, peak, first, sum);
+            plane += 4;
+        }
+        for plane in plane..planes {
+            fold_planes([row(plane)], plane, peak, first, sum);
+        }
+        for (o, ((&m, &f), &s)) in out.iter_mut().zip(peak.iter().zip(&*first).zip(&*sum)) {
+            *o = DepthPeak {
+                peak: m as u16,
+                plane: f as u32,
+                sum: s as u32,
+            };
+        }
+    }
+}
+
+/// Folds `N` consecutive planes, the first of them `plane`, into a tile's
+/// `peak`, `first` and `sum` accumulators, every pixel's planes in order.
+#[inline(always)]
+fn fold_planes<const N: usize>(
+    rows: [&[u16]; N],
+    plane: usize,
+    peak: &mut [i32],
+    first: &mut [i32],
+    sum: &mut [i32],
+) {
+    // Equal lengths, visible to the optimizer: no bounds check in the loop.
+    let n = peak.len();
+    let (first, sum, rows) = (&mut first[..n], &mut sum[..n], rows.map(|row| &row[..n]));
+    for i in 0..n {
+        let (mut m, mut f, mut s) = (peak[i], first[i], sum[i]);
+        for (k, row) in rows.iter().enumerate() {
+            let x = i32::from(row[i]);
+            f = if x > m { (plane + k) as i32 } else { f };
+            m = m.max(x);
+            s = s.wrapping_add(x);
+        }
+        (peak[i], first[i], sum[i]) = (m, f, s);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SIMD tier — AVX2 (x86_64)
 // ---------------------------------------------------------------------------
@@ -628,6 +764,25 @@ mod simd {
         unsafe { project_avx2(h, coords, out) }
     }
 
+    pub(super) fn collapse(scores: &[u16], pixels: usize, planes: usize, out: &mut [DepthPeak]) {
+        assert_avx2();
+        // SAFETY: the assertion above found AVX2 on this CPU, the one
+        // requirement of `collapse_avx2`.
+        unsafe { collapse_avx2(scores, pixels, planes, out) }
+    }
+
+    /// The shared [`super::collapse`] body compiled for AVX2: the
+    /// compiler runs its `i32` accumulators eight lanes to a register
+    /// (`vpmovzxwd`, `vpcmpgtd`, `vpblendvb`, `vpmaxsd`, `vpaddd`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn collapse_avx2(scores: &[u16], pixels: usize, planes: usize, out: &mut [DepthPeak]) {
+        super::collapse(scores, pixels, planes, out)
+    }
+
     /// Fused projection: the MAC lanes land in stack arrays and the exact
     /// normalization divider runs per lane — integer division has no
     /// vector form, and its cost amortizes over the ~100 per-plane
@@ -776,6 +931,12 @@ mod simd {
                 .filter_map(|&c| super::super::project_z0(h, c)),
         );
     }
+
+    /// The scalar body: NEON is part of every `aarch64` target's baseline,
+    /// so the compiler already vectorizes it.
+    pub(super) fn collapse(scores: &[u16], pixels: usize, planes: usize, out: &mut [DepthPeak]) {
+        super::collapse(scores, pixels, planes, out)
+    }
 }
 
 /// Unsupported architectures: dispatch never selects the SIMD tier here
@@ -796,6 +957,10 @@ mod simd {
     }
 
     pub(super) fn project(_: &[i32; 9], _: &[PackedCoord], _: &mut Vec<PackedCoord>) {
+        unreachable!("SIMD tier is unsupported on this architecture");
+    }
+
+    pub(super) fn collapse(_: &[u16], _: usize, _: usize, _: &mut [DepthPeak]) {
         unreachable!("SIMD tier is unsupported on this architecture");
     }
 }
@@ -1066,6 +1231,110 @@ mod tests {
         assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
     }
 
+    /// The definition every tier of the depth collapse is held to: each
+    /// pixel's planes walked in order, the strict `>` keeping the first
+    /// maximum, the sum in `u64`.
+    pub(super) fn collapse_reference(scores: &[u16], pixels: usize) -> Vec<DepthPeak> {
+        (0..pixels)
+            .map(|px| {
+                let column = scores.iter().skip(px).step_by(pixels);
+                let (mut peak, mut plane, mut sum) = (0u16, 0u32, 0u64);
+                for (p, &s) in column.enumerate() {
+                    if s > peak {
+                        (peak, plane) = (s, p as u32);
+                    }
+                    sum += u64::from(s);
+                }
+                DepthPeak {
+                    peak,
+                    plane,
+                    sum: u32::try_from(sum).expect("sum within the plane cap"),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn depth_collapse_matches_the_definition_on_directed_cases() {
+        // Ties (the first plane wins), all-zero columns, u16::MAX columns,
+        // and pixel counts around the 8-lane width and the 1024-pixel tile.
+        for tier in supported_tiers() {
+            let mut out = Vec::new();
+            for pixels in [1, 7, 8, 9, 1023, 1024, 1025, 2050] {
+                for planes in [2, 3, 4, 5, 9] {
+                    let scores: Vec<u16> = (0..pixels * planes)
+                        .map(|i| match (i / pixels + i % pixels) % 5 {
+                            0 => u16::MAX,
+                            1 | 2 => 3,
+                            _ => (i % 3) as u16,
+                        })
+                        .collect();
+                    depth_collapse_u16_with(tier, &scores, pixels, &mut out);
+                    assert_eq!(
+                        out,
+                        collapse_reference(&scores, pixels),
+                        "tier {} pixels {pixels} planes {planes}",
+                        tier.name()
+                    );
+                }
+            }
+            // Two pixels over four planes: pixel 0 reads 1, 7, 3, 7 and
+            // pixel 1 reads 0, 0, 7, 7.
+            let tied = [1, 0, 7, 0, 3, 7, 7, 7];
+            depth_collapse_u16_with(tier, &tied, 2, &mut out);
+            assert_eq!(
+                out,
+                [
+                    DepthPeak {
+                        peak: 7,
+                        plane: 1,
+                        sum: 18
+                    },
+                    DepthPeak {
+                        peak: 7,
+                        plane: 2,
+                        sum: 14
+                    },
+                ]
+            );
+            depth_collapse_u16_with(tier, &[0; 12], 3, &mut out);
+            assert_eq!(out, [DepthPeak::default(); 3]);
+            depth_collapse_u16_with(tier, &[], 0, &mut out);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn depth_collapse_sums_reach_u32_max_at_the_plane_cap() {
+        let scores = vec![u16::MAX; DEPTH_COLLAPSE_MAX_PLANES];
+        for tier in supported_tiers() {
+            let mut out = Vec::new();
+            depth_collapse_u16_with(tier, &scores, 1, &mut out);
+            assert_eq!(
+                out,
+                [DepthPeak {
+                    peak: u16::MAX,
+                    plane: 0,
+                    sum: u32::MAX
+                }]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a u32 score sum")]
+    fn depth_collapse_refuses_more_planes_than_a_u32_sum_holds() {
+        let scores = vec![0u16; DEPTH_COLLAPSE_MAX_PLANES + 1];
+        depth_collapse_u16_with(Dispatch::Scalar, &scores, 1, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number")]
+    fn depth_collapse_refuses_a_partial_plane() {
+        depth_collapse_u16_with(Dispatch::Scalar, &[0; 7], 2, &mut Vec::new());
+    }
+
     #[test]
     fn miss_sentinel_is_distinct_from_every_slab_index() {
         // width · height ≤ u32::MAX ⇒ max index width·height - 1 < MISS.
@@ -1147,6 +1416,40 @@ mod proptests {
                 project_z0_batch_with(tier, &h, &coords, &mut got);
                 prop_assert_eq!(&got, &expect, "tier {}", tier.name());
             }
+        }
+
+        /// The depth collapse equals the in-order walk on every tier, for
+        /// pixel counts off the lane width and across tile boundaries,
+        /// 2–60 planes, dense ties and `u16::MAX` scores.
+        #[test]
+        fn depth_collapse_is_bit_identical_on_every_tier(
+            pixels in 1usize..1300,
+            planes in 2usize..61,
+            seed in 0u64..u64::MAX,
+            alphabet in 0u8..3,
+        ) {
+            let mut state = seed | 1;
+            let scores: Vec<u16> = (0..pixels * planes)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let r = (state >> 16) as u16;
+                    match alphabet {
+                        0 => r % 4,
+                        1 => [0, u16::MAX - 1, u16::MAX][usize::from(r % 3)],
+                        _ => r,
+                    }
+                })
+                .collect();
+            let expect = super::tests::collapse_reference(&scores, pixels);
+            let mut out = Vec::new();
+            for tier in supported_tiers() {
+                depth_collapse_u16_with(tier, &scores, pixels, &mut out);
+                prop_assert_eq!(&out, &expect, "tier {}", tier.name());
+            }
+            depth_collapse_u16(&scores, pixels, &mut out);
+            prop_assert_eq!(&out, &expect);
         }
 
         /// The projection proptest domain of the scalar kernel, replayed

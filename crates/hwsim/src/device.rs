@@ -37,7 +37,7 @@ use crate::dram::DsiDram;
 use crate::registers::{ctrl, status, Register, RegisterFile};
 use crate::schedule::{dma_cycles, frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
-use eventor_fixed::kernel::{self, PhiWords};
+use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 
 /// The per-frame input set staged by the host driver.
@@ -250,6 +250,12 @@ impl EventorDevice {
         let mut votes = 0;
         for (plane, &words) in job.phi_words.iter().enumerate() {
             let phi = PhiWords::from_raw_words(words);
+            // Have the next plane's slab on its way into L2 while this one
+            // is voted, as the engine's window pass does; a hint changes no
+            // value.
+            if plane + 1 < job.phi_words.len() {
+                batch::prefetch_l2(self.dram.plane_scores(plane + 1));
+            }
             votes += self.dram.vote_plane(
                 plane,
                 self.survivors
