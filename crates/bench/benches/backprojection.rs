@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use eventor_core::{QuantizedCoefficients, QuantizedHomography};
 use eventor_dsi::DepthPlanes;
 use eventor_emvs::FrameGeometry;
-use eventor_fixed::PackedCoord;
+use eventor_fixed::{kernel, PackedCoord};
 use eventor_geom::{CameraIntrinsics, Pose, Vec2, Vec3};
 use std::hint::black_box;
 
@@ -62,31 +62,31 @@ fn bench_backprojection(c: &mut Criterion) {
     });
 
     group.bench_function("quantized_canonical_1024_events", |b| {
-        let qh = QuantizedHomography::from_homography(&geometry.homography);
+        let qh = QuantizedHomography::from_homography(&geometry.homography).raw_words();
         let packed: Vec<PackedCoord> = events
             .iter()
             .map(|e| PackedCoord::from_f64(e.x, e.y))
             .collect();
         b.iter(|| {
             for p in &packed {
-                black_box(qh.project(*p));
+                black_box(kernel::project_z0(&qh, *p));
             }
         })
     });
 
     group.bench_function("quantized_transfer_1024x100", |b| {
-        let qh = QuantizedHomography::from_homography(&geometry.homography);
+        let qh = QuantizedHomography::from_homography(&geometry.homography).raw_words();
         let qphi = QuantizedCoefficients::from_coefficients(&geometry.coefficients);
         let packed: Vec<PackedCoord> = events
             .iter()
-            .filter_map(|e| qh.project(PackedCoord::from_f64(e.x, e.y)))
+            .filter_map(|e| kernel::project_z0(&qh, PackedCoord::from_f64(e.x, e.y)))
             .collect();
         b.iter_batched(
             || packed.clone(),
             |packed| {
                 for c in &packed {
-                    for i in 0..qphi.len() {
-                        black_box(qphi.transfer_nearest(*c, i, 240, 180));
+                    for phi in qphi.words() {
+                        black_box(kernel::transfer_nearest(phi, *c, 240, 180));
                     }
                 }
             },

@@ -38,7 +38,7 @@ fn normal_frame() -> FrameJob {
     FrameJob {
         event_words: event_words(1024),
         homography_words: near_identity_homography(),
-        phi_words: phi_words(100).iter().map(PhiWords::raw_words).collect(),
+        phi_words: phi_words(100),
         kind: FrameKind::Normal,
     }
 }

@@ -27,20 +27,6 @@ fn bench_quantization(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("q11_21_multiply", |b| {
-        let qs: Vec<Q11p21> = values
-            .iter()
-            .map(|&v| Q11p21::from_f64(v / 256.0))
-            .collect();
-        b.iter(|| {
-            let mut acc = Q11p21::zero();
-            for w in qs.windows(2) {
-                acc += w[0] * w[1];
-            }
-            black_box(acc)
-        })
-    });
-
     group.bench_function("packed_coord_bus_round_trip", |b| {
         b.iter(|| {
             for i in 0..2048usize {

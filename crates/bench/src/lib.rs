@@ -32,6 +32,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod enforce;

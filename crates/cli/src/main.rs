@@ -62,6 +62,8 @@
 //! structurally invalid checkpoint payload inside an intact container, or a
 //! snapshot/restore the session layer refuses).
 
+#![forbid(unsafe_code)]
+
 use eventor_core::SessionCheckpoint;
 use eventor_emvs::EmvsError;
 use eventor_net::{

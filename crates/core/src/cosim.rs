@@ -11,28 +11,27 @@
 //! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
-//! The device's frame pass and the software datapath of the
-//! [`VotingEngine`](crate::VotingEngine) both run the **bit-true integer
-//! kernel** in [`eventor_fixed::kernel`] — same raw fixed-point words, same
-//! wide-MAC/normalization/judgement functions — so
-//! the two produce **identical DSI volumes** for identical inputs *by
-//! construction*; the workspace integration tests assert this bit-exact
-//! agreement, which is the co-verification argument of the accelerator
-//! design.
+//! Each frame's `Buf_H` / `Buf_P` payload is the engine's parameter block
+//! ([`QuantizedHomography`], [`QuantizedCoefficients`]), encoded once and
+//! moved into the [`FrameJob`]. The device's frame pass and the software
+//! datapath of the [`VotingEngine`](crate::VotingEngine) both run the
+//! **bit-true integer kernel** in [`eventor_fixed::kernel`] on those words —
+//! same wide-MAC/normalization/judgement functions — so the two produce
+//! **identical DSI volumes** for identical inputs *by construction*; the
+//! workspace integration tests assert this bit-exact agreement, which is the
+//! co-verification argument of the accelerator design.
 
-use crate::quantized::quantize_event_pixel;
 use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume};
 use eventor_emvs::{
-    finalize_volume, import_vote_volume, run_sharded, BackendVoteState, EmvsConfig, EmvsError,
-    EventorOptions, ExecutionBackend, FrameGeometry, FrameWork, KeyframeReconstruction,
-    ParallelConfig, Stage, StageProfile,
+    finalize_volume, import_vote_volume, quantize_event_pixel, run_sharded, BackendVoteState,
+    EmvsConfig, EmvsError, EventorOptions, ExecutionBackend, FrameWork, KeyframeReconstruction,
+    ParallelConfig, QuantizedCoefficients, QuantizedHomography, Stage, StageProfile,
 };
 use eventor_events::UndistortionLut;
-use eventor_fixed::kernel::{self, PhiWords};
 use eventor_geom::{CameraModel, Pose};
 use eventor_hwsim::{
     AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
-    FrameKind,
+    FrameJob, FrameKind,
 };
 use std::time::{Duration, Instant};
 
@@ -146,28 +145,6 @@ impl CosimBackend {
         report
     }
 
-    /// Builds the per-frame job shipped to the device: the frame's Q9.7
-    /// event words plus the quantized `H_{Z0}` and `φ` parameter payloads,
-    /// encoded by the kernel's quantizers, as the golden model and the
-    /// engine's `QuantizedFrameParams` encode them.
-    fn frame_job(
-        geometry: &FrameGeometry,
-        event_words: Vec<u32>,
-        kind: FrameKind,
-    ) -> eventor_hwsim::FrameJob {
-        let homography_words = kernel::quantize_homography(&geometry.homography.h.m);
-        let phi = &geometry.coefficients;
-        let phi_words: Vec<[i32; 3]> = (0..phi.len())
-            .map(|i| PhiWords::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]).raw_words())
-            .collect();
-        eventor_hwsim::FrameJob {
-            event_words,
-            homography_words,
-            phi_words,
-            kind,
-        }
-    }
-
     fn charge_profile(
         profile: &mut StageProfile,
         execution: &FrameExecution,
@@ -231,7 +208,16 @@ impl ExecutionBackend for CosimBackend {
         } else {
             FrameKind::Normal
         };
-        let job = Self::frame_job(work.geometry, event_words, kind);
+        // The frame's parameter block, encoded once; its `Buf_P` words move
+        // into the job.
+        let job = FrameJob {
+            event_words,
+            homography_words: QuantizedHomography::from_homography(&work.geometry.homography)
+                .raw_words(),
+            phi_words: QuantizedCoefficients::from_coefficients(&work.geometry.coefficients)
+                .into_words(),
+            kind,
+        };
 
         // PL side: run the frame on the device. `next_is_key` is only
         // cleared on success: the driver keeps a failed frame buffered for

@@ -11,12 +11,12 @@
 //!   coefficients, nearest voting, Table 1 hybrid quantization), with each
 //!   approximation individually switchable; [`EventorOptions::exact`] is the
 //!   original EMVS,
-//! * [`QuantizedHomography`] / [`QuantizedCoefficients`] — the fixed-point
-//!   datapath executed by the `PE_Z0` / `PE_Zi` processing elements: thin
-//!   wrappers (raw-word storage) over the bit-true integer kernel in
-//!   `eventor_fixed::kernel`, whose functions the `eventor-hwsim` device's
-//!   frame pass calls on the same words — co-simulation agreement holds by
-//!   construction,
+//! * [`QuantizedHomography`] / [`QuantizedCoefficients`] — re-exported from
+//!   `eventor-emvs`: one frame's `Buf_H` / `Buf_P` parameter block in
+//!   Table 1's raw Q11.21 words. The engine and the `eventor-hwsim`
+//!   device's frame pass both call the bit-true kernel in
+//!   `eventor_fixed::kernel` on these words, so co-simulation agreement
+//!   holds by construction,
 //! * [`AcceleratorRun`] — binding a reconstruction workload to the
 //!   `eventor-hwsim` hardware model to obtain Table 3 runtimes, event rates,
 //!   power and the energy-efficiency comparison against the Intel i5
@@ -50,6 +50,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -57,7 +58,6 @@ mod accel;
 mod checkpoint;
 mod compare;
 mod cosim;
-mod quantized;
 mod session;
 
 pub use accel::AcceleratorRun;
@@ -66,26 +66,24 @@ pub use compare::{
     config_for_sequence, run_variant, run_variants, PipelineVariant, VariantAccuracy,
 };
 pub use cosim::{CosimBackend, CosimReport};
-pub use quantized::{
-    quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, COORD_QUANTIZATION_ERROR,
-};
 pub use session::{EventorSession, SessionBuilder, SessionOutput, ShardedBackend, SoftwareBackend};
-// The session contract itself lives in `eventor-emvs`; re-export it so
-// downstream users of the session API need only this crate.
+// The session contract and the per-frame parameter block live in
+// `eventor-emvs`; re-export them so downstream users need only this crate.
 pub use eventor_emvs::{
-    EventorOptions, ExecutionBackend, FrameWork, ParallelConfig, QuantizedFrameParams,
-    SessionDriver, SessionEvent, VotingEngine, DEFAULT_MAX_PENDING_EVENTS, VOTE_WINDOW_EVENTS,
+    quantize_event_pixel, EventorOptions, ExecutionBackend, FrameWork, ParallelConfig,
+    QuantizedCoefficients, QuantizedHomography, SessionDriver, SessionEvent, VotingEngine,
+    COORD_QUANTIZATION_ERROR, DEFAULT_MAX_PENDING_EVENTS, VOTE_WINDOW_EVENTS,
 };
 
 #[cfg(test)]
 mod cosim_proptests {
-    //! Golden-model-versus-device properties: the software quantized datapath
-    //! (this crate) and the functional device (`eventor-hwsim`) must agree
-    //! on each event's projection-missing judgement and on each plane's
-    //! vote, not just end to end.
+    //! Golden-model-versus-device properties: the kernel called on the
+    //! per-frame parameter block and the functional device
+    //! (`eventor-hwsim`) must agree on each event's projection-missing
+    //! judgement and on each plane's vote, not just end to end.
 
     use super::*;
-    use eventor_fixed::PackedCoord;
+    use eventor_fixed::{kernel, PackedCoord};
     use eventor_geom::{
         CameraIntrinsics, CanonicalHomography, Pose, ProportionalCoefficients, Vec3,
     };
@@ -128,7 +126,7 @@ mod cosim_proptests {
             .run_frame(FrameJob {
                 event_words: vec![PackedCoord::from_f64(px, py).to_word()],
                 homography_words: golden_h.raw_words(),
-                phi_words: golden_phi.words().iter().map(|w| w.raw_words()).collect(),
+                phi_words: golden_phi.words().to_vec(),
                 kind: FrameKind::Key,
             })
             .expect("a one-event frame is a valid job");
@@ -150,7 +148,8 @@ mod cosim_proptests {
             let golden = QuantizedHomography::from_homography(&h);
             let golden_phi = QuantizedCoefficients::from_coefficients(&phi);
             let (_, exec) = one_event_frame(&golden, &golden_phi, px, py);
-            let sw_dropped = golden.project(PackedCoord::from_f64(px, py)).is_none();
+            let sw_dropped =
+                kernel::project_z0(&golden.raw_words(), PackedCoord::from_f64(px, py)).is_none();
             prop_assert_eq!(
                 exec.events_dropped,
                 u64::from(sw_dropped),
@@ -169,7 +168,8 @@ mod cosim_proptests {
             let Some((h, phi, _)) = geometry(tx, ty, 0.0, n_planes) else { return Ok(()) };
             let golden_h = QuantizedHomography::from_homography(&h);
             let golden_phi = QuantizedCoefficients::from_coefficients(&phi);
-            let Some(canonical) = golden_h.project(PackedCoord::from_f64(px, py)) else {
+            let coord = PackedCoord::from_f64(px, py);
+            let Some(canonical) = kernel::project_z0(&golden_h.raw_words(), coord) else {
                 return Ok(());
             };
 
@@ -179,7 +179,7 @@ mod cosim_proptests {
             // Each plane of the device's DSI must hold exactly the one vote
             // the golden model's Nearest Voxel Finder produces, or none when
             // the transfer leaves the sensor.
-            for i in 0..golden_phi.len() {
+            for (i, words) in golden_phi.words().iter().enumerate() {
                 let voted: Vec<(u16, u16, u16)> = device
                     .dsi()
                     .plane_scores(i)
@@ -188,8 +188,7 @@ mod cosim_proptests {
                     .filter(|&(_, &score)| score > 0)
                     .map(|(k, &score)| ((k % 240) as u16, (k / 240) as u16, score))
                     .collect();
-                let expected = golden_phi
-                    .transfer_nearest(canonical, i, 240, 180)
+                let expected = kernel::transfer_nearest(words, canonical, 240, 180)
                     .address()
                     .map(|(x, y)| (x, y, 1));
                 prop_assert_eq!(voted, Vec::from_iter(expected), "plane {}", i);

@@ -6,13 +6,14 @@ use crate::config::{EmvsConfig, EventorOptions, VotingMode};
 use crate::mapper::KeyframeReconstruction;
 use crate::parallel::{run_sharded, ParallelConfig};
 use crate::profile::{Stage, StageProfile};
+use crate::quantized::{quantize_event_pixel, QuantizedCoefficients, QuantizedHomography};
 use crate::session::{
     finalize_volume, import_vote_volume, BackendVoteState, ExecutionBackend, FrameWork,
 };
 use crate::EmvsError;
 use eventor_dsi::{DetectionConfig, DsiVolume, PlaneRange, VoteArena, VoxelScore};
 use eventor_events::UndistortionLut;
-use eventor_fixed::kernel::{self, batch, PhiWords};
+use eventor_fixed::kernel::{self, batch};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
 use std::ops::Range;
@@ -36,49 +37,6 @@ use std::time::Instant;
 /// so the buffer holds at most one window plus one frame beside the one
 /// DSI.
 pub const VOTE_WINDOW_EVENTS: usize = 1 << 13;
-
-/// Per-frame quantized datapath parameters hoisted out of the per-event
-/// loop as **raw fixed-point words**: the nine Q11.21 `Buf_H` words of
-/// `H_{Z0}` and the per-plane Q11.21 `Buf_P` word triples of `φ` — exactly
-/// the payloads the DMA would ship to the device, consumed directly by the
-/// integer kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedFrameParams {
-    homography: [i32; 9],
-    coefficients: Vec<PhiWords>,
-}
-
-impl QuantizedFrameParams {
-    /// Quantizes and hoists one frame's geometry.
-    pub fn from_geometry(geometry: &FrameGeometry) -> Self {
-        let phi = &geometry.coefficients;
-        Self {
-            homography: kernel::quantize_homography(&geometry.homography.h.m),
-            coefficients: (0..phi.len())
-                .map(|i| PhiWords::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]))
-                .collect(),
-        }
-    }
-
-    /// Number of depth planes covered.
-    pub fn num_planes(&self) -> usize {
-        self.coefficients.len()
-    }
-
-    /// The per-plane raw coefficient words.
-    #[inline]
-    pub fn coefficients(&self) -> &[PhiWords] {
-        &self.coefficients
-    }
-
-    /// The canonical projection `𝒫{Z0}` (delegates to the bit-true
-    /// [`kernel::project_z0`], the same function the golden model and the
-    /// device model call).
-    #[inline]
-    pub fn project(&self, coord: PackedCoord) -> Option<PackedCoord> {
-        kernel::project_z0(&self.homography, coord)
-    }
-}
 
 /// The engine's one DSI, on the score type the options select: `u16` for
 /// the quantized nearest-voting accelerator datapath, `f32` otherwise.
@@ -119,8 +77,8 @@ struct Buffer {
     canon: Vec<PackedCoord>,
     /// Survivors of the float canonical projection.
     canon_float: Vec<Vec2>,
-    /// One hoisted parameter block per buffered frame (quantized).
-    params: Vec<QuantizedFrameParams>,
+    /// One frame's `Buf_P` words per buffered frame (quantized).
+    params: Vec<QuantizedCoefficients>,
     /// One geometry per buffered frame (float).
     geometries: Vec<FrameGeometry>,
     /// Scratch: the current frame's Q9.7-encoded events (quantized).
@@ -177,14 +135,14 @@ impl Buffer {
             (false, VotingMode::Nearest) => {
                 let frames = frames.map(|frame| {
                     let canon = &self.canon[self.survivors(frame)];
-                    (canon, self.params[frame].coefficients())
+                    (canon, self.params[frame].words())
                 });
                 view.vote_batch(frames, arena);
             }
             (false, VotingMode::Bilinear) => {
                 for i in view.planes() {
                     for frame in frames.clone() {
-                        let phi = &self.params[frame].coefficients[i];
+                        let phi = &self.params[frame].words()[i];
                         for &c in &self.canon[self.survivors(frame)] {
                             let (x, y) = kernel::transfer_subpixel(phi, c);
                             view.vote_bilinear(x, y, i, 1.0);
@@ -229,8 +187,9 @@ impl Buffer {
 /// Every shard count runs one schedule. **Ingest** runs on the calling
 /// thread, once per frame: streaming distortion correction (one read per
 /// event of the exact [`UndistortionLut`] built in [`new`](Self::new)),
-/// Q9.7 transport encoding, the per-frame parameter hoist
-/// ([`QuantizedFrameParams`]) and the `PE_Z0` canonical projection, whose
+/// Q9.7 transport encoding ([`quantize_event_pixel`]), the per-frame
+/// parameter block ([`QuantizedHomography`] and [`QuantizedCoefficients`])
+/// and the `PE_Z0` canonical projection, whose
 /// survivors are appended to a buffer (a frame without survivors casts no
 /// vote and is not buffered). **Vote** splits the engine's one
 /// [`DsiVolume`] into `min(shards, planes)` contiguous plane ranges — the
@@ -366,22 +325,21 @@ impl ExecutionBackend for VotingEngine {
             .extend(work.events.iter().map(|e| lut.correct_event(e)));
         if self.options.quantize {
             buffer.transported.clear();
-            buffer.transported.extend(
-                buffer
-                    .corrected
-                    .iter()
-                    .map(|p| PackedCoord::from_f64(p.x, p.y)),
-            );
+            buffer
+                .transported
+                .extend(buffer.corrected.iter().map(|&p| quantize_event_pixel(p)));
         }
         profile.add(Stage::DistortionCorrection, t.elapsed());
 
-        // ➋ Hoist the quantized H_Z0 / φ words (rescheduled: before the
+        // ➋ Encode the frame's H_Z0 / φ words once (rescheduled: before the
         //   canonical projection).
         let t = Instant::now();
-        let params = self
-            .options
-            .quantize
-            .then(|| QuantizedFrameParams::from_geometry(work.geometry));
+        let params = self.options.quantize.then(|| {
+            (
+                QuantizedHomography::from_homography(&work.geometry.homography),
+                QuantizedCoefficients::from_coefficients(&work.geometry.coefficients),
+            )
+        });
         profile.add(Stage::ComputeCoefficients, t.elapsed());
 
         // ➌ PE_Z0: the canonical projection, keeping the survivors of the
@@ -391,9 +349,9 @@ impl ExecutionBackend for VotingEngine {
         let t = Instant::now();
         let before = buffer.events();
         match &params {
-            Some(params) => {
+            Some((homography, _)) => {
                 batch::project_z0_batch(
-                    &params.homography,
+                    &homography.raw_words(),
                     &buffer.transported,
                     &mut buffer.projected,
                 );
@@ -412,7 +370,7 @@ impl ExecutionBackend for VotingEngine {
         if buffer.events() > before {
             buffer.frame_ends.push(buffer.events());
             match params {
-                Some(params) => buffer.params.push(params),
+                Some((_, coefficients)) => buffer.params.push(coefficients),
                 None => buffer.geometries.push(work.geometry.clone()),
             }
         }

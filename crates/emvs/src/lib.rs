@@ -14,7 +14,11 @@
 //!
 //! The hardware-friendly reformulation (streaming distortion correction,
 //! pre-computed coefficients, nearest voting, fixed-point quantization) is
-//! assembled in `eventor-core`.
+//! assembled in `eventor-core`. Its per-frame parameter block lives here:
+//! [`QuantizedHomography`] and [`QuantizedCoefficients`] encode a frame's
+//! `H_{Z0}` and `φ` once as Table 1's raw Q11.21 words, and the engine, the
+//! golden-model tests and the co-simulated device call the bit-true kernel
+//! of `eventor_fixed::kernel` on them.
 //!
 //! This crate also hosts the **streaming session core** shared by every
 //! pipeline: the [`ExecutionBackend`] contract, the push/poll
@@ -43,6 +47,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -54,16 +59,20 @@ mod keyframe;
 mod mapper;
 mod parallel;
 mod profile;
+mod quantized;
 mod session;
 
 pub use backproject::FrameGeometry;
 pub use config::{EmvsConfig, EventorOptions, VotingMode};
-pub use engine::{QuantizedFrameParams, VotingEngine, VOTE_WINDOW_EVENTS};
+pub use engine::{VotingEngine, VOTE_WINDOW_EVENTS};
 pub use error::EmvsError;
 pub use keyframe::KeyframeSelector;
 pub use mapper::{EmvsOutput, KeyframeReconstruction};
 pub use parallel::{run_sharded, ParallelConfig};
 pub use profile::{Stage, StageProfile};
+pub use quantized::{
+    quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, COORD_QUANTIZATION_ERROR,
+};
 pub use session::{
     finalize_volume, import_vote_volume, BackendVoteState, DriverCheckpoint, ExecutionBackend,
     FrameWork, SessionDriver, SessionEvent, DEFAULT_MAX_PENDING_EVENTS,

@@ -1,21 +1,16 @@
-//! The quantized back-projection datapath: the golden software model of the
-//! arithmetic the Eventor FPGA performs, expressed with the fixed-point
-//! formats of Table 1.
+//! The per-frame parameter block of the quantized datapath: one frame's
+//! `H_{Z0}` and `φ` encoded once, as the raw Q11.21 words of Table 1.
 //!
-//! Quantization is modelled faithfully at the *data* level: every value is
-//! snapped to its fixed-point grid (Q9.7 event/canonical coordinates, Q11.21
-//! homography and coefficients, integer plane coordinates and DSI scores)
-//! exactly where the hardware would store or transfer it — and, since the
-//! bit-true kernel refactor, the arithmetic *between* those storage points
-//! is integer too: [`QuantizedHomography`] and [`QuantizedCoefficients`]
-//! store raw fixed-point words and delegate every MAC, normalization,
-//! saturation judgement and nearest-voxel rounding to
-//! [`eventor_fixed::kernel`] — the same functions the `eventor-hwsim`
-//! device model executes, so golden-model ↔ device agreement holds by
+//! The host writes these words once per frame — [`QuantizedHomography`] is
+//! the `Buf_H` register bank, [`QuantizedCoefficients`] the `Buf_P`
+//! parameter BRAM — and `PE_Z0` / `PE_Zi` do every step between storage
+//! points. Those steps exist once, in [`eventor_fixed::kernel`]: the voting
+//! engine, the golden-model tests and the `eventor-hwsim` device all call
+//! the kernel on these words, so golden-model ↔ device agreement holds by
 //! construction (ARCHITECTURE.md contract 4.1).
 
 use eventor_fixed::kernel::{self, PhiWords};
-use eventor_fixed::{PackedCoord, PlaneCoord, Q11p21};
+use eventor_fixed::{PackedCoord, Q11p21};
 use eventor_geom::{CanonicalHomography, ProportionalCoefficients, Vec2};
 
 /// The homography `H_{Z0}` quantized to Q11.21, stored as the nine raw bus
@@ -38,25 +33,11 @@ impl QuantizedHomography {
         Q11p21::from_raw(self.words[row * 3 + col]).to_f64()
     }
 
-    /// The nine raw Q11.21 words in row-major order — the hoisted per-frame
-    /// parameter block the hot loops consume directly.
+    /// The nine raw Q11.21 words in row-major order, the operand of
+    /// [`kernel::project_z0`].
     #[inline]
     pub fn raw_words(&self) -> [i32; 9] {
         self.words
-    }
-
-    /// Applies the quantized homography to a quantized event coordinate — the
-    /// operation `PE_Z0` performs (wide-MAC plus normalization) — and
-    /// re-quantizes the result to Q9.7, entirely in integer arithmetic
-    /// ([`kernel::project_z0`]).
-    ///
-    /// Returns `None` when the projection-missing judgement drops the event:
-    /// a zero normalization denominator, or a canonical coordinate that does
-    /// not fit the Q9.7 transport format (saturating it would corrupt every
-    /// subsequent plane transfer).
-    #[inline]
-    pub fn project(&self, coord: PackedCoord) -> Option<PackedCoord> {
-        kernel::project_z0(&self.words, coord)
     }
 }
 
@@ -87,49 +68,22 @@ impl QuantizedCoefficients {
         self.phi.is_empty()
     }
 
-    /// The per-plane raw Q11.21 word triples — the hoisted per-frame
-    /// parameter table the hot loops consume directly.
+    /// The per-plane raw Q11.21 word triples, the operands of
+    /// [`kernel::transfer_nearest`] and [`kernel::transfer_subpixel`].
     #[inline]
     pub fn words(&self) -> &[PhiWords] {
         &self.phi
     }
 
-    /// Transfers a quantized canonical point to depth plane `i` and rounds it
-    /// to the nearest voxel — the scalar-MAC plus Nearest Voxel Finder path
-    /// of `PE_Zi`, entirely in integer arithmetic
-    /// ([`kernel::transfer_nearest`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn transfer_nearest(
-        &self,
-        canonical: PackedCoord,
-        i: usize,
-        width: u32,
-        height: u32,
-    ) -> PlaneCoord {
-        kernel::transfer_nearest(&self.phi[i], canonical, width, height)
-    }
-
-    /// Transfers a quantized canonical point to depth plane `i`, returning the
-    /// sub-pixel position (used by the bilinear-voting ablation). The integer
-    /// MAC result is decoded exactly to `f64` — a quantization exit point,
-    /// not an arithmetic step ([`kernel::transfer_subpixel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn transfer_subpixel(&self, canonical: PackedCoord, i: usize) -> Vec2 {
-        let (x, y) = kernel::transfer_subpixel(&self.phi[i], canonical);
-        Vec2::new(x, y)
+    /// Moves the per-plane words out of the block, for a device job.
+    pub fn into_words(self) -> Vec<PhiWords> {
+        self.phi
     }
 }
 
 /// Quantizes a raw (already undistorted) event pixel to the Q9.7 transport
 /// format used on the AXI bus.
+#[inline]
 pub fn quantize_event_pixel(pixel: Vec2) -> PackedCoord {
     PackedCoord::from_f64(pixel.x, pixel.y)
 }
@@ -141,7 +95,7 @@ pub const COORD_QUANTIZATION_ERROR: f64 = 0.5 / 128.0;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventor_fixed::Q9p7;
+    use eventor_fixed::{PlaneCoord, Q9p7};
     use eventor_geom::{CameraIntrinsics, Pose, Vec3};
 
     fn setup() -> (CanonicalHomography, ProportionalCoefficients, Vec<f64>) {
@@ -179,10 +133,10 @@ mod tests {
     #[test]
     fn quantized_projection_stays_within_a_fraction_of_a_pixel() {
         let (h, _, _) = setup();
-        let qh = QuantizedHomography::from_homography(&h);
+        let qh = QuantizedHomography::from_homography(&h).raw_words();
         for &(x, y) in &[(10.0, 10.0), (120.0, 90.0), (230.0, 170.0), (57.0, 133.0)] {
             let exact = h.project(Vec2::new(x, y)).unwrap();
-            let quant = qh.project(PackedCoord::from_f64(x, y)).unwrap();
+            let quant = kernel::project_z0(&qh, PackedCoord::from_f64(x, y)).unwrap();
             let err =
                 ((quant.x_f64() - exact.x).powi(2) + (quant.y_f64() - exact.y).powi(2)).sqrt();
             assert!(err < 0.05, "pixel ({x},{y}): quantized error {err}");
@@ -192,20 +146,21 @@ mod tests {
     #[test]
     fn quantized_transfer_matches_float_transfer_within_rounding() {
         let (h, phi, _) = setup();
-        let qh = QuantizedHomography::from_homography(&h);
+        let qh = QuantizedHomography::from_homography(&h).raw_words();
         let qphi = QuantizedCoefficients::from_coefficients(&phi);
         assert_eq!(qphi.len(), phi.len());
         assert!(!qphi.is_empty());
         let px = Vec2::new(140.0, 70.0);
         let exact_canonical = h.project(px).unwrap();
-        let quant_canonical = qh.project(quantize_event_pixel(px)).unwrap();
-        for i in 0..qphi.len() {
+        let quant_canonical = kernel::project_z0(&qh, quantize_event_pixel(px)).unwrap();
+        for (i, words) in qphi.words().iter().enumerate() {
             let exact = phi.transfer(exact_canonical, i);
-            let sub = qphi.transfer_subpixel(quant_canonical, i);
+            let (x, y) = kernel::transfer_subpixel(words, quant_canonical);
+            let sub = Vec2::new(x, y);
             assert!((sub - exact).norm() < 0.1, "plane {i}: {sub} vs {exact}");
             // Nearest voxel agrees with rounding the float transfer except in
             // rare half-pixel ties.
-            let nearest = qphi.transfer_nearest(quant_canonical, i, 240, 180);
+            let nearest = kernel::transfer_nearest(words, quant_canonical, 240, 180);
             if let Some((nx, ny)) = nearest.address() {
                 assert!((nx as f64 - exact.x.round()).abs() <= 1.0);
                 assert!((ny as f64 - exact.y.round()).abs() <= 1.0);
@@ -216,20 +171,22 @@ mod tests {
     #[test]
     fn out_of_sensor_transfers_are_missing() {
         let (h, phi, _) = setup();
-        let qh = QuantizedHomography::from_homography(&h);
+        let qh = QuantizedHomography::from_homography(&h).raw_words();
         let qphi = QuantizedCoefficients::from_coefficients(&phi);
+        let project = |x, y| kernel::project_z0(&qh, PackedCoord::from_f64(x, y));
         // A pixel far outside the sensor maps outside every plane.
-        let coord = qh.project(PackedCoord::from_f64(5000.0, 5000.0));
-        if let Some(c) = coord {
+        if let Some(c) = project(5000.0, 5000.0) {
             // Saturated Q9.7 coordinates land outside the 240x180 sensor.
-            assert_eq!(qphi.transfer_nearest(c, 0, 240, 180), PlaneCoord::Missing);
+            assert_eq!(
+                kernel::transfer_nearest(&qphi.words()[0], c, 240, 180),
+                PlaneCoord::Missing
+            );
         }
         // In-range pixels project; canonical projections outside the Q9.7
         // range are dropped (projection-missing judgement) rather than
         // saturated.
-        assert!(qh.project(PackedCoord::from_f64(120.0, 90.0)).is_some());
-        let far_out = qh.project(PackedCoord::from_f64(255.9, 179.0));
-        if let Some(c) = far_out {
+        assert!(project(120.0, 90.0).is_some());
+        if let Some(c) = project(255.9, 179.0) {
             assert!(c.x_f64().abs() <= Q9p7::MAX_MAGNITUDE);
         }
     }
@@ -240,41 +197,5 @@ mod tests {
         let q = quantize_event_pixel(p);
         assert!((q.x_f64() - p.x).abs() <= COORD_QUANTIZATION_ERROR);
         assert!((q.y_f64() - p.y).abs() <= COORD_QUANTIZATION_ERROR);
-    }
-
-    #[test]
-    fn hoisted_params_match_golden_model() {
-        use crate::QuantizedFrameParams;
-        use eventor_dsi::DepthPlanes;
-        use eventor_emvs::FrameGeometry;
-
-        let intrinsics = CameraIntrinsics::davis240_default();
-        let planes = DepthPlanes::uniform_inverse_depth(1.0, 5.0, 30).unwrap();
-        let geometry = FrameGeometry::compute(
-            &Pose::identity(),
-            &Pose::from_translation(Vec3::new(0.06, -0.03, 0.01)),
-            &intrinsics,
-            &planes,
-        )
-        .unwrap();
-        let params = QuantizedFrameParams::from_geometry(&geometry);
-        let qh = QuantizedHomography::from_homography(&geometry.homography);
-        let qphi = QuantizedCoefficients::from_coefficients(&geometry.coefficients);
-        assert_eq!(params.num_planes(), qphi.len());
-        // The hoisted block is the golden model's raw words, verbatim — the
-        // hoist copies storage, it no longer re-derives arithmetic.
-        assert_eq!(params.coefficients(), qphi.words());
-        for &(x, y) in &[(10.0, 10.0), (120.5, 90.25), (230.0, 170.0)] {
-            let coord = PackedCoord::from_f64(x, y);
-            let via_params = params.project(coord);
-            let via_golden = qh.project(coord);
-            assert_eq!(via_params, via_golden);
-            if let Some(c) = via_golden {
-                for (i, phi) in params.coefficients().iter().enumerate() {
-                    let golden = qphi.transfer_nearest(c, i, 240, 180);
-                    assert_eq!(kernel::transfer_nearest(phi, c, 240, 180), golden);
-                }
-            }
-        }
     }
 }

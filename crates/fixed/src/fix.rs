@@ -5,18 +5,18 @@
 //! storage- and width-parameterised building block: `Fix<i16, 7>` is the
 //! Q9.7 format used for event coordinates, `Fix<i32, 21>` the Q11.21 format
 //! used for the homography and the proportional coefficients φ.
+//!
+//! A `Fix` only stores a value and converts it to and from `f64`. The
+//! arithmetic between storage points exists once, on raw words, in
+//! [`crate::kernel`].
 
-use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// Backing integer storage for a fixed-point value.
 ///
-/// Implemented for `i16`, `i32` and `i64`. The trait is sealed: the
-/// quantization strategy of the accelerator only ever uses these widths.
-pub trait FixedStorage:
-    Copy + Clone + fmt::Debug + PartialEq + Eq + PartialOrd + Ord + private::Sealed
-{
+/// Implemented for `i16` and `i32`. The trait is sealed: the quantization
+/// strategy of the accelerator only ever uses these widths.
+pub trait FixedStorage: Copy + Clone + fmt::Debug + PartialEq + Eq + private::Sealed {
     /// Total bit width of the storage type.
     const BITS: u32;
     /// Converts to `i64` without loss.
@@ -33,7 +33,6 @@ mod private {
     pub trait Sealed {}
     impl Sealed for i16 {}
     impl Sealed for i32 {}
-    impl Sealed for i64 {}
 }
 
 macro_rules! impl_storage {
@@ -68,12 +67,12 @@ macro_rules! impl_storage {
 
 impl_storage!(i16);
 impl_storage!(i32);
-impl_storage!(i64);
 
 /// A signed fixed-point number with `FRAC` fractional bits stored in `S`.
 ///
 /// Conversions from `f64` saturate at the representable range (the behaviour
-/// of the RTL datapath, which clamps rather than wraps), and round to nearest.
+/// of the RTL datapath, which clamps rather than wraps), and round to
+/// nearest with ties away from zero, the rule of [`crate::kernel`].
 ///
 /// # Examples
 ///
@@ -146,8 +145,9 @@ impl<S: FixedStorage, const FRAC: u32> Fix<S, FRAC> {
         }
     }
 
-    /// Converts from `f64`, rounding to nearest and saturating at the range
-    /// bounds. Non-finite inputs saturate (NaN maps to zero).
+    /// Converts from `f64`, rounding to nearest (ties away from zero) and
+    /// saturating at the range bounds. Non-finite inputs saturate (NaN maps
+    /// to zero).
     pub fn from_f64(v: f64) -> Self {
         if v.is_nan() {
             return Self::zero();
@@ -171,46 +171,6 @@ impl<S: FixedStorage, const FRAC: u32> Fix<S, FRAC> {
         self.raw.to_i64() as f64 * Self::RESOLUTION
     }
 
-    /// Quantization error committed when representing `v`.
-    pub fn quantization_error(v: f64) -> f64 {
-        (Self::from_f64(v).to_f64() - v).abs()
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: Self) -> Self {
-        Self {
-            raw: S::from_i64_saturating(self.raw.to_i64() + rhs.raw.to_i64()),
-        }
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Self) -> Self {
-        Self {
-            raw: S::from_i64_saturating(self.raw.to_i64() - rhs.raw.to_i64()),
-        }
-    }
-
-    /// Saturating multiplication (result renormalised to `FRAC` bits, rounded
-    /// toward nearest by adding half an LSB before the shift).
-    pub fn saturating_mul(self, rhs: Self) -> Self {
-        let wide = self.raw.to_i64().wrapping_mul(rhs.raw.to_i64());
-        let half = 1i64 << (FRAC - 1);
-        let shifted = (wide + half) >> FRAC;
-        Self {
-            raw: S::from_i64_saturating(shifted),
-        }
-    }
-
-    /// Rounds to the nearest integer, returning a plain `i64`.
-    ///
-    /// This mirrors the *Nearest Voxel Finder* hardware unit: nearest voting
-    /// only needs `round(x)`, so `x(Zi)` coordinates can be stored as plain
-    /// 8-bit integers (Table 1, row 3).
-    pub fn round_to_int(self) -> i64 {
-        let half = 1i64 << (FRAC - 1);
-        (self.raw.to_i64() + half) >> FRAC
-    }
-
     /// Whether this value sits at either saturation bound.
     pub fn is_saturated(self) -> bool {
         let r = self.raw.to_i64();
@@ -221,60 +181,6 @@ impl<S: FixedStorage, const FRAC: u32> Fix<S, FRAC> {
 impl<S: FixedStorage, const FRAC: u32> Default for Fix<S, FRAC> {
     fn default() -> Self {
         Self::zero()
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> Add for Fix<S, FRAC> {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        self.saturating_add(rhs)
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> AddAssign for Fix<S, FRAC> {
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> Sub for Fix<S, FRAC> {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        self.saturating_sub(rhs)
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> SubAssign for Fix<S, FRAC> {
-    fn sub_assign(&mut self, rhs: Self) {
-        *self = *self - rhs;
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> Mul for Fix<S, FRAC> {
-    type Output = Self;
-    fn mul(self, rhs: Self) -> Self {
-        self.saturating_mul(rhs)
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> Neg for Fix<S, FRAC> {
-    type Output = Self;
-    fn neg(self) -> Self {
-        Self {
-            raw: S::from_i64_saturating(-self.raw.to_i64()),
-        }
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> PartialOrd for Fix<S, FRAC> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<S: FixedStorage, const FRAC: u32> Ord for Fix<S, FRAC> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.raw.to_i64().cmp(&other.raw.to_i64())
     }
 }
 
@@ -344,47 +250,48 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_matches_float_within_resolution() {
-        let a = Q11_21::from_f64(1.2345);
-        let b = Q11_21::from_f64(-0.9876);
-        assert!(((a + b).to_f64() - (1.2345 - 0.9876)).abs() < 2.0 * Q11_21::RESOLUTION);
-        assert!(((a - b).to_f64() - (1.2345 + 0.9876)).abs() < 2.0 * Q11_21::RESOLUTION);
-        assert!(((a * b).to_f64() - (1.2345 * -0.9876)).abs() < 4.0 * Q11_21::RESOLUTION);
-    }
-
-    #[test]
-    fn saturating_add_does_not_wrap() {
-        let a = Q9_7::max_value();
-        let b = Q9_7::one();
-        assert_eq!(a + b, Q9_7::max_value());
-        let c = Q9_7::min_value();
-        assert_eq!(c - b, Q9_7::min_value());
-    }
-
-    #[test]
-    fn round_to_int_behaviour() {
-        assert_eq!(Q9_7::from_f64(3.49).round_to_int(), 3);
-        assert_eq!(Q9_7::from_f64(3.51).round_to_int(), 4);
-        assert_eq!(Q9_7::from_f64(-2.49).round_to_int(), -2);
-        assert_eq!(Q9_7::from_f64(0.0).round_to_int(), 0);
-    }
-
-    #[test]
-    fn ordering_matches_float_ordering() {
-        let a = Q9_7::from_f64(1.5);
-        let b = Q9_7::from_f64(2.25);
-        assert!(a < b);
-        assert_eq!(a.max(b), b);
-        assert_eq!((-a).cmp(&a), Ordering::Less);
-    }
-
-    #[test]
     fn quantization_error_bounded_by_half_lsb() {
         for i in 0..1000 {
             let v = (i as f64) * 0.123456 - 60.0;
-            assert!(Q9_7::quantization_error(v) <= Q9_7::RESOLUTION / 2.0 + 1e-12);
-            assert!(Q11_21::quantization_error(v) <= Q11_21::RESOLUTION / 2.0 + 1e-15);
+            assert!((Q9_7::from_f64(v).to_f64() - v).abs() <= Q9_7::RESOLUTION / 2.0 + 1e-12);
+            assert!((Q11_21::from_f64(v).to_f64() - v).abs() <= Q11_21::RESOLUTION / 2.0 + 1e-15);
         }
+    }
+
+    #[test]
+    fn exact_ties_round_away_from_zero_and_saturate_past_the_range() {
+        // Half-LSB ties: Q9.7 ±2⁻⁸ → ±2⁻⁷, ±3·2⁻⁸ → ±2⁻⁶; Q11.21 ±2⁻²² → raw ±1.
+        for sign in [1.0, -1.0] {
+            assert_eq!(Q9_7::from_f64(sign / 256.0).to_f64(), sign / 128.0);
+            assert_eq!(Q9_7::from_f64(sign * 3.0 / 256.0).to_f64(), sign / 64.0);
+            assert_eq!(
+                Q11_21::from_f64(sign / (1u64 << 22) as f64).raw(),
+                sign as i32
+            );
+        }
+        // The same rule as the kernel's Nearest Voxel Finder: a tie at k/2
+        // of an LSB rounds as `kernel::round_acc` rounds k/2 of a pixel.
+        for k in -9i64..=9 {
+            let tie = Q9_7::from_f64(k as f64 / 256.0).raw();
+            let acc = k << (crate::kernel::ACC_FRAC - 1);
+            assert_eq!(tie as i64, crate::kernel::round_acc(acc), "k = {k}");
+        }
+        // Just past ±MAX_MAGNITUDE the conversion saturates instead of
+        // wrapping; i16::MIN (−256.0) is the negative bound.
+        let max = crate::Q9p7::MAX_MAGNITUDE;
+        assert_eq!(Q9_7::from_f64(max + 1.0 / 256.0), Q9_7::max_value());
+        assert_eq!(Q9_7::from_f64(max + Q9_7::RESOLUTION), Q9_7::max_value());
+        assert_eq!(Q9_7::from_f64(-max - 1.0 / 256.0).raw(), i16::MIN);
+        assert_eq!(Q9_7::from_f64(-256.0 - 1.0 / 256.0), Q9_7::min_value());
+        let max = Q11_21::max_value().to_f64();
+        assert_eq!(
+            Q11_21::from_f64(max + Q11_21::RESOLUTION / 2.0),
+            Q11_21::max_value()
+        );
+        assert_eq!(
+            Q11_21::from_f64(-max - 2.0 * Q11_21::RESOLUTION),
+            Q11_21::min_value()
+        );
     }
 
     #[test]

@@ -88,21 +88,6 @@ impl PhiWords {
         }
     }
 
-    /// Builds an entry from three raw Q11.21 bus words
-    /// `(scale, offset_x, offset_y)`.
-    pub fn from_raw_words(words: [i32; 3]) -> Self {
-        Self {
-            scale: words[0],
-            offset_x: words[1],
-            offset_y: words[2],
-        }
-    }
-
-    /// The raw Q11.21 bus words `(scale, offset_x, offset_y)`.
-    pub fn raw_words(&self) -> [i32; 3] {
-        [self.scale, self.offset_x, self.offset_y]
-    }
-
     /// Decodes the entry to `f64` triples `(scale, offset_x, offset_y)` —
     /// an inspection/debug exit point, never used by the hot loop.
     pub fn to_f64(&self) -> (f64, f64, f64) {
@@ -447,7 +432,10 @@ mod tests {
     #[test]
     fn phi_words_round_trip() {
         let phi = PhiWords::from_f64(0.75, 12.5, -3.25);
-        assert_eq!(PhiWords::from_raw_words(phi.raw_words()), phi);
+        assert_eq!(
+            [phi.scale, phi.offset_x, phi.offset_y],
+            [3 << 19, 25 << 20, -13 << 19]
+        );
         assert_eq!(phi.to_f64(), (0.75, 12.5, -3.25));
     }
 

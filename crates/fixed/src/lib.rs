@@ -10,17 +10,18 @@
 //!   **Q11.21** (32 bit),
 //! * DSI scores as **16-bit integers**.
 //!
-//! The quantized datapath in `eventor-core` is built exclusively on these
-//! types, so the accuracy comparison of Fig. 4b / Fig. 7a exercises exactly
-//! the arithmetic the RTL would perform.
+//! The quantized datapaths are built exclusively on these types, so the
+//! accuracy comparison of Fig. 4b / Fig. 7a exercises exactly the arithmetic
+//! the RTL would perform. [`Fix`] only stores and converts.
 //!
 //! The [`kernel`] module is the **bit-true integer datapath kernel**: the
 //! single implementation of the Table 1 arithmetic (wide-MAC canonical
 //! projection, normalization with the projection-missing judgement,
-//! per-plane scalar MAC, Nearest Voxel Finder) that the software golden
-//! model (`eventor-core::quantized`) wraps and the functional device model
-//! (`eventor-hwsim`'s `EventorDevice`) calls directly — integer end to end,
-//! no `f64` between quantization points.
+//! per-plane scalar MAC, Nearest Voxel Finder). The voting engine, the
+//! golden-model tests and the functional device model (`eventor-hwsim`'s
+//! `EventorDevice`) all call it directly on the per-frame parameter block
+//! of `eventor-emvs` — integer end to end, no `f64` between quantization
+//! points.
 //!
 //! ## Example
 //!

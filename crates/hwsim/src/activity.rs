@@ -182,7 +182,7 @@ mod tests {
     fn paper_scale_execution() -> (FrameExecution, AcceleratorConfig) {
         let config = AcceleratorConfig::default();
         let mut device = EventorDevice::new(config.clone());
-        let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
         let job = FrameJob {
             event_words: (0..1024)
                 .map(|i| PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word())
@@ -229,7 +229,7 @@ mod tests {
 
         let run = |config: &AcceleratorConfig| {
             let mut device = EventorDevice::new(config.clone());
-            let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
+            let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
             let job = FrameJob {
                 event_words: (0..512)
                     .map(|i| PackedCoord::from_f64((i % 200) as f64, (i % 150) as f64).to_word())

@@ -17,11 +17,12 @@
 //!    and (at key-frame boundaries) reads the DSI out of DRAM.
 //!
 //! Step 3 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
-//! the words the job shipped: [`kernel::project_z0`] on the `Buf_H` words,
-//! [`kernel::transfer_nearest`] on each plane's `Buf_P` words. These are the
-//! functions the software golden model in `eventor-core` calls, so device ↔
-//! golden-model agreement holds by construction; `tests/cosim_equivalence.rs`
-//! asserts it end to end.
+//! the words the job shipped, as shipped: [`kernel::project_z0`] on the
+//! `Buf_H` words, [`kernel::transfer_nearest`] on each plane's `Buf_P`
+//! [`PhiWords`]. The host fills the job from the parameter block of
+//! `eventor-emvs`, whose words the voting engine and the golden-model tests
+//! hand to the same functions, so device ↔ golden-model agreement holds by
+//! construction; `tests/cosim_equivalence.rs` asserts it end to end.
 //!
 //! A frame's cycles are the frame cost of [`crate::schedule`] charged with
 //! the *actual* work performed (events surviving the projection-missing
@@ -50,7 +51,7 @@ pub struct FrameJob {
     pub homography_words: [i32; 9],
     /// Three Q11.21 words per depth plane: `(scale, offset_x, offset_y)`
     /// (the `Buf_P` payload).
-    pub phi_words: Vec<[i32; 3]>,
+    pub phi_words: Vec<PhiWords>,
     /// Whether this frame starts a new key reference view (resets the DSI).
     pub kind: FrameKind,
 }
@@ -248,8 +249,7 @@ impl EventorDevice {
             self.config.sensor_height as u32,
         );
         let mut votes = 0;
-        for (plane, &words) in job.phi_words.iter().enumerate() {
-            let phi = PhiWords::from_raw_words(words);
+        for (plane, phi) in job.phi_words.iter().enumerate() {
             // Have the next plane's slab on its way into L2 while this one
             // is voted, as the engine's window pass does; a hint changes no
             // value.
@@ -260,7 +260,7 @@ impl EventorDevice {
                 plane,
                 self.survivors
                     .iter()
-                    .filter_map(|&c| kernel::transfer_nearest(&phi, c, width, height).address()),
+                    .filter_map(|&c| kernel::transfer_nearest(phi, c, width, height).address()),
             );
         }
         let events_in = job.event_words.len() as u64;
@@ -321,7 +321,7 @@ mod tests {
     use super::*;
 
     fn identity_job(events: usize, planes: usize, kind: FrameKind) -> FrameJob {
-        let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
         FrameJob {
             event_words: (0..events)
                 .map(|i| PackedCoord::from_f64((i % 240) as f64, (i % 180) as f64).to_word())
@@ -507,9 +507,8 @@ mod tests {
                 continue;
             };
             survivors += 1;
-            for (plane, &phi) in job.phi_words.iter().enumerate() {
-                let phi = PhiWords::from_raw_words(phi);
-                match kernel::transfer_nearest(&phi, c, width, height).address() {
+            for (plane, phi) in job.phi_words.iter().enumerate() {
+                match kernel::transfer_nearest(phi, c, width, height).address() {
                     Some((x, y)) => {
                         let addr = dram.linear_address(x as usize, y as usize, plane);
                         dram.vote(addr.expect("in-sensor voxel"))
@@ -572,7 +571,7 @@ mod tests {
                         .map(|(x, y)| PackedCoord::from_f64(x, y).to_word())
                         .collect(),
                     homography_words: kernel::quantize_homography(&h),
-                    phi_words: (0..PLANES).map(|i| phi(i).raw_words()).collect(),
+                    phi_words: (0..PLANES).map(phi).collect(),
                     kind,
                 }
             };

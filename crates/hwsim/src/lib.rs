@@ -34,6 +34,7 @@
 //! assert!(perf.event_rate_normal > 1.7e6 && perf.event_rate_normal < 2.0e6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

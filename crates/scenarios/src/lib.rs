@@ -38,6 +38,7 @@
 //! `docs/SCENARIOS.md`; `eventor-cli` exposes the corpus on the command line
 //! (`list`, `generate`, `replay`, `check`).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

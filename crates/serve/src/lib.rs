@@ -46,6 +46,7 @@
 //! selection per session, the metrics field reference and drain semantics —
 //! lives in `docs/SERVING.md`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

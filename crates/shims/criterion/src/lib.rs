@@ -13,6 +13,7 @@
 //! `docs/BENCHMARKS.md`) so figures can be regenerated without scraping
 //! stdout.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fmt::Write as _;

@@ -29,6 +29,7 @@
 //! deterministic, the index alone reconstructs the exact failing inputs; no
 //! serialized values are needed. See [`persistence`].
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::Range;

@@ -8,6 +8,7 @@
 //! numerically identical to upstream `rand`'s `StdRng` (ChaCha12). Every
 //! consumer in this repository only relies on seed-reproducibility.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::Range;

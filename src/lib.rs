@@ -11,12 +11,12 @@
 //! |---|---|
 //! | [`geom`] | vectors, matrices, SE(3) poses, trajectories, pinhole cameras, plane-induced homographies |
 //! | [`events`] | event streams, aggregation, textured scenes, the event-camera simulator, the four synthetic evaluation sequences |
-//! | [`fixed`] | the Table 1 fixed-point formats and quantization analysis |
+//! | [`fixed`] | the Table 1 fixed-point formats, quantization analysis and the one bit-true integer kernel |
 //! | [`dsi`] | the disparity space image, voting, scene-structure detection, depth maps, point clouds |
-//! | [`emvs`] | the EMVS space-sweep: the session driver, the one voting engine for every datapath (the original float one included) and its profiler |
+//! | [`emvs`] | the EMVS space-sweep: the session driver, the one voting engine for every datapath (the original float one included), the quantized per-frame parameter block it shares with the device, and its profiler |
 //! | [`map`] | global mapping: voxel-grid downsampling, depth-map fusion, the accumulated world map |
 //! | [`hwsim`] | the Zynq accelerator model: one per-frame cost behind the Table 3 schedule, resources and power, plus the functional device that cost charges: a register file over a frame pass that runs the bit-true kernel on the shipped words |
-//! | [`core`] | the session API and its batch `reconstruct`, the quantized golden model, the accelerator driver, hardware/software co-simulation and the accuracy-comparison harness |
+//! | [`core`] | the session API and its batch `reconstruct`, the accelerator driver, hardware/software co-simulation and the accuracy-comparison harness |
 //! | [`serve`] | the multi-session serving engine: many concurrent streaming sessions multiplexed over a bounded worker pool |
 //! | [`scenarios`] | the versioned scenario corpus: seeded synthetic worlds, reconstruction digests, the golden regression table |
 //! | [`net`] | the TCP serving front-end: the versioned `eventor-wire/1` protocol, server and client, over `std::net` |
@@ -82,6 +82,7 @@
 //! the dataflow/quantization/co-simulation contracts, and
 //! `docs/BENCHMARKS.md` for the benchmark harness and its JSON schema.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use eventor_core as core;

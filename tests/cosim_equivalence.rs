@@ -106,7 +106,7 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
     // column), normal and key frames alike.
     let identity =
         kernel::quantize_homography(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
-    let phi = PhiWords::from_f64(1.0, 0.0, 0.0).raw_words();
+    let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
     let job = |kind| FrameJob {
         event_words: (0..1024)
             .map(|i| {

@@ -9,6 +9,7 @@ use eventor::events::{
     DatasetConfig, Event, EventStream, NoiseConfig, NoiseInjector, Polarity, SequenceKind,
     SyntheticSequence,
 };
+use eventor::fixed::kernel::PhiWords;
 use eventor::geom::{CameraModel, Pose, Trajectory, Vec3};
 use eventor::hwsim::{AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind};
 use eventor::scenarios::{digest_output, find, Scenario, ScenarioWorld};
@@ -143,7 +144,7 @@ fn malformed_accelerator_jobs_are_rejected_with_error_status() {
     let bad = FrameJob {
         event_words: vec![0; 16],
         homography_words: [0; 9],
-        phi_words: vec![[0, 0, 0]; 3],
+        phi_words: vec![PhiWords::default(); 3],
         kind: FrameKind::Normal,
     };
     assert!(device.run_frame(bad).is_none());
@@ -151,7 +152,7 @@ fn malformed_accelerator_jobs_are_rejected_with_error_status() {
     let empty = FrameJob {
         event_words: Vec::new(),
         homography_words: [0; 9],
-        phi_words: vec![[0, 0, 0]; 10],
+        phi_words: vec![PhiWords::default(); 10],
         kind: FrameKind::Normal,
     };
     assert!(device.run_frame(empty).is_none());

@@ -296,7 +296,7 @@ fn device_jobs() -> Vec<FrameJob> {
                 .map(|&(x, y)| PackedCoord::from_f64(x, y).to_word())
                 .collect(),
             homography_words: kernel::quantize_homography(&h),
-            phi_words: (0..PLANES).map(|i| phi(i).raw_words()).collect(),
+            phi_words: (0..PLANES).map(phi).collect(),
             kind,
         };
     let identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
