@@ -1,13 +1,13 @@
 //! Benchmarks of the functional device model: the frame pass (the `PE_Z0`
 //! projection, then plane by plane the `PE_Zi` transfers and the Vote
-//! Execute Unit's deposits) on a device that keeps its DSI, that pass's DSI
-//! deposit alone, and a complete frame on a fresh device through the
-//! register interface.
+//! Execute Unit's deposits) into a DSI that keeps its scores, that pass's
+//! DSI deposit alone, and a complete frame on a fresh device and DSI.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use eventor_dsi::{DepthPlanes, DsiVolume};
 use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::PackedCoord;
-use eventor_hwsim::{AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind};
+use eventor_hwsim::{AcceleratorConfig, EventorDevice, FrameJob, FrameKind};
 use std::hint::black_box;
 
 fn event_words(n: usize) -> Vec<u32> {
@@ -33,6 +33,12 @@ fn phi_words(planes: usize) -> Vec<PhiWords> {
         .collect()
 }
 
+/// A zeroed 240×180×100 DSI, the default configuration's.
+fn paper_scale_dsi() -> DsiVolume<u16> {
+    let planes = DepthPlanes::uniform_inverse_depth(1.0, 4.0, 100).expect("100 planes");
+    DsiVolume::new(240, 180, planes).expect("a 240x180 DSI")
+}
+
 /// A normal 1024-event, 100-plane frame under the near-identity homography.
 fn normal_frame() -> FrameJob {
     FrameJob {
@@ -53,17 +59,14 @@ fn bench_device(c: &mut Criterion) {
     group.bench_function("frame_pass_1024x100", |b| {
         let job = normal_frame();
         let mut device = EventorDevice::new(AcceleratorConfig::default());
-        device.run_frame(job.clone()).expect("a valid job");
-        b.iter_batched(
-            || job.clone(),
-            |job| black_box(device.run_frame(job)),
-            BatchSize::SmallInput,
-        )
+        let mut dsi = paper_scale_dsi();
+        device.run_frame(&job, &mut dsi).expect("a valid job");
+        b.iter(|| black_box(device.run_frame(&job, &mut dsi)))
     });
 
     // The Vote Execute Unit's share of the frame pass: the same frame's
     // votes, transferred beforehand, deposited plane by plane.
-    group.bench_function("dsi_vote_plane_102400_votes", |b| {
+    group.bench_function("dsi_vote_at_102400_votes", |b| {
         let h = near_identity_homography();
         let canonical: Vec<PackedCoord> = event_words(1024)
             .into_iter()
@@ -78,23 +81,23 @@ fn bench_device(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        let mut dram = DsiDram::new(240, 180, 100);
+        let mut dsi = paper_scale_dsi();
         b.iter(|| {
-            let applied: u64 = planes
-                .iter()
-                .enumerate()
-                .map(|(plane, votes)| dram.vote_plane(plane, votes.iter().copied()))
-                .sum();
-            black_box(applied)
+            for (plane, votes) in planes.iter().enumerate() {
+                votes.iter().for_each(|&(x, y)| dsi.vote_at(x, y, plane));
+            }
+            black_box(dsi.votes_cast())
         })
     });
 
-    group.bench_function("full_frame_through_register_interface", |b| {
+    // One frame on a fresh device and a fresh DSI, whose pages the frame
+    // faults in.
+    group.bench_function("fresh_dsi_frame_1024x100", |b| {
         let config = AcceleratorConfig::default();
         let job = normal_frame();
         b.iter_batched(
-            || EventorDevice::new(config.clone()),
-            |mut device| black_box(device.run_frame(job.clone())),
+            || (EventorDevice::new(config.clone()), paper_scale_dsi()),
+            |(mut device, mut dsi)| black_box(device.run_frame(&job, &mut dsi)),
             BatchSize::SmallInput,
         )
     });

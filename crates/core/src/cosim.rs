@@ -5,9 +5,13 @@
 //! [`CosimBackend`] plays the role of the ARM firmware in the prototype
 //! behind the streaming session contract: it performs the PS-side per-frame
 //! stages (streaming distortion correction through the camera's
-//! [`UndistortionLut`], Q9.7 transport encoding, register/BRAM parameter
-//! staging) and drives the PL-side stages (`𝒫{Z0}`, `𝒫{Z0;Zi}`, `𝒢`, `𝒱`)
-//! through the register interface of [`EventorDevice`]. A batch run is
+//! [`UndistortionLut`], Q9.7 transport encoding, parameter staging) and runs
+//! the PL-side stages (`𝒫{Z0}`, `𝒫{Z0;Zi}`, `𝒢`, `𝒱`) on [`EventorDevice`].
+//! As in the prototype, where the DSI sits in the PS's DDR3 and the PL votes
+//! into it, the backend owns the one DSI ([`DsiVolume<u16>`]) and hands it to
+//! the device with every frame; retirement, checkpoint export and import
+//! work on that volume the way the [`VotingEngine`](crate::VotingEngine)
+//! works on its own. A batch run is
 //! [`SessionBuilder::cosim`](crate::SessionBuilder::cosim) followed by
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
@@ -21,7 +25,7 @@
 //! workspace integration tests assert this bit-exact agreement, which is the
 //! co-verification argument of the accelerator design.
 
-use eventor_dsi::{DepthPlanes, DetectionConfig, DsiVolume};
+use eventor_dsi::{DetectionConfig, DsiVolume};
 use eventor_emvs::{
     finalize_volume, import_vote_volume, quantize_event_pixel, run_sharded, BackendVoteState,
     EmvsConfig, EmvsError, EventorOptions, ExecutionBackend, FrameWork, KeyframeReconstruction,
@@ -47,7 +51,7 @@ pub struct CosimReport {
     pub events_in: u64,
     /// Events dropped by the projection-missing judgement.
     pub events_dropped: u64,
-    /// Votes applied to the DSI in device DRAM.
+    /// Votes applied to the DSI.
     pub votes_applied: u64,
     /// Total modelled accelerator busy time, seconds.
     pub accelerator_seconds: f64,
@@ -64,21 +68,22 @@ pub struct CosimReport {
 /// functional PL device model, behind the `eventor-backend/1` session
 /// contract.
 ///
-/// The device resets its DSI DRAM on every `FrameKind::Key` job, so the
-/// backend marks the first frame after each retirement as a key frame — the
-/// same protocol the batch firmware loop used.
+/// The device resets the DSI on every `FrameKind::Key` job, so the backend
+/// marks the first frame after each retirement as a key frame — the same
+/// protocol the batch firmware loop used.
 #[derive(Debug)]
 pub struct CosimBackend {
     camera: CameraModel,
     undistortion: UndistortionLut,
     detection: DetectionConfig,
-    planes: DepthPlanes,
     parallel: ParallelConfig,
     device: EventorDevice,
+    /// The one DSI: the device votes into it, retirement detects structure
+    /// in it, and checkpoints export and import it.
+    dsi: DsiVolume<u16>,
     report: CosimReport,
     normal_us_sum: f64,
     key_us_sum: f64,
-    votes_in_keyframe: u64,
     next_is_key: bool,
 }
 
@@ -102,7 +107,11 @@ impl CosimBackend {
         parallel: ParallelConfig,
     ) -> Result<Self, EmvsError> {
         EventorOptions::accelerator().check_sensor(&camera.intrinsics)?;
-        let planes = config.depth_planes()?;
+        let dsi = DsiVolume::new(
+            camera.intrinsics.width as usize,
+            camera.intrinsics.height as usize,
+            config.depth_planes()?,
+        )?;
         let mut accelerator = accelerator;
         accelerator.events_per_frame = config.events_per_frame;
         accelerator.num_depth_planes = config.num_depth_planes;
@@ -112,20 +121,25 @@ impl CosimBackend {
             camera,
             undistortion: UndistortionLut::build(&camera),
             detection: config.detection,
-            planes,
             parallel,
             device: EventorDevice::new(accelerator),
+            dsi,
             report: CosimReport::default(),
             normal_us_sum: 0.0,
             key_us_sum: 0.0,
-            votes_in_keyframe: 0,
             next_is_key: true,
         })
     }
 
-    /// The device model (for DSI readback and traffic inspection).
+    /// The device model.
     pub fn device(&self) -> &EventorDevice {
         &self.device
+    }
+
+    /// The DSI the device votes into. Right after a retirement it still
+    /// holds the retired key frame's scores; the next key frame resets it.
+    pub fn dsi(&self) -> &DsiVolume<u16> {
+        &self.dsi
     }
 
     /// The accelerator activity report accumulated so far, with the mean
@@ -222,20 +236,19 @@ impl ExecutionBackend for CosimBackend {
         // PL side: run the frame on the device. `next_is_key` is only
         // cleared on success: the driver keeps a failed frame buffered for
         // retry, and the retried job must still be a Key frame so the device
-        // resets its DSI for the new key frame.
-        let execution = self
-            .device
-            .run_frame(job)
-            .ok_or_else(|| EmvsError::InvalidConfig {
-                reason: "accelerator rejected the staged frame".into(),
-            })?;
+        // resets the DSI for the new key frame.
+        let execution =
+            self.device
+                .run_frame(&job, &mut self.dsi)
+                .ok_or_else(|| EmvsError::InvalidConfig {
+                    reason: "accelerator rejected the staged frame".into(),
+                })?;
         self.next_is_key = false;
         Self::charge_profile(profile, &execution, fabric);
         self.charge_report(&execution, fabric);
         self.report.energy.accumulate(
             &ActivityEnergyModel::default().frame_energy(&execution, self.device.config()),
         );
-        self.votes_in_keyframe += execution.votes_applied;
         Ok(())
     }
 
@@ -246,19 +259,11 @@ impl ExecutionBackend for CosimBackend {
         events_used: usize,
         profile: &mut StageProfile,
     ) -> Result<KeyframeReconstruction, EmvsError> {
-        // Read the DSI back from device DRAM and run the PS-side detection
-        // and point-cloud conversion.
+        // The PS-side detection and point-cloud conversion, on the DSI the
+        // device voted into.
         let t = Instant::now();
-        let dram = self.device.dsi();
-        let dsi: DsiVolume<u16> = DsiVolume::from_scores(
-            dram.width(),
-            dram.height(),
-            self.planes.clone(),
-            dram.scores().to_vec(),
-            self.votes_in_keyframe,
-        )?;
         let reconstruction = finalize_volume(
-            &dsi,
+            &self.dsi,
             &self.detection,
             &self.camera,
             reference_pose,
@@ -266,8 +271,7 @@ impl ExecutionBackend for CosimBackend {
             events_used,
         );
         profile.add(Stage::Detection, t.elapsed());
-        // The device clears its DSI on the next Key frame job.
-        self.votes_in_keyframe = 0;
+        // The device resets the DSI on the next Key frame job.
         self.next_is_key = true;
         Ok(reconstruction)
     }
@@ -280,20 +284,17 @@ impl ExecutionBackend for CosimBackend {
         &mut self,
         _profile: &mut StageProfile,
     ) -> Result<BackendVoteState, EmvsError> {
-        let dram = self.device.dsi();
-        // Right after a retirement the device DRAM still holds the *retired*
-        // key frame's scores (the device only resets on the next Key job), so
-        // the open key frame's true partial state is an empty volume.
-        let dsi: DsiVolume<u16> = if self.next_is_key {
-            DsiVolume::new(dram.width(), dram.height(), self.planes.clone())?
-        } else {
-            DsiVolume::from_scores(
-                dram.width(),
-                dram.height(),
-                self.planes.clone(),
-                dram.scores().to_vec(),
-                self.votes_in_keyframe,
+        // Right after a retirement the DSI still holds the *retired* key
+        // frame's scores (the device only resets on the next Key job), so the
+        // open key frame's true partial state is an empty volume.
+        let dsi = if self.next_is_key {
+            DsiVolume::new(
+                self.dsi.width(),
+                self.dsi.height(),
+                self.dsi.planes().clone(),
             )?
+        } else {
+            self.dsi.clone()
         };
         Ok(BackendVoteState::Quantized(dsi))
     }
@@ -311,17 +312,23 @@ impl ExecutionBackend for CosimBackend {
                 })
             }
         };
-        // Check the volume against the device's DSI geometry and image it
-        // into device DRAM.
-        let dram = self.device.dsi();
-        let mut canonical: DsiVolume<u16> =
-            DsiVolume::new(dram.width(), dram.height(), self.planes.clone())?;
-        import_vote_volume(volume, &mut canonical, "cosim")?;
-        self.votes_in_keyframe = canonical.votes_cast();
-        self.device.load_dsi(canonical.raw_scores());
-        // The DSI image already reflects the open key frame (all zeros when
-        // the checkpoint fell on a key-frame boundary), so the next frame
-        // must NOT be a Key job — that would wipe the restored votes.
+        // Check the volume against the DSI's geometry and take it.
+        import_vote_volume(volume, &mut self.dsi, "cosim")?;
+        // The device deposits only in-sensor votes, so its DSI counts no
+        // missed vote: a volume that counts some keeps only its scores and
+        // `votes_cast`.
+        if self.dsi.votes_missed() != 0 {
+            self.dsi = DsiVolume::from_scores(
+                self.dsi.width(),
+                self.dsi.height(),
+                self.dsi.planes().clone(),
+                self.dsi.raw_scores().to_vec(),
+                self.dsi.votes_cast(),
+            )?;
+        }
+        // The DSI already reflects the open key frame (all zeros when the
+        // checkpoint fell on a key-frame boundary), so the next frame must
+        // NOT be a Key job — that would wipe the restored votes.
         self.next_is_key = false;
         Ok(())
     }
@@ -397,7 +404,45 @@ mod tests {
     }
 
     #[test]
-    fn cosim_report_is_consistent_with_device_stats() {
+    fn imported_vote_state_keeps_its_scores_and_votes_cast() {
+        let seq = sequence();
+        let config = config_for(&seq);
+        let mut backend = CosimBackend::new(
+            seq.camera,
+            &config,
+            AcceleratorConfig::default(),
+            ParallelConfig::sequential(),
+        )
+        .unwrap();
+        let (width, height) = (seq.camera.intrinsics.width, seq.camera.intrinsics.height);
+        let mut volume: DsiVolume<u16> = DsiVolume::new(
+            width as usize,
+            height as usize,
+            config.depth_planes().unwrap(),
+        )
+        .unwrap();
+        volume.vote_at(3, 4, 5);
+        volume.vote_at(3, 4, 5);
+        volume.vote_at(width as u16, 0, 0);
+        assert_eq!((volume.votes_cast(), volume.votes_missed()), (2, 1));
+        let mut profile = StageProfile::new();
+        backend
+            .import_vote_state(BackendVoteState::Quantized(volume.clone()), &mut profile)
+            .unwrap();
+        // The device's DSI counts no missed vote, so an export after the
+        // import writes the same state whatever the checkpoint counted.
+        let BackendVoteState::Quantized(exported) =
+            backend.export_vote_state(&mut profile).unwrap()
+        else {
+            panic!("cosim exports a quantized vote state");
+        };
+        assert_eq!(exported.raw_scores(), volume.raw_scores());
+        assert_eq!((exported.votes_cast(), exported.votes_missed()), (2, 0));
+        assert_eq!(backend.dsi(), &exported);
+    }
+
+    #[test]
+    fn cosim_report_is_consistent_with_the_output_profile() {
         let seq = sequence();
         let config = config_for(&seq);
         let backend = CosimBackend::new(
@@ -415,9 +460,11 @@ mod tests {
         let (out, cosim) = driver.finish_with_backend();
         let out = out.unwrap();
         let report = cosim.report();
-        let stats = cosim.device().stats();
-        assert_eq!(report.frames, stats.frames);
-        assert_eq!(report.votes_applied, stats.votes_applied);
+        assert_eq!(report.frames, out.profile.frames_processed);
+        assert_eq!(
+            report.votes_applied,
+            out.keyframes.iter().map(|k| k.votes_cast).sum::<u64>()
+        );
         assert_eq!(report.key_frames as usize, out.keyframes.len());
         assert!(report.accelerator_seconds > 0.0);
         assert!(report.mean_normal_frame_us > 0.0);

@@ -83,6 +83,7 @@ mod cosim_proptests {
     //! judgement and on each plane's vote, not just end to end.
 
     use super::*;
+    use eventor_dsi::{DepthPlanes, DsiVolume};
     use eventor_fixed::{kernel, PackedCoord};
     use eventor_geom::{
         CameraIntrinsics, CanonicalHomography, Pose, ProportionalCoefficients, Vec3,
@@ -113,24 +114,31 @@ mod cosim_proptests {
     }
 
     /// Runs one event at `(px, py)` through a 240×180 device as a key
-    /// frame, shipping the golden model's own `Buf_H` / `Buf_P` words.
+    /// frame, shipping the golden model's own `Buf_H` / `Buf_P` words, and
+    /// returns the DSI it voted into.
     fn one_event_frame(
         golden_h: &QuantizedHomography,
         golden_phi: &QuantizedCoefficients,
         px: f64,
         py: f64,
-    ) -> (EventorDevice, FrameExecution) {
-        let mut device =
-            EventorDevice::new(AcceleratorConfig::default().with_depth_planes(golden_phi.len()));
-        let exec = device
-            .run_frame(FrameJob {
-                event_words: vec![PackedCoord::from_f64(px, py).to_word()],
-                homography_words: golden_h.raw_words(),
-                phi_words: golden_phi.words().to_vec(),
-                kind: FrameKind::Key,
-            })
-            .expect("a one-event frame is a valid job");
-        (device, exec)
+    ) -> (DsiVolume<u16>, FrameExecution) {
+        // The planes of `geometry`: the device reads only their count.
+        let planes = DepthPlanes::uniform_inverse_depth(1.0, 5.0, golden_phi.len())
+            .expect("at least two planes");
+        let mut dsi = DsiVolume::new(240, 180, planes).expect("a 240x180 DSI");
+        let exec =
+            EventorDevice::new(AcceleratorConfig::default().with_depth_planes(golden_phi.len()))
+                .run_frame(
+                    &FrameJob {
+                        event_words: vec![PackedCoord::from_f64(px, py).to_word()],
+                        homography_words: golden_h.raw_words(),
+                        phi_words: golden_phi.words().to_vec(),
+                        kind: FrameKind::Key,
+                    },
+                    &mut dsi,
+                )
+                .expect("a one-event frame is a valid job");
+        (dsi, exec)
     }
 
     proptest! {
@@ -173,15 +181,14 @@ mod cosim_proptests {
                 return Ok(());
             };
 
-            let (device, exec) = one_event_frame(&golden_h, &golden_phi, px, py);
+            let (dsi, exec) = one_event_frame(&golden_h, &golden_phi, px, py);
             prop_assert_eq!(exec.events_dropped, 0);
 
             // Each plane of the device's DSI must hold exactly the one vote
             // the golden model's Nearest Voxel Finder produces, or none when
             // the transfer leaves the sensor.
             for (i, words) in golden_phi.words().iter().enumerate() {
-                let voted: Vec<(u16, u16, u16)> = device
-                    .dsi()
+                let voted: Vec<(u16, u16, u16)> = dsi
                     .plane_scores(i)
                     .iter()
                     .enumerate()

@@ -9,8 +9,8 @@
 //!   shard count, spelled [`SoftwareBackend`] (one shard, every frame voted
 //!   as it is ingested) or [`ShardedBackend`] (the DSI's depth planes split
 //!   over worker shards, bit-identical to one shard),
-//! * [`CosimBackend`] — the functional
-//!   `eventor-hwsim` device driven through its register interface,
+//! * [`CosimBackend`] — the functional `eventor-hwsim` device voting into
+//!   the one DSI the backend owns,
 //! * any user type implementing [`ExecutionBackend`]
 //!   (`eventor-backend/1`, `docs/ARCHITECTURE.md` §6).
 //!

@@ -641,11 +641,6 @@ impl<B: ExecutionBackend> SessionDriver<B> {
         (Ok(output), self.backend)
     }
 
-    /// Consumes the driver and returns the backend without flushing.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// Captures the complete mid-flight session state as a
     /// [`DriverCheckpoint`]: configuration, trajectory, unprocessed events,
     /// key-frame bookkeeping, retired reconstructions and the backend's

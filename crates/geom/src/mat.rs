@@ -197,16 +197,6 @@ impl Mat3 {
         Some(out)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.m
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|v| v * v)
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Maximum absolute element-wise difference to another matrix.
     pub fn max_abs_diff(&self, other: &Self) -> f64 {
         let mut d: f64 = 0.0;

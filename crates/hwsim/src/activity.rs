@@ -172,7 +172,7 @@ impl ActivityEnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{EventorDevice, FrameJob};
+    use crate::device::{dsi_for, EventorDevice, FrameJob};
     use crate::schedule::FrameKind;
     use eventor_fixed::kernel::{self, PhiWords};
     use eventor_fixed::PackedCoord;
@@ -191,7 +191,10 @@ mod tests {
             phi_words: vec![phi; 100],
             kind: FrameKind::Normal,
         };
-        (device.run_frame(job).expect("frame accepted"), config)
+        let exec = device
+            .run_frame(&job, &mut dsi_for(&config))
+            .expect("frame accepted");
+        (exec, config)
     }
 
     #[test]
@@ -238,7 +241,9 @@ mod tests {
                 phi_words: vec![phi; config.num_depth_planes],
                 kind: FrameKind::Normal,
             };
-            device.run_frame(job).expect("frame accepted")
+            device
+                .run_frame(&job, &mut dsi_for(config))
+                .expect("frame accepted")
         };
 
         let full = model.frame_energy(&run(&config_full), &config_full);

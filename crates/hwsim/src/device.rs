@@ -1,22 +1,23 @@
-//! The full functional device model: register file, the `PE_Z0` /
-//! `PE_Zi` frame pass, Vote Execute Unit and DDR3-backed DSI, assembled the
-//! way Fig. 5 assembles the prototype.
+//! The functional device model: the `PE_Z0` / `PE_Zi` frame pass and the
+//! Vote Execute Unit, assembled the way Fig. 5 assembles the prototype.
 //!
-//! [`EventorDevice`] is what the host driver in `eventor-core` talks to. A
-//! frame is processed the same way the ARM PS drives the PL:
+//! In the prototype the DSI sits in the DDR3 attached to the Zynq PS and the
+//! PL updates it over the AXI-HP ports, so host and accelerator share one
+//! score volume. Here the host driver in `eventor-core` owns that volume, an
+//! `eventor_dsi::DsiVolume<u16>`, and hands it to [`EventorDevice`] with each
+//! frame:
 //!
-//! 1. the driver stages a [`FrameJob`] (packed event words, `H_{Z0}` words
-//!    and per-plane `φ` words) and the DMA streams it into the double
+//! 1. the driver ships a [`FrameJob`] (packed event words, `H_{Z0}` words
+//!    and per-plane `φ` words), which the DMA streams into the double
 //!    buffers,
-//! 2. the driver writes the control register to start the frame,
-//! 3. `PE_Z0` writes the canonical projections of the surviving events into
-//!    `Buf_I`; then, plane by plane, the `PE_Zi` array transfers every
-//!    survivor and the Vote Execute Unit applies each in-sensor vote to that
-//!    plane of the DSI in DRAM,
-//! 4. the driver polls the status register, reads back the result counters
-//!    and (at key-frame boundaries) reads the DSI out of DRAM.
+//! 2. a key frame resets the DSI; `PE_Z0` writes the canonical projections
+//!    of the surviving events into `Buf_I`; then, plane by plane, the
+//!    `PE_Zi` array transfers every survivor and the Vote Execute Unit
+//!    applies each in-sensor vote to that plane of the DSI,
+//! 3. the driver reads the frame's [`FrameExecution`] record and, at
+//!    key-frame boundaries, detects structure in the DSI it owns.
 //!
-//! Step 3 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
+//! Step 2 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
 //! the words the job shipped, as shipped: [`kernel::project_z0`] on the
 //! `Buf_H` words, [`kernel::transfer_nearest`] on each plane's `Buf_P`
 //! [`PhiWords`]. The host fills the job from the parameter block of
@@ -29,19 +30,17 @@
 //! judgement, votes that landed inside the sensor, the payload moved). The
 //! analytic schedule is the same cost at full-frame counts, so the two agree
 //! on full frames by construction, and the device model additionally
-//! reflects dropped events and out-of-sensor transfers. Every counter — the
-//! DRAM access statistics, the [`FrameExecution`] record, the lifetime
-//! [`DeviceStats`] and the result registers — is charged from counts once
-//! per plane or once per frame, never per vote.
+//! reflects dropped events and out-of-sensor transfers. The
+//! [`FrameExecution`] record is charged from counts once per frame, never
+//! per vote.
 
-use crate::dram::DsiDram;
-use crate::registers::{ctrl, status, Register, RegisterFile};
-use crate::schedule::{dma_cycles, frame_cost, payload_bytes, FrameKind};
+use crate::schedule::{frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
+use eventor_dsi::DsiVolume;
 use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 
-/// The per-frame input set staged by the host driver.
+/// The per-frame input set shipped by the host driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameJob {
     /// Packed Q9.7 event-coordinate words (the `Buf_E` payload).
@@ -95,50 +94,21 @@ impl FrameExecution {
     }
 }
 
-/// Aggregate statistics over the device's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeviceStats {
-    /// Frames executed.
-    pub frames: u64,
-    /// Key frames executed.
-    pub key_frames: u64,
-    /// Total events received.
-    pub events_in: u64,
-    /// Total events dropped.
-    pub events_dropped: u64,
-    /// Total votes applied.
-    pub votes_applied: u64,
-    /// Total cycles of accelerator busy time.
-    pub busy_cycles: Cycles,
-}
-
 /// The assembled Eventor device model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventorDevice {
     config: AcceleratorConfig,
-    registers: RegisterFile,
-    dram: DsiDram,
     /// The `Buf_I` contents of the frame in flight, kept between frames
     /// (always empty there) so that a frame allocates no survivor buffer.
     survivors: Vec<PackedCoord>,
-    staged: Option<FrameJob>,
-    stats: DeviceStats,
 }
 
 impl EventorDevice {
-    /// Builds a device for a configuration, with a zeroed DSI in DRAM.
+    /// Builds a device for a configuration.
     pub fn new(config: AcceleratorConfig) -> Self {
-        let mut registers = RegisterFile::new();
-        registers.write(Register::NumPlanes, config.num_depth_planes as u32);
-        registers.write(Register::SensorWidth, config.sensor_width as u32);
-        registers.write(Register::SensorHeight, config.sensor_height as u32);
         Self {
-            dram: DsiDram::for_config(&config),
-            survivors: Vec::new(),
-            registers,
-            staged: None,
-            stats: DeviceStats::default(),
             config,
+            survivors: Vec::new(),
         }
     }
 
@@ -147,134 +117,74 @@ impl EventorDevice {
         &self.config
     }
 
-    /// Host view of the register file.
-    pub fn registers_mut(&mut self) -> &mut RegisterFile {
-        &mut self.registers
-    }
-
-    /// Read-only view of the register file.
-    pub fn registers(&self) -> &RegisterFile {
-        &self.registers
-    }
-
-    /// The DSI volume stored in DRAM.
-    pub fn dsi(&self) -> &DsiDram {
-        &self.dram
-    }
-
-    /// Lifetime statistics of the device.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
-    }
-
-    /// Zeroes the DSI region (the host-initiated reset outside frame
-    /// processing).
-    pub fn reset_dsi(&mut self) {
-        self.dram.reset();
-    }
-
-    /// Overwrites the DSI region with a snapshotted score image (the
-    /// checkpoint-restore path: a host-side DMA that bypasses the Vote
-    /// Execute Unit, so access statistics are untouched).
+    /// Runs one frame on the DSI `dsi` and returns its execution record.
     ///
-    /// # Panics
+    /// The frame pass runs the kernel on the shipped words. A key frame
+    /// first resets `dsi`. `PE_Z0` ([`kernel::project_z0`]) writes the
+    /// survivors of the projection-missing judgement into `Buf_I`. Then,
+    /// plane by plane, the `PE_Zi` array ([`kernel::transfer_nearest`])
+    /// transfers every survivor and the Vote Execute Unit deposits each
+    /// in-sensor vote in the plane ([`DsiVolume::vote_at`], a saturating
+    /// increment).
     ///
-    /// Panics if `scores` does not cover the DSI region exactly.
-    pub fn load_dsi(&mut self, scores: &[u16]) {
-        self.dram.load_scores(scores);
-    }
-
-    /// Stages a frame job and performs the DMA transfer into the input
-    /// buffers, returning the transfer cycles (the frame record's
-    /// [`FrameExecution::dma_cycles`]).
-    ///
-    /// The transfer is rejected (status `ERROR` raised, `None` returned) when
-    /// the frame is empty or its plane count disagrees with the configured
-    /// DSI depth.
-    pub fn load_frame(&mut self, job: FrameJob) -> Option<Cycles> {
-        if job.event_words.is_empty() || job.phi_words.len() != self.config.num_depth_planes {
-            self.registers.set_status(status::ERROR);
+    /// Returns `None`, and touches nothing, when the frame is empty, its
+    /// plane count differs from the configured DSI depth, or `dsi` is not
+    /// the configured sensor width × height × depth (the frame cost charges
+    /// a key frame's reset from the configured size).
+    pub fn run_frame(
+        &mut self,
+        job: &FrameJob,
+        dsi: &mut DsiVolume<u16>,
+    ) -> Option<FrameExecution> {
+        let config = &self.config;
+        if job.event_words.is_empty()
+            || job.phi_words.len() != config.num_depth_planes
+            || (dsi.width(), dsi.height(), dsi.num_planes())
+                != (
+                    config.sensor_width,
+                    config.sensor_height,
+                    config.num_depth_planes,
+                )
+        {
             return None;
         }
-        self.registers.clear_status(status::ERROR | status::DONE);
-        let cycles = dma_cycles(&self.config, job.payload_bytes());
-        self.registers
-            .write(Register::NumEvents, job.event_words.len() as u32);
-        self.registers.write(
-            Register::FrameKind,
-            match job.kind {
-                FrameKind::Normal => 0,
-                FrameKind::Key => 1,
-            },
-        );
-        self.registers.clear_status(status::BUF_E_READY);
-        self.staged = Some(job);
-        Some(cycles)
-    }
-
-    /// Starts the staged frame by writing the control register, runs it to
-    /// completion and returns its execution record.
-    ///
-    /// The frame pass runs the kernel on the staged words. A key frame first
-    /// resets the DSI. `PE_Z0` ([`kernel::project_z0`]) writes the survivors
-    /// of the projection-missing judgement into `Buf_I`. Then, plane by
-    /// plane, the `PE_Zi` array ([`kernel::transfer_nearest`]) transfers
-    /// every survivor and the Vote Execute Unit applies each in-sensor vote
-    /// to the plane's DSI slab ([`DsiDram::vote_plane`]).
-    ///
-    /// Returns `None` (with status `ERROR`) when no frame is staged.
-    pub fn start_frame(&mut self) -> Option<FrameExecution> {
-        let Some(job) = self.staged.take() else {
-            self.registers.set_status(status::ERROR);
-            return None;
-        };
-        let mut control = ctrl::START | ctrl::IRQ_ENABLE;
         if job.kind == FrameKind::Key {
-            control |= ctrl::RESET_DSI;
-        }
-        self.registers.write(Register::Control, control);
-        self.registers.set_status(status::BUSY);
-        self.registers.clear_status(status::DONE);
-
-        if job.kind == FrameKind::Key {
-            self.dram.reset();
+            dsi.reset();
         }
         self.survivors.extend(
             job.event_words.iter().filter_map(|&w| {
                 kernel::project_z0(&job.homography_words, PackedCoord::from_word(w))
             }),
         );
-        let (width, height) = (
-            self.config.sensor_width as u32,
-            self.config.sensor_height as u32,
-        );
-        let mut votes = 0;
+        let (width, height) = (config.sensor_width as u32, config.sensor_height as u32);
+        let votes_before = dsi.votes_cast();
         for (plane, phi) in job.phi_words.iter().enumerate() {
             // Have the next plane's slab on its way into L2 while this one
             // is voted, as the engine's window pass does; a hint changes no
             // value.
             if plane + 1 < job.phi_words.len() {
-                batch::prefetch_l2(self.dram.plane_scores(plane + 1));
+                batch::prefetch_l2(dsi.plane_scores(plane + 1));
             }
-            votes += self.dram.vote_plane(
-                plane,
-                self.survivors
-                    .iter()
-                    .filter_map(|&c| kernel::transfer_nearest(phi, c, width, height).address()),
-            );
+            // `for_each` folds a filtering producer into one loop with a
+            // conditional body, where a `for` loop nests a search loop in it.
+            self.survivors
+                .iter()
+                .filter_map(|&c| kernel::transfer_nearest(phi, c, width, height).address())
+                .for_each(|(x, y)| dsi.vote_at(x, y, plane));
         }
+        let votes = dsi.votes_cast() - votes_before;
         let events_in = job.event_words.len() as u64;
         let survivors = self.survivors.len() as u64;
         self.survivors.clear();
         let timing = frame_cost(
-            &self.config,
+            config,
             job.kind,
             events_in,
             survivors,
             votes,
             job.payload_bytes(),
         );
-        let execution = FrameExecution {
+        Some(FrameExecution {
             kind: job.kind,
             events_in,
             events_dropped: events_in - survivors,
@@ -285,35 +195,16 @@ impl EventorDevice {
             proportional_cycles: timing.proportional_cycles,
             reset_cycles: timing.reset_cycles,
             total_cycles: timing.total_cycles,
-        };
-
-        self.registers.clear_status(status::BUSY);
-        self.registers
-            .set_status(status::DONE | status::BUF_E_READY);
-        self.registers
-            .write(Register::VotesApplied, execution.votes_applied as u32);
-        self.registers
-            .write(Register::EventsDropped, execution.events_dropped as u32);
-        self.registers.set_cycle_result(execution.total_cycles);
-        self.registers.write(Register::InterruptStatus, 1);
-
-        self.stats.frames += 1;
-        if execution.kind == FrameKind::Key {
-            self.stats.key_frames += 1;
-        }
-        self.stats.events_in += execution.events_in;
-        self.stats.events_dropped += execution.events_dropped;
-        self.stats.votes_applied += execution.votes_applied;
-        self.stats.busy_cycles += execution.total_cycles;
-        Some(execution)
+        })
     }
+}
 
-    /// Convenience wrapper: stage, transfer and execute a frame in one call,
-    /// the way the interrupt-driven driver loop does.
-    pub fn run_frame(&mut self, job: FrameJob) -> Option<FrameExecution> {
-        self.load_frame(job)?;
-        self.start_frame()
-    }
+/// A zeroed DSI of the configuration's size, for the crate's tests.
+#[cfg(test)]
+pub(crate) fn dsi_for(config: &AcceleratorConfig) -> DsiVolume<u16> {
+    let planes = eventor_dsi::DepthPlanes::uniform_inverse_depth(1.0, 2.0, config.num_depth_planes)
+        .expect("at least two planes");
+    DsiVolume::new(config.sensor_width, config.sensor_height, planes).expect("a non-empty sensor")
 }
 
 #[cfg(test)]
@@ -346,65 +237,60 @@ mod tests {
     fn identity_frame_votes_every_event_on_every_plane() {
         let config = small_config();
         let mut device = EventorDevice::new(config.clone());
+        let mut dsi = dsi_for(&config);
         let job = identity_job(64, 10, FrameKind::Key);
-        let exec = device.run_frame(job).unwrap();
+        let exec = device.run_frame(&job, &mut dsi).unwrap();
         assert_eq!(exec.events_in, 64);
         assert_eq!(exec.events_dropped, 0);
         assert_eq!(exec.transfers_missed, 0);
         assert_eq!(exec.votes_applied, 64 * 10);
-        assert_eq!(device.dsi().total_score(), 64 * 10);
-        assert_eq!(device.stats().frames, 1);
-        assert_eq!(device.stats().key_frames, 1);
+        assert_eq!(dsi.total_score(), 640.0);
+        assert_eq!((dsi.votes_cast(), dsi.votes_missed()), (640, 0));
         // The identity projection votes exactly where the event sits.
-        assert_eq!(device.dsi().score(5, 5, 0), Some(1));
-    }
-
-    #[test]
-    fn register_interface_reports_results() {
-        let config = small_config();
-        let mut device = EventorDevice::new(config);
-        let job = identity_job(32, 10, FrameKind::Normal);
-        let exec = device.run_frame(job).unwrap();
-        assert!(device.registers().status_is(status::DONE));
-        assert!(!device.registers().status_is(status::BUSY));
-        assert_eq!(
-            device.registers().peek(Register::VotesApplied) as u64,
-            exec.votes_applied
-        );
-        assert_eq!(device.registers().cycle_result(), exec.total_cycles);
-        assert_eq!(device.registers().peek(Register::NumEvents), 32);
-        assert!(device.registers().peek(Register::Control) & ctrl::START != 0);
+        assert_eq!(dsi.score(5, 5, 0), 1.0);
     }
 
     #[test]
     fn empty_or_mismatched_jobs_raise_error_status() {
         let config = small_config();
-        let mut device = EventorDevice::new(config);
+        let mut device = EventorDevice::new(config.clone());
+        let mut dsi = dsi_for(&config);
         let mut empty = identity_job(0, 10, FrameKind::Normal);
         empty.event_words.clear();
-        assert!(device.load_frame(empty).is_none());
-        assert!(device.registers().status_is(status::ERROR));
+        assert!(device.run_frame(&empty, &mut dsi).is_none());
 
         let wrong_planes = identity_job(16, 3, FrameKind::Normal);
-        assert!(device.load_frame(wrong_planes).is_none());
+        assert!(device.run_frame(&wrong_planes, &mut dsi).is_none());
 
-        // Starting without a staged frame is also an error.
-        assert!(device.start_frame().is_none());
+        // A DSI of another size than the configured one is refused, key
+        // frame or not, and left as it was.
+        let mut small = dsi_for(&config.clone().with_depth_planes(9));
+        small.vote_at(1, 1, 1);
+        let before = small.clone();
+        for kind in [FrameKind::Key, FrameKind::Normal] {
+            assert!(device
+                .run_frame(&identity_job(16, 10, kind), &mut small)
+                .is_none());
+        }
+        assert_eq!(small, before);
+        assert_eq!(dsi, dsi_for(&config));
     }
 
     #[test]
     fn key_frames_reset_the_dsi_and_cost_more() {
         let config = small_config();
-        let mut device = EventorDevice::new(config);
+        let mut device = EventorDevice::new(config.clone());
+        let mut dsi = dsi_for(&config);
         let normal = device
-            .run_frame(identity_job(64, 10, FrameKind::Normal))
+            .run_frame(&identity_job(64, 10, FrameKind::Normal), &mut dsi)
             .unwrap();
-        assert_eq!(device.dsi().total_score(), 640);
+        assert_eq!(dsi.total_score(), 640.0);
         let key = device
-            .run_frame(identity_job(64, 10, FrameKind::Key))
+            .run_frame(&identity_job(64, 10, FrameKind::Key), &mut dsi)
             .unwrap();
         // The key frame zeroed the DSI before voting again.
-        assert_eq!(device.dsi().total_score(), 640);
+        assert_eq!(dsi.total_score(), 640.0);
+        assert_eq!(dsi.votes_cast(), 640);
         assert!(key.total_cycles > normal.total_cycles);
         assert!(key.reset_cycles > 0);
         assert_eq!(normal.reset_cycles, 0);
@@ -413,16 +299,16 @@ mod tests {
     #[test]
     fn paper_scale_frame_latency_matches_analytic_schedule() {
         // A full frame, in which every event survives and every transfer
-        // votes, costs exactly what the analytic schedule charges, and the
-        // DMA cycles of its transfer are the ones its record reports.
+        // votes, costs exactly what the analytic schedule charges.
         for num_pe in [1, 2, 4] {
             let config = AcceleratorConfig::default().with_pe_zi(num_pe);
             let mut device = EventorDevice::new(config.clone());
+            let mut dsi = dsi_for(&config);
             for kind in [FrameKind::Normal, FrameKind::Key] {
-                let dma = device.load_frame(identity_job(1024, 100, kind)).unwrap();
-                let exec = device.start_frame().unwrap();
+                let exec = device
+                    .run_frame(&identity_job(1024, 100, kind), &mut dsi)
+                    .unwrap();
                 let analytic = crate::schedule::frame_timing(&config, kind);
-                assert_eq!(dma, exec.dma_cycles);
                 assert_eq!(
                     [
                         exec.canonical_cycles,
@@ -443,7 +329,10 @@ mod tests {
         }
         let config = AcceleratorConfig::default();
         let exec = EventorDevice::new(config.clone())
-            .run_frame(identity_job(1024, 100, FrameKind::Normal))
+            .run_frame(
+                &identity_job(1024, 100, FrameKind::Normal),
+                &mut dsi_for(&config),
+            )
             .unwrap();
         assert!((exec.total_us(&config) - 551.58).abs() < 30.0);
     }
@@ -451,12 +340,12 @@ mod tests {
     #[test]
     fn dropped_events_reduce_vote_traffic() {
         let config = small_config();
-        let mut device = EventorDevice::new(config);
+        let mut device = EventorDevice::new(config.clone());
         // A scaling homography throws most events out of the Q9.7 range.
         let mut job = identity_job(64, 10, FrameKind::Normal);
         job.homography_words =
             kernel::quantize_homography(&[[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 1.0]]);
-        let exec = device.run_frame(job).unwrap();
+        let exec = device.run_frame(&job, &mut dsi_for(&config)).unwrap();
         assert!(exec.events_dropped > 0);
         assert!(exec.votes_applied < 64 * 10);
         assert_eq!(
@@ -465,40 +354,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn device_accumulates_lifetime_stats() {
-        let config = small_config();
-        let mut device = EventorDevice::new(config);
-        for i in 0..5 {
-            let kind = if i == 0 {
-                FrameKind::Key
-            } else {
-                FrameKind::Normal
-            };
-            device.run_frame(identity_job(64, 10, kind)).unwrap();
-        }
-        let stats = device.stats();
-        assert_eq!(stats.frames, 5);
-        assert_eq!(stats.key_frames, 1);
-        assert_eq!(stats.events_in, 320);
-        assert_eq!(stats.votes_applied, 5 * 640);
-        assert!(stats.busy_cycles > 0);
-        device.reset_dsi();
-        assert_eq!(device.dsi().total_score(), 0);
-    }
-
     /// The per-vote path the frame pass replaced: each event through
     /// `kernel::project_z0`, each survivor through `kernel::transfer_nearest`
-    /// on every plane, each in-sensor vote applied alone with
-    /// `DsiDram::vote`, and the frame record costed from those counts.
+    /// on every plane, each in-sensor vote deposited alone with
+    /// `DsiVolume::vote_at`, and the frame record costed from those counts.
     fn reference_frame(
         config: &AcceleratorConfig,
-        dram: &mut DsiDram,
+        dsi: &mut DsiVolume<u16>,
         job: &FrameJob,
     ) -> FrameExecution {
         let (width, height) = (config.sensor_width as u32, config.sensor_height as u32);
         if job.kind == FrameKind::Key {
-            dram.reset();
+            dsi.reset();
         }
         let (mut survivors, mut votes, mut missed) = (0u64, 0u64, 0u64);
         for &word in &job.event_words {
@@ -510,9 +377,7 @@ mod tests {
             for (plane, phi) in job.phi_words.iter().enumerate() {
                 match kernel::transfer_nearest(phi, c, width, height).address() {
                     Some((x, y)) => {
-                        let addr = dram.linear_address(x as usize, y as usize, plane);
-                        dram.vote(addr.expect("in-sensor voxel"))
-                            .expect("in the DSI");
+                        dsi.vote_at(x, y, plane);
                         votes += 1;
                     }
                     None => missed += 1,
@@ -627,25 +492,25 @@ mod tests {
             config.sensor_width = 40;
             config.sensor_height = 30;
             let mut device = EventorDevice::new(config.clone());
-            let mut reference = DsiDram::for_config(&config);
+            let (mut dsi, mut reference) = (dsi_for(&config), dsi_for(&config));
             let execs = jobs.each_ref().map(|job| {
-                let exec = device.run_frame(job.clone()).expect("a valid job");
+                let exec = device.run_frame(job, &mut dsi).expect("a valid job");
                 assert_eq!(exec, reference_frame(&config, &mut reference, job));
-                assert_eq!(
-                    device.dsi(),
-                    &reference,
-                    "DSI bytes or DRAM statistics diverged"
-                );
+                assert_eq!(dsi, reference, "DSI bytes or vote counts diverged");
                 exec
             });
             assert!(execs[0].events_dropped > 0);
             assert!(execs[1].transfers_missed > 0 && execs[1].votes_applied > 0);
             assert_eq!(
-                device.dsi().stats().saturated_votes,
-                PLANES as u64 * (66_000 - u16::MAX as u64)
+                dsi.votes_cast(),
+                execs.iter().map(|e| e.votes_applied).sum::<u64>()
             );
-            assert_eq!(device.dsi().score(3, 4, PLANES - 1), Some(u16::MAX));
-            assert_eq!(device.dsi().score(7, 8, 0), Some(6_000));
+            assert_eq!(dsi.votes_missed(), 0);
+            // 66 000 votes landed on each plane's (3, 4); the score stopped
+            // at u16::MAX.
+            assert_eq!(execs[2].votes_applied, PLANES as u64 * 36_000);
+            assert_eq!(dsi.score(3, 4, PLANES - 1), f64::from(u16::MAX));
+            assert_eq!(dsi.score(7, 8, 0), 6_000.0);
         }
     }
 

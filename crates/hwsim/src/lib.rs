@@ -6,10 +6,11 @@
 //!
 //! * [`AcceleratorConfig`] — the architectural knobs (number of `PE_Zi`,
 //!   frame size, depth planes, double buffering, AXI-HP ports),
-//! * [`EventorDevice`] — the functional device the co-simulation drives:
-//!   register file, a `PE_Z0` / `PE_Zi` frame pass that runs the bit-true
-//!   kernel of `eventor_fixed::kernel` on the shipped words, and the
-//!   DDR3-backed DSI,
+//! * [`EventorDevice`] — the functional device the co-simulation drives: a
+//!   `PE_Z0` / `PE_Zi` frame pass that runs the bit-true kernel of
+//!   `eventor_fixed::kernel` on the shipped words and votes into the
+//!   `eventor_dsi::DsiVolume<u16>` the host owns, as the prototype's PL
+//!   votes into the DSI in the PS's DDR3,
 //! * [`frame_timing`] / [`performance`] — the frame-pipelined schedule of
 //!   Fig. 6 and the Table 3 performance numbers: the frame cost the device
 //!   charges with each frame's own counts, evaluated at full-frame counts,
@@ -40,20 +41,16 @@
 
 mod activity;
 mod device;
-mod dram;
 mod energy;
 mod memory;
-mod registers;
 mod resources;
 mod schedule;
 mod timing;
 
 pub use activity::{ActivityEnergyModel, EnergyBreakdown};
-pub use device::{DeviceStats, EventorDevice, FrameExecution, FrameJob};
-pub use dram::{DramStats, DsiDram, VoxelAddress};
+pub use device::{EventorDevice, FrameExecution, FrameJob};
 pub use energy::{EnergyComparison, PowerModel, INTEL_I5_POWER_W};
 pub use memory::{BufferInventory, DoubleBuffer};
-pub use registers::{ctrl, status, Register, RegisterFile, REGISTER_COUNT};
 pub use resources::{estimate_resources, ComponentCost, DeviceCapacity, ResourceReport, XC7Z020};
 pub use schedule::{
     frame_timing, performance, sequence_runtime_seconds, AcceleratorPerformance, FrameKind,

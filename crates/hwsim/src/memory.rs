@@ -70,7 +70,7 @@ impl BufferInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dram::DsiDram;
+    use crate::device::dsi_for;
     use crate::schedule::{frame_timing, FrameKind};
 
     #[test]
@@ -85,11 +85,9 @@ mod tests {
     #[test]
     fn dsi_footprint_matches_quantized_size() {
         let config = AcceleratorConfig::default();
-        // 240 x 180 x 100 voxels x 2 bytes = 8.64 MB.
-        assert_eq!(
-            DsiDram::for_config(&config).footprint_bytes(),
-            240 * 180 * 100 * 2
-        );
+        // The DSI the device votes into: 240 x 180 x 100 voxels x 2 bytes
+        // = 8.64 MB.
+        assert_eq!(dsi_for(&config).score_bytes(), 240 * 180 * 100 * 2);
         let key = frame_timing(&config, FrameKind::Key);
         assert!(key.vote_cycles > 0);
         assert!(key.reset_cycles > 0);

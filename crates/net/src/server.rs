@@ -134,9 +134,9 @@ impl Default for KeepaliveConfig {
 }
 
 /// Session-admission policy of a [`WireServer`], driven by the engine's own
-/// queue-depth/utilization metrics (`docs/SERVING.md` sizing notes).
+/// live-session count (`docs/SERVING.md` sizing notes).
 ///
-/// When a gate trips, `Admit` is answered with `Rejected` carrying
+/// When the gate trips, `Admit` is answered with `Rejected` carrying
 /// [`code::OVERLOADED`]; the connection stays usable and the client may
 /// retry once load drains.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,31 +144,17 @@ pub struct AdmissionConfig {
     /// Most sessions allowed to be live (active + draining + failed) at
     /// once. `0` means unlimited.
     pub max_sessions: usize,
-    /// Largest tolerated aggregate ingest-queue fullness, in `[0, 1]`
-    /// (total queued events over total live queue capacity). `0.0` disables
-    /// the gate.
-    pub max_queue_fraction: f64,
 }
 
 impl AdmissionConfig {
     /// The default policy: no limits (every `Admit` is considered).
     pub fn new() -> Self {
-        Self {
-            max_sessions: 0,
-            max_queue_fraction: 0.0,
-        }
+        Self { max_sessions: 0 }
     }
 
     /// Replaces the live-session cap (`0` = unlimited).
     pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
         self.max_sessions = max_sessions;
-        self
-    }
-
-    /// Replaces the queue-fraction gate (clamped into `[0, 1]`; `0.0`
-    /// disables).
-    pub fn with_max_queue_fraction(mut self, fraction: f64) -> Self {
-        self.max_queue_fraction = fraction.clamp(0.0, 1.0);
         self
     }
 }
@@ -1026,7 +1012,7 @@ fn admit(
             reason: "session id 0 is reserved for connection-level frames".into(),
         };
     }
-    if let Some(reject) = admission_reject(core, &config.admission, config.serve.queue_capacity()) {
+    if let Some(reject) = admission_reject(core, &config.admission) {
         return reject;
     }
     // Resolve the manifest before touching the engine: building a session
@@ -1062,40 +1048,22 @@ fn admit(
     }
 }
 
-/// Evaluates the admission gates against the engine's live metrics.
-fn admission_reject(
-    core: &EngineCore,
-    admission: &AdmissionConfig,
-    queue_capacity: usize,
-) -> Option<WireFrame> {
-    if admission.max_sessions == 0 && admission.max_queue_fraction <= 0.0 {
+/// Evaluates the live-session gate against the engine's live metrics.
+fn admission_reject(core: &EngineCore, admission: &AdmissionConfig) -> Option<WireFrame> {
+    if admission.max_sessions == 0 {
         return None;
     }
-    let metrics = core.engine.metrics();
-    let live = metrics.live_sessions();
-    if admission.max_sessions > 0 && live >= admission.max_sessions {
-        return Some(WireFrame::Rejected {
-            code: code::OVERLOADED,
-            reason: format!(
-                "admission refused: {live} live sessions at the cap of {}",
-                admission.max_sessions
-            ),
-        });
+    let live = core.engine.metrics().live_sessions();
+    if live < admission.max_sessions {
+        return None;
     }
-    if admission.max_queue_fraction > 0.0 {
-        let fraction = metrics.queue_fraction(queue_capacity);
-        if fraction >= admission.max_queue_fraction {
-            return Some(WireFrame::Rejected {
-                code: code::OVERLOADED,
-                reason: format!(
-                    "admission refused: ingest queues {:.0}% full (gate {:.0}%)",
-                    fraction * 100.0,
-                    admission.max_queue_fraction * 100.0
-                ),
-            });
-        }
-    }
-    None
+    Some(WireFrame::Rejected {
+        code: code::OVERLOADED,
+        reason: format!(
+            "admission refused: {live} live sessions at the cap of {}",
+            admission.max_sessions
+        ),
+    })
 }
 
 /// `Poll`: pump once, then stream everything new — lifecycle events first,

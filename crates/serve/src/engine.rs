@@ -6,7 +6,7 @@ use crate::queue::IngestQueue;
 use eventor_core::SessionOutput;
 use eventor_core::{EventorOptions, EventorSession, SessionCheckpoint};
 use eventor_emvs::{run_sharded, EmvsError, ParallelConfig, SessionEvent};
-use eventor_events::{Event, EventStream};
+use eventor_events::Event;
 use eventor_geom::{Pose, Trajectory};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -532,11 +532,6 @@ impl ServeEngine {
         self.slots.is_empty()
     }
 
-    /// Handles of every admitted session, in admission order.
-    pub fn session_ids(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.slots.iter().map(|s| SessionId(s.id))
-    }
-
     /// Admits a session into the engine and emits
     /// [`ServeEvent::SessionAdmitted`]. The session keeps whatever backend
     /// and options it was built with — heterogeneous pools are the normal
@@ -629,19 +624,6 @@ impl ServeEngine {
                 source,
             }),
         }
-    }
-
-    /// [`Self::enqueue_events`] on an [`EventStream`] packet.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::enqueue_events`].
-    pub fn enqueue_packet(
-        &mut self,
-        id: SessionId,
-        packet: &EventStream,
-    ) -> Result<usize, ServeError> {
-        self.enqueue_events(id, packet.as_slice())
     }
 
     /// Declares end-of-stream for a session: no further events are accepted,

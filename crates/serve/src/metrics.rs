@@ -125,19 +125,6 @@ impl ServeMetrics {
     pub fn live_sessions(&self) -> usize {
         self.active + self.draining + self.failed
     }
-
-    /// Aggregate ingest-queue fullness across live sessions, in `[0, 1]`:
-    /// total queued events over total live queue capacity (`queue_capacity`
-    /// per session). Returns `0.0` while no session is live — an empty
-    /// engine is never "full".
-    pub fn queue_fraction(&self, queue_capacity: usize) -> f64 {
-        let denominator = (self.live_sessions() * queue_capacity) as f64;
-        if denominator <= 0.0 {
-            0.0
-        } else {
-            (self.queue_depth as f64 / denominator).clamp(0.0, 1.0)
-        }
-    }
 }
 
 /// A point-in-time snapshot of the whole serving tier: the aggregate

@@ -1,7 +1,7 @@
 //! Hardware/software co-simulation: run the quantized software pipeline and
-//! the functional register/datapath device model on the same sequence and
-//! verify that they agree bit-exactly, then report the accelerator activity
-//! the device observed (frames, votes, modelled latency, DSI DRAM traffic).
+//! the functional device model on the same sequence and verify that they
+//! agree bit-exactly, then report the accelerator activity the device
+//! observed (frames, votes, modelled latency, DSI DRAM traffic).
 //!
 //! Run with:
 //!
@@ -36,10 +36,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         .reconstruct(&sequence.events, &sequence.trajectory)?
         .output;
 
-    // 3. Device co-simulation: the same dataflow driven through the
-    //    register interface of the functional accelerator model. The
-    //    session driver hands the backend back, so the device can be
-    //    inspected after the run.
+    // 3. Device co-simulation: the same dataflow run on the functional
+    //    accelerator model. The session driver hands the backend back, so
+    //    its report can be read after the run.
     let backend = CosimBackend::new(
         sequence.camera,
         &config,
@@ -78,7 +77,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 5. What the device measured while doing it.
     let report = cosim.report();
-    let device = cosim.device();
+    let bytes_per_vote = cosim.device().config().bytes_per_vote;
     println!("\n--- accelerator activity (device model) ---");
     println!(
         "frames executed        : {} ({} key)",
@@ -105,15 +104,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         "event rate             : {:.2} Mev/s",
         report.events_in as f64 / report.accelerator_seconds / 1e6
     );
-    let dram = device.dsi().stats();
+    // Each vote is one read-modify-write of a 16-bit score.
     println!(
         "DSI DRAM traffic       : {} RMW votes, {:.2} MB moved",
-        dram.vote_rmw_ops,
-        dram.score_bytes() as f64 / 1e6
-    );
-    println!(
-        "host register accesses : {}",
-        device.registers().host_accesses()
+        report.votes_applied,
+        (report.votes_applied * bytes_per_vote as u64) as f64 / 1e6
     );
     println!(
         "activity-based energy  : {:.3} mJ total, {:.0} nJ/event, {:.2} W average",

@@ -15,7 +15,7 @@
 //! | [`dsi`] | the disparity space image, voting, scene-structure detection, depth maps, point clouds |
 //! | [`emvs`] | the EMVS space-sweep: the session driver, the one voting engine for every datapath (the original float one included), the quantized per-frame parameter block it shares with the device, and its profiler |
 //! | [`map`] | global mapping: voxel-grid downsampling, depth-map fusion, the accumulated world map |
-//! | [`hwsim`] | the Zynq accelerator model: one per-frame cost behind the Table 3 schedule, resources and power, plus the functional device that cost charges: a register file over a frame pass that runs the bit-true kernel on the shipped words |
+//! | [`hwsim`] | the Zynq accelerator model: one per-frame cost behind the Table 3 schedule, resources and power, plus the functional device that cost charges: a frame pass that runs the bit-true kernel on the shipped words and votes into the host's `DsiVolume<u16>` |
 //! | [`core`] | the session API and its batch `reconstruct`, the accelerator driver, hardware/software co-simulation and the accuracy-comparison harness |
 //! | [`serve`] | the multi-session serving engine: many concurrent streaming sessions multiplexed over a bounded worker pool |
 //! | [`scenarios`] | the versioned scenario corpus: seeded synthetic worlds, reconstruction digests, the golden regression table |

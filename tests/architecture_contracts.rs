@@ -1,11 +1,17 @@
-//! Contract citations cannot go stale: every test `docs/ARCHITECTURE.md`
-//! names next to a contract must exist.
+//! Citations in the documentation cannot go stale: every test
+//! `docs/ARCHITECTURE.md` names next to a contract, and every repository
+//! path `docs/*.md` and `README.md` cite, must exist.
 //!
-//! A citation is a backticked snake_case name of three or more words in a
-//! `*Tests:*` or `*Test:*` paragraph, read from the marker to the
+//! A test citation is a backticked snake_case name of three or more words in
+//! a `*Tests:*` or `*Test:*` paragraph, read from the marker to the
 //! paragraph's end. Two-word names such as `saturated_votes` are fields or
 //! bench rows, not tests, so they are not checked. Each citation must be a
 //! `fn` somewhere under `crates/` or `tests/`.
+//!
+//! A cited path is a run of path characters that starts a word with one of
+//! [`PATH_ROOTS`] and ends in one of [`PATH_EXTENSIONS`]; a sentence's
+//! closing period is not part of it. Each must name a file of the
+//! repository.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -69,6 +75,72 @@ fn fn_names(dir: &Path, names: &mut BTreeSet<String>) {
             }
         }
     }
+}
+
+/// The top-level directories a cited path starts with.
+const PATH_ROOTS: [&str; 5] = ["crates/", "tests/", "examples/", "benchmarks/", "evbench/"];
+
+/// The extensions a cited path ends with.
+const PATH_EXTENSIONS: [&str; 5] = [".rs", ".md", ".json", ".toml", ".lock"];
+
+/// The repository paths cited in `text`.
+fn cited_paths(text: &str) -> BTreeSet<String> {
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut cited = BTreeSet::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(|c: char| is_path_char(c)) {
+        let word = &rest[start..];
+        let end = word.find(|c: char| !is_path_char(c)).unwrap_or(word.len());
+        let path = word[..end].trim_end_matches('.');
+        if PATH_ROOTS.iter().any(|r| path.starts_with(r))
+            && PATH_EXTENSIONS.iter().any(|e| path.ends_with(e))
+        {
+            cited.insert(path.to_owned());
+        }
+        rest = &word[end..];
+    }
+    cited
+}
+
+#[test]
+fn cited_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut docs = vec![root.join("README.md")];
+    for entry in fs::read_dir(root.join("docs")).expect("docs/") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            docs.push(path);
+        }
+    }
+    let mut cited = BTreeSet::new();
+    for doc in &docs {
+        let text = fs::read_to_string(doc).unwrap_or_else(|e| panic!("{}: {e}", doc.display()));
+        cited.extend(cited_paths(&text));
+    }
+    assert!(!cited.is_empty(), "the documentation cites no path");
+    let missing: Vec<_> = cited.iter().filter(|p| !root.join(p).is_file()).collect();
+    assert!(
+        missing.is_empty(),
+        "docs/*.md or README.md cite paths that do not exist: {missing:?}"
+    );
+}
+
+#[test]
+fn cited_paths_are_whole_words_with_a_known_root_and_extension() {
+    let text = "See `crates/hwsim/src/device.rs`, crates/dsi/src/volume.rs:518 and\n\
+                [tests](tests/cosim_equivalence.rs). Also evbench/Cargo.lock.\n\
+                Not: src/crates/x.rs, crates/bench/src/bin/*.rs, docs/WIRE.md,\n\
+                crates/hwsim, tests/regressions/a.fuzzworld.";
+    let cited: Vec<_> = cited_paths(text).into_iter().collect();
+    assert_eq!(
+        cited,
+        [
+            "crates/dsi/src/volume.rs",
+            "crates/hwsim/src/device.rs",
+            "evbench/Cargo.lock",
+            "tests/cosim_equivalence.rs"
+        ]
+    );
 }
 
 #[test]

@@ -7,13 +7,12 @@ use eventor::core::{
     config_for_sequence, CosimBackend, EventorOptions, EventorSession, ParallelConfig,
     SessionDriver,
 };
+use eventor::dsi::{DepthPlanes, DsiVolume};
 use eventor::emvs::{EmvsConfig, EmvsOutput};
 use eventor::events::{DatasetConfig, Event, EventStream, SequenceKind, SyntheticSequence};
 use eventor::fixed::kernel::{self, PhiWords};
 use eventor::geom::{CameraModel, DistortionModel};
-use eventor::hwsim::{
-    frame_timing, status, AcceleratorConfig, EventorDevice, FrameJob, FrameKind, Register,
-};
+use eventor::hwsim::{frame_timing, AcceleratorConfig, EventorDevice, FrameJob, FrameKind};
 use eventor::scenarios::digest_output;
 
 fn sequence(kind: SequenceKind) -> SyntheticSequence {
@@ -21,8 +20,8 @@ fn sequence(kind: SequenceKind) -> SyntheticSequence {
         .expect("fast_test sequences generate")
 }
 
-/// A batch cosim run that hands the backend back, so the device can be
-/// read after the run.
+/// A batch cosim run that hands the backend back, so its DSI can be read
+/// after the run.
 fn cosim_run(
     seq: &SyntheticSequence,
     config: EmvsConfig,
@@ -90,7 +89,7 @@ fn device_agreement_holds_for_different_pe_counts() {
     for n_pe in [1usize, 2, 4] {
         let accel = AcceleratorConfig::default().with_pe_zi(n_pe);
         let (_, cosim) = cosim_run(&seq, config.clone(), accel);
-        let scores = cosim.device().dsi().scores().to_vec();
+        let scores = cosim.dsi().raw_scores().to_vec();
         match &reference {
             None => reference = Some(scores),
             Some(r) => assert_eq!(r, &scores, "{n_pe} PE_Zi produced a different DSI"),
@@ -101,9 +100,9 @@ fn device_agreement_holds_for_different_pe_counts() {
 #[test]
 fn cosim_report_matches_paper_scale_accelerator_model() {
     // Full 1024-event frames over 100 planes, every event surviving and
-    // every transfer voting: the cycles read back through the register
-    // interface are exactly the analytic schedule's (Table 3's Eventor
-    // column), normal and key frames alike.
+    // every transfer voting: the cycles of each frame's record are exactly
+    // the analytic schedule's (Table 3's Eventor column), normal and key
+    // frames alike.
     let identity =
         kernel::quantize_homography(&[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
     let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
@@ -117,11 +116,18 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
         phi_words: vec![phi; 100],
         kind,
     };
+    let dsi = || {
+        let planes = DepthPlanes::uniform_inverse_depth(1.0, 4.0, 100).expect("100 planes");
+        DsiVolume::new(240, 180, planes).expect("a 240x180 DSI")
+    };
     for num_pe in [1, 2, 4] {
         let config = AcceleratorConfig::default().with_pe_zi(num_pe);
         let mut device = EventorDevice::new(config.clone());
+        let mut dsi = dsi();
         for kind in [FrameKind::Normal, FrameKind::Key] {
-            let exec = device.run_frame(job(kind)).expect("frame accepted");
+            let exec = device
+                .run_frame(&job(kind), &mut dsi)
+                .expect("frame accepted");
             let analytic = frame_timing(&config, kind);
             assert_eq!(
                 [
@@ -139,40 +145,15 @@ fn cosim_report_matches_paper_scale_accelerator_model() {
                     analytic.total_cycles
                 ]
             );
-            assert_eq!(device.registers().cycle_result(), analytic.total_cycles);
-            assert!(device.registers().status_is(status::DONE));
-            assert_eq!(
-                device.registers().peek(Register::VotesApplied) as u64,
-                exec.votes_applied
-            );
             assert_eq!(exec.votes_applied, 1024 * 100);
         }
     }
     let config = AcceleratorConfig::default();
     let exec = EventorDevice::new(config.clone())
-        .run_frame(job(FrameKind::Normal))
+        .run_frame(&job(FrameKind::Normal), &mut dsi())
         .expect("frame accepted");
     let us = exec.total_us(&config);
     assert!((us - 551.58).abs() < 30.0, "normal frame latency {us} us");
-}
-
-#[test]
-fn device_register_protocol_round_trips_through_the_driver() {
-    let seq = sequence(SequenceKind::ThreePlanes);
-    let config = config_for_sequence(&seq, 30);
-    let (out, cosim) = cosim_run(&seq, config, AcceleratorConfig::default());
-    let device = cosim.device();
-    // After the run the device reports done, not busy, and its lifetime
-    // counters agree with the reconstruction output.
-    assert!(device.registers().status_is(status::DONE));
-    assert!(!device.registers().status_is(status::BUSY));
-    assert_eq!(device.stats().frames, out.profile.frames_processed);
-    assert!(device.stats().votes_applied > 0);
-    assert!(device.registers().host_accesses() > 0);
-    // The device's modelled busy time of the run is visible in the report.
-    let report = cosim.report();
-    assert_eq!(report.frames, device.stats().frames);
-    assert!(report.accelerator_seconds > 0.0);
 }
 
 #[test]

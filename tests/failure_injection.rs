@@ -4,6 +4,7 @@
 //! or silently corrupt the reconstruction.
 
 use eventor::core::{config_for_sequence, EventorOptions, EventorSession};
+use eventor::dsi::{DepthPlanes, DsiVolume};
 use eventor::emvs::{EmvsConfig, EmvsError, SessionEvent};
 use eventor::events::{
     DatasetConfig, Event, EventStream, NoiseConfig, NoiseInjector, Polarity, SequenceKind,
@@ -11,7 +12,7 @@ use eventor::events::{
 };
 use eventor::fixed::kernel::PhiWords;
 use eventor::geom::{CameraModel, Pose, Trajectory, Vec3};
-use eventor::hwsim::{AcceleratorConfig, DsiDram, EventorDevice, FrameJob, FrameKind};
+use eventor::hwsim::{AcceleratorConfig, EventorDevice, FrameJob, FrameKind};
 use eventor::scenarios::{digest_output, find, Scenario, ScenarioWorld};
 use eventor::serve::{ServeConfig, ServeEngine, ServeError};
 
@@ -137,40 +138,55 @@ fn heavy_sensor_noise_degrades_accuracy_gracefully() {
     }
 }
 
+/// A zeroed `u16` DSI of `width × height × planes` voxels.
+fn u16_dsi(width: usize, height: usize, planes: usize) -> DsiVolume<u16> {
+    let planes = DepthPlanes::uniform_inverse_depth(1.0, 4.0, planes).expect("two or more planes");
+    DsiVolume::new(width, height, planes).expect("a non-empty sensor")
+}
+
 #[test]
 fn malformed_accelerator_jobs_are_rejected_with_error_status() {
-    let mut device = EventorDevice::new(AcceleratorConfig::default().with_depth_planes(10));
-    // Plane-count mismatch.
-    let bad = FrameJob {
-        event_words: vec![0; 16],
+    let config = AcceleratorConfig::default().with_depth_planes(10);
+    let mut device = EventorDevice::new(config.clone());
+    let mut dsi = u16_dsi(config.sensor_width, config.sensor_height, 10);
+    dsi.vote_at(3, 3, 1);
+    let before = dsi.clone();
+    let job = |events: usize, planes: usize, kind| FrameJob {
+        event_words: vec![0; events],
         homography_words: [0; 9],
-        phi_words: vec![PhiWords::default(); 3],
-        kind: FrameKind::Normal,
+        phi_words: vec![PhiWords::default(); planes],
+        kind,
     };
-    assert!(device.run_frame(bad).is_none());
-    // Empty frame.
-    let empty = FrameJob {
-        event_words: Vec::new(),
-        homography_words: [0; 9],
-        phi_words: vec![PhiWords::default(); 10],
-        kind: FrameKind::Normal,
-    };
-    assert!(device.run_frame(empty).is_none());
-    assert_eq!(device.stats().frames, 0);
+    // Plane-count mismatch, and an empty frame; as key frames too, which
+    // must not reset the DSI they are refused on.
+    for kind in [FrameKind::Normal, FrameKind::Key] {
+        assert!(device.run_frame(&job(16, 3, kind), &mut dsi).is_none());
+        assert!(device.run_frame(&job(0, 10, kind), &mut dsi).is_none());
+    }
+    // A DSI whose size differs from the configured one.
+    let mut narrow = u16_dsi(config.sensor_width - 1, config.sensor_height, 10);
+    let mut shallow = u16_dsi(config.sensor_width, config.sensor_height, 9);
+    for other in [&mut narrow, &mut shallow] {
+        assert!(device
+            .run_frame(&job(16, 10, FrameKind::Key), other)
+            .is_none());
+        assert_eq!(other.votes_cast(), 0);
+    }
+    assert_eq!(dsi, before, "a refused job touched the DSI");
 }
 
 #[test]
 fn dsi_scores_saturate_instead_of_wrapping_under_extreme_load() {
     // Pathological workload: every vote lands on the same voxel, more times
     // than a 16-bit score can hold.
-    let mut dram = DsiDram::new(8, 8, 2);
-    let addr = dram.linear_address(3, 3, 1).expect("in range");
+    let mut dsi = u16_dsi(8, 8, 2);
     for _ in 0..(u16::MAX as u32 + 500) {
-        dram.vote(addr);
+        dsi.vote_at(3, 3, 1);
     }
-    assert_eq!(dram.score(3, 3, 1), Some(u16::MAX));
-    assert_eq!(dram.stats().saturated_votes, 500);
-    assert_eq!(dram.stats().address_faults, 0);
+    assert_eq!(dsi.score(3, 3, 1), f64::from(u16::MAX));
+    assert_eq!(dsi.votes_cast(), u64::from(u16::MAX) + 500);
+    assert_eq!(dsi.votes_missed(), 0);
+    assert_eq!(dsi.total_score(), f64::from(u16::MAX));
 }
 
 /// Builds a fresh software session for `world` (the serve tier accepts any

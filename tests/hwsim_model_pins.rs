@@ -1,16 +1,19 @@
 //! Exact pins of the accelerator model's numbers: the frame schedule and the
 //! Table 3 figures over a sweep of architectures, the Table 2 report and
-//! power at every `PE_Zi` count, and the records of a multi-frame device run.
+//! power at every `PE_Zi` count, and the records and DSI of a multi-frame
+//! device run.
 //!
 //! Cycle counts are pinned as integers and `f64` values by their bits, so a
 //! refactor of the model that moves any figure by one cycle or one ulp fails
 //! here, by case and line. A deliberate change to the model re-pins.
 
+use eventor::dsi::{DepthPlanes, DsiVolume};
+use eventor::events::fnv1a_64;
 use eventor::fixed::kernel::{self, PhiWords};
 use eventor::fixed::PackedCoord;
 use eventor::hwsim::{
     estimate_resources, frame_timing, performance, sequence_runtime_seconds, AcceleratorConfig,
-    DeviceStats, DramStats, EventorDevice, FrameExecution, FrameJob, FrameKind, PowerModel,
+    EventorDevice, FrameExecution, FrameJob, FrameKind, PowerModel,
 };
 
 /// Compares `actual` with `expected` line by line, naming the first line
@@ -346,27 +349,23 @@ fn execution_line(e: &FrameExecution) -> String {
     )
 }
 
-fn stats_lines(device: &DeviceStats, dram: &DramStats) -> String {
+/// The DSI's vote count and the FNV-1a-64 of its score bytes (each score
+/// little-endian, plane-major).
+fn dsi_line(dsi: &DsiVolume<u16>) -> String {
+    let bytes: Vec<u8> = dsi
+        .raw_scores()
+        .iter()
+        .flat_map(|s| s.to_le_bytes())
+        .collect();
     format!(
-        "device: frames {} key {} in {} dropped {} votes {} busy {}\n\
-         dram: reads {} writes {} rmw {} saturated {} faults {} resets {}\n",
-        device.frames,
-        device.key_frames,
-        device.events_in,
-        device.events_dropped,
-        device.votes_applied,
-        device.busy_cycles,
-        dram.score_reads,
-        dram.score_writes,
-        dram.vote_rmw_ops,
-        dram.saturated_votes,
-        dram.address_faults,
-        dram.resets
+        "dsi: votes_cast {} fnv1a64 {:016x}\n",
+        dsi.votes_cast(),
+        fnv1a_64(&bytes)
     )
 }
 
 /// Per `PE_Zi` count 1, 2, 4 and double buffering on, off: every frame's
-/// `FrameExecution`, then the device's `DeviceStats` and `DramStats`.
+/// `FrameExecution`, then the DSI the frames voted into.
 const DEVICE_RUN: &str = "\
 pe=1 db=1
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 1024 reset 1255 total 1271
@@ -374,48 +373,42 @@ pe=1 db=1
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 964 reset 0 total 964
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 526 reset 1255 total 650
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 64
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 4213
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 pe=1 db=0
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 1024 reset 1255 total 1618
   Normal: in 200 dropped 0 missed 673 votes 527; dma 347 canonical 247 proportional 1264 reset 0 total 1611
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 964 reset 0 total 1261
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 526 reset 1255 total 874
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 275
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 5639
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 pe=2 db=1
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 640 reset 1255 total 887
   Normal: in 200 dropped 0 missed 673 votes 527; dma 347 canonical 247 proportional 664 reset 0 total 664
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 607 reset 0 total 607
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 295 reset 1255 total 419
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 64
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 2641
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 pe=2 db=0
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 640 reset 1255 total 1234
   Normal: in 200 dropped 0 missed 673 votes 527; dma 347 canonical 247 proportional 664 reset 0 total 1011
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 607 reset 0 total 904
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 295 reset 1255 total 643
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 275
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 4067
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 pe=4 db=1
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 640 reset 1255 total 887
   Normal: in 200 dropped 0 missed 673 votes 527; dma 347 canonical 247 proportional 464 reset 0 total 464
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 607 reset 0 total 607
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 218 reset 1255 total 342
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 64
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 2364
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 pe=4 db=0
   Key: in 200 dropped 40 missed 42 votes 918; dma 347 canonical 247 proportional 640 reset 1255 total 1234
   Normal: in 200 dropped 0 missed 673 votes 527; dma 347 canonical 247 proportional 464 reset 0 total 811
   Normal: in 150 dropped 0 missed 30 votes 870; dma 297 canonical 197 proportional 607 reset 0 total 904
   Key: in 77 dropped 0 missed 258 votes 204; dma 224 canonical 124 proportional 218 reset 1255 total 566
   Normal: in 64 dropped 64 missed 0 votes 0; dma 211 canonical 111 proportional 64 reset 0 total 275
-device: frames 5 key 2 in 691 dropped 104 votes 2519 busy 3790
-dram: reads 2519 writes 2519 rmw 2519 saturated 0 faults 0 resets 2
+dsi: votes_cast 204 fnv1a64 3570b1d4a9e4b3dd
 ";
 
 #[test]
@@ -430,13 +423,15 @@ fn device_run_records_are_pinned() {
                 .with_double_buffering(db);
             config.sensor_width = 40;
             config.sensor_height = 30;
+            let planes = DepthPlanes::uniform_inverse_depth(1.0, 4.0, 6).expect("six planes");
+            let mut dsi = DsiVolume::new(40, 30, planes).expect("a 40x30 DSI");
             let mut device = EventorDevice::new(config);
             actual += &format!("pe={pe} db={}\n", u8::from(db));
             for job in &jobs {
-                let exec = device.run_frame(job.clone()).expect("a valid job");
+                let exec = device.run_frame(job, &mut dsi).expect("a valid job");
                 actual += &format!("  {}\n", execution_line(&exec));
             }
-            actual += &stats_lines(&device.stats(), &device.dsi().stats());
+            actual += &dsi_line(&dsi);
         }
     }
     assert_pinned("device run", &actual, DEVICE_RUN);
