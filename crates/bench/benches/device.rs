@@ -1,7 +1,7 @@
 //! Benchmarks of the functional device model: the frame pass (the `PE_Z0`
 //! projection, then plane by plane the `PE_Zi` transfers and the Vote
-//! Execute Unit's deposits) into a DSI that keeps its scores, that pass's
-//! DSI deposit alone, and a complete frame on a fresh device and DSI.
+//! Execute Unit's deposits, fused in one kernel face) into a DSI that keeps
+//! its scores, and a complete frame on a fresh device and DSI.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eventor_dsi::{DepthPlanes, DsiVolume};
@@ -62,32 +62,6 @@ fn bench_device(c: &mut Criterion) {
         let mut dsi = paper_scale_dsi();
         device.run_frame(&job, &mut dsi).expect("a valid job");
         b.iter(|| black_box(device.run_frame(&job, &mut dsi)))
-    });
-
-    // The Vote Execute Unit's share of the frame pass: the same frame's
-    // votes, transferred beforehand, deposited plane by plane.
-    group.bench_function("dsi_vote_at_102400_votes", |b| {
-        let h = near_identity_homography();
-        let canonical: Vec<PackedCoord> = event_words(1024)
-            .into_iter()
-            .filter_map(|w| kernel::project_z0(&h, PackedCoord::from_word(w)))
-            .collect();
-        let planes: Vec<Vec<(u16, u16)>> = phi_words(100)
-            .iter()
-            .map(|phi| {
-                canonical
-                    .iter()
-                    .filter_map(|&c| kernel::transfer_nearest(phi, c, 240, 180).address())
-                    .collect()
-            })
-            .collect();
-        let mut dsi = paper_scale_dsi();
-        b.iter(|| {
-            for (plane, votes) in planes.iter().enumerate() {
-                votes.iter().for_each(|&(x, y)| dsi.vote_at(x, y, plane));
-            }
-            black_box(dsi.votes_cast())
-        })
     });
 
     // One frame on a fresh device and a fresh DSI, whose pages the frame

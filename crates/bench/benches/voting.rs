@@ -1,11 +1,18 @@
 //! Micro-benchmarks of DSI voting: bilinear versus nearest (the paper's
-//! approximate-computing ablation) and f32 versus quantized u16 scores;
-//! and of structure detection, which retires every key frame's DSI.
+//! approximate-computing ablation), f32 versus quantized u16 scores, and
+//! one vote window of the accelerator datapath through the kernel's fused
+//! transfer-and-vote face; and of structure detection, which retires every
+//! key frame's DSI.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use eventor_dsi::{
-    confidence_map, detect_structure, DepthPlanes, DetectionConfig, DsiVolume, VoxelScore,
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
 };
+use eventor_dsi::{
+    confidence_map, detect_structure, DepthPlanes, DetectionConfig, DsiVolume, VoteArena,
+    VoxelScore,
+};
+use eventor_fixed::kernel::PhiWords;
+use eventor_fixed::PackedCoord;
 use std::hint::black_box;
 
 fn targets(n: usize) -> Vec<(f64, f64, usize)> {
@@ -66,7 +73,57 @@ fn bench_voting(c: &mut Criterion) {
         )
     });
 
+    bench_vote_window(&mut group);
     group.finish();
+}
+
+/// One vote window of the accelerator datapath: 32 frames of 1024
+/// canonical survivors spread over a 240×180 sensor, each frame with its
+/// own 100 near-identity `φ` words, so most transfers land on the sensor.
+fn window_frames() -> Vec<(Vec<PackedCoord>, Vec<PhiWords>)> {
+    (0..32)
+        .map(|k| {
+            let canon = (0..1024)
+                .map(|i| {
+                    let x = ((i * 37 + k * 11) % 2400) as f64 / 10.0;
+                    let y = ((i * 53 + k * 7) % 1800) as f64 / 10.0;
+                    PackedCoord::from_f64(x, y)
+                })
+                .collect();
+            let phi = (0..100)
+                .map(|p| {
+                    let r = 1.0 - 0.002 * p as f64;
+                    let shift = 0.3 * k as f64;
+                    PhiWords::from_f64(r, (1.0 - r) * 120.0 + shift, (1.0 - r) * 90.0 - shift)
+                })
+                .collect();
+            (canon, phi)
+        })
+        .collect()
+}
+
+/// A 32 K-survivor window through `DsiVolume`'s vote path, plane by plane,
+/// into a 240×180×100 DSI that keeps its scores; the throughput is the
+/// window's votes, so the row reads as time per vote.
+fn bench_vote_window(group: &mut BenchmarkGroup<'_>) {
+    let frames = window_frames();
+    let window: Vec<(&[PackedCoord], &[PhiWords])> = frames
+        .iter()
+        .map(|(canon, phi)| (canon.as_slice(), phi.as_slice()))
+        .collect();
+    let planes = DepthPlanes::uniform_inverse_depth(0.6, 6.0, 100).unwrap();
+    let mut dsi = DsiVolume::<u16>::new(240, 180, planes).unwrap();
+    let mut arena = VoteArena::new();
+    let mut vote = |dsi: &mut DsiVolume<u16>| {
+        let mut view = dsi.plane_ranges_mut(1).next().expect("one plane range");
+        view.vote_batch(window.iter().copied(), &mut arena);
+        view.votes_cast()
+    };
+    let votes = vote(&mut dsi);
+    group.throughput(Throughput::Elements(votes));
+    group.bench_function("vote_window_32k_u16_240x180x100", |b| {
+        b.iter(|| black_box(vote(&mut dsi)))
+    });
 }
 
 /// A deterministic voted DSI in the shape a key frame leaves: scattered

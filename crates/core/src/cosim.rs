@@ -4,8 +4,9 @@
 //!
 //! [`CosimBackend`] plays the role of the ARM firmware in the prototype
 //! behind the streaming session contract: it performs the PS-side per-frame
-//! stages (streaming distortion correction through the camera's
-//! [`UndistortionLut`], Q9.7 transport encoding, parameter staging) and runs
+//! stages (streaming distortion correction and Q9.7 transport encoding, one
+//! read per event of the camera's [`TransportTable`], and parameter
+//! staging) and runs
 //! the PL-side stages (`𝒫{Z0}`, `𝒫{Z0;Zi}`, `𝒢`, `𝒱`) on [`EventorDevice`].
 //! As in the prototype, where the DSI sits in the PS's DDR3 and the PL votes
 //! into it, the backend owns the one DSI ([`DsiVolume<u16>`]) and hands it to
@@ -16,8 +17,9 @@
 //! [`SessionBuilder::reconstruct`](crate::SessionBuilder::reconstruct).
 //!
 //! Each frame's `Buf_H` / `Buf_P` payload is the engine's parameter block
-//! ([`QuantizedHomography`], [`QuantizedCoefficients`]), encoded once and
-//! moved into the [`FrameJob`]. The device's frame pass and the software
+//! ([`QuantizedHomography`], [`QuantizedCoefficients`]), encoded once into
+//! the [`FrameJob`] the backend keeps and refills for every frame. The
+//! device's frame pass and the software
 //! datapath of the [`VotingEngine`](crate::VotingEngine) both run the
 //! **bit-true integer kernel** in [`eventor_fixed::kernel`] on those words —
 //! same wide-MAC/normalization/judgement functions — so the two produce
@@ -27,11 +29,10 @@
 
 use eventor_dsi::{DetectionConfig, DsiVolume};
 use eventor_emvs::{
-    finalize_volume, import_vote_volume, quantize_event_pixel, run_sharded, BackendVoteState,
-    EmvsConfig, EmvsError, EventorOptions, ExecutionBackend, FrameWork, KeyframeReconstruction,
-    ParallelConfig, QuantizedCoefficients, QuantizedHomography, Stage, StageProfile,
+    finalize_volume, import_vote_volume, BackendVoteState, EmvsConfig, EmvsError, EventorOptions,
+    ExecutionBackend, FrameWork, KeyframeReconstruction, ParallelConfig, QuantizedCoefficients,
+    QuantizedHomography, Stage, StageProfile, TransportTable,
 };
-use eventor_events::UndistortionLut;
 use eventor_geom::{CameraModel, Pose};
 use eventor_hwsim::{
     AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
@@ -68,16 +69,18 @@ pub struct CosimReport {
 /// functional PL device model, behind the `eventor-backend/1` session
 /// contract.
 ///
-/// The device resets the DSI on every `FrameKind::Key` job, so the backend
-/// marks the first frame after each retirement as a key frame — the same
-/// protocol the batch firmware loop used.
+/// Retirement resets the DSI, as the voting engine's does, and the backend
+/// marks the first frame after each retirement as a key frame, whose job
+/// the device charges the DSI reset to — the same protocol the batch
+/// firmware loop used.
 #[derive(Debug)]
 pub struct CosimBackend {
     camera: CameraModel,
-    undistortion: UndistortionLut,
+    transport: TransportTable,
     detection: DetectionConfig,
-    parallel: ParallelConfig,
     device: EventorDevice,
+    /// The job of the frame in flight, refilled for every frame.
+    job: FrameJob,
     /// The one DSI: the device votes into it, retirement detects structure
     /// in it, and checkpoints export and import it.
     dsi: DsiVolume<u16>,
@@ -91,9 +94,9 @@ impl CosimBackend {
     /// Creates a backend with a fresh device whose accelerator configuration
     /// is aligned with the EMVS configuration (frame size, plane count and
     /// sensor resolution are taken from `config` / `camera`), and builds the
-    /// camera's undistortion table. `parallel` chunks the PS-side per-event
-    /// stages over worker shards; the device itself stays serial, as it
-    /// models a single accelerator.
+    /// camera's per-pixel transport table. `parallel` changes nothing: the
+    /// device models a single accelerator, and the PS-side ingest is one
+    /// table read per event, run on the calling thread.
     ///
     /// # Errors
     ///
@@ -104,7 +107,7 @@ impl CosimBackend {
         camera: CameraModel,
         config: &EmvsConfig,
         accelerator: AcceleratorConfig,
-        parallel: ParallelConfig,
+        _parallel: ParallelConfig,
     ) -> Result<Self, EmvsError> {
         EventorOptions::accelerator().check_sensor(&camera.intrinsics)?;
         let dsi = DsiVolume::new(
@@ -119,10 +122,15 @@ impl CosimBackend {
         accelerator.sensor_height = camera.intrinsics.height as usize;
         Ok(Self {
             camera,
-            undistortion: UndistortionLut::build(&camera),
+            transport: TransportTable::build(&camera),
             detection: config.detection,
-            parallel,
             device: EventorDevice::new(accelerator),
+            job: FrameJob {
+                event_words: Vec::new(),
+                homography_words: [0; 9],
+                phi_words: Vec::new(),
+                kind: FrameKind::Key,
+            },
             dsi,
             report: CosimReport::default(),
             normal_us_sum: 0.0,
@@ -136,8 +144,7 @@ impl CosimBackend {
         &self.device
     }
 
-    /// The DSI the device votes into. Right after a retirement it still
-    /// holds the retired key frame's scores; the next key frame resets it.
+    /// The DSI the device votes into; retirement resets it.
     pub fn dsi(&self) -> &DsiVolume<u16> {
         &self.dsi
     }
@@ -202,44 +209,30 @@ impl ExecutionBackend for CosimBackend {
         profile: &mut StageProfile,
     ) -> Result<(), EmvsError> {
         let fabric = self.device.config().fabric_clock;
-        // PS side: streaming distortion correction (one table read per
-        // event) + Q9.7 transport encoding, chunked over the configured
-        // worker shards (bit-identical for any shard count — both stages are
-        // per-event pure maps). One shard is one job, run inline.
-        let lut = &self.undistortion;
-        let mut event_words = vec![0u32; work.events.len()];
-        let chunk = work.events.len().div_ceil(self.parallel.shards()).max(1);
-        run_sharded(
-            work.events.chunks(chunk).zip(event_words.chunks_mut(chunk)),
-            |(events, words)| {
-                for (word, e) in words.iter_mut().zip(events) {
-                    *word = quantize_event_pixel(lut.correct_event(e)).to_word();
-                }
-            },
-        );
-        let kind = if self.next_is_key {
+        // PS side: streaming distortion correction and Q9.7 transport
+        // encoding, one table read per event, then the frame's parameter
+        // block, encoded once into the job.
+        let (job, table) = (&mut self.job, &self.transport);
+        job.event_words.clear();
+        job.event_words
+            .extend(work.events.iter().map(|e| table.encode(e).to_word()));
+        job.homography_words =
+            QuantizedHomography::from_homography(&work.geometry.homography).raw_words();
+        job.phi_words.clear();
+        QuantizedCoefficients::append_words(&work.geometry.coefficients, &mut job.phi_words);
+        job.kind = if self.next_is_key {
             FrameKind::Key
         } else {
             FrameKind::Normal
         };
-        // The frame's parameter block, encoded once; its `Buf_P` words move
-        // into the job.
-        let job = FrameJob {
-            event_words,
-            homography_words: QuantizedHomography::from_homography(&work.geometry.homography)
-                .raw_words(),
-            phi_words: QuantizedCoefficients::from_coefficients(&work.geometry.coefficients)
-                .into_words(),
-            kind,
-        };
 
         // PL side: run the frame on the device. `next_is_key` is only
         // cleared on success: the driver keeps a failed frame buffered for
-        // retry, and the retried job must still be a Key frame so the device
-        // resets the DSI for the new key frame.
+        // retry, and the retried job must still be a Key frame, the one the
+        // frame cost charges the DSI reset to.
         let execution =
             self.device
-                .run_frame(&job, &mut self.dsi)
+                .run_frame(job, &mut self.dsi)
                 .ok_or_else(|| EmvsError::InvalidConfig {
                     reason: "accelerator rejected the staged frame".into(),
                 })?;
@@ -271,7 +264,12 @@ impl ExecutionBackend for CosimBackend {
             events_used,
         );
         profile.add(Stage::Detection, t.elapsed());
-        // The device resets the DSI on the next Key frame job.
+        // Reset here, as the voting engine does, so that a retirement with
+        // no frame after the last one finds an empty DSI; the next frame is
+        // a Key job, which the frame cost charges the reset to.
+        let t = Instant::now();
+        self.dsi.reset();
+        profile.add(Stage::Merging, t.elapsed());
         self.next_is_key = true;
         Ok(reconstruction)
     }
@@ -284,19 +282,7 @@ impl ExecutionBackend for CosimBackend {
         &mut self,
         _profile: &mut StageProfile,
     ) -> Result<BackendVoteState, EmvsError> {
-        // Right after a retirement the DSI still holds the *retired* key
-        // frame's scores (the device only resets on the next Key job), so the
-        // open key frame's true partial state is an empty volume.
-        let dsi = if self.next_is_key {
-            DsiVolume::new(
-                self.dsi.width(),
-                self.dsi.height(),
-                self.dsi.planes().clone(),
-            )?
-        } else {
-            self.dsi.clone()
-        };
-        Ok(BackendVoteState::Quantized(dsi))
+        Ok(BackendVoteState::Quantized(self.dsi.clone()))
     }
 
     fn import_vote_state(
@@ -439,6 +425,46 @@ mod tests {
         assert_eq!(exported.raw_scores(), volume.raw_scores());
         assert_eq!((exported.votes_cast(), exported.votes_missed()), (2, 0));
         assert_eq!(backend.dsi(), &exported);
+    }
+
+    #[test]
+    fn back_to_back_retirements_return_an_empty_key_frame_on_every_backend() {
+        // The backend contract allows a retirement with no frame since the
+        // last one; it must not hand the previous key frame back again.
+        fn retire_twice<B: ExecutionBackend>(backend: B, seq: &SyntheticSequence) {
+            let name = backend.name();
+            let mut driver = SessionDriver::new(seq.camera, config_for(seq), backend)
+                .unwrap()
+                .with_max_pending_events(usize::MAX);
+            driver.push_trajectory(&seq.trajectory).unwrap();
+            driver.push_events(seq.events.as_slice()).unwrap();
+            // `finish` retires the open key frame; retire once more.
+            let (output, mut backend) = driver.finish_with_backend();
+            let last = output.unwrap().keyframes.pop().unwrap();
+            assert!(last.votes_cast > 0, "{name}");
+            assert!(last.depth_map.valid_count() > 0, "{name}");
+            let again = backend
+                .retire_keyframe(&Pose::identity(), 0, 0, &mut StageProfile::new())
+                .unwrap();
+            assert_eq!(again.votes_cast, 0, "{name}");
+            assert_eq!(again.depth_map.valid_count(), 0, "{name}");
+        }
+        let seq = sequence();
+        let config = config_for(&seq);
+        for shards in [1, 2] {
+            let parallel = ParallelConfig::with_shards(shards);
+            let options = EventorOptions::accelerator();
+            retire_twice(
+                crate::VotingEngine::new(seq.camera, &config, options, parallel).unwrap(),
+                &seq,
+            );
+        }
+        let accelerator = AcceleratorConfig::default();
+        let sequential = ParallelConfig::sequential();
+        retire_twice(
+            CosimBackend::new(seq.camera, &config, accelerator, sequential).unwrap(),
+            &seq,
+        );
     }
 
     #[test]

@@ -8,15 +8,16 @@ use eventor_fixed::kernel::PhiWords;
 use eventor_fixed::PackedCoord;
 use std::ops::Range;
 
-/// Reusable scratch for [`PlaneRange::vote_batch`]: the slab-index buffer
-/// the batched transfer fills with one block's in-sensor indices and the
-/// vote deposit reads whole.
+/// Reusable scratch for [`PlaneRange::vote_batch`] on `f32` scores: the
+/// slab-index buffer the batched transfer fills with one frame's in-sensor
+/// indices and the vote deposit reads whole.
 ///
-/// Owning the buffer outside the volume lets the voting engine carry one
-/// arena per plane range across every vote pass instead of reallocating per
-/// call; a fresh (empty) arena is always valid input. Its capacity stays
-/// at one block of coordinates (`VOTE_BLOCK`, 8 KiB), whatever it held.
-#[derive(Debug, Default)]
+/// Owning the buffer outside the volume lets a caller carry one arena per
+/// plane range across every vote pass instead of reallocating per call; a
+/// fresh (empty) arena is always valid input. Its capacity grows to the
+/// largest frame voted through it. `u16` scores vote through the kernel's
+/// fused face, which keeps its indices on the stack, and leave it empty.
+#[derive(Debug, Clone, Default)]
 pub struct VoteArena {
     idx: Vec<u32>,
 }
@@ -27,12 +28,6 @@ impl VoteArena {
         Self::default()
     }
 }
-
-/// Canonical-coordinate block length of the cache-blocked vote loop: the
-/// block (4 B/coord) plus its index buffer (4 B/entry) stay L1-resident
-/// (16 KiB at 2048) while one plane slab (`width · height` scores, ~84 KiB
-/// for a 240×180 `u16` DSI) is the write set of every frame of a window.
-const VOTE_BLOCK: usize = 2048;
 
 /// Score storage of a DSI voxel.
 ///
@@ -75,7 +70,7 @@ pub trait VoxelScore:
 }
 
 mod private {
-    use super::{batch, DsiVolume, VoxelScore};
+    use super::{batch, DsiVolume, PackedCoord, PhiWords, VoteArena, VoxelScore};
     use crate::detection::{self, ConfidenceMap};
 
     pub trait Sealed: Sized {
@@ -87,6 +82,30 @@ mod private {
         {
             detection::collapse_ordered(dsi)
         }
+
+        /// One plane's transfer and vote behind [`PlaneRange::vote_batch`]
+        /// (`slab` is that plane, `width × height` scores): a unit vote at
+        /// each in-sensor transfer of `canon`; returns the votes cast. By
+        /// default the batched transfer fills `arena` and the deposit reads
+        /// it back.
+        ///
+        /// [`PlaneRange::vote_batch`]: super::PlaneRange::vote_batch
+        fn vote_nearest(
+            phi: &PhiWords,
+            canon: &[PackedCoord],
+            (width, height): (u32, u32),
+            slab: &mut [Self],
+            arena: &mut VoteArena,
+        ) -> usize
+        where
+            Self: VoxelScore,
+        {
+            batch::transfer_nearest_batch(phi, canon, width, height, &mut arena.idx);
+            for &idx in &arena.idx {
+                slab[idx as usize].add_unit();
+            }
+            arena.idx.len()
+        }
     }
 
     impl Sealed for f32 {}
@@ -94,6 +113,16 @@ mod private {
     impl Sealed for u16 {
         fn confidence_map(dsi: &DsiVolume<Self>) -> ConfidenceMap {
             detection::collapse_u16(dsi, batch::active())
+        }
+
+        fn vote_nearest(
+            phi: &PhiWords,
+            canon: &[PackedCoord],
+            (width, height): (u32, u32),
+            slab: &mut [Self],
+            _: &mut VoteArena,
+        ) -> usize {
+            batch::vote_nearest_u16(phi, canon, width, height, slab)
         }
     }
 }
@@ -698,16 +727,17 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
         }
     }
 
-    /// The batched, cache-blocked quantized nearest vote of a **window** of
-    /// frames, each given as its canonical coordinates and its per-plane
-    /// `φ` words (`coefficients[i]` belongs to plane `i` of the whole
-    /// volume), in stream order. For every depth plane of the view, every
-    /// frame whose coefficients cover that plane transfers its coordinates,
-    /// frame after frame, through the batched `PE_Zi` kernel
-    /// ([`batch::transfer_nearest_batch`], vectorized per the session's
-    /// dispatch tier) with its own `φ` words. The kernel returns only the
-    /// in-sensor slab indices, so the deposit adds one unit vote at each of
-    /// them and counts them all as cast, with no test on an index.
+    /// The batched quantized nearest vote of a **window** of frames, each
+    /// given as its canonical coordinates and its per-plane `φ` words
+    /// (`coefficients[i]` belongs to plane `i` of the whole volume), in
+    /// stream order. For every depth plane of the view, every frame whose
+    /// coefficients cover that plane transfers its coordinates, frame after
+    /// frame, with its own `φ` words, and a unit vote lands at each
+    /// in-sensor transfer, counted as cast. `u16` scores go through the
+    /// kernel's fused transfer-and-vote face ([`batch::vote_nearest_u16`],
+    /// vectorized per the session's dispatch tier); `f32` scores through
+    /// the batched transfer ([`batch::transfer_nearest_batch`]) into
+    /// `arena` and [`VoxelScore::add_unit`] at each index it returns.
     ///
     /// **Bit-identical to the scalar loop** (`transfer_nearest` +
     /// [`DsiVolume::vote_at`] per event and plane, frame after frame): each
@@ -718,22 +748,23 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
     /// per-plane projection-missing transfers are dropped without touching
     /// the missed counter (they are per-plane outcomes, not lost events).
     ///
-    /// The loop is blocked for the cache hierarchy: each plane slab is
-    /// fetched once per window instead of once per frame, and canonical
-    /// coordinates stream through it in `VOTE_BLOCK`-sized chunks whose
-    /// index buffer (reused across calls via `arena`) stays L1-resident.
-    /// While a plane is voted, each block also hints its share of the next
-    /// plane slab of the view into L2 ([`batch::prefetch_l2`]), so the
-    /// next plane's deposits find their lines there instead of in memory.
-    /// `frames` is walked once per plane, and once more to size the hint,
-    /// so it is any cloneable iterable (a slice's `iter().copied()`, or a
-    /// map over the caller's buffer), and the kernel allocates nothing once
-    /// the arena has grown.
+    /// The loop is ordered for the cache hierarchy: each plane slab is
+    /// fetched once per window instead of once per frame. While a plane is
+    /// voted, each frame also hints its share of the next plane slab of the
+    /// view into L2 ([`batch::prefetch_l2`]), so the next plane's deposits
+    /// find their lines there instead of in memory — when the plane's
+    /// transfers number at least four per 64-byte line of that slab. A
+    /// sparser pass, such as a one-frame window on a DAVIS-scale DSI, takes
+    /// no hint: the hint would fetch lines no vote touches. `frames` is
+    /// walked once per plane, and once more to size the hint, so it is any
+    /// cloneable iterable (a slice's `iter().copied()`, or a map over the
+    /// caller's buffer), and the kernel allocates nothing once the arena
+    /// has grown.
     pub fn vote_batch<'f, F>(&mut self, frames: F, arena: &mut VoteArena)
     where
         F: IntoIterator<Item = (&'f [PackedCoord], &'f [PhiWords])> + Clone,
     {
-        let (width, height) = (self.width as u32, self.height as u32);
+        let size = (self.width as u32, self.height as u32);
         let slab_len = self.width * self.height;
         let mut rest = &mut *self.data;
         let mut cast = 0u64;
@@ -747,20 +778,21 @@ impl<'a, S: VoxelScore> PlaneRange<'a, S> {
                 .filter(|(_, coefficients)| coefficients.len() > plane)
                 .map(|(canon, _)| canon.len())
                 .sum();
+            // The hint fetches every line of the next slab, so it pays only
+            // where nearly every line takes a vote anyway: at four or more
+            // transfers a 64-byte line. A sparser pass, such as one frame on
+            // a DAVIS-scale DSI, would fetch lines no vote touches.
+            let hint = transfers >= 4 * std::mem::size_of_val(next).div_ceil(64);
             let (mut done, mut hinted) = (0, 0);
             for (canon, coefficients) in frames.clone() {
-                let Some(phi) = coefficients.get(plane) else {
+                let Some(phi) = coefficients.get(plane).filter(|_| !canon.is_empty()) else {
                     continue;
                 };
-                for block in canon.chunks(VOTE_BLOCK) {
-                    batch::transfer_nearest_batch(phi, block, width, height, &mut arena.idx);
-                    for &idx in &arena.idx {
-                        slab[idx as usize].add_unit();
-                    }
-                    cast += arena.idx.len() as u64;
-                    // Spread the next slab's lines over the plane's blocks
+                cast += S::vote_nearest(phi, canon, size, slab, arena) as u64;
+                if hint {
+                    // Spread the next slab's lines over the plane's frames
                     // in proportion to the transfers voted so far.
-                    done += block.len();
+                    done += canon.len();
                     let upto = next.len() * done / transfers;
                     batch::prefetch_l2(&next[hinted..upto]);
                     hinted = upto;

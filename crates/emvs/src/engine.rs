@@ -6,14 +6,14 @@ use crate::config::{EmvsConfig, EventorOptions, VotingMode};
 use crate::mapper::KeyframeReconstruction;
 use crate::parallel::{run_sharded, ParallelConfig};
 use crate::profile::{Stage, StageProfile};
-use crate::quantized::{quantize_event_pixel, QuantizedCoefficients, QuantizedHomography};
+use crate::quantized::{QuantizedCoefficients, QuantizedHomography, TransportTable};
 use crate::session::{
     finalize_volume, import_vote_volume, BackendVoteState, ExecutionBackend, FrameWork,
 };
 use crate::EmvsError;
 use eventor_dsi::{DetectionConfig, DsiVolume, PlaneRange, VoteArena, VoxelScore};
 use eventor_events::UndistortionLut;
-use eventor_fixed::kernel::{self, batch};
+use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
 use std::ops::Range;
@@ -26,17 +26,18 @@ use std::time::Instant;
 ///
 /// The window is voted plane by plane, so each plane slab is fetched once
 /// per window instead of once per frame. At 100 planes a 1024-event frame
-/// adds about 1.1 K, so the eighth frame fills the window: about 32 KiB of
-/// Q9.7 survivors and 9 KiB of `φ` words. In a DAVIS-scale `davis_vote`
-/// sweep (of a window that counted survivors only), windows of 4 K–16 K
-/// read alike and 2 K and 32 K lower (`docs/BENCHMARKS.md`, "Vote
-/// window"). Above one shard the window also amortizes the workers'
-/// spawn. It bounds engine memory for arbitrarily long key frames (a
-/// stationary or purely rotating camera never triggers a key-frame
-/// switch): a frame without canonical survivors is not buffered at all,
-/// so the buffer holds at most one window plus one frame beside the one
-/// DSI.
-pub const VOTE_WINDOW_EVENTS: usize = 1 << 13;
+/// adds about 1.1 K, so about the thirtieth frame fills the window: about
+/// 115 KiB of Q9.7 survivors and 35 KiB of `φ` words. The window pays
+/// where the DSI outgrows L2 and a key frame spans many windows, as on the
+/// 8.6 MB DAVIS-scale DSI: there 32 K read faster than 8 K and 16 K, and
+/// 64 K faster still, with twice the vote carried by the push that fills a
+/// window and twice the buffer (`docs/BENCHMARKS.md`, "Fused vote"). Above
+/// one shard the window also amortizes the workers' spawn. It bounds
+/// engine memory for arbitrarily long key frames (a stationary or purely
+/// rotating camera never triggers a key-frame switch): a frame without
+/// canonical survivors is not buffered at all, so the buffer holds at most
+/// one window plus one frame beside the one DSI.
+pub const VOTE_WINDOW_EVENTS: usize = 1 << 15;
 
 /// The engine's one DSI, on the score type the options select: `u16` for
 /// the quantized nearest-voting accelerator datapath, `f32` otherwise.
@@ -56,6 +57,15 @@ macro_rules! on_dsi {
     };
 }
 
+/// The per-pixel table the engine's ingest reads once per event.
+#[derive(Debug)]
+enum Ingest {
+    /// Each pixel's corrected coordinate as its Q9.7 transport word.
+    Quantized(TransportTable),
+    /// Each pixel's exact `f64` corrected coordinate.
+    Float(UndistortionLut),
+}
+
 /// One plane range's scratch, reused across vote passes: the slab-index
 /// arena of [`PlaneRange::vote_batch`] and the range's `(cast, missed)`
 /// vote counts of the last pass.
@@ -68,7 +78,7 @@ struct Lane {
 /// The open key frame's ingested, not yet voted frames that have canonical
 /// survivors: the survivors of `PE_Z0` plus the parameters the `PE_Zi`
 /// array transfers them with — at most one vote window plus the frame that
-/// filled it.
+/// filled it. Every vector is kept and reused from window to window.
 #[derive(Debug, Default)]
 struct Buffer {
     /// End of each buffered frame's survivors in `canon` or `canon_float`.
@@ -77,16 +87,25 @@ struct Buffer {
     canon: Vec<PackedCoord>,
     /// Survivors of the float canonical projection.
     canon_float: Vec<Vec2>,
-    /// One frame's `Buf_P` words per buffered frame (quantized).
-    params: Vec<QuantizedCoefficients>,
+    /// Every buffered frame's `Buf_P` words, one per depth plane, frame
+    /// after frame (quantized).
+    phi: Vec<PhiWords>,
+    /// End of each buffered frame's words in `phi` (quantized).
+    phi_ends: Vec<usize>,
     /// One geometry per buffered frame (float).
     geometries: Vec<FrameGeometry>,
     /// Scratch: the current frame's Q9.7-encoded events (quantized).
     transported: Vec<PackedCoord>,
-    /// Scratch: the current frame's distortion-corrected events.
+    /// Scratch: the current frame's distortion-corrected events (float).
     corrected: Vec<Vec2>,
     /// Scratch: the current frame's quantized canonical survivors.
     projected: Vec<PackedCoord>,
+}
+
+/// Frame `frame`'s range in a buffer whose frames end at `ends`.
+fn frame_range(ends: &[usize], frame: usize) -> Range<usize> {
+    let start = frame.checked_sub(1).map_or(0, |f| ends[f]);
+    start..ends[frame]
 }
 
 impl Buffer {
@@ -104,14 +123,19 @@ impl Buffer {
         self.frame_ends.clear();
         self.canon.clear();
         self.canon_float.clear();
-        self.params.clear();
+        self.phi.clear();
+        self.phi_ends.clear();
         self.geometries.clear();
     }
 
-    /// Buffered frame `frame`'s survivor range.
-    fn survivors(&self, frame: usize) -> Range<usize> {
-        let start = frame.checked_sub(1).map_or(0, |f| self.frame_ends[f]);
-        start..self.frame_ends[frame]
+    /// Buffered frame `frame`'s survivors (quantized).
+    fn canon(&self, frame: usize) -> &[PackedCoord] {
+        &self.canon[frame_range(&self.frame_ends, frame)]
+    }
+
+    /// Buffered frame `frame`'s `Buf_P` words, one per depth plane.
+    fn phi(&self, frame: usize) -> &[PhiWords] {
+        &self.phi[frame_range(&self.phi_ends, frame)]
     }
 
     /// `PE_Zi` → Nearest Voxel Finder → vote: transfers every buffered
@@ -121,9 +145,10 @@ impl Buffer {
     /// order a frame-by-frame pass would while each plane slab stays
     /// cache-resident for the whole window.
     ///
-    /// The accelerator datapath votes through the cache-blocked window
-    /// kernel [`PlaneRange::vote_batch`] (raw words in, slab indices out,
-    /// no `f64` in the loop).
+    /// The accelerator datapath votes through the window kernel
+    /// [`PlaneRange::vote_batch`], whose `u16` plane votes are the kernel's
+    /// fused transfer-and-vote face (raw words in, votes out, no `f64` in
+    /// the loop).
     fn vote<S: VoxelScore>(
         &self,
         view: &mut PlaneRange<'_, S>,
@@ -131,19 +156,15 @@ impl Buffer {
         arena: &mut VoteArena,
     ) {
         let frames = 0..self.frame_ends.len();
-        match (self.params.is_empty(), voting) {
+        match (self.phi_ends.is_empty(), voting) {
             (false, VotingMode::Nearest) => {
-                let frames = frames.map(|frame| {
-                    let canon = &self.canon[self.survivors(frame)];
-                    (canon, self.params[frame].words())
-                });
-                view.vote_batch(frames, arena);
+                view.vote_batch(frames.map(|f| (self.canon(f), self.phi(f))), arena);
             }
             (false, VotingMode::Bilinear) => {
                 for i in view.planes() {
                     for frame in frames.clone() {
-                        let phi = &self.params[frame].words()[i];
-                        for &c in &self.canon[self.survivors(frame)] {
+                        let phi = &self.phi(frame)[i];
+                        for &c in self.canon(frame) {
                             let (x, y) = kernel::transfer_subpixel(phi, c);
                             view.vote_bilinear(x, y, i, 1.0);
                         }
@@ -154,7 +175,8 @@ impl Buffer {
                 for i in view.planes() {
                     for frame in frames.clone() {
                         let geometry = &self.geometries[frame];
-                        for &c in &self.canon_float[self.survivors(frame)] {
+                        let survivors = frame_range(&self.frame_ends, frame);
+                        for &c in &self.canon_float[survivors] {
                             let p = geometry.transfer(c, i);
                             match voting {
                                 VotingMode::Bilinear => view.vote_bilinear(p.x, p.y, i, 1.0),
@@ -185,11 +207,12 @@ impl Buffer {
 /// | [`EventorOptions::exact`] | `f32` | `f64` geometry, bilinear vote — the baseline EMVS mapper |
 ///
 /// Every shard count runs one schedule. **Ingest** runs on the calling
-/// thread, once per frame: streaming distortion correction (one read per
-/// event of the exact [`UndistortionLut`] built in [`new`](Self::new)),
-/// Q9.7 transport encoding ([`quantize_event_pixel`]), the per-frame
-/// parameter block ([`QuantizedHomography`] and [`QuantizedCoefficients`])
-/// and the `PE_Z0` canonical projection, whose
+/// thread, once per frame: streaming distortion correction, one table read
+/// per event built in [`new`](Self::new) — on the quantized datapaths the
+/// [`TransportTable`] of Q9.7 transport words, on the float ones the exact
+/// `f64` [`UndistortionLut`] —, the per-frame parameter block
+/// ([`QuantizedHomography`], and [`QuantizedCoefficients`] words appended to
+/// one reused buffer) and the `PE_Z0` canonical projection, whose
 /// survivors are appended to a buffer (a frame without survivors casts no
 /// vote and is not buffered). **Vote** splits the engine's one
 /// [`DsiVolume`] into `min(shards, planes)` contiguous plane ranges — the
@@ -216,7 +239,7 @@ impl Buffer {
 #[derive(Debug)]
 pub struct VotingEngine {
     camera: CameraModel,
-    undistortion: UndistortionLut,
+    ingest: Ingest,
     options: EventorOptions,
     detection: DetectionConfig,
     parallel: ParallelConfig,
@@ -227,7 +250,7 @@ pub struct VotingEngine {
 
 impl VotingEngine {
     /// Creates the engine, allocating its one sensor-sized DSI and building
-    /// the camera's undistortion table.
+    /// the camera's per-pixel ingest table.
     ///
     /// # Errors
     ///
@@ -253,9 +276,14 @@ impl VotingEngine {
         } else {
             Dsi::Float(DsiVolume::new(width, height, planes)?)
         };
+        let ingest = if options.quantize {
+            Ingest::Quantized(TransportTable::build(&camera))
+        } else {
+            Ingest::Float(UndistortionLut::build(&camera))
+        };
         Ok(Self {
             camera,
-            undistortion: UndistortionLut::build(&camera),
+            ingest,
             options,
             detection: config.detection,
             parallel,
@@ -314,31 +342,32 @@ impl ExecutionBackend for VotingEngine {
     ) -> Result<(), EmvsError> {
         let buffer = &mut self.buffer;
 
-        // ➊ Streaming distortion correction (one table read per event) and,
-        //   under quantization, Q9.7 transport encoding. The table reads run
-        //   as a pass of their own, so their cache misses overlap.
+        // ➊ Streaming distortion correction, one table read per event: on
+        //   the quantized datapaths straight to the Q9.7 transport word.
         let t = Instant::now();
-        let lut = &self.undistortion;
-        buffer.corrected.clear();
-        buffer
-            .corrected
-            .extend(work.events.iter().map(|e| lut.correct_event(e)));
-        if self.options.quantize {
-            buffer.transported.clear();
-            buffer
-                .transported
-                .extend(buffer.corrected.iter().map(|&p| quantize_event_pixel(p)));
+        match &self.ingest {
+            Ingest::Quantized(table) => {
+                buffer.transported.clear();
+                buffer
+                    .transported
+                    .extend(work.events.iter().map(|e| table.encode(e)));
+            }
+            Ingest::Float(lut) => {
+                buffer.corrected.clear();
+                buffer
+                    .corrected
+                    .extend(work.events.iter().map(|e| lut.correct_event(e)));
+            }
         }
         profile.add(Stage::DistortionCorrection, t.elapsed());
 
         // ➋ Encode the frame's H_Z0 / φ words once (rescheduled: before the
-        //   canonical projection).
+        //   canonical projection), the φ words straight into the buffer.
         let t = Instant::now();
-        let params = self.options.quantize.then(|| {
-            (
-                QuantizedHomography::from_homography(&work.geometry.homography),
-                QuantizedCoefficients::from_coefficients(&work.geometry.coefficients),
-            )
+        let phi_start = buffer.phi.len();
+        let homography = self.options.quantize.then(|| {
+            QuantizedCoefficients::append_words(&work.geometry.coefficients, &mut buffer.phi);
+            QuantizedHomography::from_homography(&work.geometry.homography)
         });
         profile.add(Stage::ComputeCoefficients, t.elapsed());
 
@@ -348,8 +377,8 @@ impl ExecutionBackend for VotingEngine {
         //   without survivors casts no vote, so nothing of it is buffered.
         let t = Instant::now();
         let before = buffer.events();
-        match &params {
-            Some((homography, _)) => {
+        match &homography {
+            Some(homography) => {
                 batch::project_z0_batch(
                     &homography.raw_words(),
                     &buffer.transported,
@@ -369,10 +398,12 @@ impl ExecutionBackend for VotingEngine {
         }
         if buffer.events() > before {
             buffer.frame_ends.push(buffer.events());
-            match params {
-                Some((_, coefficients)) => buffer.params.push(coefficients),
+            match homography {
+                Some(_) => buffer.phi_ends.push(buffer.phi.len()),
                 None => buffer.geometries.push(work.geometry.clone()),
             }
+        } else {
+            buffer.phi.truncate(phi_start);
         }
         profile.add(Stage::CanonicalProjection, t.elapsed());
 

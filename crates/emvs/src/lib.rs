@@ -71,7 +71,8 @@ pub use mapper::{EmvsOutput, KeyframeReconstruction};
 pub use parallel::{run_sharded, ParallelConfig};
 pub use profile::{Stage, StageProfile};
 pub use quantized::{
-    quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, COORD_QUANTIZATION_ERROR,
+    quantize_event_pixel, QuantizedCoefficients, QuantizedHomography, TransportTable,
+    COORD_QUANTIZATION_ERROR,
 };
 pub use session::{
     finalize_volume, import_vote_volume, BackendVoteState, DriverCheckpoint, ExecutionBackend,

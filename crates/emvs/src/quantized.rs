@@ -1,17 +1,68 @@
-//! The per-frame parameter block of the quantized datapath: one frame's
-//! `H_{Z0}` and `φ` encoded once, as the raw Q11.21 words of Table 1.
+//! The host-side words of the quantized datapath, each encoded once: every
+//! sensor pixel's Q9.7 transport word ([`TransportTable`]), and one frame's
+//! `H_{Z0}` and `φ` as the raw Q11.21 words of Table 1.
 //!
-//! The host writes these words once per frame — [`QuantizedHomography`] is
-//! the `Buf_H` register bank, [`QuantizedCoefficients`] the `Buf_P`
-//! parameter BRAM — and `PE_Z0` / `PE_Zi` do every step between storage
-//! points. Those steps exist once, in [`eventor_fixed::kernel`]: the voting
-//! engine, the golden-model tests and the `eventor-hwsim` device all call
-//! the kernel on these words, so golden-model ↔ device agreement holds by
-//! construction (ARCHITECTURE.md contract 4.1).
+//! The host writes the parameter words once per frame —
+//! [`QuantizedHomography`] is the `Buf_H` register bank,
+//! [`QuantizedCoefficients`] the `Buf_P` parameter BRAM — and `PE_Z0` /
+//! `PE_Zi` do every step between storage points. Those steps exist once, in
+//! [`eventor_fixed::kernel`]: the voting engine, the golden-model tests and
+//! the `eventor-hwsim` device all call the kernel on these words, so
+//! golden-model ↔ device agreement holds by construction (ARCHITECTURE.md
+//! contract 4.1).
 
+use eventor_events::{Event, UndistortionLut};
 use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::{PackedCoord, Q11p21};
-use eventor_geom::{CanonicalHomography, ProportionalCoefficients, Vec2};
+use eventor_geom::{CameraModel, CanonicalHomography, ProportionalCoefficients, Vec2};
+
+/// Every sensor pixel's distortion-corrected coordinate, encoded once as
+/// its Q9.7 transport word: the ingest table of the quantized datapaths.
+///
+/// Entry `(x, y)` is `quantize_event_pixel(lut.lookup(x, y))` for the
+/// camera's [`UndistortionLut`], so [`encode`](Self::encode) returns, bit
+/// for bit, the correction-then-encoding it replaces, for one 4-byte read
+/// where that path reads a 16-byte `f64` pair and rounds it twice. An
+/// address outside the sensor, which the wire and EVTR files allow, takes
+/// that path itself: the camera's exact solve, then the encoding.
+#[derive(Debug, Clone)]
+pub struct TransportTable {
+    camera: CameraModel,
+    width: usize,
+    height: usize,
+    /// Transport words, row-major.
+    words: Vec<PackedCoord>,
+}
+
+impl TransportTable {
+    /// Encodes every addressable pixel of the camera's sensor.
+    pub fn build(camera: &CameraModel) -> Self {
+        let lut = UndistortionLut::build(camera);
+        let (width, height) = (lut.width(), lut.height());
+        let words = (0..height)
+            .flat_map(|y| (0..width).map(move |x| (x as u16, y as u16)))
+            .map(|(x, y)| quantize_event_pixel(lut.lookup(x, y)))
+            .collect();
+        Self {
+            camera: *camera,
+            width,
+            height,
+            words,
+        }
+    }
+
+    /// The Q9.7 transport word of an event's corrected pixel: a table read
+    /// inside the sensor, the exact solve outside it.
+    #[inline]
+    pub fn encode(&self, event: &Event) -> PackedCoord {
+        let (x, y) = (usize::from(event.x), usize::from(event.y));
+        if x < self.width && y < self.height {
+            self.words[y * self.width + x]
+        } else {
+            quantize_event_pixel(self.camera.undistort_pixel(Vec2::new(x as f64, y as f64)))
+        }
+    }
+}
 
 /// The homography `H_{Z0}` quantized to Q11.21, stored as the nine raw bus
 /// words of the `Buf_H` register bank (row-major).
@@ -51,11 +102,19 @@ pub struct QuantizedCoefficients {
 impl QuantizedCoefficients {
     /// Quantizes full-precision proportional coefficients.
     pub fn from_coefficients(phi: &ProportionalCoefficients) -> Self {
-        Self {
-            phi: (0..phi.len())
-                .map(|i| PhiWords::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i]))
-                .collect(),
-        }
+        let mut words = Vec::with_capacity(phi.len());
+        Self::append_words(phi, &mut words);
+        Self { phi: words }
+    }
+
+    /// Appends the block's words for `phi`, one per depth plane, to `out`:
+    /// the same words as [`from_coefficients`](Self::from_coefficients),
+    /// for a caller that keeps many frames' words in one reused buffer.
+    pub fn append_words(phi: &ProportionalCoefficients, out: &mut Vec<PhiWords>) {
+        out.extend(
+            (0..phi.len())
+                .map(|i| PhiWords::from_f64(phi.scale[i], phi.offset_x[i], phi.offset_y[i])),
+        );
     }
 
     /// Number of depth planes covered.
@@ -73,11 +132,6 @@ impl QuantizedCoefficients {
     #[inline]
     pub fn words(&self) -> &[PhiWords] {
         &self.phi
-    }
-
-    /// Moves the per-plane words out of the block, for a device job.
-    pub fn into_words(self) -> Vec<PhiWords> {
-        self.phi
     }
 }
 
@@ -189,6 +243,45 @@ mod tests {
         if let Some(c) = project(255.9, 179.0) {
             assert!(c.x_f64().abs() <= Q9p7::MAX_MAGNITUDE);
         }
+    }
+
+    #[test]
+    fn transport_table_matches_correction_then_encoding_at_every_address() {
+        use eventor_events::Polarity;
+        use eventor_geom::DistortionModel;
+        let davis = CameraModel::davis240_distorted();
+        let cameras = [
+            davis,
+            CameraModel::davis240_ideal(),
+            CameraModel::new(davis.intrinsics, DistortionModel::radial(-0.15, 0.04, 0.0)),
+        ];
+        let far = [240, 241, 500, 1000, u16::MAX];
+        for camera in cameras {
+            let lut = UndistortionLut::build(&camera);
+            let table = TransportTable::build(&camera);
+            let inside = (0..180).flat_map(|y| (0..240).map(move |x| (x, y)));
+            let outside = far
+                .iter()
+                .flat_map(|&f| [(f, 90), (120, f), (f, f), (0, f), (f, 0)]);
+            for (x, y) in inside.chain(outside) {
+                let event = Event::new(0.0, x, y, Polarity::Positive);
+                let exact = quantize_event_pixel(lut.correct_event(&event));
+                assert_eq!(table.encode(&event), exact, "({x}, {y}) on {camera:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_words_matches_the_block_and_keeps_earlier_words() {
+        let (_, phi, _) = setup();
+        let block = QuantizedCoefficients::from_coefficients(&phi);
+        let mut out = vec![PhiWords::from_f64(1.0, 2.0, 3.0)];
+        QuantizedCoefficients::append_words(&phi, &mut out);
+        QuantizedCoefficients::append_words(&phi, &mut out);
+        assert_eq!(out.len(), 1 + 2 * phi.len());
+        assert_eq!(out[0], PhiWords::from_f64(1.0, 2.0, 3.0));
+        assert_eq!(&out[1..=phi.len()], block.words());
+        assert_eq!(&out[1 + phi.len()..], block.words());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! plane at a time. The voting engine streams thousands of events through
 //! ~100 planes per frame, which is a data-parallel shape: the same
 //! Q11.21×Q9.7 MAC applied independently per lane. This module provides
-//! the two batched faces it calls — the `PE_Z0` projection
-//! ([`project_z0_batch`]) and the `PE_Zi` per-plane transfer
-//! ([`transfer_nearest_batch`]) — and the face structure detection
-//! retires a `u16` DSI with ([`depth_collapse_u16`]: per pixel, the peak
-//! score along depth, its first plane and the exact score sum), each
-//! executed by one of two **dispatch tiers**:
+//! the batched faces it calls — the `PE_Z0` projection
+//! ([`project_z0_batch`]), the `PE_Zi` per-plane transfer
+//! ([`transfer_nearest_batch`]) and that transfer fused with the Vote
+//! Execute Unit's deposit into a `u16` plane slab ([`vote_nearest_u16`]) —
+//! and the face structure detection retires a `u16` DSI with
+//! ([`depth_collapse_u16`]: per pixel, the peak score along depth, its
+//! first plane and the exact score sum), each executed by one of two
+//! **dispatch tiers**:
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
@@ -379,17 +381,100 @@ pub fn transfer_nearest_batch_with(
     // `canon` (the AVX2 tier eight slots at a time), so `canon.len()` slots
     // hold every write.
     out.resize(canon.len(), 0);
-    let hits = match tier {
-        Dispatch::Scalar => {
-            let mut len = 0;
-            for &c in canon {
-                len = append(phi, c, width, height, out, len);
-            }
-            len
-        }
-        Dispatch::Simd => simd::transfer(phi, canon, width, height, out),
-    };
+    let hits = transfer(tier, phi, canon, width, height, out);
     out.truncate(hits);
+}
+
+/// The compacting transfer on `tier` into `out` (as long as `canon`):
+/// leaves the in-sensor slab indices in `out[..hits]`, in input order, and
+/// returns `hits`.
+#[inline]
+fn transfer(
+    tier: Dispatch,
+    phi: &PhiWords,
+    canon: &[PackedCoord],
+    width: u32,
+    height: u32,
+    out: &mut [u32],
+) -> usize {
+    match tier {
+        Dispatch::Scalar => canon
+            .iter()
+            .fold(0, |len, &c| append(phi, c, width, height, out, len)),
+        Dispatch::Simd => simd::transfer(phi, canon, width, height, out),
+    }
+}
+
+/// Coordinates [`vote_nearest_u16`] transfers per block: the block's slab
+/// indices (2 KiB) stay in L1 beside its coordinates while the deposit
+/// reads them back.
+const VOTE_BLOCK: usize = 512;
+
+/// The fused `PE_Zi` → Nearest Voxel Finder → Vote Execute face of one
+/// depth plane: transfers every canonical coordinate of `canon` exactly as
+/// [`transfer_nearest_batch`] does and adds a saturating unit vote to the
+/// `width × height` plane slab `slab` at each in-sensor index, in input
+/// order. Returns the number of votes cast, the in-sensor transfers.
+///
+/// The result is bit-identical to the scalar definition:
+/// [`transfer_nearest`](super::transfer_nearest) per coordinate, then
+/// `slab[y · width + x]` raised by one, saturating at `u16::MAX`, for each
+/// in-sensor address.
+///
+/// The deposit indexes the slab without a bounds check. That is sound
+/// because the indices are the face's own: each comes from the in-sensor
+/// judgement (`x < width`, `y < height`) of a transfer made here, so it is
+/// below `width · height`, which is `slab.len()`. A caller cannot hand the
+/// deposit an index of its own, which is why the transfer and the deposit
+/// are one face. Coordinates stream through in blocks of 512 whose
+/// indices stay L1-resident.
+///
+/// # Panics
+///
+/// When `slab.len()` is not `width · height`, or `width · height` exceeds
+/// `u32::MAX`. Both are checked once, before any write.
+pub fn vote_nearest_u16(
+    phi: &PhiWords,
+    canon: &[PackedCoord],
+    width: u32,
+    height: u32,
+    slab: &mut [u16],
+) -> usize {
+    vote_nearest_u16_with(active(), phi, canon, width, height, slab)
+}
+
+/// [`vote_nearest_u16`] with an explicit tier (panics if unsupported).
+pub fn vote_nearest_u16_with(
+    tier: Dispatch,
+    phi: &PhiWords,
+    canon: &[PackedCoord],
+    width: u32,
+    height: u32,
+    slab: &mut [u16],
+) -> usize {
+    assert_supported(tier);
+    let voxels = u64::from(width) * u64::from(height);
+    assert!(
+        voxels <= u64::from(u32::MAX) && slab.len() as u64 == voxels,
+        "a {width}×{height} plane slab holds {voxels} voxels, not {}",
+        slab.len()
+    );
+    let mut idx = [0u32; VOTE_BLOCK];
+    let mut cast = 0;
+    for block in canon.chunks(VOTE_BLOCK) {
+        let idx = &mut idx[..block.len()];
+        let hits = transfer(tier, phi, block, width, height, idx);
+        for &i in &idx[..hits] {
+            // SAFETY: `i` is `y · width + x` of a transfer `transfer` judged
+            // in the sensor, so `x < width` and `y < height`, and `i` is
+            // below `width · height`. That product fits a `u32` (no index
+            // wrapped) and equals `slab.len()`, both asserted above.
+            let voxel = unsafe { slab.get_unchecked_mut(i as usize) };
+            *voxel = voxel.saturating_add(1);
+        }
+        cast += hits;
+    }
+    cast
 }
 
 /// The `PE_Zi` MAC constant of one axis with the Nearest Voxel Finder's
@@ -1219,6 +1304,103 @@ mod tests {
         }
     }
 
+    /// The definition every tier of the fused vote is held to:
+    /// `kernel::transfer_nearest` per coordinate, then a saturating unit
+    /// add at each in-sensor address of a plain slice. Returns the votes.
+    pub(super) fn vote_reference(
+        phi: &PhiWords,
+        canon: &[PackedCoord],
+        width: u32,
+        height: u32,
+        slab: &mut [u16],
+    ) -> usize {
+        let mut cast = 0;
+        for &c in canon {
+            if let Some((x, y)) = super::super::transfer_nearest(phi, c, width, height).address() {
+                let voxel = &mut slab[y as usize * width as usize + x as usize];
+                *voxel = voxel.saturating_add(1);
+                cast += 1;
+            }
+        }
+        cast
+    }
+
+    #[test]
+    fn fused_vote_reaches_the_last_voxel_and_saturates() {
+        // φ = (1, 0, 0) on a 24 × 18 slab: (23, 17) is the last voxel, one
+        // pixel further misses on either axis, and (4, 2) starts one vote
+        // below u16::MAX. 1100 coordinates cross two 512-coordinate blocks.
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        let (width, height) = (24, 18);
+        let canon: Vec<PackedCoord> = (0..1100)
+            .map(|i| match i % 4 {
+                0 => pixel(23.0, 17.0),
+                1 => pixel(4.0, 2.0),
+                2 => pixel(24.0, 17.0),
+                _ => pixel(23.0, 18.0),
+            })
+            .collect();
+        for tier in supported_tiers() {
+            let mut slab = vec![0u16; width * height];
+            slab[2 * width + 4] = u16::MAX - 1;
+            let mut expect = slab.clone();
+            let cast = vote_nearest_u16_with(tier, &phi, &canon, 24, 18, &mut slab);
+            assert_eq!(cast, 550, "tier {}", tier.name());
+            assert_eq!(
+                cast,
+                vote_reference(&phi, &canon, 24, 18, &mut expect),
+                "tier {}",
+                tier.name()
+            );
+            assert_eq!(slab, expect, "tier {}", tier.name());
+            assert_eq!(slab[width * height - 1], 275);
+            assert_eq!(slab[2 * width + 4], u16::MAX);
+            assert_eq!(
+                slab.iter().map(|&v| u64::from(v)).sum::<u64>(),
+                275 + 65_535
+            );
+        }
+    }
+
+    #[test]
+    fn fused_vote_on_an_empty_block_writes_nothing() {
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        for tier in supported_tiers() {
+            let mut slab = vec![3u16; 6];
+            assert_eq!(vote_nearest_u16_with(tier, &phi, &[], 3, 2, &mut slab), 0);
+            // Every transfer misses: nothing is written either.
+            let off = [pixel(-1.0, 0.0), pixel(3.0, 0.0), pixel(0.0, 2.0)];
+            assert_eq!(vote_nearest_u16_with(tier, &phi, &off, 3, 2, &mut slab), 0);
+            assert_eq!(slab, [3; 6]);
+        }
+    }
+
+    #[test]
+    fn fused_vote_refuses_a_wrong_sized_slab_before_any_write() {
+        // (5, 5) is voxel 125 of a 24 × 18 slab, inside every slab tried.
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        let canon = [pixel(5.0, 5.0); 9];
+        for tier in supported_tiers() {
+            for len in [24 * 18 - 1, 24 * 18 + 1, 1000] {
+                let mut slab = vec![7u16; len];
+                let vote = std::panic::AssertUnwindSafe(|| {
+                    vote_nearest_u16_with(tier, &phi, &canon, 24, 18, &mut slab)
+                });
+                assert!(std::panic::catch_unwind(vote).is_err(), "length {len}");
+                assert!(slab.iter().all(|&v| v == 7), "length {len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plane slab holds")]
+    fn fused_vote_refuses_a_slab_past_the_u32_index_range() {
+        // 2^16 × 2^16 voxels would wrap a u32 index; the check precedes
+        // any use of the (empty) slab.
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        vote_nearest_u16_with(Dispatch::Scalar, &phi, &[], 1 << 16, 1 << 16, &mut []);
+    }
+
     #[test]
     #[cfg_attr(miri, ignore)]
     fn prefetch_accepts_any_slice() {
@@ -1396,6 +1578,50 @@ mod proptests {
                 transfer_nearest_batch_with(tier, &phi, &canon, width, height, &mut idx);
                 prop_assert_eq!(&idx, &expect, "tier {}", tier.name());
             }
+        }
+
+        /// The fused vote leaves exactly the slab and the vote count of the
+        /// scalar definition on every tier: near-identity `φ` words over
+        /// coordinates around the slab (most transfers hit, many voxels
+        /// repeat), slab sides of 1–256, batches across the 512-coordinate
+        /// block and voxels preset at or near `u16::MAX`.
+        #[test]
+        fn fused_vote_is_bit_identical_on_every_tier(
+            scale in (7i32 << 18)..(9i32 << 18),
+            offset_x in -(3i32 << 21)..(3i32 << 21),
+            offset_y in -(3i32 << 21)..(3i32 << 21),
+            raws in collection::vec((-512i32..33_280, -512i32..33_280), 0..1300),
+            width in 1u32..257,
+            height in 1u32..257,
+            preset in 0u32..3,
+        ) {
+            let phi = PhiWords { scale, offset_x, offset_y };
+            // Fold the coordinates into the slab's neighbourhood.
+            let canon: Vec<PackedCoord> = raws
+                .iter()
+                .map(|&(x, y)| PackedCoord {
+                    x: Q9p7::from_raw((x % ((width as i32 + 2) << 7) - 256) as i16),
+                    y: Q9p7::from_raw((y % ((height as i32 + 2) << 7) - 256) as i16),
+                })
+                .collect();
+            let start: Vec<u16> = (0..width * height)
+                .map(|i| match preset {
+                    0 => 0,
+                    1 => u16::MAX - (i % 3) as u16,
+                    _ => [0, 7, u16::MAX - 1][(i % 3) as usize],
+                })
+                .collect();
+            let mut expect = start.clone();
+            let cast = super::tests::vote_reference(&phi, &canon, width, height, &mut expect);
+            for tier in supported_tiers() {
+                let mut slab = start.clone();
+                let got = vote_nearest_u16_with(tier, &phi, &canon, width, height, &mut slab);
+                prop_assert_eq!(got, cast, "tier {}", tier.name());
+                prop_assert_eq!(&slab, &expect, "tier {}", tier.name());
+            }
+            let mut slab = start;
+            prop_assert_eq!(vote_nearest_u16(&phi, &canon, width, height, &mut slab), cast);
+            prop_assert_eq!(slab, expect);
         }
 
         /// Batched projection keeps exactly the scalar kernel's survivors,

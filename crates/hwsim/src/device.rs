@@ -13,17 +13,19 @@
 //! 2. a key frame resets the DSI; `PE_Z0` writes the canonical projections
 //!    of the surviving events into `Buf_I`; then, plane by plane, the
 //!    `PE_Zi` array transfers every survivor and the Vote Execute Unit
-//!    applies each in-sensor vote to that plane of the DSI,
+//!    applies each in-sensor vote to that plane of the DSI — the voting
+//!    engine's window pass, over a window of this one frame,
 //! 3. the driver reads the frame's [`FrameExecution`] record and, at
 //!    key-frame boundaries, detects structure in the DSI it owns.
 //!
 //! Step 2 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
 //! the words the job shipped, as shipped: [`kernel::project_z0`] on the
-//! `Buf_H` words, [`kernel::transfer_nearest`] on each plane's `Buf_P`
-//! [`PhiWords`]. The host fills the job from the parameter block of
-//! `eventor-emvs`, whose words the voting engine and the golden-model tests
-//! hand to the same functions, so device ↔ golden-model agreement holds by
-//! construction; `tests/cosim_equivalence.rs` asserts it end to end.
+//! `Buf_H` words, then [`DsiVolume::vote_batch`] with each plane's `Buf_P`
+//! [`PhiWords`], the kernel's fused transfer-and-vote face plane by plane.
+//! The host fills the job from the parameter block of `eventor-emvs`, whose
+//! words the voting engine and the golden-model tests hand to the same
+//! functions, so device ↔ golden-model agreement holds by construction;
+//! `tests/cosim_equivalence.rs` asserts it end to end.
 //!
 //! A frame's cycles are the frame cost of [`crate::schedule`] charged with
 //! the *actual* work performed (events surviving the projection-missing
@@ -36,8 +38,8 @@
 
 use crate::schedule::{frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
-use eventor_dsi::DsiVolume;
-use eventor_fixed::kernel::{self, batch, PhiWords};
+use eventor_dsi::{DsiVolume, VoteArena};
+use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::PackedCoord;
 
 /// The per-frame input set shipped by the host driver.
@@ -95,12 +97,14 @@ impl FrameExecution {
 }
 
 /// The assembled Eventor device model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EventorDevice {
     config: AcceleratorConfig,
     /// The `Buf_I` contents of the frame in flight, kept between frames
     /// (always empty there) so that a frame allocates no survivor buffer.
     survivors: Vec<PackedCoord>,
+    /// The vote pass's scratch, kept like `Buf_I`.
+    arena: VoteArena,
 }
 
 impl EventorDevice {
@@ -109,6 +113,7 @@ impl EventorDevice {
         Self {
             config,
             survivors: Vec::new(),
+            arena: VoteArena::new(),
         }
     }
 
@@ -121,11 +126,11 @@ impl EventorDevice {
     ///
     /// The frame pass runs the kernel on the shipped words. A key frame
     /// first resets `dsi`. `PE_Z0` ([`kernel::project_z0`]) writes the
-    /// survivors of the projection-missing judgement into `Buf_I`. Then,
-    /// plane by plane, the `PE_Zi` array ([`kernel::transfer_nearest`])
-    /// transfers every survivor and the Vote Execute Unit deposits each
-    /// in-sensor vote in the plane ([`DsiVolume::vote_at`], a saturating
-    /// increment).
+    /// survivors of the projection-missing judgement into `Buf_I`. Then
+    /// [`DsiVolume::vote_batch`] runs, plane by plane, the `PE_Zi` array
+    /// over every survivor and the Vote Execute Unit's saturating increment
+    /// at each in-sensor vote: the voting engine's window pass over a window
+    /// of this one frame.
     ///
     /// Returns `None`, and touches nothing, when the frame is empty, its
     /// plane count differs from the configured DSI depth, or `dsi` is not
@@ -156,22 +161,8 @@ impl EventorDevice {
                 kernel::project_z0(&job.homography_words, PackedCoord::from_word(w))
             }),
         );
-        let (width, height) = (config.sensor_width as u32, config.sensor_height as u32);
         let votes_before = dsi.votes_cast();
-        for (plane, phi) in job.phi_words.iter().enumerate() {
-            // Have the next plane's slab on its way into L2 while this one
-            // is voted, as the engine's window pass does; a hint changes no
-            // value.
-            if plane + 1 < job.phi_words.len() {
-                batch::prefetch_l2(dsi.plane_scores(plane + 1));
-            }
-            // `for_each` folds a filtering producer into one loop with a
-            // conditional body, where a `for` loop nests a search loop in it.
-            self.survivors
-                .iter()
-                .filter_map(|&c| kernel::transfer_nearest(phi, c, width, height).address())
-                .for_each(|(x, y)| dsi.vote_at(x, y, plane));
-        }
+        dsi.vote_batch(&self.survivors, &job.phi_words, &mut self.arena);
         let votes = dsi.votes_cast() - votes_before;
         let events_in = job.event_words.len() as u64;
         let survivors = self.survivors.len() as u64;

@@ -8,7 +8,7 @@ use eventor::core::{
     SessionDriver,
 };
 use eventor::dsi::{DepthPlanes, DsiVolume};
-use eventor::emvs::{EmvsConfig, EmvsOutput};
+use eventor::emvs::EmvsConfig;
 use eventor::events::{DatasetConfig, Event, EventStream, SequenceKind, SyntheticSequence};
 use eventor::fixed::kernel::{self, PhiWords};
 use eventor::geom::{CameraModel, DistortionModel};
@@ -20,13 +20,13 @@ fn sequence(kind: SequenceKind) -> SyntheticSequence {
         .expect("fast_test sequences generate")
 }
 
-/// A batch cosim run that hands the backend back, so its DSI can be read
-/// after the run.
-fn cosim_run(
+/// A cosim session fed the whole sequence and polled, its last key frame
+/// still open, so its DSI can be read (retirement resets it).
+fn cosim_session(
     seq: &SyntheticSequence,
     config: EmvsConfig,
     accel: AcceleratorConfig,
-) -> (EmvsOutput, CosimBackend) {
+) -> SessionDriver<CosimBackend> {
     let backend = CosimBackend::new(seq.camera, &config, accel, ParallelConfig::sequential())
         .expect("valid config");
     let mut driver = SessionDriver::new(seq.camera, config, backend)
@@ -34,8 +34,8 @@ fn cosim_run(
         .with_max_pending_events(usize::MAX);
     driver.push_trajectory(&seq.trajectory).expect("trajectory");
     driver.push_events(seq.events.as_slice()).expect("events");
-    let (output, backend) = driver.finish_with_backend();
-    (output.expect("cosim run"), backend)
+    driver.poll().expect("poll");
+    driver
 }
 
 #[test]
@@ -82,14 +82,15 @@ fn device_matches_software_pipeline_on_every_sequence() {
 #[test]
 fn device_agreement_holds_for_different_pe_counts() {
     // The number of PE_Zi changes the schedule, not the arithmetic: the DSI
-    // contents must be identical for 1, 2 and 4 PEs.
+    // contents of the open key frame must be identical for 1, 2 and 4 PEs.
     let seq = sequence(SequenceKind::SliderClose);
     let config = config_for_sequence(&seq, 40);
     let mut reference: Option<Vec<u16>> = None;
     for n_pe in [1usize, 2, 4] {
         let accel = AcceleratorConfig::default().with_pe_zi(n_pe);
-        let (_, cosim) = cosim_run(&seq, config.clone(), accel);
-        let scores = cosim.dsi().raw_scores().to_vec();
+        let session = cosim_session(&seq, config.clone(), accel);
+        let scores = session.backend().dsi().raw_scores().to_vec();
+        assert!(scores.iter().any(|&s| s > 0), "{n_pe} PE_Zi voted nothing");
         match &reference {
             None => reference = Some(scores),
             Some(r) => assert_eq!(r, &scores, "{n_pe} PE_Zi produced a different DSI"),

@@ -112,8 +112,10 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
     // A key-frame distance that never triggers a switch: the whole stream is
     // one key frame spanning several vote windows, so both engines must
     // vote buffered windows into the DSI mid-key-frame — and the sharded one
-    // stay bit-identical to the sequential software path.
-    let seq = sequence();
+    // stay bit-identical to the sequential software path. ThreePlanes is
+    // long enough for more than two windows.
+    let seq = SyntheticSequence::generate(SequenceKind::ThreePlanes, &DatasetConfig::fast_test())
+        .expect("fast_test sequences generate");
     let config = config_for_sequence(&seq, 60).with_keyframe_distance(1e9);
     let batch = EventorSession::builder(seq.camera, config.clone())
         .software(EventorOptions::accelerator())
