@@ -230,8 +230,8 @@ fn bench_quantized_kernel(c: &mut Criterion) {
 
     // Local runs only report, so contributors on unusual hosts are never
     // blocked by a wall-clock ratio; CI opts into hard enforcement with
-    // EVENTOR_ENFORCE_BENCH=1 because the recorded margins (~4x vs the 2.5x
-    // bar on AVX2, ~3x vs the 1.2x scalar bar) dwarf runner noise
+    // EVENTOR_ENFORCE_BENCH=1 because the recorded margins (~12x vs the
+    // 2.5x bar on AVX2, ~3x vs the 1.2x scalar bar) dwarf runner noise
     // (docs/BENCHMARKS.md). The readback, the verdict line and the
     // never-silently-skipped rule live in the shared helper.
     eventor_bench::enforce::enforce_speedup_bar(

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of DSI voting: bilinear versus nearest (the paper's
 //! approximate-computing ablation), f32 versus quantized u16 scores, and
-//! one vote window of the accelerator datapath through the kernel's fused
-//! transfer-and-vote face; and of structure detection, which retires every
-//! key frame's DSI.
+//! vote windows of the accelerator datapath through the kernel's fused
+//! transfer-and-vote face, one on words without a tie coordinate and one on
+//! a slider's words, which have one; and of structure detection, which
+//! retires every key frame's DSI.
 
 use criterion::{
     criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
@@ -73,14 +74,19 @@ fn bench_voting(c: &mut Criterion) {
         )
     });
 
-    bench_vote_window(&mut group);
+    bench_vote_window(&mut group, "vote_window_32k_u16_240x180x100", converging);
+    bench_vote_window(
+        &mut group,
+        "vote_window_32k_u16_slider_240x180x100",
+        sideways,
+    );
     group.finish();
 }
 
 /// One vote window of the accelerator datapath: 32 frames of 1024
 /// canonical survivors spread over a 240×180 sensor, each frame with its
-/// own 100 near-identity `φ` words, so most transfers land on the sensor.
-fn window_frames() -> Vec<(Vec<PackedCoord>, Vec<PhiWords>)> {
+/// own 100 `φ` words, `phi(frame, plane)`.
+fn window_frames(phi: impl Fn(usize, usize) -> PhiWords) -> Vec<(Vec<PackedCoord>, Vec<PhiWords>)> {
     (0..32)
         .map(|k| {
             let canon = (0..1024)
@@ -90,23 +96,36 @@ fn window_frames() -> Vec<(Vec<PackedCoord>, Vec<PhiWords>)> {
                     PackedCoord::from_f64(x, y)
                 })
                 .collect();
-            let phi = (0..100)
-                .map(|p| {
-                    let r = 1.0 - 0.002 * p as f64;
-                    let shift = 0.3 * k as f64;
-                    PhiWords::from_f64(r, (1.0 - r) * 120.0 + shift, (1.0 - r) * 90.0 - shift)
-                })
-                .collect();
-            (canon, phi)
+            (canon, (0..100).map(|p| phi(k, p)).collect())
         })
         .collect()
+}
+
+/// Near-identity words, so most transfers land on the sensor. All but the
+/// identity (frame 0, plane 0) lack a tie coordinate: the kernel's transfer
+/// body without a tie test.
+fn converging(k: usize, p: usize) -> PhiWords {
+    let r = 1.0 - 0.002 * p as f64;
+    let shift = 0.3 * k as f64;
+    PhiWords::from_f64(r, (1.0 - r) * 120.0 + shift, (1.0 - r) * 90.0 - shift)
+}
+
+/// A slider's words: sideways motion transfers with `scale` exactly 1.0
+/// and `offset_y` 0, so every plane's `y` axis ties at raw −64 (−0.5 px):
+/// the kernel's transfer body with the tie test.
+fn sideways(k: usize, p: usize) -> PhiWords {
+    PhiWords::from_f64(1.0, 0.3 * k as f64 - 0.4 * p as f64, 0.0)
 }
 
 /// A 32 K-survivor window through `DsiVolume`'s vote path, plane by plane,
 /// into a 240×180×100 DSI that keeps its scores; the throughput is the
 /// window's votes, so the row reads as time per vote.
-fn bench_vote_window(group: &mut BenchmarkGroup<'_>) {
-    let frames = window_frames();
+fn bench_vote_window(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    phi: impl Fn(usize, usize) -> PhiWords,
+) {
+    let frames = window_frames(phi);
     let window: Vec<(&[PackedCoord], &[PhiWords])> = frames
         .iter()
         .map(|(canon, phi)| (canon.as_slice(), phi.as_slice()))
@@ -121,9 +140,7 @@ fn bench_vote_window(group: &mut BenchmarkGroup<'_>) {
     };
     let votes = vote(&mut dsi);
     group.throughput(Throughput::Elements(votes));
-    group.bench_function("vote_window_32k_u16_240x180x100", |b| {
-        b.iter(|| black_box(vote(&mut dsi)))
-    });
+    group.bench_function(name, |b| b.iter(|| black_box(vote(&mut dsi))));
 }
 
 /// A deterministic voted DSI in the shape a key frame leaves: scattered

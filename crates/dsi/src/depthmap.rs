@@ -145,22 +145,37 @@ impl DepthMap {
         let r = size / 2;
         let mut out = self.clone();
         let mut window: Vec<f64> = Vec::with_capacity(size * size);
+        // The valid depths of `(x, y)`'s window, in row-major order.
+        let gather = |x: usize, y: usize, window: &mut Vec<f64>| {
+            window.clear();
+            for dy in y.saturating_sub(r)..=(y + r).min(self.height - 1) {
+                for dx in x.saturating_sub(r)..=(x + r).min(self.width - 1) {
+                    let d = self.depth(dx, dy);
+                    if d.is_finite() {
+                        window.push(d);
+                    }
+                }
+            }
+        };
+        let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("depths are finite");
         for y in 0..self.height {
             for x in 0..self.width {
                 if !self.is_valid(x, y) {
                     continue;
                 }
-                window.clear();
-                for dy in y.saturating_sub(r)..=(y + r).min(self.height - 1) {
-                    for dx in x.saturating_sub(r)..=(x + r).min(self.width - 1) {
-                        let d = self.depth(dx, dy);
-                        if d.is_finite() {
-                            window.push(d);
-                        }
-                    }
-                }
-                window.sort_by(|a, b| a.partial_cmp(b).expect("depths are finite"));
-                let median = window[window.len() / 2];
+                gather(x, y, &mut window);
+                let mid = window.len() / 2;
+                let median = *window.select_nth_unstable_by(mid, order).1;
+                // Equal finite depths differ in bits only as ±0.0, so only a
+                // zero median can differ from the stably sorted window's
+                // middle element: that window is gathered again and sorted.
+                let median = if median == 0.0 {
+                    gather(x, y, &mut window);
+                    window.sort_by(order);
+                    window[mid]
+                } else {
+                    median
+                };
                 out.set(x, y, median, self.confidence(x, y));
             }
         }
@@ -331,5 +346,75 @@ mod tests {
     fn median_filter_even_size_panics() {
         let dm = DepthMap::new(3, 3).unwrap();
         let _ = dm.median_filtered(2);
+    }
+
+    #[test]
+    fn median_filter_keeps_the_sorted_sign_of_a_zero_median() {
+        // A row of 0.0, −0.0, −0.0: every stably sorted window's middle
+        // element is a −0.0, whichever zero a selection would pick.
+        let mut dm = DepthMap::new(3, 1).unwrap();
+        for (x, d) in [0.0, -0.0, -0.0].into_iter().enumerate() {
+            dm.set(x, 0, d, 1.0);
+        }
+        let filtered = dm.median_filtered(3);
+        assert!(filtered
+            .depth_data()
+            .iter()
+            .all(|d| d.to_bits() == (-0.0f64).to_bits()));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The median filter by its definition: each valid pixel's window of
+    /// valid depths, stably sorted, and its middle element.
+    fn median_by_sorting(map: &DepthMap, size: usize) -> DepthMap {
+        let r = size / 2;
+        let mut out = map.clone();
+        for y in 0..map.height() {
+            for x in 0..map.width() {
+                if !map.is_valid(x, y) {
+                    continue;
+                }
+                let mut window: Vec<f64> = (y.saturating_sub(r)..=(y + r).min(map.height() - 1))
+                    .flat_map(|dy| {
+                        (x.saturating_sub(r)..=(x + r).min(map.width() - 1))
+                            .map(move |dx| map.depth(dx, dy))
+                    })
+                    .filter(|d| d.is_finite())
+                    .collect();
+                window.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                out.set(x, y, window[window.len() / 2], map.confidence(x, y));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Selection leaves every bit the sorted window's middle element
+        /// does: depths drawn from a small alphabet (many duplicates), with
+        /// both zeros and invalid pixels (infinite and NaN).
+        #[test]
+        fn median_filter_matches_sorting_bit_for_bit(
+            width in 1usize..13,
+            height in 1usize..13,
+            half in 0usize..3,
+            picks in collection::vec(0usize..9, 144..145),
+        ) {
+            const DEPTHS: [f64; 9] =
+                [0.0, -0.0, 1.5, 2.0, 2.25, -3.0, f64::INFINITY, f64::NAN, 2.0];
+            let mut map = DepthMap::new(width, height).unwrap();
+            for (i, &pick) in picks.iter().take(width * height).enumerate() {
+                map.set(i % width, i / width, DEPTHS[pick], i as f64);
+            }
+            let size = 2 * half + 1;
+            let bits = |m: &DepthMap| m.depth_data().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            let got = map.median_filtered(size);
+            let expect = median_by_sorting(&map, size);
+            prop_assert_eq!(bits(&got), bits(&expect));
+        }
     }
 }

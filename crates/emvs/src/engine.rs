@@ -1,7 +1,6 @@
 //! The one voting engine behind the session contract: every datapath and
 //! every shard count (see [`VotingEngine`]).
 
-use crate::backproject::FrameGeometry;
 use crate::config::{EmvsConfig, EventorOptions, VotingMode};
 use crate::mapper::KeyframeReconstruction;
 use crate::parallel::{run_sharded, ParallelConfig};
@@ -90,10 +89,13 @@ struct Buffer {
     /// Every buffered frame's `Buf_P` words, one per depth plane, frame
     /// after frame (quantized).
     phi: Vec<PhiWords>,
-    /// End of each buffered frame's words in `phi` (quantized).
+    /// Every buffered frame's proportional coefficients
+    /// `[scale, offset_x, offset_y]`, one per depth plane, frame after frame
+    /// (float).
+    phi_float: Vec<[f64; 3]>,
+    /// End of each buffered frame's entries in `phi` or `phi_float`,
+    /// whichever the datapath fills.
     phi_ends: Vec<usize>,
-    /// One geometry per buffered frame (float).
-    geometries: Vec<FrameGeometry>,
     /// Scratch: the current frame's Q9.7-encoded events (quantized).
     transported: Vec<PackedCoord>,
     /// Scratch: the current frame's distortion-corrected events (float).
@@ -124,8 +126,8 @@ impl Buffer {
         self.canon.clear();
         self.canon_float.clear();
         self.phi.clear();
+        self.phi_float.clear();
         self.phi_ends.clear();
-        self.geometries.clear();
     }
 
     /// Buffered frame `frame`'s survivors (quantized).
@@ -136,6 +138,11 @@ impl Buffer {
     /// Buffered frame `frame`'s `Buf_P` words, one per depth plane.
     fn phi(&self, frame: usize) -> &[PhiWords] {
         &self.phi[frame_range(&self.phi_ends, frame)]
+    }
+
+    /// Entries in `phi` or `phi_float`: one of them is always empty.
+    fn phi_len(&self) -> usize {
+        self.phi.len() + self.phi_float.len()
     }
 
     /// `PE_Zi` → Nearest Voxel Finder → vote: transfers every buffered
@@ -156,7 +163,7 @@ impl Buffer {
         arena: &mut VoteArena,
     ) {
         let frames = 0..self.frame_ends.len();
-        match (self.phi_ends.is_empty(), voting) {
+        match (self.phi.is_empty(), voting) {
             (false, VotingMode::Nearest) => {
                 view.vote_batch(frames.map(|f| (self.canon(f), self.phi(f))), arena);
             }
@@ -174,13 +181,15 @@ impl Buffer {
             (true, voting) => {
                 for i in view.planes() {
                     for frame in frames.clone() {
-                        let geometry = &self.geometries[frame];
+                        let phi = &self.phi_float[frame_range(&self.phi_ends, frame)];
+                        let [scale, offset_x, offset_y] = phi[i];
                         let survivors = frame_range(&self.frame_ends, frame);
                         for &c in &self.canon_float[survivors] {
-                            let p = geometry.transfer(c, i);
+                            // `ProportionalCoefficients::transfer`, term for term.
+                            let (x, y) = (scale * c.x + offset_x, scale * c.y + offset_y);
                             match voting {
-                                VotingMode::Bilinear => view.vote_bilinear(p.x, p.y, i, 1.0),
-                                VotingMode::Nearest => view.vote_nearest(p.x, p.y, i, 1.0),
+                                VotingMode::Bilinear => view.vote_bilinear(x, y, i, 1.0),
+                                VotingMode::Nearest => view.vote_nearest(x, y, i, 1.0),
                             }
                         }
                     }
@@ -362,13 +371,22 @@ impl ExecutionBackend for VotingEngine {
         profile.add(Stage::DistortionCorrection, t.elapsed());
 
         // ➋ Encode the frame's H_Z0 / φ words once (rescheduled: before the
-        //   canonical projection), the φ words straight into the buffer.
+        //   canonical projection), the φ words (or, on the float datapaths,
+        //   the `f64` coefficients) straight into the buffer.
         let t = Instant::now();
-        let phi_start = buffer.phi.len();
-        let homography = self.options.quantize.then(|| {
-            QuantizedCoefficients::append_words(&work.geometry.coefficients, &mut buffer.phi);
-            QuantizedHomography::from_homography(&work.geometry.homography)
-        });
+        let phi_start = buffer.phi_len();
+        let phi = &work.geometry.coefficients;
+        let homography = if self.options.quantize {
+            QuantizedCoefficients::append_words(phi, &mut buffer.phi);
+            Some(QuantizedHomography::from_homography(
+                &work.geometry.homography,
+            ))
+        } else {
+            buffer
+                .phi_float
+                .extend((0..phi.len()).map(|i| [phi.scale[i], phi.offset_x[i], phi.offset_y[i]]));
+            None
+        };
         profile.add(Stage::ComputeCoefficients, t.elapsed());
 
         // ➌ PE_Z0: the canonical projection, keeping the survivors of the
@@ -398,12 +416,10 @@ impl ExecutionBackend for VotingEngine {
         }
         if buffer.events() > before {
             buffer.frame_ends.push(buffer.events());
-            match homography {
-                Some(_) => buffer.phi_ends.push(buffer.phi.len()),
-                None => buffer.geometries.push(work.geometry.clone()),
-            }
+            buffer.phi_ends.push(buffer.phi_len());
         } else {
             buffer.phi.truncate(phi_start);
+            buffer.phi_float.truncate(phi_start);
         }
         profile.add(Stage::CanonicalProjection, t.elapsed());
 

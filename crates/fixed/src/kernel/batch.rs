@@ -16,7 +16,7 @@
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
-//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration in two 4 × `i64` halves and compacts them with one permutation, and compiles the depth collapse for eight `i32` lanes a register; NEON runs the transfer MACs two `i64` lanes at a time |
+//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration, each exactly in one 32-bit lane from 16-bit partial products, and compacts them with one permutation, and compiles the depth collapse for eight `i32` lanes a register; NEON runs the transfer MACs two `i64` lanes at a time |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
 //! The tier is selected **once per session** ([`active`]): the
@@ -47,6 +47,12 @@
 //! 2³⁵. So a transfer is in the sensor exactly when both pixels are below
 //! their bound and neither `t` is 0: one shift and two compares an axis,
 //! with no sign handling and no lower-bound compare.
+//!
+//! For a nonzero `scale`, `t` is 0 at most at one coordinate an axis, the
+//! **tie coordinate** `c* = −((offset << 7) + half) / scale`, where that
+//! division is exact and the quotient fits a Q9.7 word. A face derives it
+//! once per call, so the AVX2 tier tests a lane for a tie only when the
+//! plane has a tie coordinate, and then with one compare against it.
 //!
 //! ## Example
 //!
@@ -98,7 +104,7 @@ pub enum Dispatch {
     /// the SIMD tier must match byte for byte.
     Scalar,
     /// `core::arch` intrinsics: AVX2 (with POPCNT, which every AVX2 CPU
-    /// has) on `x86_64`, 4 × `i64` lanes; NEON on `aarch64`, 2 × `i64`
+    /// has) on `x86_64`, 8 × `i32` lanes; NEON on `aarch64`, 2 × `i64`
     /// lanes. Supported only where runtime detection finds the features.
     Simd,
 }
@@ -381,27 +387,45 @@ pub fn transfer_nearest_batch_with(
     // `canon` (the AVX2 tier eight slots at a time), so `canon.len()` slots
     // hold every write.
     out.resize(canon.len(), 0);
-    let hits = transfer(tier, phi, canon, width, height, out);
+    let hits = PlaneTransfer::new(tier, phi, width, height).run(canon, out);
     out.truncate(hits);
 }
 
-/// The compacting transfer on `tier` into `out` (as long as `canon`):
-/// leaves the in-sensor slab indices in `out[..hits]`, in input order, and
-/// returns `hits`.
-#[inline]
-fn transfer(
-    tier: Dispatch,
-    phi: &PhiWords,
-    canon: &[PackedCoord],
-    width: u32,
-    height: u32,
-    out: &mut [u32],
-) -> usize {
-    match tier {
-        Dispatch::Scalar => canon
-            .iter()
-            .fold(0, |len, &c| append(phi, c, width, height, out, len)),
-        Dispatch::Simd => simd::transfer(phi, canon, width, height, out),
+/// One plane's compacting transfer on one tier, set up once per face call:
+/// the AVX2 tier derives its lane words and tie coordinates here, not per
+/// block of coordinates.
+enum PlaneTransfer {
+    Scalar {
+        phi: PhiWords,
+        width: u32,
+        height: u32,
+    },
+    Simd(simd::Transfer),
+}
+
+impl PlaneTransfer {
+    fn new(tier: Dispatch, phi: &PhiWords, width: u32, height: u32) -> Self {
+        match tier {
+            Dispatch::Scalar => PlaneTransfer::Scalar {
+                phi: *phi,
+                width,
+                height,
+            },
+            Dispatch::Simd => PlaneTransfer::Simd(simd::Transfer::new(phi, width, height)),
+        }
+    }
+
+    /// Transfers `canon` into `out` (as long as `canon`): leaves the
+    /// in-sensor slab indices in `out[..hits]`, in input order, and returns
+    /// `hits`.
+    #[inline]
+    fn run(&self, canon: &[PackedCoord], out: &mut [u32]) -> usize {
+        match self {
+            &PlaneTransfer::Scalar { phi, width, height } => {
+                append_each(&phi, canon, width, height, out, 0)
+            }
+            PlaneTransfer::Simd(transfer) => transfer.run(canon, out),
+        }
     }
 }
 
@@ -427,7 +451,8 @@ const VOTE_BLOCK: usize = 512;
 /// below `width · height`, which is `slab.len()`. A caller cannot hand the
 /// deposit an index of its own, which is why the transfer and the deposit
 /// are one face. Coordinates stream through in blocks of 512 whose
-/// indices stay L1-resident.
+/// indices stay L1-resident; the plane's lane words and tie coordinates
+/// are derived once per call, not per block.
 ///
 /// # Panics
 ///
@@ -459,11 +484,12 @@ pub fn vote_nearest_u16_with(
         "a {width}×{height} plane slab holds {voxels} voxels, not {}",
         slab.len()
     );
+    let transfer = PlaneTransfer::new(tier, phi, width, height);
     let mut idx = [0u32; VOTE_BLOCK];
     let mut cast = 0;
     for block in canon.chunks(VOTE_BLOCK) {
         let idx = &mut idx[..block.len()];
-        let hits = transfer(tier, phi, block, width, height, idx);
+        let hits = transfer.run(block, idx);
         for &i in &idx[..hits] {
             // SAFETY: `i` is `y · width + x` of a transfer `transfer` judged
             // in the sensor, so `x < width` and `y < height`, and `i` is
@@ -500,6 +526,39 @@ fn append(
     let tx = super::plane_mac(phi.scale, phi.offset_x, c.x.raw()) + ACC_HALF;
     let ty = super::plane_mac(phi.scale, phi.offset_y, c.y.raw()) + ACC_HALF;
     append_folded(tx, ty, width, height, dst, len)
+}
+
+/// [`append`] over every coordinate of `canon`, from output length `len`
+/// on: the scalar tier, and every transfer the AVX2 tier leaves to it.
+#[inline]
+fn append_each(
+    phi: &PhiWords,
+    canon: &[PackedCoord],
+    width: u32,
+    height: u32,
+    dst: &mut [u32],
+    len: usize,
+) -> usize {
+    canon
+        .iter()
+        .fold(len, |len, &c| append(phi, c, width, height, dst, len))
+}
+
+/// The tie coordinate of one axis: the one canonical coordinate `c` whose
+/// folded transfer `scale·c + folded_offset(offset)` is exactly 0, which is
+/// −0.5 px and a miss. `c* = −folded_offset(offset) / scale` where that
+/// division is exact and `c*` fits a Q9.7 word; `None` where no word ties.
+///
+/// # Panics
+///
+/// When `scale` is 0: every coordinate or none ties.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn tie_coordinate(scale: i32, offset: i32) -> Option<i16> {
+    let (folded, scale) = (folded_offset(offset), i64::from(scale));
+    // |folded| < 2³⁹, so neither the remainder nor the quotient overflows.
+    (folded % scale == 0)
+        .then(|| -folded / scale)
+        .and_then(|c| i16::try_from(c).ok())
 }
 
 /// [`append`] on the two folded accumulators.
@@ -682,22 +741,33 @@ fn fold_planes<const N: usize>(
 // SIMD tier — AVX2 (x86_64)
 // ---------------------------------------------------------------------------
 
-/// AVX2: four `i64` lanes per operation. Products come from
-/// `_mm256_mul_epi32` (signed 32×32→64 on the low halves — exact, both
-/// operands are sign-extended 32-bit values). The transfer's pixel is the
-/// logical `_mm256_srli_epi64` of the folded accumulator, and the
-/// in-sensor judgement two signed 64-bit compares against the bounds (a
-/// negative accumulator shifts to at least 2³⁵, far above them) and two
-/// compares against 0. The eight results of an iteration are compacted
-/// through their hit mask with one `_mm256_permutevar8x32_epi32`, stored
-/// whole at the output's end, and the end advances by the mask's
-/// popcount. Remainders shorter than a vector run the scalar definitions,
-/// which the tests pin as bit-identical.
+/// AVX2. The projection runs four `i64` lanes per operation, its products
+/// from `_mm256_mul_epi32` (signed 32×32→64 on the low halves — exact, both
+/// operands are sign-extended 32-bit values).
+///
+/// The transfer runs each coordinate in one 32-bit lane, eight an
+/// iteration, exactly. The scale splits into two `i16` halves,
+/// `scale = sh·2¹⁶ + sl`, and the folded constant `F` into `Fh = F >> 16`
+/// and `Fl = F & 0xFFFF`. `_mm256_madd_epi16` on the packed `(x, y)` words
+/// against `(sh, 0)` or `(0, sl)` and the like gives each product `sh·c`
+/// and `sl·c` exactly: one product of the pair is zero, so the sum cannot
+/// overflow. With `C = sl·c + Fl` and `T = sh·c + Fh + (C >> 16)`, the
+/// folded accumulator is `t = T·2¹⁶ + (C & 0xFFFF)` and no lane overflows,
+/// so the pixel is `T >> 12` and `t` lies in `[0, width·2²⁸)` exactly when
+/// `0 ≤ T ≤ (width << 12) − 1`: one unsigned minimum and one compare an
+/// axis. `t == 0` is left to the plane's tie coordinates, derived once per
+/// face call ([`tie_coordinate`]): one 16-bit compare of the packed words
+/// against them, in the body instantiated for planes that have one. The
+/// eight results of an iteration are compacted through their hit mask with
+/// one `_mm256_permutevar8x32_epi32`, stored whole at the output's end, and
+/// the end advances by the mask's popcount. Remainders shorter than a
+/// vector, and words the lane form does not hold, run the scalar
+/// definitions, which the tests pin as bit-identical.
 ///
 /// Safety: every `#[target_feature(enable = "avx2")]` function is reached
-/// only through a wrapper that asserts AVX2 and POPCNT are detected
-/// (dispatch refuses the tier otherwise, but the assertion keeps the
-/// module locally sound).
+/// only through a wrapper, or a [`Transfer`] built by one, that asserts
+/// AVX2 and POPCNT are detected (dispatch refuses the tier otherwise, but
+/// the assertion keeps the module locally sound).
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::*;
@@ -752,81 +822,187 @@ mod simd {
         table
     };
 
-    /// The folded transfer of four lanes: the slab indices, in the low
-    /// half of each 64-bit lane, and the all-ones in-sensor mask.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn judge4(tx: __m256i, ty: __m256i, vw: __m256i, vh: __m256i) -> (__m256i, __m256i) {
-        let px = _mm256_srli_epi64::<{ ACC_FRAC as i32 }>(tx);
-        let py = _mm256_srli_epi64::<{ ACC_FRAC as i32 }>(ty);
-        let inside = _mm256_and_si256(_mm256_cmpgt_epi64(vw, px), _mm256_cmpgt_epi64(vh, py));
-        let zero = _mm256_setzero_si256();
-        let tie = _mm256_or_si256(_mm256_cmpeq_epi64(tx, zero), _mm256_cmpeq_epi64(ty, zero));
-        // In hit lanes py, width < 2^16, so the unsigned low-32 product is
-        // exact; a miss's index is never kept.
-        let idx = _mm256_add_epi64(_mm256_mul_epu32(py, vw), px);
-        (idx, _mm256_andnot_si256(tie, inside))
+    /// Sensor sides the lane form takes: below 2¹⁵, so a hit's row and the
+    /// width are positive `i16` words whose product `madd` forms exactly.
+    const SIDE_LIMIT: u32 = 1 << 15;
+
+    /// Two 16-bit words in one 32-bit lane, `x` in the low half and `y` in
+    /// the high one, as a `PackedCoord` lies.
+    fn pack(x: i16, y: i16) -> i32 {
+        (u32::from(x as u16) | u32::from(y as u16) << 16) as i32
     }
 
-    pub(super) fn transfer(
-        phi: &PhiWords,
-        canon: &[PackedCoord],
+    /// One plane's words in the 32-bit lane form: every product and sum of
+    /// a lane fits an `i32`, for every coordinate.
+    #[derive(Debug, Clone, Copy)]
+    struct Lanes {
+        /// `(sh, 0)` and `(0, sh)`: the scale's high half against `x`, `y`.
+        hi: [i32; 2],
+        /// `(sl, 0)` and `(0, sl)`: the scale's low half against `x`, `y`.
+        lo: [i32; 2],
+        /// `Fh` of the `x` and `y` axis.
+        fold_hi: [i32; 2],
+        /// `Fl` of the `x` and `y` axis.
+        fold_lo: [i32; 2],
+        /// The largest in-sensor `T` of the `x` and `y` axis.
+        bound: [i32; 2],
+        /// `(width, 0)`: a row's first index, times the `y` pixel.
+        row: i32,
+        /// The packed tie coordinates `(cx*, cy*)`.
+        tie: i32,
+        /// All ones in the half of each axis that has a tie coordinate; 0
+        /// when neither has.
+        tie_axes: i32,
+    }
+
+    impl Lanes {
+        /// The lane form of `phi` on a `width × height` sensor, or `None`
+        /// for the words it does not hold: `scale == 0` (every coordinate
+        /// ties or none does, so no tie coordinate exists),
+        /// `scale ≥ 2³¹ − 2¹⁵` (`sh` would not fit an `i16`) and sides
+        /// outside `1..2¹⁵`.
+        fn new(phi: &PhiWords, width: u32, height: u32) -> Option<Lanes> {
+            let sides = 1..SIDE_LIMIT;
+            if phi.scale == 0
+                || phi.scale > i32::MAX - (1 << 15)
+                || !sides.contains(&width)
+                || !sides.contains(&height)
+            {
+                return None;
+            }
+            let sl = phi.scale as i16;
+            let sh = ((i64::from(phi.scale) - i64::from(sl)) >> 16) as i16;
+            let fold = [phi.offset_x, phi.offset_y].map(folded_offset);
+            let [tie_x, tie_y] = [phi.offset_x, phi.offset_y].map(|o| tie_coordinate(phi.scale, o));
+            let side = |side: u32| ((side << (ACC_FRAC - 16)) - 1) as i32;
+            Some(Lanes {
+                hi: [pack(sh, 0), pack(0, sh)],
+                lo: [pack(sl, 0), pack(0, sl)],
+                fold_hi: fold.map(|f| (f >> 16) as i32),
+                fold_lo: fold.map(|f| (f & 0xFFFF) as i32),
+                bound: [side(width), side(height)],
+                row: pack(width as i16, 0),
+                tie: pack(tie_x.unwrap_or(0), tie_y.unwrap_or(0)),
+                tie_axes: pack(-i16::from(tie_x.is_some()), -i16::from(tie_y.is_some())),
+            })
+        }
+    }
+
+    /// One plane's transfer on the AVX2 tier, set up once per face call.
+    pub(super) struct Transfer {
+        phi: PhiWords,
         width: u32,
         height: u32,
-        out: &mut [u32],
-    ) -> usize {
-        assert_avx2();
-        assert_eq!(canon.len(), out.len());
-        unsafe { transfer_avx2(phi, canon, width, height, out) }
+        /// `None` for words outside the lane form, which the scalar
+        /// [`append`] loop transfers.
+        lanes: Option<Lanes>,
     }
 
-    /// Eight transfers per iteration. One unaligned 256-bit load covers
-    /// eight `PackedCoord`s (`repr(C)` pairs of `i16`, x in the low half of
-    /// each 32-bit lane on little-endian — the `to_word` layout);
-    /// `_mm256_mul_epi32` reads the low 32 bits of each 64-bit lane, so the
-    /// even-index coords multiply in place and the odd-index coords after a
-    /// 32-bit lane shift, and one blend each re-interleaves the indices
-    /// and the masks into input order before the compacting store.
+    impl Transfer {
+        pub(super) fn new(phi: &PhiWords, width: u32, height: u32) -> Self {
+            assert_avx2();
+            Transfer {
+                phi: *phi,
+                width,
+                height,
+                lanes: Lanes::new(phi, width, height),
+            }
+        }
+
+        pub(super) fn run(&self, canon: &[PackedCoord], out: &mut [u32]) -> usize {
+            assert_eq!(canon.len(), out.len());
+            let (phi, width, height) = (&self.phi, self.width, self.height);
+            let Some(lanes) = &self.lanes else {
+                return append_each(phi, canon, width, height, out, 0);
+            };
+            // SAFETY: `new` asserted AVX2 and POPCNT, and `out` is as long
+            // as `canon`.
+            let (i, len) = unsafe {
+                if lanes.tie_axes == 0 {
+                    transfer_avx2::<false>(lanes, canon, out)
+                } else {
+                    transfer_avx2::<true>(lanes, canon, out)
+                }
+            };
+            append_each(phi, &canon[i..], width, height, out, len)
+        }
+    }
+
+    /// `T = sh·c + Fh + (C >> 16)` of one axis, `C = sl·c + Fl`, on eight
+    /// packed coordinates `v`: `hi`, `lo` hold the axis's scale halves in
+    /// its half of each lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn axis(
+        v: __m256i,
+        hi: __m256i,
+        lo: __m256i,
+        fold_hi: __m256i,
+        fold_lo: __m256i,
+    ) -> __m256i {
+        let low = _mm256_add_epi32(_mm256_madd_epi16(v, lo), fold_lo);
+        _mm256_add_epi32(
+            _mm256_add_epi32(_mm256_madd_epi16(v, hi), fold_hi),
+            _mm256_srai_epi32::<16>(low),
+        )
+    }
+
+    /// The `x` and `y` words of a [`Lanes`] field, each in every lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn splat([x, y]: [i32; 2]) -> [__m256i; 2] {
+        [_mm256_set1_epi32(x), _mm256_set1_epi32(y)]
+    }
+
+    /// All ones in the lanes where `0 ≤ t ≤ bound`, for `bound < 2³¹`: a
+    /// negative lane is a large unsigned one.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn inside(t: __m256i, bound: __m256i) -> __m256i {
+        _mm256_cmpeq_epi32(_mm256_min_epu32(t, bound), t)
+    }
+
+    /// Eight transfers per iteration in the lane form, over the whole
+    /// vectors of `canon`; returns the coordinates it transferred and the
+    /// output length. One unaligned 256-bit load covers eight
+    /// `PackedCoord`s (`repr(C)` pairs of `i16`, x in the low half of each
+    /// 32-bit lane on little-endian — the `to_word` layout), which
+    /// `_mm256_madd_epi16` multiplies in place. `TIES` drops the lanes at a
+    /// tie coordinate; the plane has none when it is `false`.
     ///
     /// The store writes eight slots at the current length `len`; `len`
     /// never exceeds the iteration's start `i`, and `i + 8 <= n`, so every
     /// store stays inside `out` (asserted equal in length to `canon`).
     #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn transfer_avx2(
-        phi: &PhiWords,
+    unsafe fn transfer_avx2<const TIES: bool>(
+        lanes: &Lanes,
         canon: &[PackedCoord],
-        width: u32,
-        height: u32,
         out: &mut [u32],
-    ) -> usize {
-        let vscale = _mm256_set1_epi64x(phi.scale as i64);
-        let voffx = _mm256_set1_epi64x(folded_offset(phi.offset_x));
-        let voffy = _mm256_set1_epi64x(folded_offset(phi.offset_y));
-        let vw = _mm256_set1_epi64x(width as i64);
-        let vh = _mm256_set1_epi64x(height as i64);
+    ) -> (usize, usize) {
+        let ([hi_x, hi_y], [lo_x, lo_y]) = (splat(lanes.hi), splat(lanes.lo));
+        let [fold_hi_x, fold_hi_y] = splat(lanes.fold_hi);
+        let [fold_lo_x, fold_lo_y] = splat(lanes.fold_lo);
+        let [bound_x, bound_y] = splat(lanes.bound);
+        let row = _mm256_set1_epi32(lanes.row);
+        let tie = _mm256_set1_epi32(lanes.tie);
+        let tie_axes = _mm256_set1_epi32(lanes.tie_axes);
         let n = canon.len();
         let mut len = 0;
         let mut i = 0;
         while i + 8 <= n {
             let v = _mm256_loadu_si256(canon.as_ptr().add(i) as *const __m256i);
-            let x32 = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(v));
-            let y32 = _mm256_srai_epi32::<16>(v);
-            let txe = _mm256_add_epi64(_mm256_mul_epi32(x32, vscale), voffx);
-            let txo = _mm256_add_epi64(
-                _mm256_mul_epi32(_mm256_srli_epi64::<32>(x32), vscale),
-                voffx,
-            );
-            let tye = _mm256_add_epi64(_mm256_mul_epi32(y32, vscale), voffy);
-            let tyo = _mm256_add_epi64(
-                _mm256_mul_epi32(_mm256_srli_epi64::<32>(y32), vscale),
-                voffy,
-            );
-            let (idxe, hite) = judge4(txe, tye, vw, vh);
-            let (idxo, hito) = judge4(txo, tyo, vw, vh);
-            // Even lanes keep their low halves, odd lanes move into the
-            // high halves: eight `u32` indices and masks in input order.
-            let idx = _mm256_blend_epi32::<0b10101010>(idxe, _mm256_slli_epi64::<32>(idxo));
-            let hit = _mm256_blend_epi32::<0b10101010>(hite, hito);
+            let tx = axis(v, hi_x, lo_x, fold_hi_x, fold_lo_x);
+            let ty = axis(v, hi_y, lo_y, fold_hi_y, fold_lo_y);
+            let mut hit = _mm256_and_si256(inside(tx, bound_x), inside(ty, bound_y));
+            if TIES {
+                let tied = _mm256_and_si256(_mm256_cmpeq_epi16(v, tie), tie_axes);
+                hit = _mm256_and_si256(hit, _mm256_cmpeq_epi32(tied, _mm256_setzero_si256()));
+            }
+            // In hit lanes the pixels are below the sides (< 2¹⁵), so the
+            // row product is exact; a miss's index is never kept.
+            let px = _mm256_srli_epi32::<{ ACC_FRAC as i32 - 16 }>(tx);
+            let py = _mm256_srli_epi32::<{ ACC_FRAC as i32 - 16 }>(ty);
+            let idx = _mm256_add_epi32(_mm256_madd_epi16(py, row), px);
             let mask = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as usize;
             let perm =
                 _mm256_cvtepu8_epi32(_mm_loadl_epi64(COMPACT[mask].as_ptr() as *const __m128i));
@@ -838,10 +1014,7 @@ mod simd {
             len += mask.count_ones() as usize;
             i += 8;
         }
-        for &c in &canon[i..] {
-            len = append(phi, c, width, height, out, len);
-        }
-        len
+        (i, len)
     }
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
@@ -957,15 +1130,27 @@ mod simd {
         );
     }
 
-    pub(super) fn transfer(
-        phi: &PhiWords,
-        canon: &[PackedCoord],
+    /// One plane's transfer on the NEON tier: the words, kept as they are.
+    pub(super) struct Transfer {
+        phi: PhiWords,
         width: u32,
         height: u32,
-        out: &mut [u32],
-    ) -> usize {
-        assert_neon();
-        unsafe { transfer_neon(phi, canon, width, height, out) }
+    }
+
+    impl Transfer {
+        pub(super) fn new(phi: &PhiWords, width: u32, height: u32) -> Self {
+            assert_neon();
+            Transfer {
+                phi: *phi,
+                width,
+                height,
+            }
+        }
+
+        pub(super) fn run(&self, canon: &[PackedCoord], out: &mut [u32]) -> usize {
+            // SAFETY: `new` asserted NEON.
+            unsafe { transfer_neon(&self.phi, canon, self.width, self.height, out) }
+        }
     }
 
     #[target_feature(enable = "neon")]
@@ -1031,14 +1216,16 @@ mod simd {
 mod simd {
     use super::*;
 
-    pub(super) fn transfer(
-        _: &PhiWords,
-        _: &[PackedCoord],
-        _: u32,
-        _: u32,
-        _: &mut [u32],
-    ) -> usize {
-        unreachable!("SIMD tier is unsupported on this architecture");
+    pub(super) enum Transfer {}
+
+    impl Transfer {
+        pub(super) fn new(_: &PhiWords, _: u32, _: u32) -> Self {
+            unreachable!("SIMD tier is unsupported on this architecture");
+        }
+
+        pub(super) fn run(&self, _: &[PackedCoord], _: &mut [u32]) -> usize {
+            match *self {}
+        }
     }
 
     pub(super) fn project(_: &[i32; 9], _: &[PackedCoord], _: &mut Vec<PackedCoord>) {
@@ -1301,6 +1488,265 @@ mod tests {
                 assert!(!expect.is_empty() && expect.len() < n, "n {n}");
                 assert_eq!(idx, expect, "tier {} n {n}", tier.name());
             }
+        }
+    }
+
+    /// Holds both transfer faces of every supported tier to the scalar
+    /// definition on one plane: the batched indices and the fused vote's
+    /// slab and count. Returns the plane's in-sensor transfers.
+    fn check_every_tier(phi: &PhiWords, canon: &[PackedCoord], width: u32, height: u32) -> usize {
+        let expect = in_sensor(phi, canon, width, height);
+        let mut slab = vec![0u16; (width * height) as usize];
+        let cast = vote_reference(phi, canon, width, height, &mut slab);
+        for tier in supported_tiers() {
+            let label = format!("tier {} {phi:?} on {width}x{height}", tier.name());
+            let mut idx = Vec::new();
+            transfer_nearest_batch_with(tier, phi, canon, width, height, &mut idx);
+            assert_eq!(idx, expect, "{label}");
+            let mut voted = vec![0u16; slab.len()];
+            let got = vote_nearest_u16_with(tier, phi, canon, width, height, &mut voted);
+            assert_eq!(got, cast, "{label}");
+            assert!(voted == slab, "{label}: slabs differ");
+        }
+        expect.len()
+    }
+
+    /// The offset under which `scale·c + folded_offset(offset)` is 0, so
+    /// that the axis ties at `c`, where an integer one fits an `i32`.
+    pub(super) fn tying_offset(scale: i32, c: i16) -> Option<i32> {
+        let folded = -(i64::from(scale) * i64::from(c)) - ACC_HALF;
+        (folded % 128 == 0)
+            .then_some(folded >> 7)
+            .and_then(|offset| i32::try_from(offset).ok())
+    }
+
+    #[test]
+    fn a_tie_coordinate_drops_only_its_axis_at_every_lane() {
+        // φ = (1.0, 0, 0) ties at raw −64 (−0.5 px) on an axis; one more
+        // LSB of offset takes the tie away (t = 128 there, pixel 0).
+        let inside = 5 << 7;
+        for (tie_x, tie_y) in [(true, false), (false, true), (true, true)] {
+            let phi = PhiWords {
+                scale: 1 << 21,
+                offset_x: i32::from(!tie_x),
+                offset_y: i32::from(!tie_y),
+            };
+            assert_eq!(
+                tie_coordinate(phi.scale, phi.offset_x),
+                tie_x.then_some(-64)
+            );
+            assert_eq!(
+                tie_coordinate(phi.scale, phi.offset_y),
+                tie_y.then_some(-64)
+            );
+            // Vector lanes 0–7, the second vector, and tails of 1–7.
+            for n in [1, 7, 8, 9, 16, 23] {
+                for at in 0..n {
+                    for (x, y) in [(-64, inside), (inside, -64), (-64, -64), (-63, -63)] {
+                        let mut raws = vec![(inside, inside); n];
+                        raws[at] = (x, y);
+                        let hits = check_every_tier(&phi, &coords(&raws), 240, 180);
+                        let tied = (x == -64 && tie_x) || (y == -64 && tie_y);
+                        assert_eq!(hits, n - usize::from(tied), "({x}, {y}) at {at} of {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_scale_matches_the_scalar_definition() {
+        // With scale 0 every coordinate transfers to its offset alone:
+        // offset_x = −2²⁰ puts each at t = 0, a tie on every coordinate.
+        let raws: Vec<(i16, i16)> = (0..17i16)
+            .map(|i| {
+                (
+                    i.wrapping_mul(3855),
+                    i16::MAX.wrapping_sub(i.wrapping_mul(4097)),
+                )
+            })
+            .collect();
+        for n in [5, 8, 16, 17] {
+            let canon = coords(&raws[..n]);
+            for (offset_x, offset_y, hits) in [
+                (-1 << 20, 5 << 21, 0),
+                (5 << 21, -1 << 20, 0),
+                (3 << 21, 5 << 21, n),
+                ((-1 << 20) + 1, 0, n),
+                (-1, -1, n),
+                ((-1 << 20) - 1, 0, 0),
+                (i32::MIN, 0, 0),
+                (239 << 21, 179 << 21, n),
+                (240 << 21, 0, 0),
+            ] {
+                let phi = PhiWords {
+                    scale: 0,
+                    offset_x,
+                    offset_y,
+                };
+                assert_eq!(
+                    check_every_tier(&phi, &canon, 240, 180),
+                    hits,
+                    "{phi:?} n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn extreme_scales_match_the_scalar_definition() {
+        // Around the lane form's limit (2³¹ − 2¹⁵), the extremes and ±1,
+        // on 1×1, 256×256 and 240×180 sensors, with offsets that land the
+        // raw coordinates ±1 in the sensor, that tie at ±1 px and ±1 raw,
+        // and the extremes; coordinates pair every raw word in `RAWS`.
+        const RAWS: [i16; 14] = [
+            i16::MIN,
+            i16::MIN + 1,
+            -128,
+            -64,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            64,
+            128,
+            640,
+            i16::MAX - 1,
+            i16::MAX,
+        ];
+        let canon: Vec<PackedCoord> = RAWS
+            .iter()
+            .flat_map(|&x| RAWS.iter().map(move |&y| (x, y)))
+            .map(|(x, y)| coords(&[(x, y)])[0])
+            .collect();
+        let lands = |scale: i32, c: i64, pixel: i64| {
+            i32::try_from((-(i64::from(scale) * c) >> 7) + (pixel << 21)).ok()
+        };
+        for scale in [
+            i32::MAX - (1 << 15),
+            i32::MAX - (1 << 15) + 1,
+            i32::MAX,
+            i32::MIN,
+            1,
+            -1,
+        ] {
+            let offsets: Vec<i32> = [
+                Some(0),
+                Some(-1 << 20),
+                Some(1),
+                Some(i32::MAX),
+                Some(i32::MIN),
+                lands(scale, 1, 3),
+                lands(scale, -1, 2),
+                tying_offset(scale, -128),
+                tying_offset(scale, 128),
+                tying_offset(scale, -1),
+                tying_offset(scale, 1),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            let (mut hits, mut ties) = (0, 0);
+            for (i, &offset_x) in offsets.iter().enumerate() {
+                for step in 0..3 {
+                    let offset_y = offsets[(i + step) % offsets.len()];
+                    let phi = PhiWords {
+                        scale,
+                        offset_x,
+                        offset_y,
+                    };
+                    ties += [offset_x, offset_y]
+                        .iter()
+                        .filter(|&&offset| tie_coordinate(scale, offset).is_some())
+                        .count();
+                    for (width, height) in [(1, 1), (256, 256), (240, 180)] {
+                        hits += check_every_tier(&phi, &canon, width, height);
+                    }
+                }
+            }
+            assert!(
+                hits > 0 && ties > 0,
+                "scale {scale}: {hits} hits, {ties} ties"
+            );
+        }
+    }
+
+    #[test]
+    fn sensor_edges_match_on_every_tier() {
+        // φ = (1, 0, 0): raw 63 is 0.49 px and raw 64 is 0.5, which rounds
+        // to 1; raw 32703 is 255.49 px and i16::MAX (255.99) rounds to 256.
+        let phi = PhiWords::from_f64(1.0, 0.0, 0.0);
+        let raws = [
+            (0, 0),
+            (63, 63),
+            (64, 0),
+            (0, 64),
+            (32703, 32703),
+            (i16::MAX, 0),
+            (0, i16::MAX),
+            (i16::MIN, i16::MIN),
+            (-63, -63),
+        ];
+        for n in 1..=raws.len() {
+            let canon: Vec<PackedCoord> = coords(&raws).into_iter().cycle().take(8 + n).collect();
+            check_every_tier(&phi, &canon, 1, 1);
+            check_every_tier(&phi, &canon, 256, 256);
+        }
+        let mut idx = Vec::new();
+        transfer_nearest_batch(&phi, &coords(&raws), 1, 1, &mut idx);
+        assert_eq!(idx, [0, 0, 0]);
+        transfer_nearest_batch(&phi, &coords(&raws), 256, 256, &mut idx);
+        assert_eq!(idx, [0, 0, 1, 256, 65_535, 0]);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn tie_coordinate_matches_a_sweep_over_every_coordinate() {
+        let mut words = vec![
+            (1 << 21, 0),
+            (1 << 21, 1),
+            (1, -1 << 20),
+            (-1, (-1 << 20) + 1),
+            (128, (-1 << 20) + 32768),
+            (128, (-1 << 20) - 32767),
+            (128, (-1 << 20) - 32768),
+            (-128, (-1 << 20) + 32767),
+            (3, 5),
+            (i32::MIN, 0),
+            (i32::MIN, -1 << 20),
+            (i32::MAX, -1 << 20),
+            (i32::MAX - (1 << 15), 0),
+            (1 << 27, i32::MIN),
+            (-(1 << 30), i32::MAX),
+        ];
+        for (scale, c) in [
+            (1 << 21, -64),
+            (7 << 18, 300),
+            (-(5 << 20), -9),
+            (i32::MAX - (1 << 15), -128),
+            (i32::MIN, 1),
+            (12_345 << 7, i16::MIN),
+            (1 << 7, i16::MAX),
+        ] {
+            let offset = tying_offset(scale, c).expect("an integer offset that fits");
+            assert_eq!(
+                tie_coordinate(scale, offset),
+                Some(c),
+                "{scale} ties at {c}"
+            );
+            words.push((scale, offset));
+        }
+        for (scale, offset) in words {
+            let swept: Vec<i16> = (i16::MIN..=i16::MAX)
+                .filter(|&c| super::super::plane_mac(scale, offset, c) + ACC_HALF == 0)
+                .collect();
+            assert_eq!(
+                swept,
+                Vec::from_iter(tie_coordinate(scale, offset)),
+                "scale {scale} offset {offset}"
+            );
         }
     }
 
@@ -1622,6 +2068,79 @@ mod proptests {
             let mut slab = start;
             prop_assert_eq!(vote_nearest_u16(&phi, &canon, width, height, &mut slab), cast);
             prop_assert_eq!(slab, expect);
+        }
+
+        /// Words that tie: draw a tie coordinate per axis and a scale
+        /// (spread over magnitudes by the shift), then solve for the offset
+        /// that puts the axis at `t = 0` there. The tie coordinate moves
+        /// toward 0 until the product is a whole offset LSB and the offset
+        /// fits an `i32`; an axis drawn not to tie takes one LSB more. The
+        /// batch clusters around the tie coordinates and plants them, alone
+        /// and on both axes, so both transfer faces meet ties at every lane
+        /// and in the tail. Full-range draws tie about once in 2²¹ words.
+        #[test]
+        fn tying_words_are_bit_identical_on_every_tier(
+            scale in i32::MIN..i32::MAX,
+            shift in 0u32..31,
+            cx in RAW16,
+            cy in RAW16,
+            axes in 0u8..4,
+            near in collection::vec((-700i32..700, -700i32..700), 0..40),
+            plant in collection::vec((0usize..64, 0u8..3), 0..6),
+            width in 1u32..257,
+            height in 1u32..257,
+        ) {
+            let scale = scale >> shift;
+            let (tie_x, tie_y) = (axes & 1 == 1, axes & 2 == 2);
+            let tie_at = |c: i32, ties: bool| {
+                // The product must be a multiple of 128 for a whole offset.
+                let m = 128 >> scale.trailing_zeros().min(7);
+                let mut c = c as i16 / m * m;
+                loop {
+                    if let Some(offset) = super::tests::tying_offset(scale, c) {
+                        return (c, if ties { offset } else { offset.wrapping_add(1) });
+                    }
+                    c = c / 2 / m * m;
+                }
+            };
+            let ((cx, offset_x), (cy, offset_y)) = (tie_at(cx, tie_x), tie_at(cy, tie_y));
+            let phi = PhiWords { scale, offset_x, offset_y };
+            for (ties, offset, c) in [(tie_x, offset_x, cx), (tie_y, offset_y, cy)] {
+                if ties && scale != 0 {
+                    prop_assert_eq!(tie_coordinate(scale, offset), Some(c));
+                }
+            }
+            let mut canon: Vec<PackedCoord> = near
+                .iter()
+                .map(|&(dx, dy)| PackedCoord {
+                    x: Q9p7::from_raw(cx.wrapping_add(dx as i16)),
+                    y: Q9p7::from_raw(cy.wrapping_add(dy as i16)),
+                })
+                .collect();
+            for &(at, which) in &plant {
+                let Some(c) = canon.get_mut(at) else { continue };
+                match which {
+                    0 => c.x = Q9p7::from_raw(cx),
+                    1 => c.y = Q9p7::from_raw(cy),
+                    _ => *c = PackedCoord { x: Q9p7::from_raw(cx), y: Q9p7::from_raw(cy) },
+                }
+            }
+            let expect: Vec<u32> = canon
+                .iter()
+                .filter_map(|&c| super::super::transfer_nearest(&phi, c, width, height).address())
+                .map(|(x, y)| y as u32 * width + x as u32)
+                .collect();
+            let mut slab = vec![0u16; (width * height) as usize];
+            let cast = super::tests::vote_reference(&phi, &canon, width, height, &mut slab);
+            let mut idx = Vec::new();
+            for tier in supported_tiers() {
+                transfer_nearest_batch_with(tier, &phi, &canon, width, height, &mut idx);
+                prop_assert_eq!(&idx, &expect, "tier {}", tier.name());
+                let mut voted = vec![0u16; slab.len()];
+                let got = vote_nearest_u16_with(tier, &phi, &canon, width, height, &mut voted);
+                prop_assert_eq!(got, cast, "tier {}", tier.name());
+                prop_assert!(voted == slab, "tier {}: slabs differ", tier.name());
+            }
         }
 
         /// Batched projection keeps exactly the scalar kernel's survivors,
