@@ -38,6 +38,7 @@ use eventor_hwsim::{
     AcceleratorConfig, ActivityEnergyModel, EnergyBreakdown, EventorDevice, FrameExecution,
     FrameJob, FrameKind,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Summary of the accelerator activity during one co-simulated
@@ -76,7 +77,7 @@ pub struct CosimReport {
 #[derive(Debug)]
 pub struct CosimBackend {
     camera: CameraModel,
-    transport: TransportTable,
+    transport: Arc<TransportTable>,
     detection: DetectionConfig,
     device: EventorDevice,
     /// The job of the frame in flight, refilled for every frame.
@@ -93,8 +94,9 @@ pub struct CosimBackend {
 impl CosimBackend {
     /// Creates a backend with a fresh device whose accelerator configuration
     /// is aligned with the EMVS configuration (frame size, plane count and
-    /// sensor resolution are taken from `config` / `camera`), and builds the
-    /// camera's per-pixel transport table. `parallel` changes nothing: the
+    /// sensor resolution are taken from `config` / `camera`), and takes the
+    /// camera's per-pixel transport table, which sessions on one camera
+    /// share ([`TransportTable::shared`]). `parallel` changes nothing: the
     /// device models a single accelerator, and the PS-side ingest is one
     /// table read per event, run on the calling thread.
     ///
@@ -122,7 +124,7 @@ impl CosimBackend {
         accelerator.sensor_height = camera.intrinsics.height as usize;
         Ok(Self {
             camera,
-            transport: TransportTable::build(&camera),
+            transport: TransportTable::shared(&camera),
             detection: config.detection,
             device: EventorDevice::new(accelerator),
             job: FrameJob {

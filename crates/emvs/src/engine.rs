@@ -16,6 +16,7 @@ use eventor_fixed::kernel::{self, batch, PhiWords};
 use eventor_fixed::PackedCoord;
 use eventor_geom::{CameraModel, Pose, Vec2};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Buffered load at which the engine votes its open key frame's buffered
@@ -25,18 +26,21 @@ use std::time::Instant;
 ///
 /// The window is voted plane by plane, so each plane slab is fetched once
 /// per window instead of once per frame. At 100 planes a 1024-event frame
-/// adds about 1.1 K, so about the thirtieth frame fills the window: about
-/// 115 KiB of Q9.7 survivors and 35 KiB of `φ` words. The window pays
+/// adds about 1.1 K, so about the sixtieth frame fills the window: about
+/// 230 KiB of Q9.7 survivors and 70 KiB of `φ` words. The window pays
 /// where the DSI outgrows L2 and a key frame spans many windows, as on the
-/// 8.6 MB DAVIS-scale DSI: there 32 K read faster than 8 K and 16 K, and
-/// 64 K faster still, with twice the vote carried by the push that fills a
-/// window and twice the buffer (`docs/BENCHMARKS.md`, "Fused vote"). Above
-/// one shard the window also amortizes the workers' spawn. It bounds
-/// engine memory for arbitrarily long key frames (a stationary or purely
-/// rotating camera never triggers a key-frame switch): a frame without
-/// canonical survivors is not buffered at all, so the buffer holds at most
-/// one window plus one frame beside the one DSI.
-pub const VOTE_WINDOW_EVENTS: usize = 1 << 15;
+/// 8.6 MB DAVIS-scale DSI: there 64 K read faster than 32 K, and 128 K and
+/// 256 K no faster than 64 K (`docs/BENCHMARKS.md`, "Certified
+/// divider"). The price is latency: the push that fills a window carries
+/// the whole window's vote, about 5.4 ms at the 99th percentile of a
+/// `davis_vote` push against about 3.2 ms at 32 K. A key frame that never
+/// outgrows 32 K, as on `wire_mix`'s small sensors, votes the same passes
+/// at either size. Above one shard the window also amortizes the workers'
+/// spawn. It bounds engine memory for arbitrarily long key frames (a
+/// stationary or purely rotating camera never triggers a key-frame
+/// switch): a frame without canonical survivors is not buffered at all, so
+/// the buffer holds at most one window plus one frame beside the one DSI.
+pub const VOTE_WINDOW_EVENTS: usize = 1 << 16;
 
 /// The engine's one DSI, on the score type the options select: `u16` for
 /// the quantized nearest-voting accelerator datapath, `f32` otherwise.
@@ -59,8 +63,9 @@ macro_rules! on_dsi {
 /// The per-pixel table the engine's ingest reads once per event.
 #[derive(Debug)]
 enum Ingest {
-    /// Each pixel's corrected coordinate as its Q9.7 transport word.
-    Quantized(TransportTable),
+    /// Each pixel's corrected coordinate as its Q9.7 transport word, the
+    /// camera's table shared with every session on it.
+    Quantized(Arc<TransportTable>),
     /// Each pixel's exact `f64` corrected coordinate.
     Float(UndistortionLut),
 }
@@ -258,8 +263,11 @@ pub struct VotingEngine {
 }
 
 impl VotingEngine {
-    /// Creates the engine, allocating its one sensor-sized DSI and building
-    /// the camera's per-pixel ingest table.
+    /// Creates the engine, allocating its one sensor-sized DSI, and takes
+    /// the camera's per-pixel ingest table: on the quantized datapaths the
+    /// [`TransportTable`] that sessions on one camera share
+    /// ([`TransportTable::shared`]), on the float ones a fresh
+    /// [`UndistortionLut`].
     ///
     /// # Errors
     ///
@@ -286,7 +294,7 @@ impl VotingEngine {
             Dsi::Float(DsiVolume::new(width, height, planes)?)
         };
         let ingest = if options.quantize {
-            Ingest::Quantized(TransportTable::build(&camera))
+            Ingest::Quantized(TransportTable::shared(&camera))
         } else {
             Ingest::Float(UndistortionLut::build(&camera))
         };

@@ -11,6 +11,8 @@
 //! golden-model ↔ device agreement holds by construction (ARCHITECTURE.md
 //! contract 4.1).
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use eventor_events::{Event, UndistortionLut};
 use eventor_fixed::kernel::{self, PhiWords};
 use eventor_fixed::{PackedCoord, Q11p21};
@@ -25,6 +27,10 @@ use eventor_geom::{CameraModel, CanonicalHomography, ProportionalCoefficients, V
 /// where that path reads a 16-byte `f64` pair and rounds it twice. An
 /// address outside the sensor, which the wire and EVTR files allow, takes
 /// that path itself: the camera's exact solve, then the encoding.
+///
+/// The sessions of a process share one table per camera
+/// ([`shared`](Self::shared)): the solve for every pixel takes about 6 ms
+/// at 240×180, more than a DAVIS-scale session's whole set-up besides.
 #[derive(Debug, Clone)]
 pub struct TransportTable {
     camera: CameraModel,
@@ -35,7 +41,43 @@ pub struct TransportTable {
 }
 
 impl TransportTable {
-    /// Encodes every addressable pixel of the camera's sensor.
+    /// The camera's table, shared: the last camera's table is kept in a
+    /// one-entry memo for the process, keyed on the camera's exact bits, so
+    /// sessions built one after another on one camera solve its pixels
+    /// once. Another camera's table replaces it. The memo's lock is held
+    /// while a table is built, so concurrent sessions on one camera build
+    /// it once too.
+    pub fn shared(camera: &CameraModel) -> Arc<Self> {
+        static MEMO: Mutex<Option<([u64; 11], Arc<TransportTable>)>> = Mutex::new(None);
+        let (i, d) = (&camera.intrinsics, &camera.distortion);
+        let key = [
+            i.fx.to_bits(),
+            i.fy.to_bits(),
+            i.cx.to_bits(),
+            i.cy.to_bits(),
+            u64::from(i.width),
+            u64::from(i.height),
+            d.k1.to_bits(),
+            d.k2.to_bits(),
+            d.p1.to_bits(),
+            d.p2.to_bits(),
+            d.k3.to_bits(),
+        ];
+        // A build that panics leaves the memo as it was, so a poisoned lock
+        // still guards a valid memo.
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*memo {
+            Some((held, table)) if *held == key => Arc::clone(table),
+            _ => {
+                let table = Arc::new(Self::build(camera));
+                *memo = Some((key, Arc::clone(&table)));
+                table
+            }
+        }
+    }
+
+    /// Encodes every addressable pixel of the camera's sensor, for this
+    /// caller alone; sessions take [`shared`](Self::shared).
     pub fn build(camera: &CameraModel) -> Self {
         let lut = UndistortionLut::build(camera);
         let (width, height) = (lut.width(), lut.height());

@@ -16,7 +16,7 @@
 //!
 //! | tier       | name reported        | mechanism |
 //! |------------|----------------------|-----------|
-//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 runs eight transfers an iteration, each exactly in one 32-bit lane from 16-bit partial products, and compacts them with one permutation, and compiles the depth collapse for eight `i32` lanes a register; NEON runs the transfer MACs two `i64` lanes at a time |
+//! | `Simd`     | `avx2` / `neon`      | `core::arch` intrinsics, runtime-detected: AVX2 projects four events a group in `f64` lanes that certify the integer divider's quotient (an uncertified group runs the scalar divider), runs eight transfers an iteration, each exactly in one 32-bit lane from 16-bit partial products, and compacts both with one shuffle or permutation, and compiles the depth collapse for eight `i32` lanes a register; NEON runs the transfer MACs two `i64` lanes at a time |
 //! | `Scalar`   | `scalar`             | the scalar kernel in a loop — the always-available reference |
 //!
 //! The tier is selected **once per session** ([`active`]): the
@@ -31,8 +31,9 @@
 //!
 //! Every tier produces **bytes identical to the scalar kernel** for every
 //! input: the same ties-away-from-zero rounding ([`super::round_acc`]), the
-//! same projection-missing judgement ([`super::normalize_q9p7`]), the same
-//! in-sensor judgement ([`super::transfer_nearest`]), the same first
+//! same projection-missing judgement ([`super::normalize_q9p7`], which the
+//! AVX2 tier's `f64` quotient estimate certifies and never replaces), the
+//! same in-sensor judgement ([`super::transfer_nearest`]), the same first
 //! maximum and exact integer sum of a depth collapse. This is the
 //! one-kernel-many-faces discipline extended to lanes: vectorization is a
 //! scheduling choice, never an arithmetic one. The proptests at the bottom
@@ -312,9 +313,15 @@ fn assert_supported(tier: Dispatch) {
 /// refilled; dropped events leave no placeholder — downstream per-plane
 /// transfers iterate canonical coordinates densely.
 ///
-/// The wide MACs run on the selected tier; the exact-rational
-/// normalization divider is inherently scalar (integer division has no
-/// lane form) and is shared verbatim by every tier.
+/// The scalar and NEON tiers run [`project_z0`](super::project_z0) per
+/// event. AVX2 runs four events a group in `f64` lanes: the row
+/// accumulators are exact as `f64`, so one division an axis gives the
+/// exact quotient correctly rounded, and where that estimate cannot
+/// certify the integer divider's rounding and judgement — a zero
+/// denominator, or a quotient within 2⁻²⁰ of a half-integer or of
+/// `i16::MAX` — the group runs [`project_z0`](super::project_z0), which
+/// stays the definition. Every tier's output is that definition's, bit for
+/// bit.
 pub fn project_z0_batch(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
     project_z0_batch_with(active(), h, coords, out);
 }
@@ -741,9 +748,16 @@ fn fold_planes<const N: usize>(
 // SIMD tier — AVX2 (x86_64)
 // ---------------------------------------------------------------------------
 
-/// AVX2. The projection runs four `i64` lanes per operation, its products
-/// from `_mm256_mul_epi32` (signed 32×32→64 on the low halves — exact, both
-/// operands are sign-extended 32-bit values).
+/// AVX2. The projection runs four events a group. Its row accumulators
+/// come from `_mm256_mul_epi32` (signed 32×32→64 on the low halves, exact:
+/// both operands are sign-extended 32-bit values) in `i64` lanes, exact in
+/// `f64` too, and its divider is one `_mm256_div_pd` an axis. The quotient
+/// estimate only certifies a result: a group with a zero denominator, or a
+/// quotient within 2⁻²⁰ of a half-integer or of `i16::MAX`, where the
+/// estimate (off by at most 2⁻³⁹) cannot tell the rounding or the judgement
+/// of the exact quotient, runs the scalar integer divider. A certified
+/// group's survivors are packed to `(x, y)` words and compacted with one
+/// `_mm_shuffle_epi8` (`project_avx2` has the argument).
 ///
 /// The transfer runs each coordinate in one 32-bit lane, eight an
 /// iteration, exactly. The scale splits into two `i16` halves,
@@ -765,7 +779,7 @@ fn fold_planes<const N: usize>(
 /// definitions, which the tests pin as bit-identical.
 ///
 /// Safety: every `#[target_feature(enable = "avx2")]` function is reached
-/// only through a wrapper, or a [`Transfer`] built by one, that asserts
+/// only through a wrapper, or a `Transfer` built by one, that asserts
 /// AVX2 and POPCNT are detected (dispatch refuses the tier otherwise, but
 /// the assertion keeps the module locally sound).
 #[cfg(target_arch = "x86_64")]
@@ -779,26 +793,6 @@ mod simd {
             simd_supported(),
             "SIMD dispatch tier reached without AVX2 and POPCNT support"
         );
-    }
-
-    /// Four sign-extended raw coordinate words as `i64` lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load4_i16(vals: [i16; 4]) -> __m256i {
-        _mm256_cvtepi32_epi64(_mm_set_epi32(
-            vals[3] as i32,
-            vals[2] as i32,
-            vals[1] as i32,
-            vals[0] as i32,
-        ))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store4(v: __m256i) -> [i64; 4] {
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
-        lanes
     }
 
     /// For each 8-bit hit mask, the lanes it keeps in ascending order (the
@@ -1019,6 +1013,10 @@ mod simd {
 
     pub(super) fn project(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
         assert_avx2();
+        out.clear();
+        out.reserve(coords.len());
+        // SAFETY: the assertion found AVX2 and POPCNT, and `out` is empty
+        // with room for every coordinate.
         unsafe { project_avx2(h, coords, out) }
     }
 
@@ -1041,66 +1039,185 @@ mod simd {
         super::collapse(scores, pixels, planes, out)
     }
 
-    /// Fused projection: the MAC lanes land in stack arrays and the exact
-    /// normalization divider runs per lane — integer division has no
-    /// vector form, and its cost amortizes over the ~100 per-plane
-    /// transfers each surviving event feeds.
+    /// `2⁵² + 2⁵¹`. An integer `v` with `|v| < 2⁵¹` added to this double's
+    /// bits gives the bits of the double `2⁵² + 2⁵¹ + v`, so subtracting
+    /// the double leaves `v` exactly: the integer-to-`f64` conversion of a
+    /// 64-bit lane, which AVX2 lacks.
+    const EXACT: f64 = 6_755_399_441_055_744.0;
+
+    /// Half the width of the band around a half-integer or `i16::MAX` in
+    /// which a quotient estimate certifies nothing: 2⁻²⁰, where the
+    /// estimate is off by at most 2⁻³⁹.
+    const BAND: f64 = 1.0 / (1u32 << 20) as f64;
+
+    /// The largest quotient the Q9.7 judgement keeps.
+    const LIMIT: f64 = i16::MAX as f64;
+
+    /// For each 4-bit keep mask, the `_mm_shuffle_epi8` control that moves
+    /// the kept 32-bit lanes to the front in ascending order; the rest of
+    /// the vector is zero and is never read back.
+    const COMPACT4: [[u8; 16]; 16] = {
+        let mut table = [[0x80u8; 16]; 16];
+        let mut mask = 0;
+        while mask < 16 {
+            let (mut lane, mut kept) = (0, 0);
+            while lane < 4 {
+                if mask & (1 << lane) != 0 {
+                    let mut byte = 0;
+                    while byte < 4 {
+                        table[mask][4 * kept + byte] = (4 * lane + byte) as u8;
+                        byte += 1;
+                    }
+                    kept += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    /// One `PE_Z0` row `a·x + b·y + (c << 7)` over four events in `i64`
+    /// lanes, exact because `|acc| < 3·2⁴⁶`, converted exactly to `f64`.
+    /// `c` holds the constant term plus the bits of [`EXACT`].
+    #[inline]
     #[target_feature(enable = "avx2")]
+    unsafe fn row(x: __m256i, y: __m256i, [a, b, c]: [__m256i; 3]) -> __m256d {
+        let acc = _mm256_add_epi64(
+            _mm256_add_epi64(_mm256_mul_epi32(x, a), _mm256_mul_epi32(y, b)),
+            c,
+        );
+        _mm256_sub_pd(_mm256_castsi256_pd(acc), _mm256_set1_pd(EXACT))
+    }
+
+    /// Row `r` of `h` as the three [`row`] operands.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_words(h: &[i32; 9], r: usize) -> [__m256i; 3] {
+        let constant = (i64::from(h[3 * r + 2]) << Q9p7::frac_bits()) + EXACT.to_bits() as i64;
+        [
+            _mm256_set1_epi64x(i64::from(h[3 * r])),
+            _mm256_set1_epi64x(i64::from(h[3 * r + 1])),
+            _mm256_set1_epi64x(constant),
+        ]
+    }
+
+    /// `|q|` of four quotient estimates.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn abs(q: __m256d) -> __m256d {
+        _mm256_andnot_pd(_mm256_set1_pd(-0.0), q)
+    }
+
+    /// The lanes whose estimate `q̂` certifies nothing: `|q̂|` within
+    /// [`BAND`] of [`LIMIT`], or its fraction within [`BAND`] of ½.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn unsure(q: __m256d) -> __m256d {
+        let (a, band) = (abs(q), _mm256_set1_pd(BAND));
+        let frac = _mm256_sub_pd(a, _mm256_floor_pd(a));
+        let tie = abs(_mm256_sub_pd(frac, _mm256_set1_pd(0.5)));
+        let limit = abs(_mm256_sub_pd(a, _mm256_set1_pd(LIMIT)));
+        _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_LE_OQ>(tie, band),
+            _mm256_cmp_pd::<_CMP_LE_OQ>(limit, band),
+        )
+    }
+
+    /// The lanes the Q9.7 judgement drops: `|q̂| > i16::MAX`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn beyond(q: __m256d) -> __m256d {
+        _mm256_cmp_pd::<_CMP_GT_OQ>(abs(q), _mm256_set1_pd(LIMIT))
+    }
+
+    /// The raw Q9.7 words `sign(q̂)·⌊|q̂| + ½⌋`, rounded half away from
+    /// zero, as four `i32` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn word(q: __m256d) -> __m128i {
+        let sign = _mm256_and_pd(q, _mm256_set1_pd(-0.0));
+        let magnitude = _mm256_floor_pd(_mm256_add_pd(abs(q), _mm256_set1_pd(0.5)));
+        _mm256_cvttpd_epi32(_mm256_or_pd(magnitude, sign))
+    }
+
+    /// The batched projection, four events a group in `f64` lanes.
+    ///
+    /// Each row accumulator is exact in an `i64` lane and exact as an
+    /// `f64`, so `q̂ = (n·2⁷) / w` from one `_mm256_div_pd` an axis is the
+    /// exact quotient `q` that [`normalize_q9p7`](super::super::normalize_q9p7)
+    /// rounds, correctly rounded: off by at most 2⁻³⁹ while `|q| < 2¹⁵`,
+    /// and at least 2¹⁵ when `q` is. A group is certified when no lane has
+    /// `w == 0` (0/0 is a NaN no compare orders) and no quotient lies
+    /// within [`BAND`] of a half-integer or of `i16::MAX`: then the
+    /// rounding and the judgement of `q̂` are those of `q`, since `q` lies
+    /// on the same side of every such bound. A certified group's survivors
+    /// are packed to `(x, y)` words and moved to the front with one
+    /// `_mm_shuffle_epi8`; a group that is not runs the scalar
+    /// [`project_z0`](super::super::project_z0), and so does the remainder.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and POPCNT, and `out` must be empty with
+    /// room for `coords.len()` coordinates: a group's 16-byte store lands
+    /// at the output length, which never exceeds the group's start.
+    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn project_avx2(h: &[i32; 9], coords: &[PackedCoord], out: &mut Vec<PackedCoord>) {
-        use crate::formats::Q9p7;
-        let vh0 = _mm256_set1_epi64x(h[0] as i64);
-        let vh1 = _mm256_set1_epi64x(h[1] as i64);
-        let vh3 = _mm256_set1_epi64x(h[3] as i64);
-        let vh4 = _mm256_set1_epi64x(h[4] as i64);
-        let vh6 = _mm256_set1_epi64x(h[6] as i64);
-        let vh7 = _mm256_set1_epi64x(h[7] as i64);
-        let vc0 = _mm256_set1_epi64x((h[2] as i64) << 7);
-        let vc1 = _mm256_set1_epi64x((h[5] as i64) << 7);
-        let vc2 = _mm256_set1_epi64x((h[8] as i64) << 7);
-        let mut iter = coords.chunks_exact(4);
-        for four in &mut iter {
-            let vx = load4_i16([
-                four[0].x.raw(),
-                four[1].x.raw(),
-                four[2].x.raw(),
-                four[3].x.raw(),
-            ]);
-            let vy = load4_i16([
-                four[0].y.raw(),
-                four[1].y.raw(),
-                four[2].y.raw(),
-                four[3].y.raw(),
-            ]);
-            let nx = store4(_mm256_add_epi64(
-                _mm256_add_epi64(_mm256_mul_epi32(vx, vh0), _mm256_mul_epi32(vy, vh1)),
-                vc0,
-            ));
-            let ny = store4(_mm256_add_epi64(
-                _mm256_add_epi64(_mm256_mul_epi32(vx, vh3), _mm256_mul_epi32(vy, vh4)),
-                vc1,
-            ));
-            let nw = store4(_mm256_add_epi64(
-                _mm256_add_epi64(_mm256_mul_epi32(vx, vh6), _mm256_mul_epi32(vy, vh7)),
-                vc2,
-            ));
-            for k in 0..4 {
-                let (Some(px), Some(py)) = (
-                    super::super::normalize_q9p7(nx[k], nw[k]),
-                    super::super::normalize_q9p7(ny[k], nw[k]),
-                ) else {
-                    continue;
-                };
-                out.push(PackedCoord {
-                    x: Q9p7::from_raw(px),
-                    y: Q9p7::from_raw(py),
-                });
+        let rows = [row_words(h, 0), row_words(h, 1), row_words(h, 2)];
+        let scale = _mm256_set1_pd(1.0 / f64::from(1u32 << Q9p7::frac_bits()));
+        let (n, dst) = (coords.len(), out.as_mut_ptr());
+        let mut len = 0;
+        let mut i = 0;
+        while i + 4 <= n {
+            // x in the low half of each 32-bit lane, y in the high half.
+            let v = _mm_loadu_si128(coords.as_ptr().add(i) as *const __m128i);
+            let x = _mm256_cvtepi32_epi64(_mm_srai_epi32::<16>(_mm_slli_epi32::<16>(v)));
+            let y = _mm256_cvtepi32_epi64(_mm_srai_epi32::<16>(v));
+            // w·2⁻⁷ is exact, so n / (w·2⁻⁷) rounds the quotient n·2⁷ / w.
+            let w = _mm256_mul_pd(row(x, y, rows[2]), scale);
+            let qx = _mm256_div_pd(row(x, y, rows[0]), w);
+            let qy = _mm256_div_pd(row(x, y, rows[1]), w);
+            let zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(w, _mm256_setzero_pd());
+            if _mm256_movemask_pd(_mm256_or_pd(zero, _mm256_or_pd(unsure(qx), unsure(qy)))) != 0 {
+                len = project_each(h, &coords[i..i + 4], dst, len);
+            } else {
+                let keep =
+                    (_mm256_movemask_pd(_mm256_or_pd(beyond(qx), beyond(qy))) ^ 0xF) as usize;
+                let words = _mm_blend_epi16::<0xAA>(word(qx), _mm_slli_epi32::<16>(word(qy)));
+                let control = _mm_loadu_si128(COMPACT4[keep].as_ptr() as *const __m128i);
+                _mm_storeu_si128(
+                    dst.add(len) as *mut __m128i,
+                    _mm_shuffle_epi8(words, control),
+                );
+                len += keep.count_ones() as usize;
             }
+            i += 4;
         }
-        for &c in iter.remainder() {
-            if let Some(p) = super::super::project_z0(h, c) {
-                out.push(p);
-            }
+        len = project_each(h, &coords[i..], dst, len);
+        out.set_len(len);
+    }
+
+    /// The scalar [`project_z0`](super::super::project_z0) over `coords`,
+    /// each survivor written at `dst.add(len)`; returns the new length.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must have room for `len + coords.len()` coordinates.
+    #[cold]
+    unsafe fn project_each(
+        h: &[i32; 9],
+        coords: &[PackedCoord],
+        dst: *mut PackedCoord,
+        mut len: usize,
+    ) -> usize {
+        for p in coords
+            .iter()
+            .filter_map(|&c| super::super::project_z0(h, c))
+        {
+            dst.add(len).write(p);
+            len += 1;
         }
+        len
     }
 }
 
@@ -1488,6 +1605,270 @@ mod tests {
                 assert!(!expect.is_empty() && expect.len() < n, "n {n}");
                 assert_eq!(idx, expect, "tier {} n {n}", tier.name());
             }
+        }
+    }
+
+    /// Holds every supported tier's batched projection to the scalar
+    /// definition and returns the definition's survivors.
+    fn check_projection(h: &[i32; 9], coords: &[PackedCoord]) -> Vec<PackedCoord> {
+        let expect: Vec<PackedCoord> = coords
+            .iter()
+            .filter_map(|&c| super::super::project_z0(h, c))
+            .collect();
+        let mut got = Vec::new();
+        for tier in supported_tiers() {
+            project_z0_batch_with(tier, h, coords, &mut got);
+            assert_eq!(got, expect, "tier {} under {h:?}", tier.name());
+        }
+        expect
+    }
+
+    /// Projects `case` at every lane of a group of four and at every place
+    /// of a remainder, the other places taken by `plain` coordinates in
+    /// turn, on every tier. The plain coordinates are survivors.
+    fn at_every_lane(h: &[i32; 9], case: PackedCoord, plain: [PackedCoord; 3]) {
+        assert!(plain
+            .iter()
+            .all(|&c| super::super::project_z0(h, c).is_some()));
+        for len in 1..=9 {
+            for at in 0..len {
+                let coords: Vec<PackedCoord> = (0..len)
+                    .map(|k| if k == at { case } else { plain[k % 3] })
+                    .collect();
+                check_projection(h, &coords);
+            }
+        }
+    }
+
+    /// Whether a quotient estimate can certify `c` under `h` with a band
+    /// twice the kernel's: `w != 0`, and each exact quotient `q = n·2⁷ / w`
+    /// lies more than 2⁻¹⁹ from every half-integer and from `i16::MAX`.
+    fn certified(h: &[i32; 9], c: PackedCoord) -> bool {
+        let [nx, ny, w] = super::super::mat_vec_mac(h, c).map(i128::from);
+        let d = w.abs();
+        d != 0
+            && [nx, ny].into_iter().all(|n| {
+                // |q| = m / d; the half-integer nearest it is ⌊|q|⌋ + ½.
+                let m = (n << 7).abs();
+                let half = 2 * (m / d) + 1;
+                (2 * m - half * d).abs() << 19 > 2 * d && (m - 32767 * d).abs() << 19 > d
+            })
+    }
+
+    /// Three coordinates near `at` that the kernel keeps and a quotient
+    /// estimate certifies under `h`.
+    fn plain_near(h: &[i32; 9], (x, y): (i16, i16)) -> [PackedCoord; 3] {
+        let near = (1..200i16).flat_map(|d| {
+            [(d, 0), (-d, 0), (0, 2 * d), (d, d)]
+                .map(|(dx, dy)| coords(&[(x.wrapping_add(dx), y.wrapping_add(dy))])[0])
+        });
+        let plain: Vec<PackedCoord> = near
+            .filter(|&c| certified(h, c) && super::super::project_z0(h, c).is_some())
+            .take(3)
+            .collect();
+        plain
+            .try_into()
+            .expect("three plain coordinates near the case")
+    }
+
+    /// A row `[a, b, c]` of `H_Z0` whose accumulator `a·x + b·y + (c << 7)`
+    /// is `target` at `(x, y)`, for a chosen `a` and an odd `y`.
+    pub(super) fn row_through(a: i64, (x, y): (i16, i16), target: i64) -> [i32; 3] {
+        let (x, y) = (i64::from(x), i64::from(y));
+        let rest = target - a * x;
+        let inverse = (1..128)
+            .find(|v| (y * v).rem_euclid(128) == 1)
+            .expect("an odd y");
+        // b ≡ rest / y (mod 2⁷), so that the constant takes what is left.
+        let b = rest / y + ((rest - rest / y * y) * inverse).rem_euclid(128);
+        let c = (rest - b * y) >> 7;
+        [a, b, c].map(|word| i32::try_from(word).expect("a row word fits an i32"))
+    }
+
+    /// An `H_Z0` whose accumulators at `at` (with an odd `y`) are
+    /// `[nx, ny, w]`. The numerator rows split their target between `x`
+    /// and `y`, which reaches `|n|` up to about 2⁴⁷ at `|x|, |y|` near
+    /// 2¹⁵; the denominator row has no `x` term, so moving along `x`
+    /// moves the quotients by `2⁷·a / w` a step while `w` stays.
+    pub(super) fn planted(at: (i16, i16), [nx, ny, w]: [i64; 3]) -> [i32; 9] {
+        let sum = i64::from(at.0) + i64::from(at.1);
+        let rows = [
+            row_through(nx / sum, at, nx),
+            row_through(ny / sum, at, ny),
+            row_through(0, at, w),
+        ];
+        let h: [i32; 9] = rows.concat().try_into().expect("nine words");
+        let c = coords(&[at])[0];
+        assert_eq!(super::super::mat_vec_mac(&h, c), [nx, ny, w]);
+        h
+    }
+
+    /// Targets `(n, w)` whose exact quotient `q = n·2⁷ / w` is not `k + ½`
+    /// but whose correctly rounded `f64` quotient is: a near-tie, which a
+    /// quotient estimate cannot tell from a tie. For `128 ≤ k < 2¹⁵`;
+    /// `n` stays below 2⁴⁶ + 2⁴⁵ and `w` below 2⁴⁶ − 2³⁴, which
+    /// [`planted`] reaches at both of [`CASE_AT`].
+    pub(super) fn near_tie(k: i64) -> (i64, i64) {
+        let (n_max, w_max) = ((3 << 45) - 1, (1 << 46) - (1 << 34));
+        let twice = 2 * k + 1;
+        let mut w = (n_max * 128 / (k + 1)).min(w_max);
+        loop {
+            // n·2⁸ − (2k + 1)·w is the residue r below; q − (k + ½) = r / 2w.
+            for n in [twice * w / 256, twice * w / 256 + 1] {
+                if n * 256 != twice * w && (n as f64 * 128.0) / w as f64 == k as f64 + 0.5 {
+                    return (n, w);
+                }
+            }
+            w -= 1;
+        }
+    }
+
+    /// The targets of a quotient just past `i16::MAX`, `q = 32767 + 1/w`,
+    /// whose correctly rounded `f64` quotient is exactly 32767.0. Its
+    /// `|n|` is just under 2⁴⁷, which [`planted`] reaches only at
+    /// `CASE_AT[0]`, where `|x| + |y|` is largest.
+    const PAST_THE_BOUND: (i64, i64) = ((32767 << 32) + 256, (1 << 39) + 1);
+
+    /// Where the directed cases of the projection's lane form sit: `|x|`
+    /// and `|y|` near 2¹⁵ reach the largest accumulators, `y` odd.
+    pub(super) const CASE_AT: [(i16, i16); 2] = [(-32768, -32767), (32767, 32767)];
+
+    #[test]
+    fn exact_ties_round_half_away_from_zero_in_every_lane() {
+        // w = ±2·2⁷, so q = ±x/2 and ±y/2: every odd raw word ties.
+        for w in [2i32, -2] {
+            let h = [1, 0, 0, 0, 1, 0, 0, 0, w];
+            let plain = coords(&[(2, 4), (-6, 8), (10, -12)]);
+            let plain: [PackedCoord; 3] = plain.try_into().unwrap();
+            // ±v/2 rounded half away from zero.
+            let away = |v: i16| w.signum() * ((i32::from(v) + i32::from(v.signum())) / 2);
+            for (x, y) in [
+                (3, 4),
+                (-3, 4),
+                (4, -5),
+                (-7, -9),
+                (i16::MAX, -i16::MAX),
+                (-1, 1),
+            ] {
+                let case = coords(&[(x, y)])[0];
+                let p = super::super::project_z0(&h, case).expect("a tie survives");
+                let raw = (i32::from(p.x.raw()), i32::from(p.y.raw()));
+                assert_eq!(raw, (away(x), away(y)), "({x}, {y}), w {w}");
+                at_every_lane(&h, case, plain);
+            }
+        }
+    }
+
+    #[test]
+    fn the_saturation_bound_keeps_32767_and_drops_past_it_in_every_lane() {
+        // q_x = x·(32767 + 1/k) or x·(32767 − 1/k) with w = k·2⁷, q_y = y / k.
+        let k = 65_535;
+        let plain: [PackedCoord; 3] = coords(&[(0, 5), (0, -7), (0, 100)]).try_into().unwrap();
+        for (a, x, kept) in [
+            (32767 * k, 1, Some(32767)),
+            (32767 * k, -1, Some(-32767)),
+            (32767 * k, 2, None),
+            (32767 * k + 1, 1, None),
+            (32767 * k + 1, -1, None),
+            (32767 * k - 1, 1, Some(32767)),
+            (32767 * k - 1, -1, Some(-32767)),
+        ] {
+            let h = [a, 0, 0, 0, 1, 0, 0, 0, k];
+            let case = coords(&[(x, 3)])[0];
+            let p = super::super::project_z0(&h, case);
+            assert_eq!(p.map(|p| p.x.raw()), kept, "a {a} x {x}");
+            at_every_lane(&h, case, plain);
+        }
+        // q = 32767 + 1/w, whose f64 quotient is exactly 32767.0: dropped.
+        let (n, w) = PAST_THE_BOUND;
+        assert_eq!((n as f64 * 128.0) / w as f64, 32767.0);
+        assert!(i128::from(n) * 128 > 32767 * i128::from(w));
+        let at = CASE_AT[0];
+        for [nx, ny, w] in [[n, w / 16, w], [-n, w / 16, w], [w / 16, n, w], [n, -n, -w]] {
+            let h = planted(at, [nx, ny, w]);
+            let case = coords(&[at])[0];
+            assert_eq!(super::super::project_z0(&h, case), None);
+            assert!(!certified(&h, case));
+            at_every_lane(&h, case, plain_near(&h, at));
+        }
+    }
+
+    #[test]
+    fn near_ties_take_the_integer_divider_in_every_lane() {
+        for k in [128, 200, 1000, 20_000, 32_766] {
+            let (n, w) = near_tie(k);
+            assert_eq!((n as f64 * 128.0) / w as f64, k as f64 + 0.5);
+            for at in CASE_AT {
+                for [nx, ny, w] in [[n, w / 16, w], [w / 16, n, w], [-n, -n, w], [n, w / 16, -w]] {
+                    let h = planted(at, [nx, ny, w]);
+                    let case = coords(&[at])[0];
+                    assert!(!certified(&h, case));
+                    at_every_lane(&h, case, plain_near(&h, at));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_and_negative_denominators_match_in_every_lane() {
+        // w = x: (0, 0) is 0/0 on both axes, (0, 5) is 0/0 and 5/0.
+        let h = [1, 0, 0, 0, 1, 0, 1, 0, 0];
+        let plain: [PackedCoord; 3] = coords(&[(5, 3), (-7, 2), (1, 100)]).try_into().unwrap();
+        for case in coords(&[(0, 0), (0, 5), (0, -5)]) {
+            assert_eq!(super::super::project_z0(&h, case), None);
+            at_every_lane(&h, case, plain);
+        }
+        // w = −2⁷: q = −x and −y; a zero numerator gives the word 0.
+        let h = [1, 0, 0, 0, 1, 0, 0, 0, -1];
+        let plain: [PackedCoord; 3] = coords(&[(5, 3), (-7, 2), (1, 100)]).try_into().unwrap();
+        for (x, y) in [(0, 3), (3, 0), (0, 0), (-4, 9)] {
+            let case = coords(&[(x, y)])[0];
+            let p = super::super::project_z0(&h, case).expect("kept");
+            assert_eq!((p.x.raw(), p.y.raw()), (-x, -y));
+            at_every_lane(&h, case, plain);
+        }
+        // Every denominator zero: nothing survives.
+        assert!(
+            check_projection(&[0; 9], &coords(&[(0, 0), (1, 1), (-5, 7), (9, 9), (3, 3)]))
+                .is_empty()
+        );
+    }
+
+    #[test]
+    fn huge_quotients_are_dropped_in_every_lane() {
+        // w = x + y + 100·2⁷ and q = 2¹⁷·x / w, 2¹⁷·y / w: |w| = 1 on the
+        // cases, so |q| reaches 2¹⁷ · 12 801 and more.
+        let h = [1 << 10, 0, 0, 0, 1 << 10, 0, 1, 1, 100];
+        let plain: [PackedCoord; 3] = coords(&[(0, 0), (100, 50), (-37, 1000)])
+            .try_into()
+            .unwrap();
+        assert!(plain.iter().all(|&c| certified(&h, c)));
+        for case in coords(&[(-12800, 1), (-12801, 0), (-6400, -6401), (i16::MIN, 19967)]) {
+            assert_eq!(super::super::mat_vec_mac(&h, case)[2].abs(), 1);
+            assert_eq!(super::super::project_z0(&h, case), None);
+            at_every_lane(&h, case, plain);
+        }
+    }
+
+    #[test]
+    fn an_unsure_lane_leaves_its_group_in_order() {
+        // One near-tie among three certified survivors: the group takes the
+        // integer divider, and the three keep their words and their order.
+        let (n, w) = near_tie(1000);
+        let at = CASE_AT[0];
+        let h = planted(at, [n, w / 16, w]);
+        let case = coords(&[at])[0];
+        let plain = plain_near(&h, at);
+        assert!(plain.iter().all(|&c| certified(&h, c)));
+        for place in 0..4 {
+            let mut group = plain.to_vec();
+            group.insert(place, case);
+            let kept = check_projection(&h, &group);
+            let words: Vec<PackedCoord> = group
+                .iter()
+                .map(|&c| super::super::project_z0(&h, c).expect("all four survive"))
+                .collect();
+            assert_eq!(kept, words, "near-tie at lane {place}");
         }
     }
 
@@ -1998,6 +2379,78 @@ mod proptests {
     /// Full raw range of a Q9.7 word (the shim has no `any::<i16>()`).
     const RAW16: std::ops::Range<i32> = i16::MIN as i32..i16::MAX as i32 + 1;
 
+    /// `H_Z0` words and up to 18 coordinates with one edge of the
+    /// projection's quotient estimate planted among them: an exact tie, a
+    /// quotient of exactly ±32767 or one step either side, a near-tie, a
+    /// quotient just past 32767 whose `f64` estimate is 32767.0, or a
+    /// zero denominator. The planted coordinate recurs among its
+    /// neighbours, which the estimate mostly certifies, and random words.
+    /// Full-range draws almost never reach these edges.
+    #[derive(Debug)]
+    struct PlantedEdges;
+
+    impl Strategy for PlantedEdges {
+        type Value = ([i32; 9], Vec<PackedCoord>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            use super::tests::{near_tie, planted};
+            let mut pick = |n: u64| (rng.next_u64() % n) as i64;
+            let sign = |bit: i64| 1 - 2 * bit;
+            let (at, h) = match pick(5) {
+                0 => {
+                    let at = ((pick(1 << 16) - (1 << 15)) as i16 | 1, pick(1 << 16) as i16);
+                    (at, [1, 0, 0, 0, 1, 0, 0, 0, 2 * sign(pick(2)) as i32])
+                }
+                1 => {
+                    let k = 1 + pick(65_535);
+                    let a = (32767 * k + pick(3) - 1) as i32;
+                    let at = (sign(pick(2)) as i16, pick(1 << 16) as i16);
+                    (at, [a, 0, 0, 0, 1, 0, 0, 0, k as i32])
+                }
+                2 => {
+                    let (n, w) = near_tie(128 + pick(32_766 - 128));
+                    let at = super::tests::CASE_AT[pick(2) as usize];
+                    let n = n * sign(pick(2));
+                    let targets = match pick(3) {
+                        0 => [n, w / 16, w],
+                        1 => [w / 16, n, w],
+                        _ => [n, n, w],
+                    };
+                    (at, planted(at, targets.map(|t| t * sign(pick(2)))))
+                }
+                3 => {
+                    let w = (1 << 39) + 1 + 128 * pick(1 << 10);
+                    let n = (32767 * w + 1) / 128 * sign(pick(2));
+                    let at = super::tests::CASE_AT[0];
+                    (at, planted(at, [n, w / 16, w * sign(pick(2))]))
+                }
+                // w = x: 0/0 on both axes at (0, 0), y/0 beside it.
+                _ => (
+                    (0, pick(2) as i16 * pick(1 << 16) as i16),
+                    [1, 0, 0, 0, 1, 0, 1, 0, 0],
+                ),
+            };
+            let len = pick(19);
+            let coords = (0..len)
+                .map(|_| {
+                    let (x, y) = match pick(3) {
+                        0 => at,
+                        1 => (
+                            at.0.wrapping_add(pick(64) as i16 - 32),
+                            at.1.wrapping_add(pick(4) as i16),
+                        ),
+                        _ => (pick(1 << 16) as i16, pick(1 << 16) as i16),
+                    };
+                    PackedCoord {
+                        x: Q9p7::from_raw(x),
+                        y: Q9p7::from_raw(y),
+                    }
+                })
+                .collect();
+            (h, coords)
+        }
+    }
+
     proptest! {
         /// Batched transfer writes exactly the scalar kernel's in-sensor
         /// addresses, as slab indices in input order, on every supported
@@ -2160,6 +2613,23 @@ mod proptests {
             for tier in supported_tiers() {
                 project_z0_batch_with(tier, &h, &coords, &mut got);
                 prop_assert_eq!(&got, &expect, "tier {}", tier.name());
+            }
+        }
+
+        /// The projection's lane form on inputs planted at its quotient
+        /// estimate's edges: every tier keeps exactly the scalar kernel's
+        /// survivors, in order.
+        #[test]
+        fn planted_projection_edges_are_bit_identical_on_every_tier(planted in PlantedEdges) {
+            let (h, coords) = planted;
+            let expect: Vec<PackedCoord> = coords
+                .iter()
+                .filter_map(|&c| super::super::project_z0(&h, c))
+                .collect();
+            let mut got = Vec::new();
+            for tier in supported_tiers() {
+                project_z0_batch_with(tier, &h, &coords, &mut got);
+                prop_assert_eq!(&got, &expect, "tier {} under {:?}", tier.name(), h);
             }
         }
 

@@ -19,13 +19,15 @@
 //!    key-frame boundaries, detects structure in the DSI it owns.
 //!
 //! Step 2 runs the bit-true integer kernel of [`eventor_fixed::kernel`] on
-//! the words the job shipped, as shipped: [`kernel::project_z0`] on the
-//! `Buf_H` words, then [`DsiVolume::vote_batch`] with each plane's `Buf_P`
-//! [`PhiWords`], the kernel's fused transfer-and-vote face plane by plane.
-//! The host fills the job from the parameter block of `eventor-emvs`, whose
-//! words the voting engine and the golden-model tests hand to the same
-//! functions, so device ↔ golden-model agreement holds by construction;
-//! `tests/cosim_equivalence.rs` asserts it end to end.
+//! the words the job shipped, as shipped: the batched `PE_Z0` projection
+//! ([`batch::project_z0_batch`], bit for bit
+//! [`kernel::project_z0`](eventor_fixed::kernel::project_z0) per event) on
+//! the `Buf_H` words, then [`DsiVolume::vote_batch`] with each plane's
+//! `Buf_P` [`PhiWords`], the kernel's fused transfer-and-vote face plane by
+//! plane. The host fills the job from the parameter block of
+//! `eventor-emvs`, whose words the voting engine and the golden-model tests
+//! hand to the same functions, so device ↔ golden-model agreement holds by
+//! construction; `tests/cosim_equivalence.rs` asserts it end to end.
 //!
 //! A frame's cycles are the frame cost of [`crate::schedule`] charged with
 //! the *actual* work performed (events surviving the projection-missing
@@ -39,7 +41,7 @@
 use crate::schedule::{frame_cost, payload_bytes, FrameKind};
 use crate::timing::{AcceleratorConfig, Cycles};
 use eventor_dsi::{DsiVolume, VoteArena};
-use eventor_fixed::kernel::{self, PhiWords};
+use eventor_fixed::kernel::{batch, PhiWords};
 use eventor_fixed::PackedCoord;
 
 /// The per-frame input set shipped by the host driver.
@@ -100,6 +102,9 @@ impl FrameExecution {
 #[derive(Debug, Clone)]
 pub struct EventorDevice {
     config: AcceleratorConfig,
+    /// The `Buf_E` words of the frame in flight decoded to coordinates,
+    /// kept between frames (always empty there) like `Buf_I`.
+    events: Vec<PackedCoord>,
     /// The `Buf_I` contents of the frame in flight, kept between frames
     /// (always empty there) so that a frame allocates no survivor buffer.
     survivors: Vec<PackedCoord>,
@@ -112,6 +117,7 @@ impl EventorDevice {
     pub fn new(config: AcceleratorConfig) -> Self {
         Self {
             config,
+            events: Vec::new(),
             survivors: Vec::new(),
             arena: VoteArena::new(),
         }
@@ -125,8 +131,9 @@ impl EventorDevice {
     /// Runs one frame on the DSI `dsi` and returns its execution record.
     ///
     /// The frame pass runs the kernel on the shipped words. A key frame
-    /// first resets `dsi`. `PE_Z0` ([`kernel::project_z0`]) writes the
-    /// survivors of the projection-missing judgement into `Buf_I`. Then
+    /// first resets `dsi`. `PE_Z0` ([`batch::project_z0_batch`] over the
+    /// decoded `Buf_E` words) writes the survivors of the projection-missing
+    /// judgement into `Buf_I`. Then
     /// [`DsiVolume::vote_batch`] runs, plane by plane, the `PE_Zi` array
     /// over every survivor and the Vote Execute Unit's saturating increment
     /// at each in-sensor vote: the voting engine's window pass over a window
@@ -156,11 +163,10 @@ impl EventorDevice {
         if job.kind == FrameKind::Key {
             dsi.reset();
         }
-        self.survivors.extend(
-            job.event_words.iter().filter_map(|&w| {
-                kernel::project_z0(&job.homography_words, PackedCoord::from_word(w))
-            }),
-        );
+        self.events
+            .extend(job.event_words.iter().map(|&w| PackedCoord::from_word(w)));
+        batch::project_z0_batch(&job.homography_words, &self.events, &mut self.survivors);
+        self.events.clear();
         let votes_before = dsi.votes_cast();
         dsi.vote_batch(&self.survivors, &job.phi_words, &mut self.arena);
         let votes = dsi.votes_cast() - votes_before;
@@ -201,6 +207,7 @@ pub(crate) fn dsi_for(config: &AcceleratorConfig) -> DsiVolume<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eventor_fixed::kernel;
 
     fn identity_job(events: usize, planes: usize, kind: FrameKind) -> FrameJob {
         let phi = PhiWords::from_f64(1.0, 0.0, 0.0);

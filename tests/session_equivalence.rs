@@ -112,9 +112,12 @@ fn sharded_spill_on_a_giant_keyframe_stays_bit_identical() {
     // A key-frame distance that never triggers a switch: the whole stream is
     // one key frame spanning several vote windows, so both engines must
     // vote buffered windows into the DSI mid-key-frame — and the sharded one
-    // stay bit-identical to the sequential software path. ThreePlanes is
-    // long enough for more than two windows.
-    let seq = SyntheticSequence::generate(SequenceKind::ThreePlanes, &DatasetConfig::fast_test())
+    // stay bit-identical to the sequential software path. ThreePlanes at a
+    // finer contrast threshold (230 k events, not 146 k) is long enough for
+    // more than two windows.
+    let mut dataset = DatasetConfig::fast_test();
+    dataset.simulator.contrast_threshold = 0.1;
+    let seq = SyntheticSequence::generate(SequenceKind::ThreePlanes, &dataset)
         .expect("fast_test sequences generate");
     let config = config_for_sequence(&seq, 60).with_keyframe_distance(1e9);
     let batch = EventorSession::builder(seq.camera, config.clone())
